@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,41 +38,7 @@ from .scattering import (
 from .signals import Signal, band_limited_signal, convolve, dft, energy, read_signal, write_signal
 from .stationary import load_model, mc_layer_energy, stationary_bound
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common options shared by the subcommands."""
-
-    bank: str | None
-    signal: str | None
-    model: str | None
-    out: str | None
-    seed: int
-    depth: int
-    trials: int
-    prune_eps: float
-    scale: int
-    tol: float | None
-    lowpass: str
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        get = lambda name, default=None: getattr(args, name, default)
-        return cls(
-            bank=get("bank"),
-            signal=get("signal"),
-            model=get("model"),
-            out=get("out"),
-            seed=get("seed", 0),
-            depth=get("depth", 2),
-            trials=get("trials", 200),
-            prune_eps=get("prune_eps", 0.0),
-            scale=get("scale", 0),
-            tol=get("tol"),
-            lowpass=get("lowpass", "auto"),
-        )
+__all__ = ["main"]
 
 
 def _jsonable(value):
@@ -93,17 +58,17 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _ensure_out(cfg: RunConfig) -> str:
-    if not cfg.out:
+def _ensure_out(args: argparse.Namespace) -> str:
+    if not args.out:
         raise ValueError("an output directory is required (--out)")
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
-def _load_bank(cfg: RunConfig) -> FilterBank:
-    if not cfg.bank:
+def _load_bank(args: argparse.Namespace) -> FilterBank:
+    if not args.bank:
         raise ValueError("a bank file is required (--bank)")
-    return load_bank(cfg.bank)
+    return load_bank(args.bank)
 
 
 def _output_lowpass(bank: FilterBank, kind: str) -> LowPass:
@@ -119,10 +84,10 @@ def _output_lowpass(bank: FilterBank, kind: str) -> LowPass:
     raise ValueError(f"unknown lowpass choice {kind!r}")
 
 
-def cmd_bank_check(cfg: RunConfig) -> int:
-    bank = _load_bank(cfg)
-    out = _ensure_out(cfg)
-    lp_tol = cfg.tol if cfg.tol is not None else 1e-9
+def cmd_bank_check(args: argparse.Namespace) -> int:
+    bank = _load_bank(args)
+    out = _ensure_out(args)
+    lp_tol = args.tol if args.tol is not None else 1e-9
     reports = [
         check_littlewood_paley(bank, tol=lp_tol),
         check_asymmetry(bank),
@@ -138,39 +103,39 @@ def cmd_bank_check(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_scatter_run(cfg: RunConfig) -> int:
-    bank = _load_bank(cfg)
-    if not cfg.signal:
+def cmd_scatter_run(args: argparse.Namespace) -> int:
+    bank = _load_bank(args)
+    if not args.signal:
         raise ValueError("a signal file is required (--signal)")
-    sig = read_signal(cfg.signal)
-    out = _ensure_out(cfg)
-    low = _output_lowpass(bank, cfg.lowpass)
-    result = scatter(sig, bank, low, cfg.depth, prune_eps=cfg.prune_eps)
+    sig = read_signal(args.signal)
+    out = _ensure_out(args)
+    low = _output_lowpass(bank, args.lowpass)
+    result = scatter(sig, bank, low, args.depth, prune_eps=args.prune_eps)
     export_result(result, out)
     kept = len(result.s)
     print(
-        f"depth={cfg.depth} paths={kept} pruned={len(result.pruned_paths)} "
+        f"depth={args.depth} paths={kept} pruned={len(result.pruned_paths)} "
         f"pruned_mass={result.pruned_mass:.6g}"
     )
     return 0
 
 
-def cmd_decay_verify(cfg: RunConfig) -> int:
-    bank = _load_bank(cfg)
-    out = _ensure_out(cfg)
+def cmd_decay_verify(args: argparse.Namespace) -> int:
+    bank = _load_bank(args)
+    out = _ensure_out(args)
     constants = compute_constants(bank)
-    if cfg.signal:
-        sig = read_signal(cfg.signal)
+    if args.signal:
+        sig = read_signal(args.signal)
     else:
         lo, hi = constants.band
-        sig = band_limited_signal(bank.n, (lo, hi), np.random.default_rng(cfg.seed))
-    rows = verify_decay(sig, bank, constants, n_max=cfg.depth)
+        sig = band_limited_signal(bank.n, (lo, hi), np.random.default_rng(args.seed))
+    rows = verify_decay(sig, bank, constants, n_max=args.depth)
     _write_json(os.path.join(out, "constants.json"), constants.to_payload())
     with open(os.path.join(out, "decay.csv"), "w") as fh:
         fh.write("n,empirical,bound,slack\n")
         for row in rows:
             fh.write(f"{row.n},{row.empirical!r},{row.bound!r},{row.slack!r}\n")
-    slack_tol = cfg.tol if cfg.tol is not None else 1e-8
+    slack_tol = args.tol if args.tol is not None else 1e-8
     print(
         f"constants: c={constants.c:.6g} C={constants.C:.6g} a={constants.a:.6g} "
         f"r={constants.r:.6g} band={constants.band[0]}..{constants.band[1]}"
@@ -186,15 +151,15 @@ def cmd_decay_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_stationary_run(cfg: RunConfig) -> int:
-    bank = _load_bank(cfg)
-    if not cfg.model:
+def cmd_stationary_run(args: argparse.Namespace) -> int:
+    bank = _load_bank(args)
+    if not args.model:
         raise ValueError("a model file is required (--model)")
-    model = load_model(cfg.model)
-    out = _ensure_out(cfg)
+    model = load_model(args.model)
+    out = _ensure_out(args)
     constants = compute_constants(bank)
-    est = mc_layer_energy(model, bank, cfg.depth, trials=cfg.trials, seed=cfg.seed)
-    bound = stationary_bound(model, constants, cfg.depth)
+    est = mc_layer_energy(model, bank, args.depth, trials=args.trials, seed=args.seed)
+    bound = stationary_bound(model, constants, args.depth)
     ok = est.estimate <= bound + 3.0 * est.stderr
     _write_json(
         os.path.join(out, "mc_report.json"),
@@ -228,18 +193,18 @@ def _abs_centroid(coeffs: np.ndarray, n: int) -> float:
     return float(np.sum(w * power) / np.sum(power))
 
 
-def cmd_demo_modulus_shift(cfg: RunConfig) -> int:
+def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     from .filterbank import build_bank, morlet_mother
 
-    out = _ensure_out(cfg)
-    if cfg.signal:
-        sig = read_signal(cfg.signal)
+    out = _ensure_out(args)
+    if args.signal:
+        sig = read_signal(args.signal)
     else:
         sig = _default_chirp(512)
     bank = build_bank(morlet_mother(), 0, sig.n)
-    if cfg.scale not in bank.filters:
-        raise ValueError(f"scale {cfg.scale} outside bank range [{bank.j_min}, {bank.j_max}]")
-    filtered = convolve(sig, bank.filters[cfg.scale])
+    if args.scale not in bank.filters:
+        raise ValueError(f"scale {args.scale} outside bank range [{bank.j_min}, {bank.j_max}]")
+    filtered = convolve(sig, bank.filters[args.scale])
     mod = Signal(np.abs(filtered.samples), real=True)
     low = gaussian_output_lowpass(bank.j_max, sig.n)
     smoothed = convolve(mod, low.spectrum)
@@ -253,7 +218,7 @@ def cmd_demo_modulus_shift(cfg: RunConfig) -> int:
     _write_json(
         os.path.join(out, "summary.json"),
         {
-            "scale": cfg.scale,
+            "scale": args.scale,
             "centroid_filtered": before,
             "centroid_modulus": after,
             "energy_filtered": energy(filtered),
@@ -331,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return args.handler(cfg)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

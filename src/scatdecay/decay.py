@@ -269,15 +269,21 @@ def initialize_x(
     walks x = 2^(m/8) downward from 2^8 and stops at the first width that
     clears the condition everywhere.
     """
-    lo, hi = _band_or_raise(bank)
+    _band_or_raise(bank)
     if init is None:
         init = initialize_lowpass(bank)
+    return _admissible_width(bank, init, tol)[0]
+
+
+def _admissible_width(bank: FilterBank, init: InitLowpass, tol: float) -> tuple[float, float]:
+    """The search of ``initialize_x`` plus its slack min(1 - |chi_hat_x|^2 - F)."""
+    lo, hi = bank.validated_band
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
     envelope = (1.0 - _smoothed_window_sq(init, omegas)) * _lp_up_to_coarsest(bank, omegas)
     for m in range(64, -65, -1):
         x = 2.0 ** (m / 8.0)
         if np.all(envelope <= 1.0 - _chi_sq(omegas, x) + tol):
-            return x
+            return x, float(np.min(1.0 - _chi_sq(omegas, x) - envelope))
     raise BankConditionError(
         "no admissible Gaussian width in [2^-8, 2^8]: the envelope "
         "exceeds the modulation budget at every candidate"
@@ -382,14 +388,8 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
 
     delta = c / big_c
     a = 1.0 / math.sqrt(1.0 - c * c / big_c)
-    init = initialize_lowpass(bank)
-    x_init = initialize_x(bank, init)
+    x_init, x_margin = _admissible_width(bank, initialize_lowpass(bank), tol=1e-9)
     r = x_init / a**2
-
-    lo, hi = band
-    omegas = np.arange(lo, hi + 1, dtype=np.float64)
-    envelope = (1.0 - _smoothed_window_sq(init, omegas)) * _lp_up_to_coarsest(bank, omegas)
-    x_margin = float(np.min(1.0 - _chi_sq(omegas, x_init) - envelope))
 
     margins = {
         "littlewood_paley": lp.margin,

@@ -16,9 +16,7 @@ millions of nodes.
 from __future__ import annotations
 
 import json
-import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -43,7 +41,6 @@ __all__ = [
     "LowPass",
     "ScatteringResult",
     "BalanceReport",
-    "propagate",
     "scatter",
     "layer_energy_profile",
     "energy_balance",
@@ -91,66 +88,33 @@ def _filter_rows(bank: FilterBank) -> np.ndarray:
     return np.stack([_unshifted(bank.filters[j]) for j in bank.scales])
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SCATTER_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"SCATTER_THREADS must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
-def _map_chunks(fn, batch: np.ndarray, rows_per_chunk: int) -> list[np.ndarray]:
-    chunks = [batch[i : i + rows_per_chunk] for i in range(0, batch.shape[0], rows_per_chunk)]
-    workers = _thread_count()
-    if workers == 1 or len(chunks) == 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map() preserves chunk order, so assembly does not depend on timing
-        return list(pool.map(fn, chunks))
-
-
 def _layer_moduli(batch: np.ndarray, filts: np.ndarray) -> np.ndarray:
     """All children |row * psi_j| of a layer, shape (rows*B, N)."""
     rows, n = batch.shape
     nfilt = filts.shape[0]
     per_chunk = max(1, _CHUNK_ELEMENTS // (nfilt * n))
-
-    def step(chunk):
-        spec = np.fft.fft(chunk, axis=1)
+    out = np.empty((rows * nfilt, n))
+    for i in range(0, rows, per_chunk):
+        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
         prod = spec[:, None, :] * filts[None, :, :]
-        return np.abs(np.fft.ifft(prod.reshape(-1, n), axis=1))
-
-    return np.concatenate(_map_chunks(step, batch, per_chunk))
+        children = np.fft.ifft(prod.reshape(-1, n), axis=1)
+        np.abs(children, out=out[i * nfilt : (i + per_chunk) * nfilt])
+    return out
 
 
 def _lowpass_rows(batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    n = batch.shape[1]
-    per_chunk = max(1, _CHUNK_ELEMENTS // n)
-
-    def step(chunk):
-        return np.fft.ifft(np.fft.fft(chunk, axis=1) * phi[None, :], axis=1)
-
-    return np.concatenate(_map_chunks(step, batch, per_chunk))
+    per_chunk = max(1, _CHUNK_ELEMENTS // batch.shape[1])
+    out = np.empty(batch.shape, dtype=np.complex128)
+    for i in range(0, batch.shape[0], per_chunk):
+        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
+        np.fft.ifft(spec * phi[None, :], axis=1, out=out[i : i + per_chunk])
+    return out
 
 
 def _row_energies(batch: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(batch):
         return np.sum(batch.real**2 + batch.imag**2, axis=1) / batch.shape[1]
     return np.sum(batch**2, axis=1) / batch.shape[1]
-
-
-def propagate(f: Signal, path: Path, bank: FilterBank) -> Signal:
-    """Apply the modulus-convolution chain along one path."""
-    if f.n != bank.n:
-        raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
-    current = f.samples
-    for j in path:
-        if j not in bank.filters:
-            raise ValueError(f"octave {j} outside bank range [{bank.j_min}, {bank.j_max}]")
-        spec = np.fft.fft(current) * _unshifted(bank.filters[j])
-        current = np.abs(np.fft.ifft(spec))
-    return Signal(current, real=len(path) > 0 or f.real)
 
 
 @dataclass(frozen=True)
@@ -233,9 +197,7 @@ def scatter(
                     pruned_mass += float(e)
                 batch = batch[keep]
                 paths = [p for p, k in zip(paths, keep) if k]
-        if batch.shape[0] == 0:
-            output_energies[depth] = 0.0
-            continue
+        # an emptied layer flows through as zero rows, so deeper layers read 0.0
         outputs = _lowpass_rows(batch, phi)
         output_energies[depth] = float(np.sum(_row_energies(outputs)))
         real_nodes = depth > 0 or f.real

@@ -59,9 +59,6 @@ class StationaryModel:
     density: np.ndarray
     autocov: np.ndarray
 
-    def density_spectrum(self) -> Spectrum:
-        return Spectrum(self.density.astype(np.complex128))
-
 
 def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray):
     density = np.asarray(density, dtype=np.float64)

@@ -18,7 +18,7 @@ from scatdecay.filterbank import (
     save_bank,
     shannon_mother,
 )
-from scatdecay.signals import band_limited_signal, write_signal
+from scatdecay.signals import Signal, band_limited_signal, write_signal
 from scatdecay.stationary import make_model, save_model
 
 
@@ -93,6 +93,16 @@ def test_unknown_mother_is_parse_error(tmp_path, capsys):
     assert "hann" in capsys.readouterr().err
 
 
+def test_bandpass_outside_window_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps(
+        {"mother": {"name": "bandpass", "params": {"lo": 20, "hi": 40}}, "J": 0, "N": 256}
+    ))
+    code = main(["bank", "check", "--bank", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "window" in capsys.readouterr().err
+
+
 def test_scatter_run_is_byte_stable(shannon_bank_file, signal_file, tmp_path, capsys):
     outs = []
     for name in ("a", "b"):
@@ -106,6 +116,27 @@ def test_scatter_run_is_byte_stable(shannon_bank_file, signal_file, tmp_path, ca
     assert outs[0] == outs[1]
     assert "manifest.json" in outs[0]
     assert "paths=73" in capsys.readouterr().out
+
+
+def test_scatter_run_survives_a_fully_pruned_layer(tmp_path, capsys):
+    # a cosine fills one octave at layer 1 and none at layer 2, so pruning
+    # empties layer 2 and layer 3 has no parent rows at all
+    bank_path = tmp_path / "shannon64.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 64))
+    sig_path = tmp_path / "cosine.csv"
+    write_signal(sig_path, Signal(np.cos(2 * np.pi * 5 * np.arange(64) / 64), real=True))
+    out = tmp_path / "tree"
+    code = main(
+        ["scatter", "run", "--bank", str(bank_path), "--signal", str(sig_path),
+         "--out", str(out), "--depth", "3", "--prune-eps", "1e-3"]
+    )
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["retained_paths"] == [[], [-2]]
+    assert manifest["layer_energies"]["3"] == 0.0
+    assert manifest["output_energies"]["2"] == 0.0
+    assert manifest["output_energies"]["3"] == 0.0
+    assert "paths=2 pruned=11" in capsys.readouterr().out
 
 
 def test_scatter_run_over_budget_exits_three(shannon_bank_file, signal_file, tmp_path, capsys):

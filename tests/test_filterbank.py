@@ -7,8 +7,8 @@ import pytest
 from scatdecay.filterbank import (
     ConditionReport,
     MOTHERS,
+    X_WINDOW,
     bandpass_mother,
-    bank_lp_sum,
     build_bank,
     check_asymmetry,
     check_littlewood_paley,
@@ -78,6 +78,15 @@ def test_bandpass_validates_parameters():
         bandpass_mother(2.0, 1.0)
     with pytest.raises(ValueError):
         bandpass_mother(1.0, 2.0, amplitude=0.0)
+
+
+def test_bandpass_outside_window_rejected():
+    # mass beyond X_WINDOW would be dropped from every octave sum
+    with pytest.raises(ValueError, match="window"):
+        bandpass_mother(20.0, 40.0)
+    with pytest.raises(ValueError, match="window"):
+        bandpass_mother(1e-9, 1.0)
+    assert bandpass_mother(X_WINDOW[0], X_WINDOW[1]).params["hi"] == X_WINDOW[1]
 
 
 def test_make_mother_registry():
@@ -186,8 +195,11 @@ def test_term_grid_rejects_nonpositive():
 def test_bank_sum_matches_ideal_inside_validated_band():
     bank = build_bank(morlet_mother(), 0, 256)
     lo, hi = bank.validated_band
-    w = np.arange(lo, hi + 1, dtype=float)
-    assert np.max(np.abs(bank_lp_sum(bank, w) - ideal_lp_sum(bank.mother, w))) <= 1e-3
+    w = np.arange(lo, hi + 1)
+    # filters sit on the centered grid, where frequency w is at index N/2 + w
+    power = sum(np.abs(bank.filters[j].coeffs) ** 2 for j in bank.scales)
+    kept = 0.5 * (power[bank.n // 2 + w] + power[bank.n // 2 - w])
+    assert np.max(np.abs(kept - ideal_lp_sum(bank.mother, w.astype(float)))) <= 1e-3
 
 
 # --- condition checks ------------------------------------------------------

@@ -12,7 +12,6 @@ from scatdecay.scattering import (
     export_result,
     gaussian_output_lowpass,
     layer_energy_profile,
-    propagate,
     scatter,
     shannon_tight_pair,
 )
@@ -47,42 +46,37 @@ def direct_node(samples, bank, path):
 
 def test_tone_lands_in_its_octave():
     # 2^-2 * 5 = 1.25 sits in (1, 2]; the filtered modulus is flat sqrt(2)
-    bank = build_bank(shannon_mother(), 0, 64)
-    u = propagate(complex_tone(64, 5), (-2,), bank)
+    bank, low = shannon_tight_pair(0, 64)
+    u = scatter(complex_tone(64, 5), bank, low, n_max=1).u[(-2,)]
     assert np.max(np.abs(u.samples - math.sqrt(2.0))) < 1e-12
     assert energy(u) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_octave_edges_are_half_open():
-    bank = build_bank(shannon_mother(), 0, 64)
-    tone = complex_tone(64, 4)
+    bank, low = shannon_tight_pair(0, 64)
+    result = scatter(complex_tone(64, 4), bank, low, n_max=1)
     # 4 maps to the right edge of (1, 2] under j = -1 and is kept there,
     # while j = -2 sends it to the excluded left edge
-    kept = propagate(tone, (-1,), bank)
-    dropped = propagate(tone, (-2,), bank)
+    kept = result.u[(-1,)]
+    dropped = result.u[(-2,)]
     assert np.min(np.abs(kept.samples)) > 1.0
     assert np.max(np.abs(dropped.samples)) < 1e-13
 
 
 def test_empty_path_returns_input():
-    bank = build_bank(shannon_mother(), 0, 64)
+    bank, low = shannon_tight_pair(0, 64)
     sig = cosine(64, 3)
-    out = propagate(sig, (), bank)
+    out = scatter(sig, bank, low, n_max=0).u[()]
     assert np.array_equal(out.samples, sig.samples)
-
-
-def test_unknown_octave_rejected():
-    bank = build_bank(shannon_mother(), 0, 64)
-    with pytest.raises(ValueError):
-        propagate(cosine(64, 3), (1,), bank)
 
 
 def test_propagate_matches_direct_chain():
     rng = np.random.default_rng(17)
     bank = build_bank(morlet_mother(), 0, 128)
     sig = band_limited_signal(128, (4, 40), rng)
+    result = scatter(sig, bank, gaussian_output_lowpass(0, 128), n_max=3)
     for path in [(-3,), (-3, -1), (-5, -2, 0)]:
-        got = propagate(sig, path, bank).samples
+        got = result.u[path].samples
         want = direct_node(sig.samples, bank, path)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -97,7 +91,8 @@ def test_tree_matches_propagate_per_path():
     result = scatter(sig, bank, low, n_max=2)
     assert len(result.u) == 1 + 6 + 36
     for path in [(), (-2,), (-2, -4), (0, 0)]:
-        assert np.max(np.abs(result.u[path].samples - propagate(sig, path, bank).samples)) < 1e-12
+        got = result.u[path].samples
+        assert np.max(np.abs(got - direct_node(sig.samples, bank, path))) < 1e-12
 
 
 def test_profile_agrees_with_tree():
@@ -186,10 +181,11 @@ def test_translation_covariance_of_nodes():
     rng = np.random.default_rng(43)
     bank, low = shannon_tight_pair(0, 128)
     sig = band_limited_signal(128, (2, 50), rng)
-    moved = shift(sig, 11)
+    moved = scatter(shift(sig, 11), bank, low, n_max=2)
+    still = scatter(sig, bank, low, n_max=2)
     for path in [(-1,), (-3, -2)]:
-        a = propagate(moved, path, bank).samples
-        b = np.roll(propagate(sig, path, bank).samples, 11)
+        a = moved.u[path].samples
+        b = np.roll(still.u[path].samples, 11)
         assert np.max(np.abs(a - b)) < 1e-11
 
 
@@ -263,27 +259,7 @@ def test_negative_depth_rejected():
         scatter(cosine(64, 5), bank, low, n_max=-1)
 
 
-# --- threading and export ----------------------------------------------------
-
-
-def test_thread_count_does_not_change_bits(monkeypatch):
-    rng = np.random.default_rng(59)
-    bank, low = shannon_tight_pair(0, 128)
-    sig = band_limited_signal(128, (2, 60), rng)
-    monkeypatch.delenv("SCATTER_THREADS", raising=False)
-    base = scatter(sig, bank, low, n_max=2)
-    monkeypatch.setenv("SCATTER_THREADS", "4")
-    threaded = scatter(sig, bank, low, n_max=2)
-    for p in base.u:
-        assert np.array_equal(base.u[p].samples, threaded.u[p].samples)
-        assert np.array_equal(base.s[p].samples, threaded.s[p].samples)
-
-
-def test_bad_thread_count_rejected(monkeypatch):
-    bank, low = shannon_tight_pair(0, 64)
-    monkeypatch.setenv("SCATTER_THREADS", "many")
-    with pytest.raises(ValueError):
-        scatter(cosine(64, 5), bank, low, n_max=1)
+# --- export ------------------------------------------------------------------
 
 
 def test_export_layout_and_stability(tmp_path):
