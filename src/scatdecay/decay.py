@@ -248,9 +248,14 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
     """
     support = init.phi_grid / init.m_scale
     values = init.phi_values**2
-    gap = omegas[:, None] - support[None, :]
+    # exp(-gap^2) underflows to exactly 0.0 in float64 once gap^2 > ~745.2,
+    # so a row further than 28 from the support is an exact zero: skip it
+    near = np.abs(omegas) <= support[-1] + 28.0
+    gap = omegas[near, None] - support[None, :]
     kernel = np.exp(-(gap**2)) / math.sqrt(math.pi)
-    return np.trapezoid(values[None, :] * kernel, support, axis=1)
+    out = np.zeros(omegas.shape)
+    out[near] = np.trapezoid(values[None, :] * kernel, support, axis=1)
+    return out
 
 
 def initialize_x(

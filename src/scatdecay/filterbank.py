@@ -51,13 +51,29 @@ __all__ = [
 ]
 
 # Scaled arguments x = 2^j * w kept when a dyadic sum over all integer j
-# is truncated.  At their default parameters the Morlet and even Morlet
-# squares stay below 1e-33 outside this window and the octave indicator
-# vanishes there, so for them the truncation is exact in float64.  The
-# first-order Morlet still squares to ~1e-19 just below 1e-8 (the order
-# check refuses it anyway), a Morlet whose bump is moved toward 16 loses
-# the mass beyond it, and bandpass_mother refuses bands outside the window.
+# is truncated.  The Morlet mothers refuse a bump whose square at 16 is
+# above 1e-33 of its peak and bandpass_mother refuses bands outside the
+# window, so beyond 16 the truncation is exact in float64.  Below 1e-8 the
+# Morlet and even Morlet squares stay under 1e-33; the first-order Morlet
+# still squares to ~1e-19 there, and the order check refuses it anyway.
 X_WINDOW = (1e-8, 16.0)
+
+# widths from its center at which a squared Gaussian bump falls to 1e-33
+# of its peak: exp(-REACH^2) = 1e-33
+_BUMP_REACH = math.sqrt(33.0 * math.log(10.0))
+
+
+def _morlet_kappa(center: float, width: float) -> float:
+    """Zero-mean correction amplitude of a Morlet bump inside the window."""
+    if width <= 0:
+        raise ValueError("width must be positive")
+    if abs(center) + _BUMP_REACH * width > X_WINDOW[1]:
+        raise ValueError(
+            f"Morlet bump at {center:g} of width {width:g} reaches past "
+            f"{X_WINDOW[1]:g}, where octave sums are truncated; need "
+            f"|center| + {_BUMP_REACH:.2f} * width <= {X_WINDOW[1]:g}"
+        )
+    return math.exp(-(center**2) / (2.0 * width**2))
 
 
 @dataclass(frozen=True)
@@ -91,11 +107,9 @@ def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     leaves a linear term; multiplying the correction by
     (1 + center*w/width^2) also cancels the derivative, so
     |psi_hat(w)| = O(w^2) as w -> 0 and the order check passes with room
-    to spare.
+    to spare.  A bump that reaches past ``X_WINDOW`` is refused.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    kappa = math.exp(-(center**2) / (2.0 * width**2))
+    kappa = _morlet_kappa(center, width)
 
     def hat(w):
         main = np.exp(-((w - center) ** 2) / (2.0 * width**2))
@@ -112,9 +126,7 @@ def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> Mother
     origin, so the vanishing-order check rejects it.  Useful in tests and
     as a contrast case; the decay machinery must refuse it.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    kappa = math.exp(-(center**2) / (2.0 * width**2))
+    kappa = _morlet_kappa(center, width)
 
     def hat(w):
         return np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * np.exp(

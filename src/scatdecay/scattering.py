@@ -219,23 +219,57 @@ def scatter(
     )
 
 
+def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_j ||row * psi_j||^2 per row, without forming the children.
+
+    The modulus keeps energy, so by Parseval each row's children together
+    carry sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2: one forward FFT per row
+    in place of B inverse FFTs.
+    """
+    rows, n = batch.shape
+    per_chunk = max(1, _CHUNK_ELEMENTS // n)
+    out = np.empty(rows)
+    for i in range(0, rows, per_chunk):
+        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
+        out[i : i + per_chunk] = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1)
+    return out / n**2
+
+
+def _row_profiles(batch: np.ndarray, filts: np.ndarray, n_max: int) -> np.ndarray:
+    """Energy of every input row's subtree at layers 0..n_max, shape (n_max+1, rows).
+
+    Layers below ``n_max`` are propagated; layer ``n_max`` is only weighed,
+    so the deepest layer ever held is ``n_max - 1``.  Children of a row
+    stay contiguous through ``_layer_moduli``, so each input row owns one
+    block of B^k rows at depth k.
+    """
+    rows = batch.shape[0]
+    profiles = np.empty((n_max + 1, rows))
+    profiles[0] = _row_energies(batch)
+    for depth in range(1, n_max):
+        batch = _layer_moduli(batch, filts)
+        profiles[depth] = _row_energies(batch).reshape(rows, -1).sum(axis=1)
+    if n_max > 0:
+        weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
+        profiles[n_max] = _child_energies(batch, weight).reshape(rows, -1).sum(axis=1)
+    return profiles
+
+
 def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, float]:
     """Total energy per layer, sum over paths of ||U[p]f||^2, no pruning.
 
     Cheaper than ``scatter`` when only the energies are needed: nodes are
-    never stored, only propagated.
+    never stored, and layer ``n_max`` is never formed.  Its energy comes
+    from the layer above, weighted in frequency by sum_j |psi_j|^2, which
+    the modulus's energy conservation makes exact; so the deepest layer
+    held has B^(n_max-1) rows for a bank of B octaves.
     """
     breadth = len(bank.filters)
     _check_budget(n_max, breadth)
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
-    filts = _filter_rows(bank)
-    profile = {0: energy(f)}
-    batch = f.samples[None, :]
-    for depth in range(1, n_max + 1):
-        batch = _layer_moduli(batch, filts)
-        profile[depth] = float(np.sum(_row_energies(batch)))
-    return profile
+    profiles = _row_profiles(f.samples[None, :], _filter_rows(bank), n_max)
+    return {depth: float(value) for depth, value in enumerate(profiles[:, 0])}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ an exact expectation,
 
 which pins layer one of the scattering cascade analytically and leaves
 Monte Carlo only for the deeper layers.
+
+Monte Carlo trials are synthesized and scattered in blocks of rows.  Each
+block is one batched pass that never forms the requested layer n: its
+energy follows from layer n - 1, because the modulus keeps energy.  A
+block's layer n - 1 holds at most 2^18 values, so memory does not grow
+with the trial count.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ import numpy as np
 
 from .decay import DecayConstants
 from .filterbank import FilterBank
-from .scattering import layer_energy_profile
+from .scattering import _check_budget, _filter_rows, _row_profiles
 from .signals import Signal, Spectrum, frequencies, gaussian_lowpass, idft
 
 __all__ = [
@@ -46,6 +52,10 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+# values in the deepest layer a Monte Carlo block forms; far below the
+# scattering chunk size, which would double the run's peak memory
+_MC_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,35 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
     return _finalize(kind, params, n, mean, density)
 
 
+def _simulate_rows(model: StationaryModel, children) -> np.ndarray:
+    """One real realization per spawned seed sequence, shape (len(children), N).
+
+    Each trial draws from its own generator, so a row depends on its seed
+    sequence alone; mirroring and the inverse transform act on all rows
+    at once.
+    """
+    n = model.n
+    w = frequencies(n)
+    pos = w > 0
+    zero, nyquist = n // 2, 0  # centered-grid bins of w = 0 and w = -N/2
+    root = np.sqrt(model.density)
+    coeffs = np.zeros((len(children), n), dtype=np.complex128)
+    for k, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        draw = rng.standard_normal((2, int(pos.sum())))
+        coeffs[k, pos] = root[pos] * (draw[0] + 1j * draw[1]) / math.sqrt(2.0)
+        # the two self-paired bins carry real unit-variance draws
+        coeffs[k, zero] = root[zero] * rng.standard_normal()
+        coeffs[k, nyquist] = root[nyquist] * rng.standard_normal()
+    coeffs[:, 1:zero][:, ::-1] = np.conj(coeffs[:, pos])  # negative bins, skip -N/2
+    samples = np.fft.ifft(np.fft.ifftshift(coeffs, axes=1), axis=1) * n
+    resid = np.max(np.abs(samples.imag), axis=1)
+    scale = np.maximum(np.max(np.abs(samples.real), axis=1), 1.0)
+    if np.any(resid > 1e-9 * scale):
+        raise ValueError("coefficients are not conjugate-symmetric")
+    return samples.real + model.mean
+
+
 def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     """Draw independent realizations, reproducibly.
 
@@ -141,23 +180,8 @@ def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = model.n
-    w = frequencies(n)
-    pos = w > 0
-    root = np.sqrt(model.density)
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        draw = rng.standard_normal((2, int(pos.sum())))
-        coeffs = np.zeros(n, dtype=np.complex128)
-        coeffs[pos] = root[pos] * (draw[0] + 1j * draw[1]) / math.sqrt(2.0)
-        coeffs[1 : n // 2][::-1] = np.conj(coeffs[pos])  # negative bins, skip -N/2
-        # the two self-paired bins carry real unit-variance draws
-        coeffs[w == 0] = root[w == 0] * rng.standard_normal()
-        coeffs[w == -(n // 2)] = root[w == -(n // 2)] * rng.standard_normal()
-        sig = idft(Spectrum(coeffs), real=True)
-        out.append(Signal(sig.samples.real + model.mean, real=True))
-    return out
+    children = np.random.SeedSequence(seed).spawn(trials)
+    return [Signal(row, real=True) for row in _simulate_rows(model, children)]
 
 
 def expected_filter_energy(model: StationaryModel, h: Spectrum) -> float:
@@ -189,6 +213,11 @@ def mc_layer_energy(
     Depth is capped at 4: each extra layer multiplies the tree by the
     bank breadth, and stationary expectations at depth 5+ are far beyond
     what a sane trial budget resolves.
+
+    Trials are synthesized and scattered in blocks, each block one batched
+    energy-only pass whose deepest formed layer (n - 1, as layer n is only
+    weighed) holds at most 2^18 values.  Trial k's value does not depend
+    on the block it falls in.
     """
     if not 1 <= n <= 4:
         raise ValueError("layer must be between 1 and 4")
@@ -196,9 +225,15 @@ def mc_layer_energy(
         raise ValueError("need at least two trials for a standard error")
     if bank.n != model.n:
         raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
+    breadth = len(bank.filters)
+    _check_budget(n, breadth)
+    filts = _filter_rows(bank)
+    per_block = max(1, _MC_BLOCK_ELEMENTS // (breadth ** (n - 1) * model.n))
+    children = np.random.SeedSequence(seed).spawn(trials)
     values = np.empty(trials)
-    for k, sig in enumerate(simulate(model, trials, seed)):
-        values[k] = layer_energy_profile(sig, bank, n)[n]
+    for i in range(0, trials, per_block):
+        rows = _simulate_rows(model, children[i : i + per_block])
+        values[i : i + per_block] = _row_profiles(rows, filts, n)[n]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)

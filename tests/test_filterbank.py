@@ -89,6 +89,17 @@ def test_bandpass_outside_window_rejected():
     assert bandpass_mother(X_WINDOW[0], X_WINDOW[1]).params["hi"] == X_WINDOW[1]
 
 
+@pytest.mark.parametrize(
+    "builder", [morlet_mother, morlet_first_order_mother, even_morlet_mother]
+)
+def test_morlet_bump_past_window_rejected(builder):
+    # morlet(15, 1) loses ~0.1 of its octave mass beyond X_WINDOW[1]
+    with pytest.raises(ValueError, match="reaches past"):
+        builder(15.0, 1.0)
+    # the widest bump the tests and benchmark draw still builds
+    assert builder(3.5, 1.2).params == {"center": 3.5, "width": 1.2}
+
+
 def test_make_mother_registry():
     assert set(MOTHERS) == {
         "morlet",

@@ -95,12 +95,23 @@ def test_tree_matches_propagate_per_path():
         assert np.max(np.abs(got - direct_node(sig.samples, bank, path))) < 1e-12
 
 
-def test_profile_agrees_with_tree():
+def _morlet_gaussian_pair(j_max, n):
+    # not tight: the energy-only last layer must not lean on a partition
+    return build_bank(morlet_mother(), j_max, n), gaussian_output_lowpass(j_max, n)
+
+
+@pytest.mark.parametrize(
+    "pair, n_max",
+    [(shannon_tight_pair, 3), (_morlet_gaussian_pair, 4)],
+    ids=["shannon", "morlet"],
+)
+def test_profile_agrees_with_tree(pair, n_max):
     rng = np.random.default_rng(31)
-    bank, low = shannon_tight_pair(0, 64)
+    bank, low = pair(0, 64)
     sig = band_limited_signal(64, (2, 20), rng)
-    result = scatter(sig, bank, low, n_max=3)
-    profile = layer_energy_profile(sig, bank, 3)
+    result = scatter(sig, bank, low, n_max=n_max)
+    profile = layer_energy_profile(sig, bank, n_max)
+    assert sorted(profile) == list(range(n_max + 1))
     for depth, value in profile.items():
         assert result.layer_energies[depth] == pytest.approx(value, rel=1e-13)
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from scatdecay import stationary
 from scatdecay.decay import compute_constants
-from scatdecay.filterbank import build_bank, shannon_mother
+from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
+from scatdecay.scattering import gaussian_output_lowpass, scatter
 from scatdecay.signals import Spectrum, dft, energy, frequencies, gaussian_lowpass
 from scatdecay.stationary import (
     expected_filter_energy,
@@ -132,6 +134,15 @@ def test_zero_variance_model_is_deterministic():
     assert np.max(np.abs(sig.samples - 2.0)) < 1e-12
 
 
+def test_simulated_trials_do_not_depend_on_the_block():
+    model = make_model("ar1", 64, sigma=1.0, rho=0.3, mean=0.5)
+    block = stationary._MC_BLOCK_ELEMENTS // 64  # trials per layer-1 block
+    short = simulate(model, block - 1, seed=8)
+    long = simulate(model, block + 1, seed=8)
+    for i in (0, block // 2, block - 2):
+        assert np.array_equal(short[i].samples, long[i].samples)
+
+
 def test_simulate_needs_positive_trials():
     with pytest.raises(ValueError):
         simulate(make_model("white", 32), 0, seed=0)
@@ -187,6 +198,20 @@ def test_layer_one_matches_analytic_value(shannon_128):
     want = sum(expected_filter_energy(model, bank.filters[j]) for j in bank.scales)
     assert abs(est.estimate - want) < 3.0 * est.stderr
     assert est.stderr < 0.05 * want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mc_matches_per_trial_scatter(n, monkeypatch):
+    bank = build_bank(morlet_mother(), 0, 64)
+    model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
+    # blocks of 4 trials, so 10 trials end on a partial block
+    per_trial = len(bank.filters) ** (n - 1) * 64  # layer n-1 values
+    monkeypatch.setattr(stationary, "_MC_BLOCK_ELEMENTS", 4 * per_trial)
+    est = mc_layer_energy(model, bank, n, trials=10, seed=17)
+    low = gaussian_output_lowpass(0, 64)
+    ref = [scatter(sig, bank, low, n).layer_energies[n] for sig in simulate(model, 10, 17)]
+    assert est.estimate == pytest.approx(np.mean(ref), rel=1e-13)
+    assert est.stderr == pytest.approx(np.std(ref, ddof=1) / math.sqrt(10), rel=1e-13)
 
 
 def test_mc_estimate_is_reproducible(shannon_128):
