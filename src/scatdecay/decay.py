@@ -24,6 +24,7 @@ it at the grid points it will later be used on.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,7 +166,37 @@ def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.where(keep, p + m, 0.0), axis=0)
 
 
-def initialize_lowpass(bank: FilterBank, fine_points: int = 1 << 14) -> InitLowpass:
+# grid intervals of the raised cosine on [-1/4, 1/4]; the window table has twice as many
+_WINDOW_POINTS = 1 << 14
+
+
+@functools.cache
+def _raised_cosine_window() -> tuple[np.ndarray, np.ndarray, float]:
+    """Steps 1-3 of ``initialize_lowpass``: the grid u, phi0_hat on it and alpha_tilde.
+
+    None of it depends on the bank, so it is built on first use and shared
+    by every window in the process; both arrays are read-only.
+    """
+    xi = np.linspace(-0.25, 0.25, _WINDOW_POINTS + 1)
+    dxi = xi[1] - xi[0]
+    gamma = np.cos(2.0 * np.pi * xi) ** 2
+    gamma = gamma / math.sqrt(float(np.trapezoid(gamma**2, xi)))
+
+    phi0 = np.convolve(gamma, gamma) * dxi
+    center = _WINDOW_POINTS  # index of u = 0 on the doubled grid
+    phi0 = phi0 / phi0[center]
+    u = np.linspace(-0.5, 0.5, 2 * _WINDOW_POINTS + 1)
+    if float(np.max(phi0)) > 1.0 + 1e-12 or abs(float(phi0[center]) - 1.0) != 0.0:
+        raise BankConditionError("window autocorrelation failed normalization checks")
+
+    inner = u != 0.0
+    alpha_tilde = float(np.min((1.0 - phi0[inner] ** 2) / u[inner] ** 2))
+    u.flags.writeable = False
+    phi0.flags.writeable = False
+    return u, phi0, alpha_tilde
+
+
+def initialize_lowpass(bank: FilterBank) -> InitLowpass:
     """Construct the initial window and certify its curvature budget.
 
     Steps, each with its own grid check:
@@ -183,6 +214,10 @@ def initialize_lowpass(bank: FilterBank, fine_points: int = 1 << 14) -> InitLowp
     5. m_scale = sqrt(curvature_sup / alpha_tilde), inflated by 1e-6 so
        the rescaled window hides strictly inside the uncovered zone.
 
+    Steps 1-3 do not depend on the bank: they run once per process, and
+    every returned window shares the same read-only ``phi_grid`` and
+    ``phi_values`` arrays.
+
     The combined bound |phi_hat|^2 + octave sums <= 1 is then verified on
     both the continuum grid and the integer grid; a violation means the
     bank is not usable with this construction.
@@ -193,21 +228,7 @@ def initialize_lowpass(bank: FilterBank, fine_points: int = 1 << 14) -> InitLowp
             "cannot build the initial window: near-zero decay order "
             f"{order.epsilon_hat:.4f} is below {order.threshold}"
         )
-
-    xi = np.linspace(-0.25, 0.25, fine_points + 1)
-    dxi = xi[1] - xi[0]
-    gamma = np.cos(2.0 * np.pi * xi) ** 2
-    gamma = gamma / math.sqrt(float(np.trapezoid(gamma**2, xi)))
-
-    phi0 = np.convolve(gamma, gamma) * dxi
-    center = fine_points  # index of u = 0 on the doubled grid
-    phi0 = phi0 / phi0[center]
-    u = np.linspace(-0.5, 0.5, 2 * fine_points + 1)
-    if float(np.max(phi0)) > 1.0 + 1e-12 or abs(float(phi0[center]) - 1.0) != 0.0:
-        raise BankConditionError("window autocorrelation failed normalization checks")
-
-    inner = u != 0.0
-    alpha_tilde = float(np.min((1.0 - phi0[inner] ** 2) / u[inner] ** 2))
+    u, phi0, alpha_tilde = _raised_cosine_window()
 
     half = bank.n // 2
     grid = np.geomspace(2.0**-8, float(half), 20001)
@@ -216,7 +237,8 @@ def initialize_lowpass(bank: FilterBank, fine_points: int = 1 << 14) -> InitLowp
         edges.append(2.0**k)
         edges.append(2.0**k * (1.0 + 1e-9))
     grid = np.unique(np.concatenate([grid, np.asarray(edges)]))
-    curvature_sup = float(np.max(_lp_up_to_coarsest(bank, grid) / grid**2))
+    lp_grid = _lp_up_to_coarsest(bank, grid)
+    curvature_sup = float(np.max(lp_grid / grid**2))
 
     m_scale = math.sqrt(curvature_sup / alpha_tilde) * (1.0 + 1e-6)
     init = InitLowpass(
@@ -229,7 +251,7 @@ def initialize_lowpass(bank: FilterBank, fine_points: int = 1 << 14) -> InitLowp
         phi_values=phi0,
     )
 
-    combined = init.phi_hat(grid) ** 2 + _lp_up_to_coarsest(bank, grid)
+    combined = init.phi_hat(grid) ** 2 + lp_grid
     ints = np.arange(1, half + 1, dtype=np.float64)
     combined_int = init.phi_hat(ints) ** 2 + _lp_up_to_coarsest(bank, ints)
     worst = max(float(np.max(combined)), float(np.max(combined_int)))

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from scatdecay.decay import (
+    _raised_cosine_window,
     compute_constants,
     compute_F1,
     compute_F2,
@@ -122,6 +124,47 @@ def test_window_curvature_morlet(morlet_bank):
     assert init.m_scale == pytest.approx(0.12872485406265627, rel=1e-9)
 
 
+def reference_window():
+    """Raw-numpy window: raised cosine, its autocorrelation, alpha_tilde."""
+    points = 1 << 14
+    xi = np.linspace(-0.25, 0.25, points + 1)
+    gamma = np.cos(2.0 * np.pi * xi) ** 2
+    gamma = gamma / math.sqrt(float(np.trapezoid(gamma**2, xi)))
+    phi0 = np.convolve(gamma, gamma) * (xi[1] - xi[0])
+    phi0 = phi0 / phi0[points]
+    u = np.linspace(-0.5, 0.5, 2 * points + 1)
+    inner = u != 0.0
+    return u, phi0, float(np.min((1.0 - phi0[inner] ** 2) / u[inner] ** 2))
+
+
+def test_window_matches_reference_bitwise(shannon_bank):
+    u, phi0, alpha_tilde = reference_window()
+    init = initialize_lowpass(shannon_bank)
+    assert init.phi_grid.tobytes() == u.tobytes()
+    assert init.phi_values.tobytes() == phi0.tobytes()
+    assert repr(init.alpha_tilde) == repr(alpha_tilde)
+
+
+def test_window_is_shared_and_read_only(shannon_bank, morlet_bank):
+    a = initialize_lowpass(shannon_bank)
+    b = initialize_lowpass(morlet_bank)
+    assert a.phi_grid is b.phi_grid
+    assert a.phi_values is b.phi_values
+    with pytest.raises(ValueError):
+        a.phi_values[0] = 0.5
+    with pytest.raises(ValueError):
+        a.phi_grid[0] = 0.5
+
+
+def test_constants_same_cold_and_warm(morlet_bank):
+    _raised_cosine_window.cache_clear()
+    cold = json.dumps(compute_constants(morlet_bank).to_payload())
+    warm = json.dumps(compute_constants(morlet_bank).to_payload())
+    info = _raised_cosine_window.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert cold == warm
+
+
 def test_window_refuses_first_order_profile():
     bank = build_bank(morlet_first_order_mother(), 0, 256)
     with pytest.raises(VanishingOrderError):
@@ -165,6 +208,54 @@ def test_morlet_constants(morlet_constants):
     assert cst.x_init == 2.0**2.25
     assert cst.band == (3, 127)
     assert cst.margins["x_condition"] > 0.005
+
+
+# Exact constants and margins of three banks: a change to how the constants
+# are computed must keep these bits, or say why they moved.
+PINNED_CONSTANTS = {
+    "shannon-256": (
+        (shannon_mother, 256),
+        {"c": 0.5, "C": 0.9999999999979998, "delta": 0.5000000000010001,
+         "a": 1.1547005383796365, "x_init": 1.189207115002721,
+         "r": 0.8919053362514461},
+        {"littlewood_paley": -2.220446049250313e-16,
+         "vanishing_order_epsilon": math.inf,
+         "octave_gap": 0.7499999999979998,
+         "x_condition": -2.220446049250313e-16},
+    ),
+    "morlet(3,1)-256": (
+        (lambda: morlet_mother(3.0, 1.0), 256),
+        {"c": 0.3473713972684626, "C": 0.19758656100340516,
+         "delta": 1.7580719837645036, "a": 1.6027285952974988,
+         "x_init": 4.756828460010884, "r": 1.851814665585075},
+        {"littlewood_paley": 0.4494521946678074,
+         "vanishing_order_epsilon": 1.0119870532354418,
+         "octave_gap": 0.07691967336316108,
+         "x_condition": 0.006786121612380347},
+    ),
+    "morlet-1024": (
+        (morlet_mother, 1024),
+        {"c": 0.3473713972684626, "C": 0.19758656100340516,
+         "delta": 1.7580719837645036, "a": 1.6027285952974988,
+         "x_init": 4.756828460010884, "r": 1.851814665585075},
+        {"littlewood_paley": 0.4493801887513936,
+         "vanishing_order_epsilon": 1.0119870532354418,
+         "octave_gap": 0.07691967336316108,
+         "x_condition": 0.006786121583720828},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CONSTANTS))
+def test_constants_bits_are_pinned(case):
+    (mother, n), scalars, margins = PINNED_CONSTANTS[case]
+    cst = compute_constants(build_bank(mother(), 0, n))
+    got = {name: getattr(cst, name) for name in scalars}
+    # repr round-trips a float exactly, so equal reprs mean equal bits
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in scalars.items()}
+    assert {k: repr(v) for k, v in cst.margins.items()} == {
+        k: repr(v) for k, v in margins.items()
+    }
 
 
 def test_constants_margins_are_recorded(shannon_constants):
