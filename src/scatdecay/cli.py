@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .decay import compute_constants, verify_decay
+from .decay import _check_verify_depth, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
@@ -36,7 +36,13 @@ from .scattering import (
     shannon_tight_pair,
 )
 from .signals import Signal, band_limited_signal, convolve, dft, energy, read_signal, write_signal
-from .stationary import load_model, mc_layer_energy, stationary_bound
+from .stationary import (
+    _check_bound_layer,
+    _check_mc_request,
+    load_model,
+    mc_layer_energy,
+    stationary_bound,
+)
 
 __all__ = ["main"]
 
@@ -122,6 +128,8 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
     bank = _load_bank(args)
+    # a bad depth is refused before the constants are computed or --out is made
+    _check_verify_depth(args.depth)
     out = _ensure_out(args)
     constants = compute_constants(bank)
     if args.signal:
@@ -156,6 +164,10 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
     if not args.model:
         raise ValueError("a model file is required (--model)")
     model = load_model(args.model)
+    # refused in the order the run would meet them, but before the constants,
+    # the simulation or --out
+    _check_mc_request(model, bank, args.depth, args.trials)
+    _check_bound_layer(args.depth)
     out = _ensure_out(args)
     constants = compute_constants(bank)
     est = mc_layer_energy(model, bank, args.depth, trials=args.trials, seed=args.seed)

@@ -92,13 +92,44 @@ def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
     return bank.validated_band
 
 
+# frequencies per block of the octave term grid: a block's (octave x
+# frequency) arrays stay near 200 KB, so they come from the heap and stay
+# in cache instead of being faulted in fresh for a whole grid at once
+_OCTAVE_BLOCK = 512
+
+
+def _term_blocks(bank: FilterBank, omegas: np.ndarray):
+    """``dyadic_term_grid`` over column blocks: (columns, js, p, m) per block.
+
+    A block's octave range is the part of the whole grid's range that
+    reaches its frequencies; the octaves it leaves out hold exact zeros
+    there, and adding 0.0 to a sum of squares changes no bit.
+    """
+    for start in range(0, omegas.size, _OCTAVE_BLOCK):
+        cols = slice(start, start + _OCTAVE_BLOCK)
+        yield (cols, *dyadic_term_grid(bank.mother, omegas[cols]))
+
+
+def _octave_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over octaves (axis 0), adding rows in ascending j for any block width.
+
+    ``np.sum(axis=0)`` adds rows in order when there are two or more
+    columns, but sums a single column pairwise, so a one-column block
+    would change the bits; ``accumulate`` always goes in order.
+    """
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.sum(terms, axis=0)
+
+
 def _functional_terms(bank: FilterBank, omegas: np.ndarray):
     """Converged S, F1 and F2 numerators at strictly positive omegas."""
-    js, p, m = dyadic_term_grid(bank.mother, omegas)
-    s = 0.5 * (np.sum(p, axis=0) + np.sum(m, axis=0))
-    w1 = np.ldexp(1.0, -js)[:, None]
-    n1 = 0.5 * np.sum((p - m) * w1, axis=0)
-    n2 = 0.5 * np.sum((p + m) * w1 * w1, axis=0)
+    s, n1, n2 = (np.empty(omegas.shape) for _ in range(3))
+    for cols, js, p, m in _term_blocks(bank, omegas):
+        s[cols] = 0.5 * (_octave_sum(p) + _octave_sum(m))
+        w1 = np.ldexp(1.0, -js)[:, None]
+        n1[cols] = 0.5 * _octave_sum((p - m) * w1)
+        n2[cols] = 0.5 * _octave_sum((p + m) * w1 * w1)
     return s, n1, n2
 
 
@@ -161,9 +192,11 @@ class InitLowpass:
 
 def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
     """Converged symmetrized sum over all octaves j <= j_max (no floor)."""
-    js, p, m = dyadic_term_grid(bank.mother, omegas)
-    keep = (js <= bank.j_max)[:, None]
-    return 0.5 * np.sum(np.where(keep, p + m, 0.0), axis=0)
+    out = np.empty(omegas.shape)
+    for cols, js, p, m in _term_blocks(bank, omegas):
+        keep = (js <= bank.j_max)[:, None]
+        out[cols] = 0.5 * _octave_sum(np.where(keep, p + m, 0.0))
+    return out
 
 
 # grid intervals of the raised cosine on [-1/4, 1/4]; the window table has twice as many
@@ -266,17 +299,17 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
     """(|phi_hat|^2 * g)(w) for the unit Gaussian weight g.
 
     The integrand vanishes outside phi_hat's support, so the quadrature
-    runs over exactly that interval on the construction's fine grid.
+    runs over exactly that interval on the construction's fine grid.  The
+    kernel is formed one frequency at a time, a row of the support's size.
     """
     support = init.phi_grid / init.m_scale
     values = init.phi_values**2
-    # exp(-gap^2) underflows to exactly 0.0 in float64 once gap^2 > ~745.2,
-    # so a row further than 28 from the support is an exact zero: skip it
-    near = np.abs(omegas) <= support[-1] + 28.0
-    gap = omegas[near, None] - support[None, :]
-    kernel = np.exp(-(gap**2)) / math.sqrt(math.pi)
     out = np.zeros(omegas.shape)
-    out[near] = np.trapezoid(values[None, :] * kernel, support, axis=1)
+    # exp(-gap^2) underflows to exactly 0.0 in float64 once gap^2 > ~745.2,
+    # so a frequency further than 28 from the support gets an exact zero: skip it
+    for i in np.flatnonzero(np.abs(omegas) <= support[-1] + 28.0):
+        kernel = np.exp(-((omegas[i] - support) ** 2)) / math.sqrt(math.pi)
+        out[i] = np.trapezoid(values * kernel, support)
     return out
 
 
@@ -555,6 +588,11 @@ class DecayRow:
     slack: float
 
 
+def _check_verify_depth(n_max: int) -> None:
+    if not 2 <= n_max <= 5:
+        raise ValueError("n_max must be between 2 and 5")
+
+
 def verify_decay(
     f: Signal,
     bank: FilterBank,
@@ -567,8 +605,7 @@ def verify_decay(
     band; outside it the constants certify nothing.  Rows start at layer
     2, the first layer the contraction argument controls.
     """
-    if not 2 <= n_max <= 5:
-        raise ValueError("n_max must be between 2 and 5")
+    _check_verify_depth(n_max)
     if not f.real:
         raise ValueError("decay verification needs a real signal")
     if f.n != bank.n:

@@ -218,19 +218,22 @@ def dyadic_term_grid(
 
     Parameters
     ----------
-    mother : MotherWavelet
+    mother : MotherWavelet, evaluated elementwise.
     omegas : array of strictly positive frequencies.
 
     Returns
     -------
     js : int array of octaves, ascending.
     p, m : arrays of shape (len(js), len(omegas)) holding
-        |psi_hat(2^j w)|^2 and |psi_hat(-2^j w)|^2, zeroed where the
-        scaled argument 2^j w falls outside the converged window.
+        |psi_hat(2^j w)|^2 and |psi_hat(-2^j w)|^2 where the scaled
+        argument 2^j w lies in the converged window, and exactly 0.0
+        elsewhere.
 
-    The window mask depends only on 2^j * w, so doubling w shifts the
-    retained term set by exactly one octave and dyadic homogeneity of
-    sums built from these terms holds bitwise.
+    The mother is evaluated only inside the window, at +-2^j w for the
+    retained (j, w) entries; about half of the grid falls outside and is
+    never computed.  The window mask depends only on 2^j * w, so doubling
+    w shifts the retained term set by exactly one octave and dyadic
+    homogeneity of sums built from these terms holds bitwise.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     if omegas.size == 0 or np.any(omegas <= 0):
@@ -240,8 +243,11 @@ def dyadic_term_grid(
     js = np.arange(j_lo, j_hi + 1)
     x = np.ldexp(omegas[None, :], js[:, None])
     keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    p = np.where(keep, mother(x) ** 2, 0.0)
-    m = np.where(keep, mother(-x) ** 2, 0.0)
+    inside = x[keep]
+    p = np.zeros(x.shape)
+    m = np.zeros(x.shape)
+    p[keep] = mother(inside) ** 2
+    m[keep] = mother(-inside) ** 2
     return js, p, m
 
 

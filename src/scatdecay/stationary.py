@@ -37,7 +37,7 @@ import numpy as np
 
 from .decay import DecayConstants
 from .filterbank import FilterBank
-from .scattering import _check_budget, _filter_rows, _row_profiles
+from .scattering import _Workspace, _check_budget, _filter_rows, _row_profiles
 from .signals import Signal, Spectrum, frequencies, gaussian_lowpass, idft
 
 __all__ = [
@@ -205,6 +205,17 @@ class MCEstimate:
     seed: int
 
 
+def _check_mc_request(model: StationaryModel, bank: FilterBank, n: int, trials: int) -> None:
+    """The refusals of ``mc_layer_energy``; cheap enough to make before any work."""
+    if not 1 <= n <= 4:
+        raise ValueError("layer must be between 1 and 4")
+    if trials < 2:
+        raise ValueError("need at least two trials for a standard error")
+    if bank.n != model.n:
+        raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
+    _check_budget(n, len(bank.filters))
+
+
 def mc_layer_energy(
     model: StationaryModel, bank: FilterBank, n: int, trials: int, seed: int
 ) -> MCEstimate:
@@ -219,24 +230,24 @@ def mc_layer_energy(
     weighed) holds at most 2^18 values.  Trial k's value does not depend
     on the block it falls in.
     """
-    if not 1 <= n <= 4:
-        raise ValueError("layer must be between 1 and 4")
-    if trials < 2:
-        raise ValueError("need at least two trials for a standard error")
-    if bank.n != model.n:
-        raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
+    _check_mc_request(model, bank, n, trials)
     breadth = len(bank.filters)
-    _check_budget(n, breadth)
     filts = _filter_rows(bank)
     per_block = max(1, _MC_BLOCK_ELEMENTS // (breadth ** (n - 1) * model.n))
     children = np.random.SeedSequence(seed).spawn(trials)
     values = np.empty(trials)
+    ws = _Workspace()  # one set of block buffers for the whole call
     for i in range(0, trials, per_block):
         rows = _simulate_rows(model, children[i : i + per_block])
-        values[i : i + per_block] = _row_profiles(rows, filts, n)[n]
+        values[i : i + per_block] = _row_profiles(rows, filts, n, ws)[n]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)
+
+
+def _check_bound_layer(n: int) -> None:
+    if n < 2:
+        raise ValueError("the contraction argument starts at layer 2")
 
 
 def stationary_bound(model: StationaryModel, constants: DecayConstants, n: int) -> float:
@@ -245,8 +256,7 @@ def stationary_bound(model: StationaryModel, constants: DecayConstants, n: int) 
     The mean never enters: the bound's Gaussian equals one at w = 0, so
     the deterministic component is annihilated exactly.
     """
-    if n < 2:
-        raise ValueError("the contraction argument starts at layer 2")
+    _check_bound_layer(n)
     w = frequencies(model.n)
     width = constants.r * constants.a**n
     loss = 1.0 - np.exp(-2.0 * (w / width) ** 2)

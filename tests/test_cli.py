@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from scatdecay import cli
 from scatdecay.cli import main
 from scatdecay.filterbank import (
     bandpass_mother,
@@ -211,6 +212,38 @@ def test_stationary_run_within_bound(tmp_path, capsys):
     assert report["trials"] == 100
     assert 0.0 < report["estimate"] <= report["bound"] + 3.0 * report["stderr"]
     assert "[OK]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        (["decay", "verify", "--depth", "6"], "n_max must be between 2 and 5"),
+        (["decay", "verify", "--depth", "1"], "n_max must be between 2 and 5"),
+        (["stationary", "run", "--depth", "1", "--trials", "20000"],
+         "the contraction argument starts at layer 2"),
+        (["stationary", "run", "--depth", "5"], "layer must be between 1 and 4"),
+        (["stationary", "run", "--trials", "1"], "need at least two trials for a standard error"),
+    ],
+)
+def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, capsys,
+                                                     monkeypatch):
+    bank_path = tmp_path / "shannon128.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 128))
+    model_path = tmp_path / "white.json"
+    save_model(model_path, make_model("white", 128, sigma=1.0))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request was refused")
+
+    monkeypatch.setattr(cli, "compute_constants", no_work)
+    monkeypatch.setattr(cli, "mc_layer_energy", no_work)
+    out = tmp_path / "out"
+    argv = words + ["--bank", str(bank_path), "--out", str(out)]
+    if words[0] == "stationary":
+        argv += ["--model", str(model_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_stationary_grid_mismatch_is_parse_error(shannon_bank_file, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scatdecay import decay
 from scatdecay.decay import (
     _raised_cosine_window,
     compute_constants,
@@ -24,8 +26,11 @@ from scatdecay.errors import (
     WeakAsymmetryError,
 )
 from scatdecay.filterbank import (
+    X_WINDOW,
+    MotherWavelet,
     bandpass_mother,
     build_bank,
+    dyadic_term_grid,
     even_morlet_mother,
     morlet_first_order_mother,
     morlet_mother,
@@ -165,6 +170,82 @@ def test_constants_same_cold_and_warm(morlet_bank):
     assert cold == warm
 
 
+def _in_order(rows):
+    """Rows added one at a time in ascending j, the order of every octave sum."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def reference_octave_sums(bank, omegas):
+    """S, F1 and F2 numerators and the j <= j_max sum, on the whole grid at once."""
+    j_lo = math.ceil(math.log2(X_WINDOW[0] / omegas.max()))
+    j_hi = math.floor(math.log2(X_WINDOW[1] / omegas.min()))
+    js = np.arange(j_lo, j_hi + 1)
+    x = np.ldexp(omegas[None, :], js[:, None])
+    keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
+    p = np.where(keep, bank.mother(x) ** 2, 0.0)
+    m = np.where(keep, bank.mother(-x) ** 2, 0.0)
+    w1 = np.ldexp(1.0, -js)[:, None]
+    return (
+        0.5 * (_in_order(p) + _in_order(m)),
+        0.5 * _in_order((p - m) * w1),
+        0.5 * _in_order((p + m) * w1 * w1),
+        0.5 * _in_order(np.where((js <= bank.j_max)[:, None], p + m, 0.0)),
+    )
+
+
+def lognormal_mother():
+    """Analytic bump spread over many octaves: its octave sums have many
+    terms of one size, so the order in which a sum adds them shows in its bits."""
+
+    def hat(w):
+        return np.exp(-np.log2(np.maximum(w, 1e-300)) ** 2 / 8.0) * (w > 0)
+
+    return MotherWavelet("lognormal", {}, hat)
+
+
+@pytest.mark.parametrize("block, size", [(1, 1), (1, 2), (7, 6), (7, 7), (7, 8)])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother, lognormal_mother])
+def test_blocked_octave_sums_match_unblocked(make, block, size, monkeypatch):
+    bank = build_bank(make(), 0, 256)
+    # every block spans its own octave range; at both ends of this grid a
+    # lognormal column summed pairwise, as np.sum does a lone column, differs
+    omegas = np.geomspace(0.1, 115.0, size)
+    monkeypatch.setattr(decay, "_OCTAVE_BLOCK", block)
+    got = (*decay._functional_terms(bank, omegas), decay._lp_up_to_coarsest(bank, omegas))
+    want = reference_octave_sums(bank, omegas)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_lognormal_sums_see_the_summation_order():
+    bank = build_bank(lognormal_mother(), 0, 256)
+    for w in (0.1, 115.0):
+        js, p, m = dyadic_term_grid(bank.mother, np.array([w]))
+        lp = np.where((js <= bank.j_max)[:, None], p + m, 0.0)
+        assert np.sum(lp, axis=0)[0] != _in_order(lp)[0]
+
+
+def test_constants_octave_sums_stay_inside_window():
+    base = morlet_mother()
+    seen = []
+
+    def recording(w):
+        seen.append(np.array(w))
+        return base.hat(w)
+
+    bank = build_bank(replace(base, hat=recording), 0, 256)
+    seen.clear()  # the filters themselves are sampled on the whole grid
+    init = initialize_lowpass(bank)
+    initialize_x(bank, init)
+    for functional in (compute_S, compute_F1, compute_F2):
+        functional(bank)
+    decay._functional_terms(bank, decay._octave_samples(bank))
+    args = np.abs(np.concatenate(seen))
+    assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
+
+
 def test_window_refuses_first_order_profile():
     bank = build_bank(morlet_first_order_mother(), 0, 256)
     with pytest.raises(VanishingOrderError):
@@ -243,13 +324,44 @@ PINNED_CONSTANTS = {
          "octave_gap": 0.07691967336316108,
          "x_condition": 0.006786121583720828},
     ),
+    "morlet-2048": (
+        (morlet_mother, 2048),
+        {"c": 0.3473713972684626, "C": 0.19758656100340516,
+         "delta": 1.7580719837645036, "a": 1.6027285952974988,
+         "x_init": 4.756828460010884, "r": 1.851814665585075},
+        {"littlewood_paley": 0.4493799673608482,
+         "vanishing_order_epsilon": 1.0119870532354418,
+         "octave_gap": 0.07691967336316108,
+         "x_condition": 0.0067861254046156505},
+    ),
+    "morlet(2.7,0.9)-512": (
+        (lambda: morlet_mother(2.7, 0.9), 512),
+        {"c": 0.3859682190695814, "C": 0.2439340100809522,
+         "delta": 1.5822648877107934, "a": 1.6027286762113149,
+         "x_init": 4.756828460010884, "r": 1.8518144786072168},
+        {"littlewood_paley": 0.4493841324791308,
+         "vanishing_order_epsilon": 1.0133016682256377,
+         "octave_gap": 0.0949625439492078,
+         "x_condition": 0.0240902446878678},
+    ),
+    # j_min = -5 instead of the default -7: the validated band shrinks to 2..64
+    "shannon(j_min=-5)-256": (
+        (shannon_mother, 256, -5),
+        {"c": 0.5, "C": 0.9999999999979998, "delta": 0.5000000000010001,
+         "a": 1.1547005383796365, "x_init": 1.189207115002721,
+         "r": 0.8919053362514461},
+        {"littlewood_paley": -2.220446049250313e-16,
+         "vanishing_order_epsilon": math.inf,
+         "octave_gap": 0.7499999999979998,
+         "x_condition": -2.220446049250313e-16},
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CONSTANTS))
 def test_constants_bits_are_pinned(case):
-    (mother, n), scalars, margins = PINNED_CONSTANTS[case]
-    cst = compute_constants(build_bank(mother(), 0, n))
+    (mother, n, *j_min), scalars, margins = PINNED_CONSTANTS[case]
+    cst = compute_constants(build_bank(mother(), 0, n, *j_min))
     got = {name: getattr(cst, name) for name in scalars}
     # repr round-trips a float exactly, so equal reprs mean equal bits
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in scalars.items()}

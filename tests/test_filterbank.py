@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,28 @@ def test_term_grid_masks_by_window():
     assert js[hot].tolist() == [-1]
     assert p[hot, 0] == pytest.approx([2.0])
     assert np.all(m == 0.0)
+
+
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
+def test_term_grid_evaluates_only_inside_window(make):
+    base = make()
+    seen = []
+
+    def recording(w):
+        seen.append(np.array(w))
+        return base.hat(w)
+
+    # far past both window edges, so most (j, w) entries fall outside it
+    omegas = np.geomspace(1e-12, 1e6, 257)
+    js, p, m = dyadic_term_grid(replace(base, hat=recording), omegas)
+    args = np.abs(np.concatenate(seen))
+    assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
+    x = np.ldexp(omegas[None, :], js[:, None])
+    keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
+    assert args.size == 2 * np.count_nonzero(keep)
+    # same bits as evaluating the whole grid and masking afterwards
+    assert p.tobytes() == np.where(keep, base(x) ** 2, 0.0).tobytes()
+    assert m.tobytes() == np.where(keep, base(-x) ** 2, 0.0).tobytes()
 
 
 def test_term_grid_rejects_nonpositive():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from scatdecay import stationary
+from scatdecay import scattering, stationary
 from scatdecay.decay import compute_constants
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import gaussian_output_lowpass, scatter
@@ -212,6 +212,29 @@ def test_mc_matches_per_trial_scatter(n, monkeypatch):
     ref = [scatter(sig, bank, low, n).layer_energies[n] for sig in simulate(model, 10, 17)]
     assert est.estimate == pytest.approx(np.mean(ref), rel=1e-13)
     assert est.stderr == pytest.approx(np.std(ref, ddof=1) / math.sqrt(10), rel=1e-13)
+
+
+def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
+    """Depth 2 then depth 3 in one process, each on uneven blocks, bitwise.
+
+    The reference scores every trial as a one-row batch on its own new
+    workspace, so buffers kept between blocks, shapes or calls would show.
+    """
+    bank = build_bank(morlet_mother(), 0, 64)
+    model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
+    breadth = len(bank.filters)
+    # depth 2: blocks of 4, 4 and 2 trials; depth 3: one trial per block
+    monkeypatch.setattr(stationary, "_MC_BLOCK_ELEMENTS", 4 * breadth * 64)
+    filts = scattering._filter_rows(bank)
+    rows = stationary._simulate_rows(model, np.random.SeedSequence(17).spawn(10))
+    for n in (2, 3, 2):
+        est = mc_layer_energy(model, bank, n, trials=10, seed=17)
+        ref = np.array([
+            scattering._row_profiles(row[None, :], filts, n, scattering._Workspace())[n][0]
+            for row in rows
+        ])
+        assert repr(est.estimate) == repr(float(np.mean(ref)))
+        assert repr(est.stderr) == repr(float(np.std(ref, ddof=1) / math.sqrt(10)))
 
 
 def test_mc_estimate_is_reproducible(shannon_128):
