@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from scatdecay import scattering
 from scatdecay.errors import BudgetExceededError, NonTightBankError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import (
@@ -249,6 +250,37 @@ def test_pruned_mass_accounts_for_discarded_energy():
     assert pruned.pruned_mass == pytest.approx(recomputed, rel=1e-12)
     # layer totals count pruned nodes, so layer 1 matches the unpruned run
     assert pruned.layer_energies[1] == pytest.approx(full.layer_energies[1], rel=1e-12)
+
+
+def _result_bytes(result):
+    """Every array and number a scattering tree holds, as bytes."""
+    parts = [np.array(list(result.layer_energies.values())).tobytes(),
+             np.array(list(result.output_energies.values())).tobytes(),
+             repr((result.pruned_mass, result.pruned_paths, sorted(result.u))).encode()]
+    for tree in (result.u, result.s):
+        parts += [tree[p].samples.tobytes() for p in sorted(tree)]
+    return b"".join(parts)
+
+
+def test_chunk_size_does_not_change_bits(monkeypatch):
+    """FFT passes chunked by rows give the same bits at any chunk size."""
+    rng = np.random.default_rng(71)
+    bank, low = _morlet_gaussian_pair(0, 64)
+    filts = scattering._filter_rows(bank)
+    rows = np.stack([band_limited_signal(64, (2, 30), rng).samples.real for _ in range(5)])
+    sig = band_limited_signal(64, (2, 30), rng)
+
+    def run():
+        return (
+            scattering._row_profiles(rows, filts, 3, scattering._Workspace()).tobytes(),
+            _result_bytes(scatter(sig, bank, low, n_max=3)),
+            _result_bytes(scatter(sig, bank, low, n_max=3, prune_eps=1e-3)),
+        )
+
+    default = run()
+    for chunk in (1, 1 << 22):
+        monkeypatch.setattr(scattering, "_CHUNK_ELEMENTS", chunk)
+        assert run() == default
 
 
 def test_depth_budget():

@@ -245,6 +245,68 @@ def test_mc_estimate_is_reproducible(shannon_128):
     assert a == b
 
 
+# Exact Monte Carlo results at N=128 (7 octaves): depth 2 scores 292 trials
+# per block and depth 3 scores 41, so each case spans three or more blocks.
+# A change to how trials are drawn or scored must keep these bits.
+PINNED_MC = {
+    "shannon-white-d2": (
+        shannon_mother, ("white", {"sigma": 1.0}), 2, 600, 5,
+        "20.478699786052772", "0.14788706573250768",
+    ),
+    "morlet-filtered_noise-d3": (
+        morlet_mother,
+        ("filtered_noise", {"sigma": 1.0, "filter": {"name": "gaussian_lowpass", "a": 16.0}}),
+        3, 200, 6,
+        "0.005291585084154183", "0.00013513167154576488",
+    ),
+    "morlet-ar1-mean-d2": (
+        morlet_mother, ("ar1", {"sigma": 1.0, "rho": 0.5, "mean": 0.7}), 2, 600, 7,
+        "0.02484663827138598", "0.0001967516164253932",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MC))
+def test_mc_estimate_bits_are_pinned(case):
+    mother, (kind, params), n, trials, seed, estimate, stderr = PINNED_MC[case]
+    bank = build_bank(mother(), 0, 128)
+    est = mc_layer_energy(make_model(kind, 128, **params), bank, n, trials, seed)
+    # repr round-trips a float exactly, so equal reprs mean equal bits
+    assert (repr(est.estimate), repr(est.stderr)) == (estimate, stderr)
+
+
+def per_trial_rows(model, children):
+    """Trial signals drawn one generator call at a time, in raw numpy.
+
+    Per trial: a (2, N/2-1) standard normal draw for the real and imaginary
+    parts of the positive bins, then one scalar for w = 0 and one for -N/2.
+    """
+    n, half = model.n, model.n // 2
+    root = np.sqrt(model.density)
+    rows = []
+    for child in children:
+        rng = np.random.default_rng(child)
+        draw = rng.standard_normal((2, half - 1))
+        coeffs = np.zeros(n, dtype=np.complex128)
+        coeffs[half + 1 :] = root[half + 1 :] * (draw[0] + 1j * draw[1]) / math.sqrt(2.0)
+        coeffs[half] = root[half] * rng.standard_normal()
+        coeffs[0] = root[0] * rng.standard_normal()
+        coeffs[1:half] = np.conj(coeffs[half + 1 :])[::-1]
+        rows.append((np.fft.ifft(np.fft.ifftshift(coeffs)) * n).real + model.mean)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 128])
+def test_simulated_rows_match_per_trial_draws(n):
+    children = np.random.SeedSequence(23).spawn(9)
+    for model in (
+        make_model("ar1", n, sigma=1.3, rho=0.4, mean=-0.6),
+        make_model("filtered_noise", n, filter={"name": "gaussian_lowpass", "a": 2.0}),
+    ):
+        got = stationary._simulate_rows(model, children)
+        assert got.tobytes() == per_trial_rows(model, children).tobytes()
+
+
 def test_bound_dominates_white_noise_layers(shannon_128):
     bank, constants = shannon_128
     model = make_model("white", 128, sigma=1.0)
