@@ -40,6 +40,7 @@ from .errors import (
 from .filterbank import (
     ConditionReport,
     FilterBank,
+    _octave_sum,
     check_littlewood_paley,
     dyadic_term_grid,
     estimate_vanishing_order,
@@ -98,7 +99,7 @@ def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
 _OCTAVE_BLOCK = 512
 
 
-def _term_blocks(bank: FilterBank, omegas: np.ndarray):
+def _term_blocks(bank: FilterBank, omegas: np.ndarray, j_max: int | None = None):
     """``dyadic_term_grid`` over column blocks: (columns, js, p, m) per block.
 
     A block's octave range is the part of the whole grid's range that
@@ -107,19 +108,7 @@ def _term_blocks(bank: FilterBank, omegas: np.ndarray):
     """
     for start in range(0, omegas.size, _OCTAVE_BLOCK):
         cols = slice(start, start + _OCTAVE_BLOCK)
-        yield (cols, *dyadic_term_grid(bank.mother, omegas[cols]))
-
-
-def _octave_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over octaves (axis 0), adding rows in ascending j for any block width.
-
-    ``np.sum(axis=0)`` adds rows in order when there are two or more
-    columns, but sums a single column pairwise, so a one-column block
-    would change the bits; ``accumulate`` always goes in order.
-    """
-    if terms.shape[1] == 1:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.sum(terms, axis=0)
+        yield (cols, *dyadic_term_grid(bank.mother, omegas[cols], j_max=j_max))
 
 
 def _functional_terms(bank: FilterBank, omegas: np.ndarray):
@@ -191,11 +180,14 @@ class InitLowpass:
 
 
 def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
-    """Converged symmetrized sum over all octaves j <= j_max (no floor)."""
+    """Converged symmetrized sum over all octaves j <= j_max (no floor).
+
+    The octaves above j_max are never evaluated: they would be the last,
+    zeroed rows of an in-order sum, which change no bit.
+    """
     out = np.empty(omegas.shape)
-    for cols, js, p, m in _term_blocks(bank, omegas):
-        keep = (js <= bank.j_max)[:, None]
-        out[cols] = 0.5 * _octave_sum(np.where(keep, p + m, 0.0))
+    for cols, _, p, m in _term_blocks(bank, omegas, j_max=bank.j_max):
+        out[cols] = 0.5 * _octave_sum(p + m)
     return out
 
 
@@ -552,11 +544,11 @@ def lemma2_envelope_check(
     lo, hi = _band_or_raise(bank)
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
     js, p, m = dyadic_term_grid(bank.mother, omegas)
-    s = 0.5 * (np.sum(p, axis=0) + np.sum(m, axis=0))
+    s = 0.5 * (_octave_sum(p) + _octave_sum(m))
     centers = constants.delta * np.ldexp(1.0, -js)[:, None]
     loss_pos = 1.0 - _chi_sq(omegas[None, :] - centers, x)
     loss_neg = 1.0 - _chi_sq(-omegas[None, :] - centers, x)
-    lhs = 0.5 * np.sum(p * loss_pos + m * loss_neg, axis=0)
+    lhs = 0.5 * _octave_sum(p * loss_pos + m * loss_neg)
     rhs = 1.0 - _chi_sq(omegas, contraction * x)
     gaps = rhs - lhs
     idx = int(np.argmin(gaps))

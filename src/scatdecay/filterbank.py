@@ -212,7 +212,7 @@ def make_mother(name: str, **params) -> MotherWavelet:
 
 
 def dyadic_term_grid(
-    mother: MotherWavelet, omegas: np.ndarray
+    mother: MotherWavelet, omegas: np.ndarray, j_max: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared amplitudes of every converged octave term at each frequency.
 
@@ -220,10 +220,11 @@ def dyadic_term_grid(
     ----------
     mother : MotherWavelet, evaluated elementwise.
     omegas : array of strictly positive frequencies.
+    j_max : optional coarsest octave; the octaves above it are left out.
 
     Returns
     -------
-    js : int array of octaves, ascending.
+    js : int array of octaves, ascending, none above ``j_max``.
     p, m : arrays of shape (len(js), len(omegas)) holding
         |psi_hat(2^j w)|^2 and |psi_hat(-2^j w)|^2 where the scaled
         argument 2^j w lies in the converged window, and exactly 0.0
@@ -240,6 +241,8 @@ def dyadic_term_grid(
         raise ValueError("frequencies must be strictly positive")
     j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(omegas.max()))))
     j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(omegas.min()))))
+    if j_max is not None:
+        j_hi = min(j_hi, j_max)
     js = np.arange(j_lo, j_hi + 1)
     x = np.ldexp(omegas[None, :], js[:, None])
     keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
@@ -251,10 +254,23 @@ def dyadic_term_grid(
     return js, p, m
 
 
+def _octave_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over octaves (axis 0), adding rows in ascending j for any number of columns.
+
+    ``np.sum(axis=0)`` adds rows in order when there are two or more
+    columns, but sums a single column pairwise, so one frequency alone
+    would get other bits than the same frequency inside a longer grid;
+    ``accumulate`` always goes in order.
+    """
+    if terms.shape[1] == 1 and terms.shape[0] > 0:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.sum(terms, axis=0)
+
+
 def ideal_lp_sum(mother: MotherWavelet, omegas: np.ndarray) -> np.ndarray:
     """Symmetrized squared sum over all integer octaves (converged)."""
     _, p, m = dyadic_term_grid(mother, omegas)
-    return 0.5 * (np.sum(p, axis=0) + np.sum(m, axis=0))
+    return 0.5 * (_octave_sum(p) + _octave_sum(m))
 
 
 @dataclass(frozen=True)
@@ -285,9 +301,9 @@ def _validated_band(
 ) -> tuple[int, int] | None:
     omegas = np.arange(1, n // 2, dtype=np.float64)
     js, p, m = dyadic_term_grid(mother, omegas)
-    ideal = 0.5 * (np.sum(p, axis=0) + np.sum(m, axis=0))
+    ideal = 0.5 * (_octave_sum(p) + _octave_sum(m))
     retained = ((js >= j_min) & (js <= j_max))[:, None]
-    kept = 0.5 * np.sum(np.where(retained, p + m, 0.0), axis=0)
+    kept = 0.5 * _octave_sum(np.where(retained, p + m, 0.0))
     ok = np.abs(ideal - kept) <= tol
     if not np.any(ok):
         return None

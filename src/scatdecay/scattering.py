@@ -55,8 +55,10 @@ Path = tuple[int, ...]
 MAX_DEPTH = 6
 MAX_BREADTH = 12
 
-# rows per FFT batch are capped so a chunk stays around 64 MB
-_CHUNK_ELEMENTS = 1 << 22
+# values per FFT chunk: a chunk's complex spectra, filter products and
+# inverse transforms stay near 512 KB each, inside a core's L2 cache, where
+# a larger chunk would stream every pass through main memory
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def scatter(
     layer_energies[0] = float(_row_energies(batch)[0])
     for depth in range(n_max + 1):
         if depth > 0:
-            # a tree's chunks reach 64 MB: keep no scratch array past one layer
+            # a workspace per layer, so each layer's array is freed once the next is formed
             batch = _layer_moduli(batch, filts, _Workspace(), depth)
             paths = [p + (j,) for p in paths for j in scales]
             energies = _row_energies(batch)

@@ -21,10 +21,11 @@ which pins layer one of the scattering cascade analytically and leaves
 Monte Carlo only for the deeper layers.
 
 Monte Carlo trials are synthesized and scattered in blocks of rows.  Each
+trial takes all its Gaussians from one call of its own generator.  Each
 block is one batched pass that never forms the requested layer n: its
 energy follows from layer n - 1, because the modulus keeps energy.  A
 block's layer n - 1 holds at most 2^18 values, so memory does not grow
-with the trial count.
+with the trial count, and its FFT passes run in cache-sized chunks.
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ __all__ = [
     "load_model",
 ]
 
-# values in the deepest layer a Monte Carlo block forms; far below the
-# scattering chunk size, which would double the run's peak memory
+# values in the deepest layer a Monte Carlo block forms (2 MB of float64);
+# its FFT passes run in the smaller, cache-sized chunks of scattering
 _MC_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -146,24 +147,25 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
 def _simulate_rows(model: StationaryModel, children) -> np.ndarray:
     """One real realization per spawned seed sequence, shape (len(children), N).
 
-    Each trial draws from its own generator, so a row depends on its seed
-    sequence alone; mirroring and the inverse transform act on all rows
-    at once.
+    Each trial draws from its own generator, in one call, so a row depends
+    on its seed sequence alone; scaling, mirroring and the inverse
+    transform act on all rows at once.
     """
     n = model.n
-    w = frequencies(n)
-    pos = w > 0
     zero, nyquist = n // 2, 0  # centered-grid bins of w = 0 and w = -N/2
+    pairs = zero - 1  # positive bins w = 1..N/2-1
     root = np.sqrt(model.density)
-    coeffs = np.zeros((len(children), n), dtype=np.complex128)
+    # per trial: real parts of the positive bins, their imaginary parts, then
+    # the real draws of the two self-paired bins, in the generator's order
+    draws = np.empty((len(children), 2 * pairs + 2))
     for k, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        draw = rng.standard_normal((2, int(pos.sum())))
-        coeffs[k, pos] = root[pos] * (draw[0] + 1j * draw[1]) / math.sqrt(2.0)
-        # the two self-paired bins carry real unit-variance draws
-        coeffs[k, zero] = root[zero] * rng.standard_normal()
-        coeffs[k, nyquist] = root[nyquist] * rng.standard_normal()
-    coeffs[:, 1:zero][:, ::-1] = np.conj(coeffs[:, pos])  # negative bins, skip -N/2
+        np.random.default_rng(child).standard_normal(out=draws[k])
+    coeffs = np.empty((len(children), n), dtype=np.complex128)
+    re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
+    coeffs[:, zero + 1 :] = root[zero + 1 :] * (re + 1j * im) / math.sqrt(2.0)
+    coeffs[:, zero] = root[zero] * draws[:, -2]
+    coeffs[:, nyquist] = root[nyquist] * draws[:, -1]
+    coeffs[:, 1:zero] = np.conj(coeffs[:, : zero : -1])  # negative bins, skip -N/2
     samples = np.fft.ifft(np.fft.ifftshift(coeffs, axes=1), axis=1) * n
     resid = np.max(np.abs(samples.imag), axis=1)
     scale = np.maximum(np.max(np.abs(samples.real), axis=1), 1.0)

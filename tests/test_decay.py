@@ -32,6 +32,7 @@ from scatdecay.filterbank import (
     build_bank,
     dyadic_term_grid,
     even_morlet_mother,
+    ideal_lp_sum,
     morlet_first_order_mother,
     morlet_mother,
     shannon_mother,
@@ -225,6 +226,15 @@ def test_lognormal_sums_see_the_summation_order():
         js, p, m = dyadic_term_grid(bank.mother, np.array([w]))
         lp = np.where((js <= bank.j_max)[:, None], p + m, 0.0)
         assert np.sum(lp, axis=0)[0] != _in_order(lp)[0]
+
+
+def test_single_frequency_octave_sum_matches_grid():
+    # a lone frequency gets the same in-order sum as inside a longer grid;
+    # summed pairwise, 7 of these 400 lognormal sums differed in the last bit
+    mother = lognormal_mother()
+    grid = np.arange(1.0, 401.0)
+    alone = np.array([ideal_lp_sum(mother, [w])[0] for w in grid])
+    assert alone.tobytes() == ideal_lp_sum(mother, grid).tobytes()
 
 
 def test_constants_octave_sums_stay_inside_window():

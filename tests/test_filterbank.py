@@ -221,6 +221,27 @@ def test_term_grid_evaluates_only_inside_window(make):
     assert m.tobytes() == np.where(keep, base(-x) ** 2, 0.0).tobytes()
 
 
+@pytest.mark.parametrize("j_max", [-3, 0, 2])
+def test_term_grid_stops_at_j_max(j_max):
+    base = morlet_mother()
+    seen = []
+
+    def recording(w):
+        seen.append(np.array(w))
+        return base.hat(w)
+
+    omegas = np.geomspace(0.5, 200.0, 97)
+    js, p, m = dyadic_term_grid(base, omegas)
+    top_js, top_p, top_m = dyadic_term_grid(replace(base, hat=recording), omegas, j_max=j_max)
+    rows = js <= j_max
+    assert top_js.tolist() == js[rows].tolist()
+    assert top_p.tobytes() == p[rows].tobytes() and top_m.tobytes() == m[rows].tobytes()
+    # the mother is evaluated at +-2^j w inside the window for j <= j_max only
+    x = np.ldexp(omegas[None, :], top_js[:, None])
+    inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
+    assert np.concatenate(seen).tobytes() == np.concatenate([x[inside], -x[inside]]).tobytes()
+
+
 def test_term_grid_rejects_nonpositive():
     with pytest.raises(ValueError):
         dyadic_term_grid(shannon_mother(), np.array([0.0, 1.0]))
