@@ -9,7 +9,7 @@ Exit codes are part of the contract:
     0   everything ran and every checked condition passed
     1   a condition failed or the bank cannot support the machinery
     2   unreadable or malformed input (files, flags, formats)
-    3   the requested tree exceeds the safety budget
+    3   the requested tree exceeds the safety budget (scatter, decay, stationary)
 
 All outputs are byte-stable for identical inputs: floats are written in
 shortest round-trip form, JSON keys are sorted, and nothing records
@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .decay import _check_verify_depth, compute_constants, verify_decay
+from .decay import _check_verify_request, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
@@ -35,7 +35,7 @@ from .scattering import (
     scatter,
     shannon_tight_pair,
 )
-from .signals import Signal, band_limited_signal, convolve, dft, energy, read_signal, write_signal
+from .signals import Signal, band_limited_signal, convolve, dft, energy, modulus, read_signal, write_signal
 from .stationary import (
     _check_bound_layer,
     _check_mc_request,
@@ -93,9 +93,8 @@ def _output_lowpass(bank: FilterBank, kind: str) -> LowPass:
 def cmd_bank_check(args: argparse.Namespace) -> int:
     bank = _load_bank(args)
     out = _ensure_out(args)
-    lp_tol = args.tol if args.tol is not None else 1e-9
     reports = [
-        check_littlewood_paley(bank, tol=lp_tol),
+        check_littlewood_paley(bank, tol=args.tol),
         check_asymmetry(bank),
         estimate_vanishing_order(bank.mother).as_condition_report(),
     ]
@@ -128,29 +127,27 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
     bank = _load_bank(args)
-    # a bad depth is refused before the constants are computed or --out is made
-    _check_verify_depth(args.depth)
+    # a bad or over-budget depth is refused before the constants are computed or --out is made
+    _check_verify_request(bank, args.depth)
     out = _ensure_out(args)
     constants = compute_constants(bank)
     if args.signal:
         sig = read_signal(args.signal)
     else:
-        lo, hi = constants.band
-        sig = band_limited_signal(bank.n, (lo, hi), np.random.default_rng(args.seed))
+        sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
     _write_json(os.path.join(out, "constants.json"), constants.to_payload())
     with open(os.path.join(out, "decay.csv"), "w") as fh:
         fh.write("n,empirical,bound,slack\n")
         for row in rows:
             fh.write(f"{row.n},{row.empirical!r},{row.bound!r},{row.slack!r}\n")
-    slack_tol = args.tol if args.tol is not None else 1e-8
     print(
         f"constants: c={constants.c:.6g} C={constants.C:.6g} a={constants.a:.6g} "
         f"r={constants.r:.6g} band={constants.band[0]}..{constants.band[1]}"
     )
     ok = True
     for row in rows:
-        good = row.slack >= -slack_tol
+        good = row.slack >= -args.tol
         ok = ok and good
         print(
             f"layer {row.n}: empirical={row.empirical:.6g} bound={row.bound:.6g} "
@@ -217,7 +214,7 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     if args.scale not in bank.filters:
         raise ValueError(f"scale {args.scale} outside bank range [{bank.j_min}, {bank.j_max}]")
     filtered = convolve(sig, bank.filters[args.scale])
-    mod = Signal(np.abs(filtered.samples), real=True)
+    mod = modulus(filtered)
     low = gaussian_output_lowpass(bank.j_max, sig.n)
     smoothed = convolve(mod, low.spectrum)
     before = _abs_centroid(dft(filtered).coeffs, sig.n)
@@ -253,23 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, depth_default=2, depth_help="tree depth"):
-        p.add_argument("--bank", help="bank recipe (JSON)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--depth", type=int, default=depth_default, help=depth_help)
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    bank_out = argparse.ArgumentParser(add_help=False)
+    bank_out.add_argument("--bank", help="bank recipe (JSON)")
+    bank_out.add_argument("--out", help="output directory")
 
     bank = sub.add_parser("bank", help="filter bank operations")
     bank_sub = bank.add_subparsers(dest="action", required=True)
-    check = bank_sub.add_parser("check", help="run the certification checks")
-    add_common(check)
+    check = bank_sub.add_parser("check", parents=[bank_out], help="run the certification checks")
+    check.add_argument("--tol", type=float, default=1e-9, help="allowed excess of the LP sums")
     check.set_defaults(handler=cmd_bank_check)
 
     scat = sub.add_parser("scatter", help="scattering transforms")
     scat_sub = scat.add_subparsers(dest="action", required=True)
-    run = scat_sub.add_parser("run", help="compute a scattering tree")
-    add_common(run)
+    run = scat_sub.add_parser("run", parents=[bank_out], help="compute a scattering tree")
+    run.add_argument("--depth", type=int, default=2, help="tree depth")
     run.add_argument("--signal", help="input signal (CSV or raw + sidecar)")
     run.add_argument("--prune-eps", type=float, default=0.0, dest="prune_eps",
                      help="relative energy floor for pruning")
@@ -279,15 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     decay = sub.add_parser("decay", help="decay-bound operations")
     decay_sub = decay.add_subparsers(dest="action", required=True)
-    verify = decay_sub.add_parser("verify", help="constants plus bound-vs-empirical table")
-    add_common(verify, depth_default=4, depth_help="deepest layer to verify")
+    verify = decay_sub.add_parser(
+        "verify", parents=[bank_out], help="constants plus bound-vs-empirical table"
+    )
+    verify.add_argument("--depth", type=int, default=4, help="deepest layer to verify")
+    verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input")
+    verify.add_argument("--tol", type=float, default=1e-8, help="allowed excess over the bound")
     verify.add_argument("--signal", help="real band-limited input (default: synthesized)")
     verify.set_defaults(handler=cmd_decay_verify)
 
     stat = sub.add_parser("stationary", help="stationary-model operations")
     stat_sub = stat.add_subparsers(dest="action", required=True)
-    srun = stat_sub.add_parser("run", help="Monte Carlo layer energy against the bound")
-    add_common(srun)
+    srun = stat_sub.add_parser(
+        "run", parents=[bank_out], help="Monte Carlo layer energy against the bound"
+    )
+    srun.add_argument("--depth", type=int, default=2, help="layer to estimate")
+    srun.add_argument("--seed", type=int, default=0, help="RNG seed of the trials")
     srun.add_argument("--model", help="stationary model (JSON)")
     srun.add_argument("--trials", type=int, default=200, help="Monte Carlo trials")
     srun.set_defaults(handler=cmd_stationary_run)

@@ -45,7 +45,7 @@ from .filterbank import (
     dyadic_term_grid,
     estimate_vanishing_order,
 )
-from .scattering import layer_energy_profile
+from .scattering import _check_budget, layer_energy_profile
 from .signals import Signal, dft, frequencies
 
 __all__ = [
@@ -67,6 +67,8 @@ __all__ = [
 
 # sums smaller than this are holes, not small denominators
 _MASS_FLOOR = 1e-12
+_X_TOL = 1e-9  # slack allowed to the admissibility of the initial width x_init
+_ENVELOPE_TOL = 1e-9  # slack allowed to the one-step contraction envelope
 
 
 def _chi_sq(w: np.ndarray, x: float) -> np.ndarray:
@@ -308,7 +310,6 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
 def initialize_x(
     bank: FilterBank,
     init: InitLowpass | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Largest admissible Gaussian width on the eighth-octave search grid.
 
@@ -324,17 +325,17 @@ def initialize_x(
     _band_or_raise(bank)
     if init is None:
         init = initialize_lowpass(bank)
-    return _admissible_width(bank, init, tol)[0]
+    return _admissible_width(bank, init)[0]
 
 
-def _admissible_width(bank: FilterBank, init: InitLowpass, tol: float) -> tuple[float, float]:
+def _admissible_width(bank: FilterBank, init: InitLowpass) -> tuple[float, float]:
     """The search of ``initialize_x`` plus its slack min(1 - |chi_hat_x|^2 - F)."""
     lo, hi = bank.validated_band
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
     envelope = (1.0 - _smoothed_window_sq(init, omegas)) * _lp_up_to_coarsest(bank, omegas)
     for m in range(64, -65, -1):
         x = 2.0 ** (m / 8.0)
-        if np.all(envelope <= 1.0 - _chi_sq(omegas, x) + tol):
+        if np.all(envelope <= 1.0 - _chi_sq(omegas, x) + _X_TOL):
             return x, float(np.min(1.0 - _chi_sq(omegas, x) - envelope))
     raise BankConditionError(
         "no admissible Gaussian width in [2^-8, 2^8]: the envelope "
@@ -440,7 +441,7 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
 
     delta = c / big_c
     a = 1.0 / math.sqrt(1.0 - c * c / big_c)
-    x_init, x_margin = _admissible_width(bank, initialize_lowpass(bank), tol=1e-9)
+    x_init, x_margin = _admissible_width(bank, initialize_lowpass(bank))
     r = x_init / a**2
 
     margins = {
@@ -521,7 +522,6 @@ def lemma2_envelope_check(
     constants: DecayConstants,
     x: float,
     a: float | None = None,
-    tol: float = 1e-9,
 ) -> ConditionReport:
     """Check the one-step width contraction envelope at width ``x``.
 
@@ -555,10 +555,10 @@ def lemma2_envelope_check(
     margin = float(gaps[idx])
     return ConditionReport(
         condition="modulation_envelope",
-        passed=bool(margin >= -tol) and bool(np.all(s > _MASS_FLOOR)),
+        passed=bool(margin >= -_ENVELOPE_TOL) and bool(np.all(s > _MASS_FLOOR)),
         margin=margin,
         witness_freq=float(omegas[idx]),
-        tolerance=tol,
+        tolerance=_ENVELOPE_TOL,
         details={
             "x": x,
             "contraction": contraction,
@@ -580,9 +580,16 @@ class DecayRow:
     slack: float
 
 
-def _check_verify_depth(n_max: int) -> None:
+def _check_verify_request(bank: FilterBank, n_max: int) -> None:
+    """The refusals of ``verify_decay`` that need no signal, cheap enough to make first."""
     if not 2 <= n_max <= 5:
         raise ValueError("n_max must be between 2 and 5")
+    _check_budget(n_max, len(bank.filters))
+
+
+def _layer_loss(constants: DecayConstants, w: np.ndarray, n: int) -> np.ndarray:
+    """Weight 1 - |chi_hat(w)|^2 of the layer-n bound, at the certified width r a^n."""
+    return 1.0 - _chi_sq(w, constants.r * constants.a**n)
 
 
 def verify_decay(
@@ -597,7 +604,7 @@ def verify_decay(
     band; outside it the constants certify nothing.  Rows start at layer
     2, the first layer the contraction argument controls.
     """
-    _check_verify_depth(n_max)
+    _check_verify_request(bank, n_max)
     if not f.real:
         raise ValueError("decay verification needs a real signal")
     if f.n != bank.n:
@@ -616,8 +623,7 @@ def verify_decay(
     profile = layer_energy_profile(f, bank, n_max)
     rows = []
     for n in range(2, n_max + 1):
-        width = constants.r * constants.a**n
-        bound = float(np.sum(power * (1.0 - _chi_sq(w, width))))
+        bound = float(np.sum(power * _layer_loss(constants, w, n)))
         empirical = profile[n]
         rows.append(DecayRow(n=n, empirical=empirical, bound=bound, slack=bound - empirical))
     return rows

@@ -62,6 +62,12 @@ X_WINDOW = (1e-8, 16.0)
 # of its peak: exp(-REACH^2) = 1e-33
 _BUMP_REACH = math.sqrt(33.0 * math.log(10.0))
 
+_COVERAGE_TOL = 1e-3  # largest |kept - full| octave sum inside a validated band
+_ASYMMETRY_TOL = 1e-12  # largest excess of a mirror amplitude over its partner
+_ORDER_WINDOW = (2.0**-10, 2.0**-4)
+_ORDER_POINTS = 25
+_ORDER_THRESHOLD = 0.05
+
 
 def _morlet_kappa(center: float, width: float) -> float:
     """Zero-mean correction amplitude of a Morlet bump inside the window."""
@@ -93,10 +99,6 @@ class MotherWavelet:
 
     def __call__(self, w) -> np.ndarray:
         return np.asarray(self.hat(np.asarray(w, dtype=np.float64)), dtype=np.float64)
-
-    def scaled(self, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Profile of the octave-j filter, w -> psi_hat(2^j w)."""
-        return lambda w: self(np.ldexp(np.asarray(w, dtype=np.float64), j))
 
 
 def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -279,7 +281,7 @@ class FilterBank:
 
     ``validated_band`` is the widest contiguous range of positive integer
     frequencies on which the retained octaves reproduce the full dyadic
-    sum to within ``coverage_tol``; outside it the bank under-covers and
+    sum to within ``_COVERAGE_TOL``; outside it the bank under-covers and
     no quantitative claim is made.
     """
 
@@ -289,7 +291,6 @@ class FilterBank:
     n: int
     filters: Mapping[int, Spectrum]
     validated_band: tuple[int, int] | None
-    coverage_tol: float
 
     @property
     def scales(self) -> range:
@@ -297,14 +298,14 @@ class FilterBank:
 
 
 def _validated_band(
-    mother: MotherWavelet, j_min: int, j_max: int, n: int, tol: float
+    mother: MotherWavelet, j_min: int, j_max: int, n: int
 ) -> tuple[int, int] | None:
     omegas = np.arange(1, n // 2, dtype=np.float64)
     js, p, m = dyadic_term_grid(mother, omegas)
     ideal = 0.5 * (_octave_sum(p) + _octave_sum(m))
     retained = ((js >= j_min) & (js <= j_max))[:, None]
     kept = 0.5 * _octave_sum(np.where(retained, p + m, 0.0))
-    ok = np.abs(ideal - kept) <= tol
+    ok = np.abs(ideal - kept) <= _COVERAGE_TOL
     if not np.any(ok):
         return None
     # widest contiguous run of covered integers; first one wins a tie
@@ -326,7 +327,6 @@ def build_bank(
     j_max: int,
     n: int,
     j_min: int | None = None,
-    coverage_tol: float = 1e-3,
 ) -> FilterBank:
     """Sample the dilated mother on the grid for octaves j_min..j_max.
 
@@ -337,15 +337,13 @@ def build_bank(
         j_min = j_max - math.ceil(math.log2(n)) + 1
     if j_min > j_max:
         raise ValueError(f"empty octave range [{j_min}, {j_max}]")
-    if coverage_tol <= 0:
-        raise ValueError("coverage_tol must be positive")
     w = frequencies(n).astype(np.float64)
     filters = {
         j: Spectrum(mother(np.ldexp(w, j)).astype(np.complex128))
         for j in range(j_min, j_max + 1)
     }
-    band = _validated_band(mother, j_min, j_max, n, coverage_tol)
-    return FilterBank(mother, j_max, j_min, n, filters, band, coverage_tol)
+    band = _validated_band(mother, j_min, j_max, n)
+    return FilterBank(mother, j_max, j_min, n, filters, band)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +393,11 @@ def check_littlewood_paley(bank: FilterBank, tol: float = 1e-9) -> ConditionRepo
     )
 
 
-def check_asymmetry(bank: FilterBank, tol: float = 1e-12) -> ConditionReport:
+def check_asymmetry(bank: FilterBank) -> ConditionReport:
     """Certify positive frequencies dominate their mirrors.
 
     Two claims are combined: per octave, |psi_hat_j(-w)| never exceeds
-    |psi_hat_j(w)| beyond ``tol``; and at every checked w some octave
+    |psi_hat_j(w)| beyond ``_ASYMMETRY_TOL``; and at every checked w some octave
     dominates strictly.  The margin is min over w of the best per-octave
     amplitude gap, so an even profile reports exactly 0.0 and fails.
 
@@ -420,14 +418,14 @@ def check_asymmetry(bank: FilterBank, tol: float = 1e-12) -> ConditionReport:
         worst_violation = min(worst_violation, float(gap.min()))
     best = gaps.max(axis=0)
     idx = int(np.argmin(best))
-    per_octave_ok = worst_violation >= -tol
+    per_octave_ok = worst_violation >= -_ASYMMETRY_TOL
     margin = float(best[idx]) if per_octave_ok else worst_violation
     return ConditionReport(
         condition="asymmetry",
         passed=per_octave_ok and margin > 0.0,
         margin=margin,
         witness_freq=float(omegas[idx]),
-        tolerance=tol,
+        tolerance=_ASYMMETRY_TOL,
         details={
             "band": [int(lo), int(hi)],
             "per_octave_ok": per_octave_ok,
@@ -441,50 +439,38 @@ class VanishingOrderReport:
     epsilon_hat: float
     passed: bool
     threshold: float
-    fit_window: tuple[float, float]
-    n_points: int
     residual: float
     identically_zero: bool
 
-    def as_condition_report(self, tol: float = 0.0) -> ConditionReport:
+    def as_condition_report(self) -> ConditionReport:
         margin = math.inf if self.identically_zero else self.epsilon_hat - self.threshold
         return ConditionReport(
             condition="vanishing_order",
             passed=self.passed,
             margin=margin,
             witness_freq=None,
-            tolerance=tol,
+            tolerance=0.0,
             details={
                 "slope": self.slope,
                 "epsilon_hat": self.epsilon_hat,
                 "threshold": self.threshold,
-                "fit_window": list(self.fit_window),
-                "n_points": self.n_points,
+                "fit_window": list(_ORDER_WINDOW),
+                "n_points": _ORDER_POINTS,
                 "residual": self.residual,
                 "identically_zero": self.identically_zero,
             },
         )
 
 
-def estimate_vanishing_order(
-    mother: MotherWavelet,
-    lo: float = 2.0**-10,
-    hi: float = 2.0**-4,
-    n_points: int = 25,
-    threshold: float = 0.05,
-) -> VanishingOrderReport:
+def estimate_vanishing_order(mother: MotherWavelet) -> VanishingOrderReport:
     """Fit the decay order of |psi_hat| near zero.
 
-    A least-squares line through (log w, log |psi_hat(w)|) on a geometric
-    grid in [lo, hi] estimates |psi_hat(w)| ~ w^(1 + eps); the profile
-    passes when eps >= threshold, or when it vanishes identically on the
-    window (indicator-type mothers, flagged at construction).
+    A least-squares line through (log w, log |psi_hat(w)|) on ``_ORDER_POINTS``
+    geometric points of ``_ORDER_WINDOW`` estimates |psi_hat(w)| ~ w^(1 + eps);
+    it passes when eps >= ``_ORDER_THRESHOLD``, or when the profile vanishes
+    identically on the window (indicator-type mothers, flagged at construction).
     """
-    if n_points < 6:
-        raise ValueError("need at least 6 fit points")
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    x = np.geomspace(lo, hi, n_points)
+    x = np.geomspace(*_ORDER_WINDOW, _ORDER_POINTS)
     vals = np.abs(mother(x))
     if mother.zero_near_origin or not np.any(vals > 0.0):
         if np.any(vals > 0.0):
@@ -496,9 +482,7 @@ def estimate_vanishing_order(
             slope=math.inf,
             epsilon_hat=math.inf,
             passed=True,
-            threshold=threshold,
-            fit_window=(lo, hi),
-            n_points=n_points,
+            threshold=_ORDER_THRESHOLD,
             residual=0.0,
             identically_zero=True,
         )
@@ -513,10 +497,8 @@ def estimate_vanishing_order(
     return VanishingOrderReport(
         slope=slope,
         epsilon_hat=eps,
-        passed=eps >= threshold,
-        threshold=threshold,
-        fit_window=(lo, hi),
-        n_points=n_points,
+        passed=eps >= _ORDER_THRESHOLD,
+        threshold=_ORDER_THRESHOLD,
         residual=residual,
         identically_zero=False,
     )
@@ -538,7 +520,7 @@ def save_bank(path: str | os.PathLike, bank: FilterBank) -> None:
         fh.write("\n")
 
 
-def load_bank(path: str | os.PathLike, coverage_tol: float = 1e-3) -> FilterBank:
+def load_bank(path: str | os.PathLike) -> FilterBank:
     with open(os.fspath(path)) as fh:
         payload = json.load(fh)
     try:
@@ -550,4 +532,4 @@ def load_bank(path: str | os.PathLike, coverage_tol: float = 1e-3) -> FilterBank
         j_min = int(j_min) if j_min is not None else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed bank file {path}: {exc}") from None
-    return build_bank(mother, j_max, n, j_min=j_min, coverage_tol=coverage_tol)
+    return build_bank(mother, j_max, n, j_min=j_min)

@@ -55,6 +55,8 @@ Path = tuple[int, ...]
 MAX_DEPTH = 6
 MAX_BREADTH = 12
 
+_PARTITION_TOL = 1e-9  # largest partition defect of a pair energy_balance takes as tight
+
 # values per FFT chunk: a chunk's complex spectra, filter products and
 # inverse transforms stay near 512 KB each, inside a core's L2 cache, where
 # a larger chunk would stream every pass through main memory
@@ -328,7 +330,7 @@ def _partition_defect(bank: FilterBank, lowpass: LowPass) -> float:
     return float(np.max(np.abs(sym - 1.0)))
 
 
-def energy_balance(result: ScatteringResult, n: int, tol: float = 1e-9) -> BalanceReport:
+def energy_balance(result: ScatteringResult, n: int) -> BalanceReport:
     """Exact conservation check for tight pairs on real input.
 
     Requires an unpruned tree of depth >= n and a (bank, lowpass) pair
@@ -348,9 +350,9 @@ def energy_balance(result: ScatteringResult, n: int, tol: float = 1e-9) -> Balan
     if not root.real:
         raise ValueError("energy balance is an identity for real signals")
     defect = _partition_defect(result.bank, result.lowpass)
-    if defect > tol:
+    if defect > _PARTITION_TOL:
         raise NonTightBankError(
-            f"filter pair is not tight: partition defect {defect:.3e} exceeds {tol:.1e}"
+            f"filter pair is not tight: partition defect {defect:.3e} exceeds {_PARTITION_TOL:.1e}"
         )
     total = result.layer_energies[0]
     captured = sum(result.output_energies[k] for k in range(n))

@@ -42,13 +42,11 @@ def _check_length(n: int) -> None:
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
 
 
-def _locked(values, n_expected: int | None = None) -> np.ndarray:
+def _locked(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError("values must be finite")
     _check_length(arr.size)
-    if n_expected is not None and arr.size != n_expected:
-        raise ValueError(f"length mismatch: {arr.size} != {n_expected}")
     arr.setflags(write=False)
     return arr
 
@@ -176,13 +174,11 @@ def band_limited_signal(
     n: int,
     band: tuple[int, int],
     rng: np.random.Generator,
-    real: bool = True,
 ) -> Signal:
-    """Random signal supported on |w| inside ``band`` (inclusive).
+    """Real random signal supported on |w| inside ``band`` (inclusive).
 
-    Coefficients are standard complex Gaussian; with ``real=True`` the
-    negative bins are the conjugates of the positive ones, so the sample
-    values are exactly real.
+    Standard complex Gaussian coefficients at the positive bins, mirrored
+    as conjugates to the negative ones, so the samples are exactly real.
     """
     lo, hi = int(band[0]), int(band[1])
     if not 1 <= lo <= hi < n // 2:
@@ -192,11 +188,9 @@ def band_limited_signal(
     pos = (w >= lo) & (w <= hi)
     draw = rng.standard_normal((2, int(pos.sum())))
     coeffs[pos] = (draw[0] + 1j * draw[1]) / np.sqrt(2.0)
-    if real:
-        neg = (w <= -lo) & (w >= -hi)
-        coeffs[neg] = np.conj(coeffs[pos][::-1])
-        return idft(Spectrum(coeffs), real=True)
-    return idft(Spectrum(coeffs))
+    neg = (w <= -lo) & (w >= -hi)
+    coeffs[neg] = np.conj(coeffs[pos][::-1])
+    return idft(Spectrum(coeffs), real=True)
 
 
 # ---------------------------------------------------------------------------

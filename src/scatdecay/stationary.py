@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import DecayConstants
+from .decay import DecayConstants, _layer_loss
 from .filterbank import FilterBank
 from .scattering import _Workspace, _check_budget, _filter_rows, _row_profiles
 from .signals import Signal, Spectrum, frequencies, gaussian_lowpass, idft
@@ -260,9 +260,7 @@ def stationary_bound(model: StationaryModel, constants: DecayConstants, n: int) 
     """
     _check_bound_layer(n)
     w = frequencies(model.n)
-    width = constants.r * constants.a**n
-    loss = 1.0 - np.exp(-2.0 * (w / width) ** 2)
-    return float(np.sum(model.density * loss))
+    return float(np.sum(model.density * _layer_loss(constants, w, n)))
 
 
 def save_model(path: str | os.PathLike, model: StationaryModel) -> None:

@@ -246,6 +246,39 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
     assert not out.exists()
 
 
+def test_decay_verify_over_budget_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    bank_path = tmp_path / "shannon128-13.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 128, j_min=-12))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request was refused")
+
+    monkeypatch.setattr(cli, "compute_constants", no_work)
+    out = tmp_path / "out"
+    code = main(["decay", "verify", "--bank", str(bank_path), "--out", str(out), "--depth", "2"])
+    assert code == 3
+    assert "13 octaves per node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["bank", "check", "--seed", "1"],
+        ["bank", "check", "--depth", "3"],
+        ["scatter", "run", "--seed", "1"],
+        ["scatter", "run", "--tol", "1e-6"],
+        ["stationary", "run", "--tol", "1e-6"],
+    ],
+    ids=lambda words: " ".join(words[:3]),
+)
+def test_unread_flags_are_rejected(words, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(words)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_stationary_grid_mismatch_is_parse_error(shannon_bank_file, tmp_path, capsys):
     model_path = tmp_path / "white128.json"
     save_model(model_path, make_model("white", 128, sigma=1.0))

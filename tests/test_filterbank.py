@@ -115,13 +115,6 @@ def test_make_mother_registry():
         make_mother("morlet", sharpness=2.0)
 
 
-def test_scaled_profile_doubles_argument():
-    m = morlet_mother()
-    f = m.scaled(-2)
-    w = np.array([1.0, 3.0, -5.0])
-    assert np.array_equal(f(w), m(w / 4.0))
-
-
 # --- bank construction -----------------------------------------------------
 
 
@@ -335,9 +328,55 @@ def test_order_estimate_flags_inconsistent_indicator():
         estimate_vanishing_order(bandpass_mother(5e-4, 2.0))
 
 
-def test_order_estimate_needs_six_points():
-    with pytest.raises(ValueError):
-        estimate_vanishing_order(morlet_mother(), n_points=5)
+# the three check payloads at N=256, J=0, pinned as strings: a mistyped
+# tolerance, threshold or fit setting changes one
+PINNED_CHECK_PAYLOADS = {
+    "morlet": (
+        '{"condition": "littlewood_paley", "details": {"grid": "0..128", "max_sum": '
+        '0.5505478053321926}, "margin": 0.4494521946678074, "passed": true, "tolerance": '
+        '1e-09, "witness_freq": 99.0}',
+        '{"condition": "asymmetry", "details": {"band": [3, 127], "per_octave_ok": true}, '
+        '"margin": 0.6064412200136062, "passed": true, "tolerance": 1e-12, "witness_freq": 4.0}',
+        '{"condition": "vanishing_order", "details": {"epsilon_hat": 1.0119870532354418, '
+        '"fit_window": [0.0009765625, 0.0625], "identically_zero": false, "n_points": 25, '
+        '"residual": 0.007795005175199144, "slope": 2.011987053235442, "threshold": 0.05}, '
+        '"margin": 0.9619870532354418, "passed": true, "tolerance": 0.0, "witness_freq": null}',
+    ),
+    "shannon": (
+        '{"condition": "littlewood_paley", "details": {"grid": "0..128", "max_sum": '
+        '1.0000000000000002}, "margin": -2.220446049250313e-16, "passed": true, "tolerance": '
+        '1e-09, "witness_freq": 2.0}',
+        '{"condition": "asymmetry", "details": {"band": [2, 127], "per_octave_ok": true}, '
+        '"margin": 1.4142135623730951, "passed": true, "tolerance": 1e-12, "witness_freq": 2.0}',
+        '{"condition": "vanishing_order", "details": {"epsilon_hat": Infinity, "fit_window": '
+        '[0.0009765625, 0.0625], "identically_zero": true, "n_points": 25, "residual": 0.0, '
+        '"slope": Infinity, "threshold": 0.05}, "margin": Infinity, "passed": true, '
+        '"tolerance": 0.0, "witness_freq": null}',
+    ),
+    "even_morlet": (
+        '{"condition": "littlewood_paley", "details": {"grid": "0..128", "max_sum": '
+        '0.5560043789614468}, "margin": 0.44399562103855317, "passed": true, "tolerance": '
+        '1e-09, "witness_freq": 99.0}',
+        '{"condition": "asymmetry", "details": {"band": [3, 127], "per_octave_ok": true}, '
+        '"margin": 0.0, "passed": false, "tolerance": 1e-12, "witness_freq": 3.0}',
+        '{"condition": "vanishing_order", "details": {"epsilon_hat": 1.0001418318277486, '
+        '"fit_window": [0.0009765625, 0.0625], "identically_zero": false, "n_points": 25, '
+        '"residual": 0.00016436787877195422, "slope": 2.0001418318277486, "threshold": 0.05}, '
+        '"margin": 0.9501418318277486, "passed": true, "tolerance": 0.0, "witness_freq": null}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK_PAYLOADS))
+def test_check_reports_are_pinned(name):
+    bank = build_bank(make_mother(name), 0, 256)
+    reports = (
+        check_littlewood_paley(bank),
+        check_asymmetry(bank),
+        estimate_vanishing_order(bank.mother).as_condition_report(),
+    )
+    got = tuple(json.dumps(r.to_payload(), sort_keys=True) for r in reports)
+    assert got == PINNED_CHECK_PAYLOADS[name]
 
 
 def test_condition_report_payload_round_trips_through_json():
