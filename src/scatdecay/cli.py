@@ -29,13 +29,16 @@ from .decay import _check_verify_request, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
-    LowPass,
+    _check_budget,
     export_result,
     gaussian_output_lowpass,
     scatter,
     shannon_tight_pair,
 )
-from .signals import Signal, band_limited_signal, convolve, dft, energy, modulus, read_signal, write_signal
+from .signals import (
+    Signal, Spectrum, band_limited_signal, convolve, dft, energy, frequencies, modulus,
+    read_signal, write_signal,
+)
 from .stationary import (
     _check_bound_layer,
     _check_mc_request,
@@ -77,7 +80,7 @@ def _load_bank(args: argparse.Namespace) -> FilterBank:
     return load_bank(args.bank)
 
 
-def _output_lowpass(bank: FilterBank, kind: str) -> LowPass:
+def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
     if kind == "auto":
         kind = "tight" if bank.mother.name == "shannon" else "gaussian"
     if kind == "tight":
@@ -96,7 +99,7 @@ def cmd_bank_check(args: argparse.Namespace) -> int:
     reports = [
         check_littlewood_paley(bank, tol=args.tol),
         check_asymmetry(bank),
-        estimate_vanishing_order(bank.mother).as_condition_report(),
+        estimate_vanishing_order(bank.mother),
     ]
     for report in reports:
         _write_json(os.path.join(out, f"check_{report.condition}.json"), report.to_payload())
@@ -113,6 +116,8 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
     if not args.signal:
         raise ValueError("a signal file is required (--signal)")
     sig = read_signal(args.signal)
+    # an over-budget tree is refused before --out is made, as in decay verify and stationary run
+    _check_budget(args.depth, len(bank.filters))
     out = _ensure_out(args)
     low = _output_lowpass(bank, args.lowpass)
     result = scatter(sig, bank, low, args.depth, prune_eps=args.prune_eps)
@@ -197,7 +202,7 @@ def _default_chirp(n: int) -> Signal:
 
 
 def _abs_centroid(coeffs: np.ndarray, n: int) -> float:
-    w = np.abs(np.arange(-(n // 2), n // 2))
+    w = np.abs(frequencies(n))
     power = np.abs(coeffs) ** 2
     return float(np.sum(w * power) / np.sum(power))
 
@@ -216,7 +221,7 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     filtered = convolve(sig, bank.filters[args.scale])
     mod = modulus(filtered)
     low = gaussian_output_lowpass(bank.j_max, sig.n)
-    smoothed = convolve(mod, low.spectrum)
+    smoothed = convolve(mod, low)
     before = _abs_centroid(dft(filtered).coeffs, sig.n)
     after = _abs_centroid(dft(mod).coeffs, sig.n)
 
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     bank_sub = bank.add_subparsers(dest="action", required=True)
     check = bank_sub.add_parser("check", parents=[bank_out], help="run the certification checks")
     check.add_argument("--tol", type=float, default=1e-9, help="allowed excess of the LP sums")
-    check.set_defaults(handler=cmd_bank_check)
+    check.set_defaults(handler=cmd_bank_check, parser=check)
 
     scat = sub.add_parser("scatter", help="scattering transforms")
     scat_sub = scat.add_subparsers(dest="action", required=True)
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="relative energy floor for pruning")
     run.add_argument("--lowpass", choices=("auto", "gaussian", "tight"), default="auto",
                      help="output smoothing filter")
-    run.set_defaults(handler=cmd_scatter_run)
+    run.set_defaults(handler=cmd_scatter_run, parser=run)
 
     decay = sub.add_parser("decay", help="decay-bound operations")
     decay_sub = decay.add_subparsers(dest="action", required=True)
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input")
     verify.add_argument("--tol", type=float, default=1e-8, help="allowed excess over the bound")
     verify.add_argument("--signal", help="real band-limited input (default: synthesized)")
-    verify.set_defaults(handler=cmd_decay_verify)
+    verify.set_defaults(handler=cmd_decay_verify, parser=verify)
 
     stat = sub.add_parser("stationary", help="stationary-model operations")
     stat_sub = stat.add_subparsers(dest="action", required=True)
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--seed", type=int, default=0, help="RNG seed of the trials")
     srun.add_argument("--model", help="stationary model (JSON)")
     srun.add_argument("--trials", type=int, default=200, help="Monte Carlo trials")
-    srun.set_defaults(handler=cmd_stationary_run)
+    srun.set_defaults(handler=cmd_stationary_run, parser=srun)
 
     demo = sub.add_parser("demo", help="illustrations")
     demo_sub = demo.add_subparsers(dest="action", required=True)
@@ -301,14 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     shift.add_argument("--signal", help="input signal (default: built-in chirp)")
     shift.add_argument("--out", help="output directory")
     shift.add_argument("--scale", type=int, default=0, help="octave of the analyzing filter")
-    shift.set_defaults(handler=cmd_demo_modulus_shift)
+    shift.set_defaults(handler=cmd_demo_modulus_shift, parser=shift)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        # the subcommand's parser reports it, so the usage line lists the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(args)
     except BudgetExceededError as exc:

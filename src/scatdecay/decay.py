@@ -46,7 +46,7 @@ from .filterbank import (
     estimate_vanishing_order,
 )
 from .scattering import _check_budget, layer_energy_profile
-from .signals import Signal, dft, frequencies
+from .signals import Signal, convolve, dft, frequencies, modulus
 
 __all__ = [
     "FreqFunctional",
@@ -168,8 +168,6 @@ class InitLowpass:
     that table after the M-rescale and is exactly zero outside.
     """
 
-    j_max: int
-    n: int
     m_scale: float
     alpha_tilde: float
     curvature_sup: float
@@ -253,7 +251,7 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
     if not order.passed:
         raise VanishingOrderError(
             "cannot build the initial window: near-zero decay order "
-            f"{order.epsilon_hat:.4f} is below {order.threshold}"
+            f"{order.details['epsilon_hat']:.4f} is below {order.details['threshold']}"
         )
     u, phi0, alpha_tilde = _raised_cosine_window()
 
@@ -269,8 +267,6 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
 
     m_scale = math.sqrt(curvature_sup / alpha_tilde) * (1.0 + 1e-6)
     init = InitLowpass(
-        j_max=bank.j_max,
-        n=bank.n,
         m_scale=m_scale,
         alpha_tilde=alpha_tilde,
         curvature_sup=curvature_sup,
@@ -414,7 +410,8 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
     order = estimate_vanishing_order(bank.mother)
     if not order.passed:
         raise VanishingOrderError(
-            f"near-zero decay order {order.epsilon_hat:.4f} below {order.threshold}"
+            f"near-zero decay order {order.details['epsilon_hat']:.4f} "
+            f"below {order.details['threshold']}"
         )
 
     x = _octave_samples(bank)
@@ -446,7 +443,7 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
 
     margins = {
         "littlewood_paley": lp.margin,
-        "vanishing_order_epsilon": order.epsilon_hat,
+        "vanishing_order_epsilon": order.details["epsilon_hat"],
         "octave_gap": big_c - c * c,
         "x_condition": x_margin,
     }
@@ -497,10 +494,8 @@ def lemma1_check(
         raise ValueError("width x must be positive")
     w = frequencies(f.n)
     f_hat = dft(f).coeffs
-    psi = bank.filters[j].coeffs
-    filtered = f_hat * psi
-    u = np.abs(np.fft.ifft(np.fft.ifftshift(filtered)) * f.n)
-    u_hat = np.fft.fftshift(np.fft.fft(u)) / f.n
+    filtered = f_hat * bank.filters[j].coeffs
+    u_hat = dft(modulus(convolve(f, bank.filters[j]))).coeffs
     smoothed = u_hat * np.exp(-((w / x) ** 2))
     lhs = float(np.sum(np.abs(smoothed) ** 2))
     rhs = float(np.sum(np.abs(filtered) ** 2 * _chi_sq(w - delta, x)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "MotherWavelet",
     "FilterBank",
     "ConditionReport",
-    "VanishingOrderReport",
     "MOTHERS",
     "morlet_mother",
     "morlet_first_order_mother",
@@ -154,16 +153,6 @@ def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet
     return MotherWavelet("even_morlet", {"center": center, "width": width}, hat)
 
 
-def shannon_mother() -> MotherWavelet:
-    """Indicator of the octave (1, 2], scaled so the octave sums are 1."""
-    amp = math.sqrt(2.0)
-
-    def hat(w):
-        return amp * ((w > 1.0) & (w <= 2.0))
-
-    return MotherWavelet("shannon", {}, hat, zero_near_origin=True)
-
-
 def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> MotherWavelet:
     """Indicator of the half-open band (lo, hi] at a fixed amplitude.
 
@@ -187,6 +176,11 @@ def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> 
     return MotherWavelet(
         "bandpass", {"lo": lo, "hi": hi, "amplitude": amplitude}, hat, zero_near_origin=True
     )
+
+
+def shannon_mother() -> MotherWavelet:
+    """Indicator of the octave (1, 2], scaled so the octave sums are 1."""
+    return replace(bandpass_mother(1.0, 2.0), name="shannon", params={})
 
 
 MOTHERS: Mapping[str, Callable[..., MotherWavelet]] = {
@@ -308,18 +302,11 @@ def _validated_band(
     ok = np.abs(ideal - kept) <= _COVERAGE_TOL
     if not np.any(ok):
         return None
-    # widest contiguous run of covered integers; first one wins a tie
-    best, start = None, None
-    for i, flag in enumerate(ok):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if best is None or i - start > best[1] - best[0]:
-                best = (start, i)
-            start = None
-    if start is not None and (best is None or ok.size - start > best[1] - best[0]):
-        best = (start, ok.size)
-    return int(omegas[best[0]]), int(omegas[best[1] - 1])
+    # widest contiguous run of covered integers; argmax takes the first of a tie
+    edges = np.diff(np.concatenate(([0], ok.astype(np.int8), [0])))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    k = int(np.argmax(stops - starts))
+    return int(omegas[starts[k]]), int(omegas[stops[k] - 1])
 
 
 def build_bank(
@@ -360,14 +347,7 @@ class ConditionReport:
     details: dict
 
     def to_payload(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "margin": self.margin,
-            "witness_freq": self.witness_freq,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def check_littlewood_paley(bank: FilterBank, tol: float = 1e-9) -> ConditionReport:
@@ -377,10 +357,9 @@ def check_littlewood_paley(bank: FilterBank, tol: float = 1e-9) -> ConditionRepo
     1 - max(sum), so a tight bank reports exactly 0.0.
     """
     omegas = np.arange(0, bank.n // 2 + 1, dtype=np.float64)
-    total = np.zeros_like(omegas)
-    for j in bank.scales:
-        x = np.ldexp(omegas, j)
-        total += 0.5 * (bank.mother(x) ** 2 + bank.mother(-x) ** 2)
+    x = np.ldexp(omegas, np.array(bank.scales)[:, None])  # row j holds 2^j * w
+    # rows add in ascending j: the grid always has two or more columns
+    total = np.sum(0.5 * (bank.mother(x) ** 2 + bank.mother(-x) ** 2), axis=0)
     worst = int(np.argmax(total))
     margin = 1.0 - float(total[worst])
     return ConditionReport(
@@ -409,13 +388,9 @@ def check_asymmetry(bank: FilterBank) -> ConditionReport:
     else:
         lo, hi = 1, bank.n // 2 - 1
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
-    gaps = np.full((len(bank.scales), omegas.size), -np.inf)
-    worst_violation = 0.0
-    for row, j in enumerate(bank.scales):
-        x = np.ldexp(omegas, j)
-        gap = np.abs(bank.mother(x)) - np.abs(bank.mother(-x))
-        gaps[row] = gap
-        worst_violation = min(worst_violation, float(gap.min()))
+    x = np.ldexp(omegas, np.array(bank.scales)[:, None])
+    gaps = np.abs(bank.mother(x)) - np.abs(bank.mother(-x))
+    worst_violation = min(0.0, float(gaps.min()))
     best = gaps.max(axis=0)
     idx = int(np.argmin(best))
     per_octave_ok = worst_violation >= -_ASYMMETRY_TOL
@@ -433,74 +408,50 @@ def check_asymmetry(bank: FilterBank) -> ConditionReport:
     )
 
 
-@dataclass(frozen=True)
-class VanishingOrderReport:
-    slope: float
-    epsilon_hat: float
-    passed: bool
-    threshold: float
-    residual: float
-    identically_zero: bool
-
-    def as_condition_report(self) -> ConditionReport:
-        margin = math.inf if self.identically_zero else self.epsilon_hat - self.threshold
-        return ConditionReport(
-            condition="vanishing_order",
-            passed=self.passed,
-            margin=margin,
-            witness_freq=None,
-            tolerance=0.0,
-            details={
-                "slope": self.slope,
-                "epsilon_hat": self.epsilon_hat,
-                "threshold": self.threshold,
-                "fit_window": list(_ORDER_WINDOW),
-                "n_points": _ORDER_POINTS,
-                "residual": self.residual,
-                "identically_zero": self.identically_zero,
-            },
-        )
-
-
-def estimate_vanishing_order(mother: MotherWavelet) -> VanishingOrderReport:
+def estimate_vanishing_order(mother: MotherWavelet) -> ConditionReport:
     """Fit the decay order of |psi_hat| near zero.
 
     A least-squares line through (log w, log |psi_hat(w)|) on ``_ORDER_POINTS``
     geometric points of ``_ORDER_WINDOW`` estimates |psi_hat(w)| ~ w^(1 + eps);
     it passes when eps >= ``_ORDER_THRESHOLD``, or when the profile vanishes
     identically on the window (indicator-type mothers, flagged at construction).
+    The report's margin is eps - ``_ORDER_THRESHOLD`` (inf for a profile zero on
+    the window), and its ``details`` hold the fit.
     """
     x = np.geomspace(*_ORDER_WINDOW, _ORDER_POINTS)
     vals = np.abs(mother(x))
-    if mother.zero_near_origin or not np.any(vals > 0.0):
+    zero = mother.zero_near_origin or not np.any(vals > 0.0)
+    if zero:
         if np.any(vals > 0.0):
             raise ValueError(
                 f"mother {mother.name!r} is flagged zero near the origin "
                 "but has mass on the fit window"
             )
-        return VanishingOrderReport(
-            slope=math.inf,
-            epsilon_hat=math.inf,
-            passed=True,
-            threshold=_ORDER_THRESHOLD,
-            residual=0.0,
-            identically_zero=True,
-        )
-    if np.any(vals == 0.0):
-        raise ValueError("profile vanishes at isolated fit points; cannot fit order")
-    design = np.column_stack([np.log(x), np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, np.log(vals), rcond=None)
-    slope = float(coef[0])
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((np.log(vals) - fitted) ** 2)))
+        slope, residual = math.inf, 0.0
+    else:
+        if np.any(vals == 0.0):
+            raise ValueError("profile vanishes at isolated fit points; cannot fit order")
+        design = np.column_stack([np.log(x), np.ones_like(x)])
+        coef, *_ = np.linalg.lstsq(design, np.log(vals), rcond=None)
+        slope = float(coef[0])
+        fitted = design @ coef
+        residual = float(np.sqrt(np.mean((np.log(vals) - fitted) ** 2)))
     eps = slope - 1.0
-    return VanishingOrderReport(
-        slope=slope,
-        epsilon_hat=eps,
+    return ConditionReport(
+        condition="vanishing_order",
         passed=eps >= _ORDER_THRESHOLD,
-        threshold=_ORDER_THRESHOLD,
-        residual=residual,
-        identically_zero=False,
+        margin=math.inf if zero else eps - _ORDER_THRESHOLD,
+        witness_freq=None,
+        tolerance=0.0,
+        details={
+            "slope": slope,
+            "epsilon_hat": eps,
+            "threshold": _ORDER_THRESHOLD,
+            "fit_window": list(_ORDER_WINDOW),
+            "n_points": _ORDER_POINTS,
+            "residual": residual,
+            "identically_zero": zero,
+        },
     )
 
 

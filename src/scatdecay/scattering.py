@@ -39,7 +39,6 @@ __all__ = [
     "Path",
     "MAX_DEPTH",
     "MAX_BREADTH",
-    "LowPass",
     "ScatteringResult",
     "BalanceReport",
     "scatter",
@@ -61,14 +60,6 @@ _PARTITION_TOL = 1e-9  # largest partition defect of a pair energy_balance takes
 # inverse transforms stay near 512 KB each, inside a core's L2 cache, where
 # a larger chunk would stream every pass through main memory
 _CHUNK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class LowPass:
-    """Output smoothing filter phi_hat with its nominal scale."""
-
-    spectrum: Spectrum
-    scale: int
 
 
 def _check_budget(n_max: int, breadth: int) -> None:
@@ -157,7 +148,7 @@ class ScatteringResult:
     """
 
     bank: FilterBank
-    lowpass: LowPass
+    lowpass: Spectrum
     n_max: int
     prune_eps: float
     u: Mapping[Path, Signal]
@@ -171,7 +162,7 @@ class ScatteringResult:
 def scatter(
     f: Signal,
     bank: FilterBank,
-    lowpass: LowPass,
+    lowpass: Spectrum,
     n_max: int,
     prune_eps: float = 0.0,
 ) -> ScatteringResult:
@@ -181,7 +172,7 @@ def scatter(
     ----------
     f : input signal on the bank's grid.
     bank : analytic filter bank.
-    lowpass : output smoothing filter.
+    lowpass : output smoothing filter phi_hat on the bank's centered grid.
     n_max : tree depth; capped by the safety budget.
     prune_eps : relative energy floor.  A node whose energy falls below
         prune_eps * ||f||^2 is dropped after being counted; zero keeps
@@ -191,11 +182,11 @@ def scatter(
     _check_budget(n_max, breadth)
     if prune_eps < 0:
         raise ValueError("prune_eps must be nonnegative")
-    if f.n != bank.n or f.n != lowpass.spectrum.n:
+    if f.n != bank.n or f.n != lowpass.n:
         raise ValueError("signal, bank and lowpass must share one grid")
 
     filts = _filter_rows(bank)
-    phi = _unshifted(lowpass.spectrum)
+    phi = _unshifted(lowpass)
     scales = list(bank.scales)
     threshold = prune_eps * energy(f)
 
@@ -322,10 +313,10 @@ class BalanceReport:
     relative_residual: float
 
 
-def _partition_defect(bank: FilterBank, lowpass: LowPass) -> float:
-    w = np.abs(lowpass.spectrum.coeffs) ** 2
-    for j in bank.scales:
-        w = w + np.abs(bank.filters[j].coeffs) ** 2
+def _partition_defect(bank: FilterBank, lowpass: Spectrum) -> float:
+    # the low-pass row first, then the octaves in ascending j; N >= 2 columns add in row order
+    rows = np.stack([lowpass.coeffs] + [bank.filters[j].coeffs for j in bank.scales])
+    w = np.sum(np.abs(rows) ** 2, axis=0)
     sym = 0.5 * (w + w[reflection_index(bank.n)])
     return float(np.max(np.abs(sym - 1.0)))
 
@@ -374,18 +365,19 @@ def shannon_tight_pair(j_max: int = 0, n: int = 256, j_min: int | None = None):
     The low-pass passes |w| <= 2^-j_max and also claims the unpaired bin
     at -N/2, which belongs to no octave on the grid; with that bin closed
     the symmetrized profiles partition frequency exactly and the energy
-    balance holds to machine precision for real signals.
+    balance holds to machine precision for real signals.  Returns the bank
+    and the low-pass as a ``Spectrum`` on its grid.
     """
     bank = build_bank(shannon_mother(), j_max, n, j_min=j_min)
     w = frequencies(n)
     phi = (np.abs(w) <= 2.0**-j_max).astype(np.complex128)
     phi[w == -(n // 2)] = 1.0
-    return bank, LowPass(Spectrum(phi), j_max)
+    return bank, Spectrum(phi)
 
 
-def gaussian_output_lowpass(j_max: int, n: int) -> LowPass:
-    """Gaussian readout exp(-(2^j_max * w)^2) at the bank's coarsest scale."""
-    return LowPass(gaussian_lowpass(2.0**-j_max, n), j_max)
+def gaussian_output_lowpass(j_max: int, n: int) -> Spectrum:
+    """Gaussian readout exp(-(2^j_max * w)^2) on the length-n grid, at the coarsest octave j_max."""
+    return gaussian_lowpass(2.0**-j_max, n)
 
 
 def _path_label(path: Path) -> str:

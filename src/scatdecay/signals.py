@@ -113,14 +113,24 @@ def idft(spectrum: Spectrum, real: bool = False) -> Signal:
     conjugate-symmetric; the round-off imaginary part is dropped so the
     result carries an exact zero imaginary part.
     """
-    samples = np.fft.ifft(np.fft.ifftshift(spectrum.coeffs)) * spectrum.n
+    return Signal(_inverse_rows(spectrum.coeffs, real), real=real)
+
+
+def _inverse_rows(coeffs: np.ndarray, real: bool) -> np.ndarray:
+    """``idft`` along the last axis: the samples of each row of centered coefficients.
+
+    With ``real``, a row whose imaginary part exceeds 1e-9 of its largest real
+    sample (or of 1) is refused; otherwise the real parts are returned.
+    """
+    n = coeffs.shape[-1]
+    samples = np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1), axis=-1) * n
     if real:
-        resid = np.max(np.abs(samples.imag))
-        scale = max(np.max(np.abs(samples.real)), 1.0)
-        if resid > 1e-9 * scale:
+        resid = np.max(np.abs(samples.imag), axis=-1)
+        scale = np.maximum(np.max(np.abs(samples.real), axis=-1), 1.0)
+        if np.any(resid > 1e-9 * scale):
             raise ValueError("coefficients are not conjugate-symmetric")
         samples = samples.real
-    return Signal(samples, real=real)
+    return samples
 
 
 def convolve(signal: Signal, filt: Spectrum) -> Signal:

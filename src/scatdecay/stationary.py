@@ -39,7 +39,7 @@ import numpy as np
 from .decay import DecayConstants, _layer_loss
 from .filterbank import FilterBank
 from .scattering import _Workspace, _check_budget, _filter_rows, _row_profiles
-from .signals import Signal, Spectrum, frequencies, gaussian_lowpass, idft
+from .signals import Signal, Spectrum, _inverse_rows, dft, frequencies, gaussian_lowpass, idft
 
 __all__ = [
     "StationaryModel",
@@ -131,8 +131,7 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
             raise ValueError(f"rho must be in [0, 1), got {rho}")
         k = np.arange(n, dtype=np.float64)
         autocov = sigma**2 * (rho**k + rho ** (n - k)) / (1.0 + rho**n)
-        spec = np.fft.fftshift(np.fft.fft(autocov)) / n
-        density = spec.real
+        density = dft(Signal(autocov, real=True)).coeffs.real
     elif kind == "filtered_noise":
         spec = params.get("filter")
         if not isinstance(spec, dict) or "name" not in spec:
@@ -166,12 +165,7 @@ def _simulate_rows(model: StationaryModel, children) -> np.ndarray:
     coeffs[:, zero] = root[zero] * draws[:, -2]
     coeffs[:, nyquist] = root[nyquist] * draws[:, -1]
     coeffs[:, 1:zero] = np.conj(coeffs[:, : zero : -1])  # negative bins, skip -N/2
-    samples = np.fft.ifft(np.fft.ifftshift(coeffs, axes=1), axis=1) * n
-    resid = np.max(np.abs(samples.imag), axis=1)
-    scale = np.maximum(np.max(np.abs(samples.real), axis=1), 1.0)
-    if np.any(resid > 1e-9 * scale):
-        raise ValueError("coefficients are not conjugate-symmetric")
-    return samples.real + model.mean
+    return _inverse_rows(coeffs, real=True) + model.mean
 
 
 def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:

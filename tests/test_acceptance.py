@@ -106,7 +106,7 @@ def test_criterion_2_condition_checker_pattern(announce):
         got[name] = (
             check_littlewood_paley(bank).passed,
             check_asymmetry(bank).passed,
-            estimate_vanishing_order(mother).as_condition_report().passed,
+            estimate_vanishing_order(mother).passed,
         )
     ok = got == expected
     mism = [k for k in expected if got[k] != expected[k]]

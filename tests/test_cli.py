@@ -147,6 +147,7 @@ def test_scatter_run_over_budget_exits_three(shannon_bank_file, signal_file, tmp
     )
     assert code == 3
     assert "depth" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # refused before --out is made
 
 
 def test_scatter_tight_lowpass_needs_shannon(morlet_bank_file, signal_file, tmp_path, capsys):
@@ -276,7 +277,10 @@ def test_unread_flags_are_rejected(words, capsys):
     with pytest.raises(SystemExit) as exc:
         main(words)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    # reported by the subcommand's parser, whose usage line lists the flags it takes
+    assert err.startswith(f"usage: scatdecay {words[0]} {words[1]} ")
 
 
 def test_stationary_grid_mismatch_is_parse_error(shannon_bank_file, tmp_path, capsys):

@@ -456,6 +456,37 @@ def test_lemma1_tone_equality_at_matched_center(shannon_bank):
     assert off.margin > 0.1
 
 
+# lemma1_check's sides and margin at N=256, pinned by repr: (octave, x,
+# delta) -> (lhs, rhs, margin) on band_limited_signal(seed 17) over the
+# bank's validated band
+PINNED_LEMMA1 = {
+    "shannon": (shannon_mother, {
+        (-2, 2.0, 0.5): ("7.082274408158142", "0.0001434249479033249", "7.082130983210239"),
+        (-2, 5.0, -3.0): ("7.6605212893024195", "0.026867976044616278", "7.6336533132578035"),
+        (-4, 2.0, 0.5): ("35.56998267657495", "5.4905493087465655e-59", "35.56998267657495"),
+        (-4, 5.0, -3.0): ("37.10681093491006", "9.235580067060787e-14", "37.106810934909966"),
+    }),
+    "morlet": (morlet_mother, {
+        (-1, 2.0, 0.5): ("3.3324114533379214", "0.002712758840384856", "3.3296986944975364"),
+        (-1, 5.0, -3.0): ("3.5693148121779084", "0.009816600783293227", "3.559498211394615"),
+        (-3, 2.0, 0.5): ("14.430276549878672", "2.896362558157071e-06", "14.430273653516114"),
+        (-3, 5.0, -3.0): ("14.905503199059032", "0.0002710069558087639", "14.905232192103224"),
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LEMMA1))
+def test_lemma1_bits_are_pinned(case):
+    make, expected = PINNED_LEMMA1[case]
+    bank = build_bank(make(), 0, 256)
+    f = band_limited_signal(256, bank.validated_band, np.random.default_rng(17))
+    got = {}
+    for j, x, delta in expected:
+        report = lemma1_check(f, j, x, delta, bank)
+        got[(j, x, delta)] = (repr(report.lhs), repr(report.rhs), repr(report.margin))
+    assert got == expected
+
+
 def test_lemma1_input_validation(shannon_bank):
     tone = complex_tone(256, 5)
     with pytest.raises(ValueError):

@@ -169,16 +169,17 @@ def test_balance_rejects_leaky_pair():
 
 def test_partition_defect_of_tight_pair():
     bank, low = shannon_tight_pair(0, 256)
-    w = np.abs(low.spectrum.coeffs) ** 2
+    w = np.abs(low.coeffs) ** 2
     for j in bank.scales:
         w = w + np.abs(bank.filters[j].coeffs) ** 2
     sym = 0.5 * (w + w[reflection_index(256)])
     assert np.max(np.abs(sym - 1.0)) <= 4e-16
+    assert scattering._partition_defect(bank, low) == np.max(np.abs(sym - 1.0))
 
 
 def test_tight_pair_lowpass_profile():
     _, low = shannon_tight_pair(0, 64)
-    coeffs = low.spectrum.coeffs
+    coeffs = low.coeffs
     w = frequencies(64)
     assert coeffs[w == 0] == 1.0
     assert coeffs[w == 1] == 1.0 and coeffs[w == -1] == 1.0

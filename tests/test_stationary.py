@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -42,6 +43,14 @@ def test_ar1_autocovariance_matches_formula():
     # density peaks at zero frequency for positive correlation
     w = frequencies(n)
     assert np.argmax(model.density) == int(np.flatnonzero(w == 0)[0])
+
+
+def test_ar1_density_bits_are_pinned():
+    density = make_model("ar1", 128, rho=0.6, sigma=0.8).density
+    assert density.dtype == np.float64 and density.shape == (128,)
+    assert hashlib.sha256(density.tobytes()).hexdigest() == (
+        "c375c49db12db5817d320661cd9cbc9ad4b4113af1ce6009797c7995e47a01aa"
+    )
 
 
 def test_ar1_zero_correlation_has_unit_sample_variance():
