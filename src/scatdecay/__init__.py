@@ -14,158 +14,16 @@ Everything operates on power-of-two grids over one period with the
 centered, unitary-in-energy transform conventions of :mod:`scatdecay.signals`.
 """
 
-from .decay import (
-    DecayConstants,
-    DecayRow,
-    InitLowpass,
-    compute_F1,
-    compute_F2,
-    compute_S,
-    compute_constants,
-    initialize_lowpass,
-    initialize_x,
-    lemma1_check,
-    lemma2_envelope_check,
-    verify_decay,
-)
-from .errors import (
-    BankConditionError,
-    BudgetExceededError,
-    CoverageHoleError,
-    DegenerateOctaveError,
-    NonTightBankError,
-    ScatdecayError,
-    VanishingOrderError,
-    WeakAsymmetryError,
-)
-from .filterbank import (
-    ConditionReport,
-    FilterBank,
-    MotherWavelet,
-    bandpass_mother,
-    build_bank,
-    check_asymmetry,
-    check_littlewood_paley,
-    estimate_vanishing_order,
-    even_morlet_mother,
-    load_bank,
-    make_mother,
-    morlet_first_order_mother,
-    morlet_mother,
-    save_bank,
-    shannon_mother,
-)
-from .scattering import (
-    BalanceReport,
-    Path,
-    ScatteringResult,
-    energy_balance,
-    export_result,
-    gaussian_output_lowpass,
-    layer_energy_profile,
-    scatter,
-    shannon_tight_pair,
-)
-from .signals import (
-    Signal,
-    Spectrum,
-    band_limited_signal,
-    complex_tone,
-    convolve,
-    dft,
-    dirac,
-    energy,
-    frequencies,
-    gaussian_lowpass,
-    idft,
-    modulus,
-    read_signal,
-    reflection_index,
-    shift,
-    write_signal,
-)
-from .stationary import (
-    MCEstimate,
-    StationaryModel,
-    expected_filter_energy,
-    load_model,
-    make_model,
-    mc_layer_energy,
-    save_model,
-    simulate,
-    stationary_bound,
-)
+from . import decay, errors, filterbank, scattering, signals, stationary
+from .decay import *
+from .errors import *
+from .filterbank import *
+from .scattering import *
+from .signals import *
+from .stationary import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceReport",
-    "BankConditionError",
-    "BudgetExceededError",
-    "ConditionReport",
-    "CoverageHoleError",
-    "DecayConstants",
-    "DecayRow",
-    "DegenerateOctaveError",
-    "FilterBank",
-    "InitLowpass",
-    "MCEstimate",
-    "MotherWavelet",
-    "NonTightBankError",
-    "Path",
-    "ScatdecayError",
-    "ScatteringResult",
-    "Signal",
-    "Spectrum",
-    "StationaryModel",
-    "VanishingOrderError",
-    "WeakAsymmetryError",
-    "band_limited_signal",
-    "bandpass_mother",
-    "build_bank",
-    "check_asymmetry",
-    "check_littlewood_paley",
-    "complex_tone",
-    "compute_F1",
-    "compute_F2",
-    "compute_S",
-    "compute_constants",
-    "convolve",
-    "dft",
-    "dirac",
-    "energy",
-    "energy_balance",
-    "estimate_vanishing_order",
-    "even_morlet_mother",
-    "expected_filter_energy",
-    "export_result",
-    "frequencies",
-    "gaussian_lowpass",
-    "gaussian_output_lowpass",
-    "idft",
-    "initialize_lowpass",
-    "initialize_x",
-    "layer_energy_profile",
-    "lemma1_check",
-    "lemma2_envelope_check",
-    "load_bank",
-    "load_model",
-    "make_model",
-    "make_mother",
-    "mc_layer_energy",
-    "modulus",
-    "morlet_first_order_mother",
-    "morlet_mother",
-    "read_signal",
-    "reflection_index",
-    "save_bank",
-    "save_model",
-    "scatter",
-    "shannon_mother",
-    "shannon_tight_pair",
-    "shift",
-    "simulate",
-    "stationary_bound",
-    "verify_decay",
-    "write_signal",
-]
+# each module's ``__all__`` is its public API; the package re-exports all of them
+__all__ = (decay.__all__ + errors.__all__ + filterbank.__all__ + scattering.__all__
+           + signals.__all__ + stationary.__all__)

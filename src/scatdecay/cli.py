@@ -29,14 +29,15 @@ from .decay import _check_verify_request, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
-    _check_budget,
+    _PARTITION_TOL,
+    _partition_defect,
+    _tight_lowpass,
     export_result,
     gaussian_output_lowpass,
     scatter,
-    shannon_tight_pair,
 )
 from .signals import (
-    Signal, Spectrum, band_limited_signal, convolve, dft, energy, frequencies, modulus,
+    Signal, Spectrum, _write_json, band_limited_signal, convolve, dft, energy, frequencies, modulus,
     read_signal, write_signal,
 )
 from .stationary import (
@@ -61,16 +62,11 @@ def _jsonable(value):
     return value
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _ensure_out(args: argparse.Namespace) -> str:
+def _require_out(args: argparse.Namespace) -> str:
+    # checked before any work; the directory itself is made only once every
+    # refusal has passed, right before the first file is written
     if not args.out:
         raise ValueError("an output directory is required (--out)")
-    os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
@@ -81,28 +77,29 @@ def _load_bank(args: argparse.Namespace) -> FilterBank:
 
 
 def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
-    if kind == "auto":
-        kind = "tight" if bank.mother.name == "shannon" else "gaussian"
-    if kind == "tight":
-        if bank.mother.name != "shannon":
-            raise ValueError("the tight pair is only defined for the shannon bank")
-        _, low = shannon_tight_pair(bank.j_max, bank.n, j_min=bank.j_min)
-        return low
+    # tight when the indicator low-pass closes the bank's partition of frequency,
+    # as it does for the shannon profile with every bin covered
     if kind == "gaussian":
         return gaussian_output_lowpass(bank.j_max, bank.n)
-    raise ValueError(f"unknown lowpass choice {kind!r}")
+    low = _tight_lowpass(bank.j_max, bank.n)
+    if _partition_defect(bank, low) <= _PARTITION_TOL:
+        return low
+    if kind == "tight":
+        raise ValueError("the tight pair is only defined for the shannon bank")
+    return gaussian_output_lowpass(bank.j_max, bank.n)
 
 
 def cmd_bank_check(args: argparse.Namespace) -> int:
     bank = _load_bank(args)
-    out = _ensure_out(args)
+    out = _require_out(args)
     reports = [
         check_littlewood_paley(bank, tol=args.tol),
         check_asymmetry(bank),
         estimate_vanishing_order(bank.mother),
     ]
+    os.makedirs(out, exist_ok=True)
     for report in reports:
-        _write_json(os.path.join(out, f"check_{report.condition}.json"), report.to_payload())
+        _write_json(os.path.join(out, f"check_{report.condition}.json"), _jsonable(report.to_payload()))
         verdict = "PASS" if report.passed else "FAIL"
         where = "" if report.witness_freq is None else f" at w={report.witness_freq:g}"
         print(f"{report.condition}: {verdict} (margin={report.margin:.6g}{where})")
@@ -116,11 +113,9 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
     if not args.signal:
         raise ValueError("a signal file is required (--signal)")
     sig = read_signal(args.signal)
-    # an over-budget tree is refused before --out is made, as in decay verify and stationary run
-    _check_budget(args.depth, len(bank.filters))
-    out = _ensure_out(args)
-    low = _output_lowpass(bank, args.lowpass)
-    result = scatter(sig, bank, low, args.depth, prune_eps=args.prune_eps)
+    out = _require_out(args)
+    result = scatter(sig, bank, _output_lowpass(bank, args.lowpass), args.depth,
+                     prune_eps=args.prune_eps)
     export_result(result, out)
     kept = len(result.s)
     print(
@@ -134,14 +129,15 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
     bank = _load_bank(args)
     # a bad or over-budget depth is refused before the constants are computed or --out is made
     _check_verify_request(bank, args.depth)
-    out = _ensure_out(args)
+    out = _require_out(args)
     constants = compute_constants(bank)
     if args.signal:
         sig = read_signal(args.signal)
     else:
         sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
-    _write_json(os.path.join(out, "constants.json"), constants.to_payload())
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "constants.json"), _jsonable(constants.to_payload()))
     with open(os.path.join(out, "decay.csv"), "w") as fh:
         fh.write("n,empirical,bound,slack\n")
         for row in rows:
@@ -170,23 +166,22 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
     # the simulation or --out
     _check_mc_request(model, bank, args.depth, args.trials)
     _check_bound_layer(args.depth)
-    out = _ensure_out(args)
+    out = _require_out(args)
     constants = compute_constants(bank)
     est = mc_layer_energy(model, bank, args.depth, trials=args.trials, seed=args.seed)
     bound = stationary_bound(model, constants, args.depth)
     ok = est.estimate <= bound + 3.0 * est.stderr
-    _write_json(
-        os.path.join(out, "mc_report.json"),
-        {
-            "n": est.n,
-            "estimate": est.estimate,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "seed": est.seed,
-            "bound": bound,
-            "pass": ok,
-        },
-    )
+    report = {
+        "n": est.n,
+        "estimate": est.estimate,
+        "stderr": est.stderr,
+        "trials": est.trials,
+        "seed": est.seed,
+        "bound": bound,
+        "pass": ok,
+    }
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "mc_report.json"), _jsonable(report))
     print(
         f"layer {est.n}: estimate={est.estimate:.6g} (stderr {est.stderr:.3g}, "
         f"{est.trials} trials) bound={bound:.6g} [{'OK' if ok else 'VIOLATED'}]"
@@ -210,7 +205,7 @@ def _abs_centroid(coeffs: np.ndarray, n: int) -> float:
 def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     from .filterbank import build_bank, morlet_mother
 
-    out = _ensure_out(args)
+    out = _require_out(args)
     if args.signal:
         sig = read_signal(args.signal)
     else:
@@ -225,21 +220,20 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     before = _abs_centroid(dft(filtered).coeffs, sig.n)
     after = _abs_centroid(dft(mod).coeffs, sig.n)
 
+    os.makedirs(out, exist_ok=True)
     write_signal(os.path.join(out, "input.csv"), sig)
     write_signal(os.path.join(out, "filtered.csv"), filtered)
     write_signal(os.path.join(out, "modulus.csv"), mod)
     write_signal(os.path.join(out, "smoothed.csv"), smoothed)
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "scale": args.scale,
-            "centroid_filtered": before,
-            "centroid_modulus": after,
-            "energy_filtered": energy(filtered),
-            "energy_modulus": energy(mod),
-            "energy_smoothed": energy(smoothed),
-        },
-    )
+    summary = {
+        "scale": args.scale,
+        "centroid_filtered": before,
+        "centroid_modulus": after,
+        "energy_filtered": energy(filtered),
+        "energy_modulus": energy(mod),
+        "energy_smoothed": energy(smoothed),
+    }
+    _write_json(os.path.join(out, "summary.json"), _jsonable(summary))
     shifted = after < before
     print(
         f"|w|-centroid: filtered={before:.6g} modulus={after:.6g} "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -364,16 +364,9 @@ class DecayConstants:
     margins: dict
 
     def to_payload(self) -> dict:
-        return {
-            "c": self.c,
-            "C": self.C,
-            "delta": self.delta,
-            "a": self.a,
-            "x_init": self.x_init,
-            "r": self.r,
-            "validated_band": list(self.band),
-            "margins": self.margins,
-        }
+        payload = asdict(self)
+        payload["validated_band"] = list(payload.pop("band"))
+        return payload
 
 
 def _octave_samples(bank: FilterBank) -> np.ndarray:

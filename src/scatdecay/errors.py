@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ScatdecayError",
+    "BudgetExceededError",
+    "NonTightBankError",
+    "CoverageHoleError",
+    "DegenerateOctaveError",
+    "WeakAsymmetryError",
+    "VanishingOrderError",
+    "BankConditionError",
+]
+
 
 class ScatdecayError(Exception):
     """Base class for all package-specific errors."""

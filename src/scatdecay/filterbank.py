@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .signals import Spectrum, frequencies
+from .signals import Spectrum, _write_json, frequencies
 
 __all__ = [
     "X_WINDOW",
@@ -459,16 +459,17 @@ def estimate_vanishing_order(mother: MotherWavelet) -> ConditionReport:
 # Serialization.  A bank file records the recipe, not the samples.
 
 
-def save_bank(path: str | os.PathLike, bank: FilterBank) -> None:
-    payload = {
+def _recipe(bank: FilterBank) -> dict:
+    return {
         "mother": {"name": bank.mother.name, "params": bank.mother.params},
         "J": bank.j_max,
         "j_min": bank.j_min,
         "N": bank.n,
     }
-    with open(os.fspath(path), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+def save_bank(path: str | os.PathLike, bank: FilterBank) -> None:
+    _write_json(path, _recipe(bank))
 
 
 def load_bank(path: str | os.PathLike) -> FilterBank:

@@ -15,7 +15,6 @@ millions of nodes.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -24,10 +23,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, NonTightBankError
-from .filterbank import FilterBank, build_bank, shannon_mother
+from .filterbank import FilterBank, _recipe, build_bank, shannon_mother
 from .signals import (
     Signal,
     Spectrum,
+    _write_json,
     energy,
     frequencies,
     gaussian_lowpass,
@@ -359,6 +359,13 @@ def energy_balance(result: ScatteringResult, n: int) -> BalanceReport:
     )
 
 
+def _tight_lowpass(j_max: int, n: int) -> Spectrum:
+    w = frequencies(n)
+    phi = (np.abs(w) <= 2.0**-j_max).astype(np.complex128)
+    phi[w == -(n // 2)] = 1.0
+    return Spectrum(phi)
+
+
 def shannon_tight_pair(j_max: int = 0, n: int = 256, j_min: int | None = None):
     """Octave-indicator bank plus the low-pass that makes it unitary.
 
@@ -368,11 +375,7 @@ def shannon_tight_pair(j_max: int = 0, n: int = 256, j_min: int | None = None):
     balance holds to machine precision for real signals.  Returns the bank
     and the low-pass as a ``Spectrum`` on its grid.
     """
-    bank = build_bank(shannon_mother(), j_max, n, j_min=j_min)
-    w = frequencies(n)
-    phi = (np.abs(w) <= 2.0**-j_max).astype(np.complex128)
-    phi[w == -(n // 2)] = 1.0
-    return bank, Spectrum(phi)
+    return build_bank(shannon_mother(), j_max, n, j_min=j_min), _tight_lowpass(j_max, n)
 
 
 def gaussian_output_lowpass(j_max: int, n: int) -> Spectrum:
@@ -400,12 +403,7 @@ def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
         for depth in sorted(result.layer_energies):
             fh.write(f"{depth},{result.layer_energies[depth]!r}\n")
     manifest = {
-        "bank": {
-            "mother": {"name": result.bank.mother.name, "params": result.bank.mother.params},
-            "J": result.bank.j_max,
-            "j_min": result.bank.j_min,
-            "N": result.bank.n,
-        },
+        "bank": _recipe(result.bank),
         "n_max": result.n_max,
         "prune_eps": result.prune_eps,
         "signal_energy": result.layer_energies[0],
@@ -415,6 +413,4 @@ def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
         "pruned_paths": [list(p) for p in result.pruned_paths],
         "retained_paths": [list(p) for p in sorted(result.s)],
     }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)

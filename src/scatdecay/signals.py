@@ -12,6 +12,7 @@ is preserved exactly between the two domains.
 """
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 
@@ -230,6 +231,13 @@ def write_signal(path: str | os.PathLike, signal: Signal, fmt: str = "csv") -> N
             fh.write(f"N={signal.n};complex={0 if signal.real else 1}\n")
     else:
         raise ValueError(f"unknown signal format {fmt!r}")
+
+
+def _write_json(path: str | os.PathLike, payload: dict) -> None:
+    # the package's one JSON format: sorted keys, two-space indent, final newline
+    with open(os.fspath(path), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_meta(path: str) -> tuple[int, bool]:

@@ -39,7 +39,9 @@ import numpy as np
 from .decay import DecayConstants, _layer_loss
 from .filterbank import FilterBank
 from .scattering import _Workspace, _check_budget, _filter_rows, _row_profiles
-from .signals import Signal, Spectrum, _inverse_rows, dft, frequencies, gaussian_lowpass, idft
+from .signals import (
+    Signal, Spectrum, _inverse_rows, _write_json, dft, frequencies, gaussian_lowpass, idft,
+)
 
 __all__ = [
     "StationaryModel",
@@ -258,10 +260,7 @@ def stationary_bound(model: StationaryModel, constants: DecayConstants, n: int) 
 
 
 def save_model(path: str | os.PathLike, model: StationaryModel) -> None:
-    payload = {"kind": model.kind, "params": model.params, "N": model.n}
-    with open(os.fspath(path), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"kind": model.kind, "params": model.params, "N": model.n})
 
 
 def load_model(path: str | os.PathLike) -> StationaryModel:

@@ -15,6 +15,7 @@ from scatdecay.filterbank import (
     bandpass_mother,
     build_bank,
     even_morlet_mother,
+    morlet_first_order_mother,
     morlet_mother,
     save_bank,
     shannon_mother,
@@ -306,3 +307,77 @@ def test_demo_shifts_centroid_down_and_is_byte_stable(tmp_path, capsys):
     # the modulus is pointwise, so it cannot change the signal's energy
     assert summary["energy_modulus"] == pytest.approx(summary["energy_filtered"], rel=1e-15)
     assert "shifted down" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def refusal_files(tmp_path_factory, shannon_bank_file, morlet_bank_file, signal_file):
+    root = tmp_path_factory.mktemp("refusals")
+    even, first, white, short = (str(root / name) for name in
+                                 ("even.json", "first.json", "white.json", "short.csv"))
+    save_bank(even, build_bank(even_morlet_mother(), 0, 256))
+    save_bank(first, build_bank(morlet_first_order_mother(), 0, 256))
+    save_model(white, make_model("white", 256, sigma=1.0))
+    write_signal(short, band_limited_signal(128, (2, 50), np.random.default_rng(1)))
+    return dict(shannon=shannon_bank_file, morlet=morlet_bank_file, signal=signal_file,
+                even=even, first=first, white=white, short=short)
+
+
+_NO_DRIFT = ("first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
+             "analytic preference and the drift argument collapses")
+
+
+@pytest.mark.parametrize(
+    "words, code, message",
+    [
+        (["scatter", "run", "--bank", "{morlet}", "--signal", "{signal}", "--lowpass", "tight"],
+         2, "the tight pair is only defined for the shannon bank"),
+        (["scatter", "run", "--bank", "{shannon}", "--signal", "{short}"],
+         2, "signal, bank and lowpass must share one grid"),
+        (["decay", "verify", "--bank", "{even}"], 1, _NO_DRIFT),
+        (["decay", "verify", "--bank", "{first}"], 1, "near-zero decay order 0.0181 below 0.05"),
+        (["stationary", "run", "--bank", "{even}", "--model", "{white}"], 1, _NO_DRIFT),
+        (["stationary", "run", "--bank", "{first}", "--model", "{white}"],
+         1, "near-zero decay order 0.0181 below 0.05"),
+        (["decay", "verify", "--bank", "{shannon}", "--signal", "{short}"],
+         2, "signal length 128 does not match bank grid 256"),
+        (["demo", "modulus-shift", "--scale", "5"], 2, "scale 5 outside bank range [-8, 0]"),
+    ],
+    ids=["tight-on-morlet", "scatter-grid", "verify-even", "verify-first-order",
+         "stationary-even", "stationary-first-order", "verify-signal-grid", "demo-scale"],
+)
+def test_refused_run_leaves_no_out(words, code, message, refusal_files, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [word.format(**refusal_files) for word in words] + ["--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()  # --out is made only once every refusal has passed
+
+
+def _scatter_files(bank_file, signal_file, out, lowpass):
+    assert main(["scatter", "run", "--bank", bank_file, "--signal", signal_file,
+                 "--out", str(out), "--depth", "3", "--lowpass", lowpass]) == 0
+    # the manifest records the bank recipe, which names the mother
+    return {name: data for name, data in _tree_bytes(out).items() if name != "manifest.json"}
+
+
+def test_scatter_octave_bandpass_bank_gets_the_tight_pair(shannon_bank_file, signal_file, tmp_path):
+    # bandpass(1, 2) is the shannon profile under another name, so it partitions frequency too
+    bank_path = tmp_path / "bandpass12.json"
+    save_bank(bank_path, build_bank(bandpass_mother(1.0, 2.0), 0, 256))
+    shannon = _scatter_files(shannon_bank_file, signal_file, tmp_path / "shannon", "tight")
+    for lowpass in ("tight", "auto"):
+        assert _scatter_files(str(bank_path), signal_file, tmp_path / lowpass, lowpass) == shannon
+
+
+def test_scatter_shannon_with_uncovered_bins_is_not_tight(signal_file, tmp_path, capsys):
+    # octaves -5..0 cover 1 < |w| <= 64, so bins 65..127 belong to no filter
+    bank_path = tmp_path / "shannon-coarse.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 256, j_min=-5))
+    auto = _scatter_files(str(bank_path), signal_file, tmp_path / "auto", "auto")
+    assert auto == _scatter_files(str(bank_path), signal_file, tmp_path / "gaussian", "gaussian")
+    out = tmp_path / "tight"
+    code = main(["scatter", "run", "--bank", str(bank_path), "--signal", signal_file,
+                 "--out", str(out), "--lowpass", "tight"])
+    assert code == 2
+    assert "shannon" in capsys.readouterr().err
+    assert not out.exists()
