@@ -9,7 +9,7 @@ Exit codes are part of the contract:
     0   everything ran and every checked condition passed
     1   a condition failed or the bank cannot support the machinery
     2   unreadable or malformed input (files, flags, formats)
-    3   the requested tree exceeds the safety budget (scatter, decay, stationary)
+    3   the request's node arrays exceed the memory budget (scatter, decay, stationary)
 
 All outputs are byte-stable for identical inputs: floats are written in
 shortest round-trip form, JSON keys are sorted, and nothing records
@@ -25,28 +25,18 @@ import sys
 
 import numpy as np
 
-from .decay import _check_verify_request, compute_constants, verify_decay
+from .decay import _check_bound_layer, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
-    _PARTITION_TOL,
-    _partition_defect,
-    _tight_lowpass,
-    export_result,
-    gaussian_output_lowpass,
-    scatter,
+    _PARTITION_TOL, _check_profile, _partition_defect, _tight_lowpass, export_result,
+    gaussian_output_lowpass, scatter,
 )
 from .signals import (
     Signal, Spectrum, _write_json, band_limited_signal, convolve, dft, energy, frequencies, modulus,
     read_signal, write_signal,
 )
-from .stationary import (
-    _check_bound_layer,
-    _check_mc_request,
-    load_model,
-    mc_layer_energy,
-    stationary_bound,
-)
+from .stationary import _check_mc_request, load_model, mc_layer_energy, stationary_bound
 
 __all__ = ["main"]
 
@@ -127,13 +117,15 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
     bank = _load_bank(args)
-    # a bad or over-budget depth is refused before the constants are computed or --out is made
-    _check_verify_request(bank, args.depth)
+    # a bad or over-budget depth, or a signal off the grid, is refused before the constants or --out
+    _check_bound_layer(args.depth)
+    _check_profile(bank, args.depth)
     out = _require_out(args)
+    sig = read_signal(args.signal) if args.signal else None
+    if sig is not None and sig.n != bank.n:
+        raise ValueError(f"signal length {sig.n} does not match bank grid {bank.n}")
     constants = compute_constants(bank)
-    if args.signal:
-        sig = read_signal(args.signal)
-    else:
+    if sig is None:
         sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
     os.makedirs(out, exist_ok=True)

@@ -45,7 +45,7 @@ from .filterbank import (
     dyadic_term_grid,
     estimate_vanishing_order,
 )
-from .scattering import _check_budget, layer_energy_profile
+from .scattering import layer_energy_profile
 from .signals import Signal, convolve, dft, frequencies, modulus
 
 __all__ = [
@@ -568,11 +568,9 @@ class DecayRow:
     slack: float
 
 
-def _check_verify_request(bank: FilterBank, n_max: int) -> None:
-    """The refusals of ``verify_decay`` that need no signal, cheap enough to make first."""
-    if not 2 <= n_max <= 5:
-        raise ValueError("n_max must be between 2 and 5")
-    _check_budget(n_max, len(bank.filters))
+def _check_bound_layer(n: int) -> None:
+    if n < 2:
+        raise ValueError("the contraction argument starts at layer 2")
 
 
 def _layer_loss(constants: DecayConstants, w: np.ndarray, n: int) -> np.ndarray:
@@ -592,7 +590,7 @@ def verify_decay(
     band; outside it the constants certify nothing.  Rows start at layer
     2, the first layer the contraction argument controls.
     """
-    _check_verify_request(bank, n_max)
+    _check_bound_layer(n_max)
     if not f.real:
         raise ValueError("decay verification needs a real signal")
     if f.n != bank.n:

@@ -17,11 +17,11 @@ class ScatdecayError(Exception):
 
 
 class BudgetExceededError(ScatdecayError):
-    """Requested scattering tree exceeds the depth/breadth safety budget."""
+    """Request would hold ``estimated_bytes`` of node arrays at once, over the memory budget."""
 
-    def __init__(self, message: str, estimated_paths: int | None = None):
+    def __init__(self, message: str, estimated_bytes: int):
         super().__init__(message)
-        self.estimated_paths = estimated_paths
+        self.estimated_bytes = estimated_bytes
 
 
 class NonTightBankError(ScatdecayError):

@@ -9,9 +9,9 @@ of a convolution with the octave-j filter,
 and every retained node is read out through the low-pass, S[p] = U[p] * phi.
 
 Layer batches are propagated as matrices through one FFT per layer, so
-depth-n trees cost O(B^n * N log N) but vectorize well.  A hard budget
-(depth 6, breadth 12) guards against accidentally requesting trees with
-millions of nodes.
+depth-n trees cost O(B^n * N log N) but vectorize well.  A request whose
+complex128 node arrays held at once exceed one memory budget (1 GiB) is
+refused before anything is allocated, so depth is limited by what fits.
 """
 from __future__ import annotations
 
@@ -37,8 +37,6 @@ from .signals import (
 
 __all__ = [
     "Path",
-    "MAX_DEPTH",
-    "MAX_BREADTH",
     "ScatteringResult",
     "BalanceReport",
     "scatter",
@@ -51,9 +49,6 @@ __all__ = [
 
 Path = tuple[int, ...]
 
-MAX_DEPTH = 6
-MAX_BREADTH = 12
-
 _PARTITION_TOL = 1e-9  # largest partition defect of a pair energy_balance takes as tight
 
 # values per FFT chunk: a chunk's complex spectra, filter products and
@@ -61,18 +56,31 @@ _PARTITION_TOL = 1e-9  # largest partition defect of a pair energy_balance takes
 # a larger chunk would stream every pass through main memory
 _CHUNK_ELEMENTS = 1 << 15
 
+# bytes of complex128 node arrays one request may hold at once
+_BUDGET_BYTES = 1 << 30
 
-def _check_budget(n_max: int, breadth: int) -> None:
+
+def _power(breadth: int, depth: int) -> int:
+    # B^depth nodes per row; a lower bound past depth 64, far over budget for B >= 2
+    return breadth ** min(depth, 64)
+
+
+def _check_budget(request: str, bank: FilterBank, values: int, extra_bytes: int = 0) -> None:
+    """Refuse a request whose complex128 ``values`` plus ``extra_bytes`` exceed the budget."""
+    nbytes = 16 * values + extra_bytes
+    if nbytes > _BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"{request} with {len(bank.filters)} octaves per node on N={bank.n} needs "
+            f"{nbytes:,} bytes at once, over the budget of {_BUDGET_BYTES:,}",
+            estimated_bytes=nbytes,
+        )
+
+
+def _check_profile(bank: FilterBank, n_max: int) -> None:
+    """The refusals of an energy-only profile, whose deepest formed layer is n_max - 1."""
     if n_max < 0:
         raise ValueError("depth must be nonnegative")
-    if n_max > MAX_DEPTH or breadth > MAX_BREADTH:
-        total = sum(breadth**k for k in range(n_max + 1))
-        raise BudgetExceededError(
-            f"requested depth {n_max} with {breadth} octaves per node "
-            f"(~{total} paths) exceeds the budget of depth {MAX_DEPTH}, "
-            f"breadth {MAX_BREADTH}",
-            estimated_paths=total,
-        )
+    _check_budget(f"depth {n_max}", bank, bank.n * _power(len(bank.filters), max(n_max - 1, 0)))
 
 
 def _unshifted(spec: Spectrum) -> np.ndarray:
@@ -173,13 +181,18 @@ def scatter(
     f : input signal on the bank's grid.
     bank : analytic filter bank.
     lowpass : output smoothing filter phi_hat on the bank's centered grid.
-    n_max : tree depth; capped by the safety budget.
+    n_max : tree depth >= 0; the unpruned tree's U and S nodes, 2 N
+        sum_{k <= n_max} B^k complex values, must fit the memory budget.
     prune_eps : relative energy floor.  A node whose energy falls below
         prune_eps * ||f||^2 is dropped after being counted; zero keeps
         everything, including exactly silent nodes.
     """
+    if n_max < 0:
+        raise ValueError("depth must be nonnegative")
     breadth = len(bank.filters)
-    _check_budget(n_max, breadth)
+    # one U and one S row per node, sum_{k <= n_max} B^k nodes
+    nodes = n_max + 1 if breadth == 1 else (_power(breadth, n_max + 1) - 1) // (breadth - 1)
+    _check_budget(f"depth {n_max}", bank, 2 * bank.n * nodes)
     if prune_eps < 0:
         raise ValueError("prune_eps must be nonnegative")
     if f.n != bank.n or f.n != lowpass.n:
@@ -293,8 +306,7 @@ def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, f
     the modulus's energy conservation makes exact; so the deepest layer
     held has B^(n_max-1) rows for a bank of B octaves.
     """
-    breadth = len(bank.filters)
-    _check_budget(n_max, breadth)
+    _check_profile(bank, n_max)
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
     profiles = _row_profiles(f.samples[None, :], _filter_rows(bank), n_max, _Workspace())

@@ -24,8 +24,8 @@ Monte Carlo trials are synthesized and scattered in blocks of rows.  Each
 trial takes all its Gaussians from one call of its own generator.  Each
 block is one batched pass that never forms the requested layer n: its
 energy follows from layer n - 1, because the modulus keeps energy.  A
-block's layer n - 1 holds at most 2^18 values, so memory does not grow
-with the trial count, and its FFT passes run in cache-sized chunks.
+block's layer n - 1 holds at most 2^18 values, so memory grows by only 8
+bytes per trial, and its FFT passes run in cache-sized chunks.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import DecayConstants, _layer_loss
+from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank
-from .scattering import _Workspace, _check_budget, _filter_rows, _row_profiles
+from .scattering import _Workspace, _check_budget, _filter_rows, _power, _row_profiles
 from .signals import (
     Signal, Spectrum, _inverse_rows, _write_json, dft, frequencies, gaussian_lowpass, idft,
 )
@@ -205,13 +205,15 @@ class MCEstimate:
 
 def _check_mc_request(model: StationaryModel, bank: FilterBank, n: int, trials: int) -> None:
     """The refusals of ``mc_layer_energy``; cheap enough to make before any work."""
-    if not 1 <= n <= 4:
-        raise ValueError("layer must be between 1 and 4")
+    if n < 1:
+        raise ValueError("layer must be at least 1")
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
     if bank.n != model.n:
         raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
-    _check_budget(n, len(bank.filters))
+    # one trial's layer n - 1, as a block is never smaller, and the 8-byte value per trial
+    _check_budget(f"layer {n} over {trials} trials", bank,
+                  model.n * _power(len(bank.filters), n - 1), 8 * trials)
 
 
 def mc_layer_energy(
@@ -219,33 +221,27 @@ def mc_layer_energy(
 ) -> MCEstimate:
     """Monte Carlo estimate of E (layer-n energy) under the model.
 
-    Depth is capped at 4: each extra layer multiplies the tree by the
-    bank breadth, and stationary expectations at depth 5+ are far beyond
-    what a sane trial budget resolves.
+    One trial's layer n - 1 (N B^(n-1) complex values for B octaves) plus
+    8 bytes per trial must fit the memory budget of ``scattering``.
 
     Trials are synthesized and scattered in blocks, each block one batched
     energy-only pass whose deepest formed layer (n - 1, as layer n is only
-    weighed) holds at most 2^18 values.  Trial k's value does not depend
-    on the block it falls in.
+    weighed) holds at most 2^18 values, or one trial's if more.  Blocks
+    spawn from one root seed sequence, whose child count carries on, so
+    trial k's value does not depend on the block it falls in.
     """
     _check_mc_request(model, bank, n, trials)
-    breadth = len(bank.filters)
     filts = _filter_rows(bank)
-    per_block = max(1, _MC_BLOCK_ELEMENTS // (breadth ** (n - 1) * model.n))
-    children = np.random.SeedSequence(seed).spawn(trials)
+    per_block = max(1, _MC_BLOCK_ELEMENTS // (_power(len(bank.filters), n - 1) * model.n))
+    root = np.random.SeedSequence(seed)
     values = np.empty(trials)
     ws = _Workspace()  # one set of block buffers for the whole call
     for i in range(0, trials, per_block):
-        rows = _simulate_rows(model, children[i : i + per_block])
+        rows = _simulate_rows(model, root.spawn(min(per_block, trials - i)))
         values[i : i + per_block] = _row_profiles(rows, filts, n, ws)[n]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)
-
-
-def _check_bound_layer(n: int) -> None:
-    if n < 2:
-        raise ValueError("the contraction argument starts at layer 2")
 
 
 def stationary_bound(model: StationaryModel, constants: DecayConstants, n: int) -> float:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from scatdecay import cli
+from scatdecay import cli, scattering
 from scatdecay.cli import main
 from scatdecay.filterbank import (
     bandpass_mother,
@@ -216,14 +216,18 @@ def test_stationary_run_within_bound(tmp_path, capsys):
     assert "[OK]" in capsys.readouterr().out
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the request was refused")
+
+
 @pytest.mark.parametrize(
     "words, message",
     [
-        (["decay", "verify", "--depth", "6"], "n_max must be between 2 and 5"),
-        (["decay", "verify", "--depth", "1"], "n_max must be between 2 and 5"),
+        (["decay", "verify", "--depth", "1"], "the contraction argument starts at layer 2"),
+        (["decay", "verify", "--depth", "-1"], "the contraction argument starts at layer 2"),
         (["stationary", "run", "--depth", "1", "--trials", "20000"],
          "the contraction argument starts at layer 2"),
-        (["stationary", "run", "--depth", "5"], "layer must be between 1 and 4"),
+        (["stationary", "run", "--depth", "0"], "layer must be at least 1"),
         (["stationary", "run", "--trials", "1"], "need at least two trials for a standard error"),
     ],
 )
@@ -234,11 +238,8 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
     model_path = tmp_path / "white.json"
     save_model(model_path, make_model("white", 128, sigma=1.0))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the request was refused")
-
-    monkeypatch.setattr(cli, "compute_constants", no_work)
-    monkeypatch.setattr(cli, "mc_layer_energy", no_work)
+    monkeypatch.setattr(cli, "compute_constants", _no_work)
+    monkeypatch.setattr(cli, "mc_layer_energy", _no_work)
     out = tmp_path / "out"
     argv = words + ["--bank", str(bank_path), "--out", str(out)]
     if words[0] == "stationary":
@@ -249,17 +250,61 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
 
 
 def test_decay_verify_over_budget_refused_before_any_work(tmp_path, capsys, monkeypatch):
-    bank_path = tmp_path / "shannon128-13.json"
-    save_bank(bank_path, build_bank(shannon_mother(), 0, 128, j_min=-12))
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the request was refused")
-
-    monkeypatch.setattr(cli, "compute_constants", no_work)
+    # N=4096 keeps 12 octaves; layer 5 of the profile holds 4096 * 12^5 complex values
+    bank_path = tmp_path / "morlet4096.json"
+    save_bank(bank_path, build_bank(morlet_mother(), 0, 4096))
+    monkeypatch.setattr(cli, "compute_constants", _no_work)
     out = tmp_path / "out"
-    code = main(["decay", "verify", "--bank", str(bank_path), "--out", str(out), "--depth", "2"])
+    code = main(["decay", "verify", "--bank", str(bank_path), "--out", str(out), "--depth", "6"])
     assert code == 3
-    assert "13 octaves per node" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: depth 6 with 12 octaves per node on N=4096 needs 16,307,453,952 bytes "
+        "at once, over the budget of 1,073,741,824\n"
+    )
+    assert not out.exists()
+
+
+def test_stationary_over_budget_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    bank_path = tmp_path / "shannon128.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 128))
+    model_path = tmp_path / "white.json"
+    save_model(model_path, make_model("white", 128, sigma=1.0))
+    monkeypatch.setattr(cli, "compute_constants", _no_work)
+    monkeypatch.setattr(cli, "mc_layer_energy", _no_work)
+    out = tmp_path / "out"
+    code = main(["stationary", "run", "--bank", str(bank_path), "--model", str(model_path),
+                 "--out", str(out), "--trials", "1000000000"])
+    assert code == 3
+    assert "layer 2 over 1000000000 trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scatter_run_over_budget_forms_no_layer(tmp_path, capsys, monkeypatch):
+    # depth 6 at N=4096: 2 * 4096 * sum_{k <= 6} 12^k complex values, ~400 GB
+    bank_path = tmp_path / "morlet4096.json"
+    save_bank(bank_path, build_bank(morlet_mother(), 0, 4096))
+    sig_path = tmp_path / "f.csv"
+    write_signal(sig_path, band_limited_signal(4096, (2, 2000), np.random.default_rng(4)))
+    monkeypatch.setattr(scattering, "_layer_moduli", _no_work)
+    out = tmp_path / "out"
+    code = main(["scatter", "run", "--bank", str(bank_path), "--signal", str(sig_path),
+                 "--out", str(out), "--depth", "6"])
+    assert code == 3
+    assert "depth 6 with 12 octaves per node on N=4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decay_verify_wrong_signal_length_refused_before_constants(
+    morlet_bank_file, tmp_path, capsys, monkeypatch
+):
+    sig_path = tmp_path / "short.csv"
+    write_signal(sig_path, band_limited_signal(128, (2, 60), np.random.default_rng(2)))
+    monkeypatch.setattr(cli, "compute_constants", _no_work)
+    out = tmp_path / "out"
+    code = main(["decay", "verify", "--bank", morlet_bank_file, "--signal", str(sig_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: signal length 128 does not match bank grid 256\n"
     assert not out.exists()
 
 

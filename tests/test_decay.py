@@ -20,6 +20,7 @@ from scatdecay.decay import (
 )
 from scatdecay.errors import (
     BankConditionError,
+    BudgetExceededError,
     CoverageHoleError,
     DegenerateOctaveError,
     VanishingOrderError,
@@ -579,8 +580,8 @@ def test_decay_rejects_bad_inputs(shannon_bank, shannon_constants):
     good = band_limited_signal(256, (2, 127), rng)
     with pytest.raises(ValueError):
         verify_decay(good, shannon_bank, shannon_constants, 1)
-    with pytest.raises(ValueError):
-        verify_decay(good, shannon_bank, shannon_constants, 6)
+    with pytest.raises(BudgetExceededError):  # layer 7 holds 256 * 8^7 complex values, ~8.6 GB
+        verify_decay(good, shannon_bank, shannon_constants, 8)
     with pytest.raises(ValueError):
         verify_decay(complex_tone(256, 5), shannon_bank, shannon_constants, 3)
     with pytest.raises(ValueError):

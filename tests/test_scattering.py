@@ -285,16 +285,65 @@ def test_chunk_size_does_not_change_bits(monkeypatch):
 
 
 def test_depth_budget():
+    # 2 * 64 * sum_{k <= 8} 6^k complex values, ~4 GB: refused before a layer is formed
     bank, low = shannon_tight_pair(0, 64)
     with pytest.raises(BudgetExceededError) as info:
-        scatter(cosine(64, 5), bank, low, n_max=7)
-    assert info.value.estimated_paths == sum(6**k for k in range(8))
+        scatter(cosine(64, 5), bank, low, n_max=8)
+    assert info.value.estimated_bytes == 16 * 2 * 64 * sum(6**k for k in range(9))
 
 
 def test_breadth_budget():
+    # 13 octaves: the profile's layer 6 holds 64 * 13^6 complex values, ~4.9 GB
     bank = build_bank(shannon_mother(), 0, 64, j_min=-12)
+    with pytest.raises(BudgetExceededError) as info:
+        layer_energy_profile(cosine(64, 5), bank, 7)
+    assert info.value.estimated_bytes == 16 * 64 * 13**6
+
+
+def test_absurd_depth_is_refused_at_once():
+    # the count stops at depth 64, so no B^(10^9) integer is ever built
+    bank, low = shannon_tight_pair(0, 64)
+    with pytest.raises(BudgetExceededError) as info:
+        scatter(cosine(64, 5), bank, low, n_max=10**9)
+    assert info.value.estimated_bytes == 16 * 2 * 64 * ((6**64 - 1) // 5)  # depths 0..63
     with pytest.raises(BudgetExceededError):
-        layer_energy_profile(cosine(64, 5), bank, 1)
+        layer_energy_profile(cosine(64, 5), bank, 10**9)
+
+
+def _runs_on_exactly(monkeypatch, nbytes, request):
+    """``request`` runs on a budget of ``nbytes`` and is refused one byte under it."""
+    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes)
+    request()
+    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes - 1)
+    with pytest.raises(BudgetExceededError) as info:
+        request()
+    assert info.value.estimated_bytes == nbytes
+
+
+def test_scatter_budget_counts_every_node(monkeypatch):
+    bank, low = shannon_tight_pair(0, 64)  # 6 octaves; U and S of 1 + 6 + 36 + 216 nodes
+    _runs_on_exactly(monkeypatch, 16 * 2 * 64 * 259, lambda: scatter(cosine(64, 5), bank, low, 3))
+
+
+def test_profile_budget_counts_the_deepest_formed_layer(monkeypatch):
+    bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
+    sig = cosine(64, 5)
+    # layer 2 is the deepest formed at depth 3, which is only weighed
+    _runs_on_exactly(monkeypatch, 16 * 64 * 36, lambda: layer_energy_profile(sig, bank, 3))
+    for n_max in (0, 1):  # the input itself is the deepest row held
+        _runs_on_exactly(monkeypatch, 16 * 64, lambda: layer_energy_profile(sig, bank, n_max))
+
+
+def test_wide_bank_runs_at_depth_one():
+    # N=8192 keeps 13 octaves; depth 1 holds 2 * 8192 * 14 complex values, ~3.7 MB
+    rng = np.random.default_rng(8)
+    bank = build_bank(morlet_mother(), 0, 8192)
+    assert len(bank.filters) == 13
+    sig = band_limited_signal(8192, (2, 4000), rng)
+    tree = scatter(sig, bank, gaussian_output_lowpass(0, 8192), 1)
+    profile = layer_energy_profile(sig, bank, 1)
+    for n in (0, 1):
+        assert tree.layer_energies[n] == pytest.approx(profile[n], rel=1e-13)
 
 
 def test_negative_depth_rejected():

@@ -7,6 +7,7 @@ import pytest
 
 from scatdecay import scattering, stationary
 from scatdecay.decay import compute_constants
+from scatdecay.errors import BudgetExceededError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import gaussian_output_lowpass, scatter
 from scatdecay.signals import Spectrum, dft, energy, frequencies, gaussian_lowpass
@@ -346,10 +347,33 @@ def test_mc_layer_guards(shannon_128):
     bank, _ = shannon_128
     model = make_model("white", 128)
     with pytest.raises(ValueError):
-        mc_layer_energy(model, bank, 5, trials=10, seed=0)
+        mc_layer_energy(model, bank, 0, trials=10, seed=0)
     with pytest.raises(ValueError):
         mc_layer_energy(model, bank, 2, trials=1, seed=0)
     with pytest.raises(ValueError):
         mc_layer_energy(make_model("white", 64), bank, 2, trials=10, seed=0)
     with pytest.raises(ValueError):
         stationary_bound(model, compute_constants(bank), 1)
+    # one trial's layer 8 holds 128 * 7^8 complex values, ~11.8 GB
+    with pytest.raises(BudgetExceededError) as info:
+        mc_layer_energy(model, bank, 9, trials=10, seed=0)
+    assert info.value.estimated_bytes == 16 * 128 * 7**8 + 8 * 10
+
+
+def test_mc_trials_are_bounded_by_the_budget(shannon_128):
+    bank, _ = shannon_128
+    with pytest.raises(BudgetExceededError) as info:
+        mc_layer_energy(make_model("white", 128), bank, 2, trials=10**9, seed=0)
+    assert info.value.estimated_bytes == 16 * 128 * 7 + 8 * 10**9
+
+
+def test_mc_budget_counts_one_trial_and_every_value(monkeypatch):
+    bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
+    model = make_model("white", 64)
+    nbytes = 16 * 64 * 6**2 + 8 * 5  # one trial's layer 2, five 8-byte values
+    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes)
+    mc_layer_energy(model, bank, 3, trials=5, seed=0)
+    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes - 1)
+    with pytest.raises(BudgetExceededError) as info:
+        mc_layer_energy(model, bank, 3, trials=5, seed=0)
+    assert info.value.estimated_bytes == nbytes
