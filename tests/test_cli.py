@@ -249,6 +249,22 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
     assert not out.exists()
 
 
+def test_decay_verify_depth_six_within_budget_runs(tmp_path, capsys):
+    # layer 5 of the 7-octave N=128 profile holds 128 * 7^5 complex values, ~34 MB
+    bank_path = tmp_path / "shannon128.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 128))
+    out = tmp_path / "out"
+    code = main(["decay", "verify", "--depth", "6", "--bank", str(bank_path), "--out", str(out)])
+    assert code == 0
+    rows = (out / "decay.csv").read_text().splitlines()
+    assert rows[0] == "n,empirical,bound,slack"
+    assert [int(row.split(",")[0]) for row in rows[1:]] == [2, 3, 4, 5, 6]
+    for row in rows[1:]:
+        _, empirical, bound, _ = map(float, row.split(","))
+        assert 0.0 < empirical <= bound
+    assert "layer 6:" in capsys.readouterr().out
+
+
 def test_decay_verify_over_budget_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # N=4096 keeps 12 octaves; layer 5 of the profile holds 4096 * 12^5 complex values
     bank_path = tmp_path / "morlet4096.json"
