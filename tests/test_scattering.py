@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -261,6 +262,33 @@ def _result_bytes(result):
     for tree in (result.u, result.s):
         parts += [tree[p].samples.tobytes() for p in sorted(tree)]
     return b"".join(parts)
+
+
+def _pinned_tree(case):
+    rng = np.random.default_rng(97)
+    if case == "complex":
+        bank, low = shannon_tight_pair(0, 64)
+        return scatter(Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64)), bank, low, 2)
+    if case == "emptied":  # layer 2 is pruned whole, so layer 3 holds no rows
+        bank, low = shannon_tight_pair(0, 64)
+        return scatter(cosine(64, 5), bank, low, 3, prune_eps=1e-3)
+    n = 128 if case == "pruned" else 64
+    bank, low = shannon_tight_pair(0, n) if case == "shannon" else _morlet_gaussian_pair(0, n)
+    return scatter(band_limited_signal(n, (2, n // 2 - 4), rng), bank, low, 3,
+                   prune_eps=1e-5 if case == "pruned" else 0.0)
+
+
+# SHA-256 of every array and number each tree holds: the tree's storage may
+# change, its bits may not
+@pytest.mark.parametrize("case, digest", [
+    ("morlet", "0709616046756fca5d19f97dc635cad9952445fd6d6f84d1bd69731fb7d14cae"),
+    ("shannon", "36407aad5978dc4f03f3ff2075beac1a22518abb9ac02237ea6fe23f1d7a762d"),
+    ("pruned", "46ea7a764aa244c6e2ce3db28f06a9d1ee4bfa989241b01f99f760761abff27e"),
+    ("emptied", "89b9ef948810c1f3c2a6e175964e62f0a7f0aa1b3bf88edd9b9758af8154f4a0"),
+    ("complex", "d5ff66592bc255d9b02cf2c0097b2e277f1d8d413b38bc1a8c0e00b94c2a2f88"),
+])
+def test_tree_bits_are_pinned(case, digest):
+    assert hashlib.sha256(_result_bytes(_pinned_tree(case))).hexdigest() == digest
 
 
 def test_chunk_size_does_not_change_bits(monkeypatch):

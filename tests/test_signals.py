@@ -206,6 +206,19 @@ def test_signal_io_round_trip(tmp_path, fmt, real):
     assert np.array_equal(back.samples, sig.samples)
 
 
+def test_write_signal_bytes_are_pinned(tmp_path):
+    # one sample per line in shortest round-trip form: signed zeros, the least
+    # subnormal and a huge value are written exactly
+    real = Signal([-0.0, 5e-324, 1e300, -1.5], real=True)
+    cplx = Signal([complex(-0.0, 5e-324), complex(1e300, -0.0), complex(0.1, -1e300), complex(5e-324, 2.0)])
+    write_signal(tmp_path / "real.csv", real)
+    write_signal(tmp_path / "complex.csv", cplx)
+    assert (tmp_path / "real.csv").read_bytes() == b"-0.0\n5e-324\n1e+300\n-1.5\n"
+    assert (tmp_path / "complex.csv").read_bytes() == (
+        b"-0.0,5e-324\n1e+300,-0.0\n0.1,-1e+300\n5e-324,2.0\n"
+    )
+
+
 def test_read_raw_with_bad_sidecar(tmp_path):
     path = tmp_path / "sig"
     write_signal(path, dirac(8), fmt="raw")
