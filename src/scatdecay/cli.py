@@ -107,9 +107,8 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
     result = scatter(sig, bank, _output_lowpass(bank, args.lowpass), args.depth,
                      prune_eps=args.prune_eps)
     export_result(result, out)
-    kept = len(result.s)
     print(
-        f"depth={args.depth} paths={kept} pruned={len(result.pruned_paths)} "
+        f"depth={args.depth} paths={len(result.s)} pruned={len(result.pruned_paths)} "
         f"pruned_mass={result.pruned_mass:.6g}"
     )
     return 0
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     scat_sub = scat.add_subparsers(dest="action", required=True)
     run = scat_sub.add_parser("run", parents=[bank_out], help="compute a scattering tree")
     run.add_argument("--depth", type=int, default=2, help="tree depth")
-    run.add_argument("--signal", help="input signal (CSV or raw + sidecar)")
+    run.add_argument("--signal", help="input signal: CSV, or raw float64 + .meta sidecar")
     run.add_argument("--prune-eps", type=float, default=0.0, dest="prune_eps",
                      help="relative energy floor for pruning")
     run.add_argument("--lowpass", choices=("auto", "gaussian", "tight"), default="auto",

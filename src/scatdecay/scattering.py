@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .filterbank import FilterBank, _recipe, build_bank, shannon_mother
 from .signals import (
     Signal,
     Spectrum,
+    _frozen,
+    _row_energies,
     _write_json,
-    energy,
     frequencies,
     gaussian_lowpass,
     reflection_index,
@@ -139,16 +140,30 @@ def _lowpass_rows(batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_energies(batch: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(batch):
-        return np.sum(batch.real**2 + batch.imag**2, axis=1) / batch.shape[1]
-    return np.sum(batch**2, axis=1) / batch.shape[1]
+class _Nodes(Mapping):
+    """Path -> ``Signal`` over one read-only array per layer; ``index`` gives a path's row."""
+
+    def __init__(self, layers: list[np.ndarray], index: dict[Path, int], real: bool) -> None:
+        self._layers, self._index, self._real = layers, index, real
+
+    def __getitem__(self, path: Path) -> Signal:
+        row, layer = self._index[path], self._layers[len(path)]  # KeyError for an unknown path
+        # float64 layers (depth >= 1) hold moduli, real nodes; the root is real when ``real``
+        return Signal(layer[row], real=self._real or layer.dtype == np.float64)
+
+    def __iter__(self) -> Iterator[Path]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True)
 class ScatteringResult:
     """Full tree of internal nodes and low-passed outputs.
 
+    ``u`` and ``s`` read as path -> ``Signal`` maps, but hold one read-only
+    array per layer: a node's ``Signal`` is built only when its path is read.
     ``layer_energies[k]`` sums ||U[p]f||^2 over every path computed at
     depth k, including paths pruned at that depth; ``output_energies[k]``
     sums ||S[p]f||^2 over retained paths only, so the two disagree
@@ -176,6 +191,9 @@ def scatter(
 ) -> ScatteringResult:
     """Compute the scattering tree of ``f`` to depth ``n_max``.
 
+    Each layer's U and S rows are kept as one read-only array, refused with
+    ``ValueError`` unless finite; a node's ``Signal`` is built when it is read.
+
     Parameters
     ----------
     f : input signal on the bank's grid.
@@ -183,9 +201,9 @@ def scatter(
     lowpass : output smoothing filter phi_hat on the bank's centered grid.
     n_max : tree depth >= 0; the unpruned tree's U and S nodes, 2 N
         sum_{k <= n_max} B^k complex values, must fit the memory budget.
-    prune_eps : relative energy floor.  A node whose energy falls below
-        prune_eps * ||f||^2 is dropped after being counted; zero keeps
-        everything, including exactly silent nodes.
+    prune_eps : relative energy floor, finite and >= 0.  A node whose
+        energy falls below prune_eps * ||f||^2 is dropped after being
+        counted; zero keeps everything, including exactly silent nodes.
     """
     if n_max < 0:
         raise ValueError("depth must be nonnegative")
@@ -193,59 +211,53 @@ def scatter(
     # one U and one S row per node, sum_{k <= n_max} B^k nodes
     nodes = n_max + 1 if breadth == 1 else (_power(breadth, n_max + 1) - 1) // (breadth - 1)
     _check_budget(f"depth {n_max}", bank, 2 * bank.n * nodes)
-    if prune_eps < 0:
-        raise ValueError("prune_eps must be nonnegative")
+    if not 0.0 <= prune_eps < math.inf:
+        raise ValueError("prune_eps must be finite and nonnegative")
     if f.n != bank.n or f.n != lowpass.n:
         raise ValueError("signal, bank and lowpass must share one grid")
 
     filts = _filter_rows(bank)
     phi = _unshifted(lowpass)
-    scales = list(bank.scales)
-    threshold = prune_eps * energy(f)
 
-    u_tree: dict[Path, Signal] = {}
-    s_tree: dict[Path, Signal] = {}
-    layer_energies: dict[int, float] = {}
+    u_layers: list[np.ndarray] = []
+    s_layers: list[np.ndarray] = []
+    index: dict[Path, int] = {}
     output_energies: dict[int, float] = {}
     pruned_paths: list[Path] = []
     pruned_mass = 0.0
 
     paths: list[Path] = [()]
     batch = f.samples[None, :]
-    layer_energies[0] = float(_row_energies(batch)[0])
+    layer_energies = {0: float(_row_energies(batch)[0])}
     for depth in range(n_max + 1):
         if depth > 0:
-            # a workspace per layer, so each layer's array is freed once the next is formed
-            batch = _layer_moduli(batch, filts, _Workspace(), depth)
-            paths = [p + (j,) for p in paths for j in scales]
+            # a workspace per layer: its FFT scratch is freed, the layer array it holds is kept
+            batch = _frozen(_layer_moduli(batch, filts, _Workspace(), depth))
+            paths = [p + (j,) for p in paths for j in bank.scales]
             energies = _row_energies(batch)
             layer_energies[depth] = float(np.sum(energies))
-            # prune after counting: discarded mass stays auditable
-            if prune_eps > 0.0:
-                keep = energies >= threshold
-                for p, e in zip(
-                    [q for q, k in zip(paths, keep) if not k],
-                    energies[~keep],
-                ):
-                    pruned_paths.append(p)
-                    pruned_mass += float(e)
-                batch = batch[keep]
-                paths = [p for p, k in zip(paths, keep) if k]
+            # prune after counting, so discarded mass stays auditable; a zero floor keeps every row
+            keep = energies >= prune_eps * layer_energies[0]
+            if not keep.all():
+                pruned_paths += [p for p, k in zip(paths, keep.tolist()) if not k]
+                for e in energies[~keep].tolist():  # one += at a time, in row order
+                    pruned_mass += e
+                batch = _frozen(batch[keep])
+                paths = [p for p, k in zip(paths, keep.tolist()) if k]
         # an emptied layer flows through as zero rows, so deeper layers read 0.0
-        outputs = _lowpass_rows(batch, phi)
+        outputs = _frozen(_lowpass_rows(batch, phi))
         output_energies[depth] = float(np.sum(_row_energies(outputs)))
-        real_nodes = depth > 0 or f.real
-        for p, row, out in zip(paths, batch, outputs):
-            u_tree[p] = Signal(row, real=real_nodes)
-            s_tree[p] = Signal(out)
+        u_layers.append(batch)
+        s_layers.append(outputs)
+        index.update(zip(paths, range(len(paths))))
 
     return ScatteringResult(
         bank=bank,
         lowpass=lowpass,
         n_max=n_max,
         prune_eps=prune_eps,
-        u=u_tree,
-        s=s_tree,
+        u=_Nodes(u_layers, index, f.real),
+        s=_Nodes(s_layers, index, False),
         layer_energies=layer_energies,
         output_energies=output_energies,
         pruned_mass=pruned_mass,
@@ -395,10 +407,6 @@ def gaussian_output_lowpass(j_max: int, n: int) -> Spectrum:
     return gaussian_lowpass(2.0**-j_max, n)
 
 
-def _path_label(path: Path) -> str:
-    return "root" if not path else "_".join(str(j) for j in path)
-
-
 def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
     """Write outputs, the layer profile and a manifest under ``out_dir``.
 
@@ -408,8 +416,9 @@ def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
     """
     out = os.fspath(out_dir)
     os.makedirs(out, exist_ok=True)
-    for path, sig in sorted(result.s.items()):
-        write_signal(os.path.join(out, f"s_{_path_label(path)}.csv"), sig)
+    for path in sorted(result.s):  # one node built at a time
+        label = "_".join(str(j) for j in path) or "root"
+        write_signal(os.path.join(out, f"s_{label}.csv"), result.s[path])
     with open(os.path.join(out, "profile.csv"), "w") as fh:
         fh.write("n,energy\n")
         for depth in sorted(result.layer_energies):

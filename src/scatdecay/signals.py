@@ -43,12 +43,17 @@ def _check_length(n: int) -> None:
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
 
 
-def _locked(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only once every value is found finite."""
+    if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
-    _check_length(arr.size)
     arr.setflags(write=False)
+    return arr
+
+
+def _locked(values) -> np.ndarray:
+    arr = _frozen(np.array(values, dtype=np.complex128, copy=True).reshape(-1))
+    _check_length(arr.size)
     return arr
 
 
@@ -146,10 +151,16 @@ def modulus(signal: Signal) -> Signal:
     return Signal(np.abs(signal.samples), real=True)
 
 
+def _row_energies(batch: np.ndarray) -> np.ndarray:
+    """``energy`` of each row of a 2-D array of samples."""
+    if np.iscomplexobj(batch):
+        return np.sum(batch.real**2 + batch.imag**2, axis=1) / batch.shape[1]
+    return np.sum(batch**2, axis=1) / batch.shape[1]
+
+
 def energy(signal: Signal) -> float:
     """Squared norm (1/N) * sum |s_k|^2."""
-    s = signal.samples
-    return float(np.sum(s.real * s.real + s.imag * s.imag) / signal.n)
+    return float(_row_energies(signal.samples[None, :])[0])
 
 
 def shift(signal: Signal, steps: int) -> Signal:
@@ -207,30 +218,15 @@ def band_limited_signal(
 # ---------------------------------------------------------------------------
 # File formats.  CSV holds one sample per line, "re" or "re,im"; raw holds
 # little-endian float64, interleaved re,im when complex, with a sidecar
-# "<path>.meta" recording the count and complexity.
+# "<path>.meta" recording the count and complexity.  Raw is input only.
 
 
-def write_signal(path: str | os.PathLike, signal: Signal, fmt: str = "csv") -> None:
-    path = os.fspath(path)
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            for v in signal.samples:
-                if signal.real:
-                    fh.write(f"{float(v.real)!r}\n")
-                else:
-                    fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-    elif fmt == "raw":
-        if signal.real:
-            data = signal.samples.real.astype("<f8")
-        else:
-            data = np.empty(2 * signal.n, dtype="<f8")
-            data[0::2] = signal.samples.real
-            data[1::2] = signal.samples.imag
-        data.tofile(path)
-        with open(path + ".meta", "w") as fh:
-            fh.write(f"N={signal.n};complex={0 if signal.real else 1}\n")
-    else:
-        raise ValueError(f"unknown signal format {fmt!r}")
+def write_signal(path: str | os.PathLike, signal: Signal) -> None:
+    """CSV in one write, floats in shortest round-trip form: ``read_signal`` gives the bits back."""
+    re, im = signal.samples.real.tolist(), signal.samples.imag.tolist()
+    lines = (f"{x!r}\n" for x in re) if signal.real else (f"{x!r},{y!r}\n" for x, y in zip(re, im))
+    with open(os.fspath(path), "w") as fh:
+        fh.write("".join(lines))
 
 
 def _write_json(path: str | os.PathLike, payload: dict) -> None:
@@ -240,23 +236,17 @@ def _write_json(path: str | os.PathLike, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_meta(path: str) -> tuple[int, bool]:
-    with open(path) as fh:
-        text = fh.read().strip()
-    fields = dict(item.split("=", 1) for item in text.split(";") if item)
-    try:
-        n = int(fields["N"])
-        is_complex = bool(int(fields["complex"]))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed sidecar {path}: {text!r}") from exc
-    return n, is_complex
-
-
 def read_signal(path: str | os.PathLike) -> Signal:
     """Load a signal from CSV, or from raw float64 via its sidecar."""
     path = os.fspath(path)
     if os.path.exists(path + ".meta"):
-        n, is_complex = _read_meta(path + ".meta")
+        with open(path + ".meta") as fh:
+            text = fh.read().strip()
+        fields = dict(item.split("=", 1) for item in text.split(";") if item)
+        try:
+            n, is_complex = int(fields["N"]), bool(int(fields["complex"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed sidecar {path}.meta: {text!r}") from exc
         data = np.fromfile(path, dtype="<f8")
         if data.size != (2 * n if is_complex else n):
             raise ValueError(f"raw payload holds {data.size} values, expected N={n}")

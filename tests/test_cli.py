@@ -141,6 +141,22 @@ def test_scatter_run_survives_a_fully_pruned_layer(tmp_path, capsys):
     assert "paths=2 pruned=11" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1e-9"])
+def test_scatter_run_refuses_a_non_finite_or_negative_floor(
+    shannon_bank_file, signal_file, tmp_path, capsys, eps
+):
+    # a NaN floor once pruned nothing and an infinite one all of layer 1, and
+    # both reached manifest.json as literals that JSON does not have
+    out = tmp_path / "x"
+    code = main(
+        ["scatter", "run", "--bank", shannon_bank_file, "--signal", signal_file,
+         "--out", str(out), f"--prune-eps={eps}"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: prune_eps must be finite and nonnegative\n"
+    assert not out.exists()
+
+
 def test_scatter_run_over_budget_exits_three(shannon_bank_file, signal_file, tmp_path, capsys):
     code = main(
         ["scatter", "run", "--bank", shannon_bank_file, "--signal", signal_file,

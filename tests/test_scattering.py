@@ -380,6 +380,23 @@ def test_negative_depth_rejected():
         scatter(cosine(64, 5), bank, low, n_max=-1)
 
 
+def test_scatter_builds_nodes_on_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(scattering, "Signal", lambda *a, **k: built.append(1) or Signal(*a, **k))
+    bank, low = shannon_tight_pair(0, 64)
+    result = scatter(cosine(64, 5), bank, low, n_max=3)
+    assert built == [] and len(result.u) == len(result.s) == 259
+    node = result.u[(-2, -1)]
+    assert len(built) == 1 and node.real
+    with pytest.raises(ValueError):
+        node.samples[0] = 1.0  # read-only
+    with pytest.raises(KeyError):
+        result.s[(-2, -1, 0, 0, 0)]
+    # samples of 1e308 overflow the transform to inf: scatter itself refuses the layer
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        scatter(Signal(np.full(64, 1e308), real=True), bank, low, n_max=1)
+
+
 # --- export ------------------------------------------------------------------
 
 
