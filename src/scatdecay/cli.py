@@ -60,6 +60,12 @@ def _require_out(args: argparse.Namespace) -> str:
     return args.out
 
 
+def _check_tol(tol: float) -> None:
+    # nan fails every comparison and inf passes every one, so either would decide the verdict
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and nonnegative")
+
+
 def _load_bank(args: argparse.Namespace) -> FilterBank:
     if not args.bank:
         raise ValueError("a bank file is required (--bank)")
@@ -80,6 +86,7 @@ def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
 
 
 def cmd_bank_check(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     bank = _load_bank(args)
     out = _require_out(args)
     reports = [
@@ -115,6 +122,7 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     bank = _load_bank(args)
     # a bad or over-budget depth, or a signal off the grid, is refused before the constants or --out
     _check_bound_layer(args.depth)
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     bank = sub.add_parser("bank", help="filter bank operations")
     bank_sub = bank.add_subparsers(dest="action", required=True)
     check = bank_sub.add_parser("check", parents=[bank_out], help="run the certification checks")
-    check.add_argument("--tol", type=float, default=1e-9, help="allowed excess of the LP sums")
+    check.add_argument("--tol", type=float, default=1e-9, help="allowed excess of the LP sums (finite, >= 0)")
     check.set_defaults(handler=cmd_bank_check, parser=check)
 
     scat = sub.add_parser("scatter", help="scattering transforms")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--depth", type=int, default=4, help="deepest layer to verify")
     verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input")
-    verify.add_argument("--tol", type=float, default=1e-8, help="allowed excess over the bound")
+    verify.add_argument("--tol", type=float, default=1e-8, help="allowed excess over the bound (finite, >= 0)")
     verify.add_argument("--signal", help="real band-limited input (default: synthesized)")
     verify.set_defaults(handler=cmd_decay_verify, parser=verify)
 

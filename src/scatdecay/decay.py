@@ -38,6 +38,7 @@ from .errors import (
     WeakAsymmetryError,
 )
 from .filterbank import (
+    X_WINDOW,
     ConditionReport,
     FilterBank,
     _octave_sum,
@@ -95,33 +96,38 @@ def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
     return bank.validated_band
 
 
-# frequencies per block of the octave term grid: a block's (octave x
-# frequency) arrays stay near 200 KB, so they come from the heap and stay
-# in cache instead of being faulted in fresh for a whole grid at once
-_OCTAVE_BLOCK = 512
+def _octave_slices(bank: FilterBank, omegas: np.ndarray, j_max: int | None = None):
+    """(j, columns, p, m) for each octave j, ascending, that reaches ``omegas``.
 
-
-def _term_blocks(bank: FilterBank, omegas: np.ndarray, j_max: int | None = None):
-    """``dyadic_term_grid`` over column blocks: (columns, js, p, m) per block.
-
-    A block's octave range is the part of the whole grid's range that
-    reaches its frequencies; the octaves it leaves out hold exact zeros
-    there, and adding 0.0 to a sum of squares changes no bit.
+    ``omegas`` must be ascending and strictly positive, so the frequencies
+    whose 2^j w lies in ``X_WINDOW`` form one slice; p, m = |psi_hat(+-2^j w)|^2
+    there are the in-window entries of row j of ``dyadic_term_grid``.  Added
+    in ascending j into zeroed sums, they give the bits of the in-order sum
+    over the whole grid: the rest are exact zeros, and adding 0.0 changes no bit.
     """
-    for start in range(0, omegas.size, _OCTAVE_BLOCK):
-        cols = slice(start, start + _OCTAVE_BLOCK)
-        yield (cols, *dyadic_term_grid(bank.mother, omegas[cols], j_max=j_max))
+    j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(omegas[-1]))))
+    j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(omegas[0]))))
+    if j_max is not None:
+        j_hi = min(j_hi, j_max)
+    for j in range(j_lo, j_hi + 1):
+        # 2^j w >= x iff w >= 2^-j x: scaling by a power of two is exact
+        start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
+        stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
+        if start < stop:
+            x = np.ldexp(omegas[start:stop], j)
+            yield j, slice(start, stop), bank.mother(x) ** 2, bank.mother(-x) ** 2
 
 
 def _functional_terms(bank: FilterBank, omegas: np.ndarray):
-    """Converged S, F1 and F2 numerators at strictly positive omegas."""
-    s, n1, n2 = (np.empty(omegas.shape) for _ in range(3))
-    for cols, js, p, m in _term_blocks(bank, omegas):
-        s[cols] = 0.5 * (_octave_sum(p) + _octave_sum(m))
-        w1 = np.ldexp(1.0, -js)[:, None]
-        n1[cols] = 0.5 * _octave_sum((p - m) * w1)
-        n2[cols] = 0.5 * _octave_sum((p + m) * w1 * w1)
-    return s, n1, n2
+    """Converged S, F1 and F2 numerators at ascending, strictly positive omegas."""
+    sp, sm, n1, n2 = (np.zeros(omegas.shape) for _ in range(4))
+    for j, cols, p, m in _octave_slices(bank, omegas):
+        w1 = math.ldexp(1.0, -j)
+        sp[cols] += p
+        sm[cols] += m
+        n1[cols] += (p - m) * w1
+        n2[cols] += (p + m) * w1 * w1
+    return 0.5 * (sp + sm), 0.5 * n1, 0.5 * n2
 
 
 def _functional_on_band(bank: FilterBank, which: str) -> FreqFunctional:
@@ -182,13 +188,14 @@ class InitLowpass:
 def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
     """Converged symmetrized sum over all octaves j <= j_max (no floor).
 
-    The octaves above j_max are never evaluated: they would be the last,
-    zeroed rows of an in-order sum, which change no bit.
+    ``omegas`` must be ascending and strictly positive.  The octaves above
+    j_max are never evaluated: they would be the last, zeroed rows of an
+    in-order sum, which change no bit.
     """
-    out = np.empty(omegas.shape)
-    for cols, _, p, m in _term_blocks(bank, omegas, j_max=bank.j_max):
-        out[cols] = 0.5 * _octave_sum(p + m)
-    return out
+    out = np.zeros(omegas.shape)
+    for _, cols, p, m in _octave_slices(bank, omegas, j_max=bank.j_max):
+        out[cols] += p + m
+    return 0.5 * out
 
 
 # grid intervals of the raised cosine on [-1/4, 1/4]; the window table has twice as many
@@ -219,6 +226,16 @@ def _raised_cosine_window() -> tuple[np.ndarray, np.ndarray, float]:
     u.flags.writeable = False
     phi0.flags.writeable = False
     return u, phi0, alpha_tilde
+
+
+def _curvature_grid(half: int) -> np.ndarray:
+    """Step 4's ascending grid on [2^-8, half]: log-spaced, plus both sides of each dyadic edge."""
+    grid = np.geomspace(2.0**-8, float(half), 20001)
+    edges = []
+    for k in range(-8, int(math.log2(half)) + 1):
+        edges.append(2.0**k)
+        edges.append(2.0**k * (1.0 + 1e-9))
+    return np.unique(np.concatenate([grid, np.asarray(edges)]))
 
 
 def initialize_lowpass(bank: FilterBank) -> InitLowpass:
@@ -256,12 +273,7 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
     u, phi0, alpha_tilde = _raised_cosine_window()
 
     half = bank.n // 2
-    grid = np.geomspace(2.0**-8, float(half), 20001)
-    edges = []
-    for k in range(-8, int(math.log2(half)) + 1):
-        edges.append(2.0**k)
-        edges.append(2.0**k * (1.0 + 1e-9))
-    grid = np.unique(np.concatenate([grid, np.asarray(edges)]))
+    grid = _curvature_grid(half)
     lp_grid = _lp_up_to_coarsest(bank, grid)
     curvature_sup = float(np.max(lp_grid / grid**2))
 
@@ -289,17 +301,24 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
     """(|phi_hat|^2 * g)(w) for the unit Gaussian weight g.
 
     The integrand vanishes outside phi_hat's support, so the quadrature
-    runs over exactly that interval on the construction's fine grid.  The
-    kernel is formed one frequency at a time, a row of the support's size.
+    runs over exactly that interval on the construction's fine grid, one
+    frequency at a time, in a row of the support's size.
     """
     support = init.phi_grid / init.m_scale
     values = init.phi_values**2
+    dx = np.diff(support)
     out = np.zeros(omegas.shape)
-    # exp(-gap^2) underflows to exactly 0.0 in float64 once gap^2 > ~745.2,
-    # so a frequency further than 28 from the support gets an exact zero: skip it
-    for i in np.flatnonzero(np.abs(omegas) <= support[-1] + 28.0):
-        kernel = np.exp(-((omegas[i] - support) ** 2)) / math.sqrt(math.pi)
-        out[i] = np.trapezoid(values * kernel, support)
+    # exp(-gap^2) is exactly 0.0 in float64 once |gap| > 27.3 (gap^2 > 745.29),
+    # and exp is far slower where it underflows: it runs only within 27.3 of w,
+    # and the rest of the row keeps the 0.0 exp would give there
+    starts = np.searchsorted(support, omegas - 27.3, "left")
+    stops = np.searchsorted(support, omegas + 27.3, "right")
+    for i in np.flatnonzero(starts < stops):
+        near = slice(starts[i], stops[i])
+        y = np.zeros(support.shape)
+        y[near] = values[near] * (np.exp(-((omegas[i] - support[near]) ** 2)) / math.sqrt(math.pi))
+        # np.trapezoid's arithmetic on the full-length row, so the pairwise sum sees the same array
+        out[i] = np.sum(dx * (y[1:] + y[:-1]) / 2.0)
     return out
 
 

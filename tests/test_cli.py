@@ -265,6 +265,20 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("words", [["bank", "check"], ["decay", "verify"]])
+def test_bad_tol_refused_before_any_work(words, tol, shannon_bank_file, tmp_path, capsys,
+                                         monkeypatch):
+    # a NaN tolerance once failed every layer and an infinite one passed every layer
+    for name in ("compute_constants", "check_littlewood_paley", "check_asymmetry",
+                 "estimate_vanishing_order"):
+        monkeypatch.setattr(cli, name, _no_work)
+    out = tmp_path / "out"
+    assert main(words + ["--bank", shannon_bank_file, "--out", str(out), f"--tol={tol}"]) == 2
+    assert capsys.readouterr().err == "error: tol must be finite and nonnegative\n"
+    assert not out.exists()
+
+
 def test_decay_verify_depth_six_within_budget_runs(tmp_path, capsys):
     # layer 5 of the 7-octave N=128 profile holds 128 * 7^5 complex values, ~34 MB
     bank_path = tmp_path / "shannon128.json"

@@ -208,14 +208,34 @@ def lognormal_mother():
     return MotherWavelet("lognormal", {}, hat)
 
 
-@pytest.mark.parametrize("block, size", [(1, 1), (1, 2), (7, 6), (7, 7), (7, 8)])
+def _constant_grid(kind, n):
+    """One of the ascending grids the constants take octave sums on, for the N-point Morlet bank."""
+    bank = build_bank(morlet_mother(), 0, n)
+    lo, hi = bank.validated_band
+    return {
+        "samples": decay._octave_samples(bank),
+        "curvature": decay._curvature_grid(n // 2),
+        "band": np.arange(lo, hi + 1, dtype=np.float64),
+    }[kind]
+
+
+# at both ends of the geometric grids a lognormal column summed pairwise, as
+# np.sum does a lone column, differs; the others are the constants' own grids
+OCTAVE_GRIDS = {
+    **{f"geom{size}": (lambda size=size: np.geomspace(0.1, 115.0, size)) for size in (1, 2, 6, 7, 8)},
+    **{
+        f"{kind}{n}": (lambda kind=kind, n=n: _constant_grid(kind, n))
+        for kind in ("samples", "curvature", "band")
+        for n in (256, 2048)
+    },
+}
+
+
+@pytest.mark.parametrize("grid", list(OCTAVE_GRIDS))
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother, lognormal_mother])
-def test_blocked_octave_sums_match_unblocked(make, block, size, monkeypatch):
+def test_octave_slice_sums_match_whole_grid(make, grid):
     bank = build_bank(make(), 0, 256)
-    # every block spans its own octave range; at both ends of this grid a
-    # lognormal column summed pairwise, as np.sum does a lone column, differs
-    omegas = np.geomspace(0.1, 115.0, size)
-    monkeypatch.setattr(decay, "_OCTAVE_BLOCK", block)
+    omegas = OCTAVE_GRIDS[grid]()
     got = (*decay._functional_terms(bank, omegas), decay._lp_up_to_coarsest(bank, omegas))
     want = reference_octave_sums(bank, omegas)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -379,6 +399,41 @@ def test_constants_bits_are_pinned(case):
     assert {k: repr(v) for k, v in cst.margins.items()} == {
         k: repr(v) for k, v in margins.items()
     }
+
+
+def _full_row_smoothed_window_sq(init, omegas):
+    """(|phi_hat|^2 * g)(w) with exp and np.trapezoid over every support point of every row."""
+    support = init.phi_grid / init.m_scale
+    values = init.phi_values**2
+    out = np.zeros(omegas.shape)
+    for i, w in enumerate(omegas):
+        kernel = np.exp(-((w - support) ** 2)) / math.sqrt(math.pi)
+        out[i] = np.trapezoid(values * kernel, support)
+    return out
+
+
+@pytest.mark.parametrize("case", ["morlet(3,1)-256", "morlet(2.7,0.9)-512", "shannon(j_min=-5)-256"])
+def test_smoothed_window_matches_full_row_quadrature(case):
+    (mother, n, *j_min), _, _ = PINNED_CONSTANTS[case]
+    bank = build_bank(mother(), 0, n, *j_min)
+    init = initialize_lowpass(bank)
+    lo, hi = bank.validated_band
+    # the band the width search smooths on, and a grid off the integers out past exp's reach
+    omegas = np.concatenate([np.arange(lo, hi + 1, dtype=np.float64), np.linspace(-40.0, 40.0, 161)])
+    got = decay._smoothed_window_sq(init, omegas)
+    assert got.tobytes() == _full_row_smoothed_window_sq(init, omegas).tobytes()
+    support = init.phi_grid / init.m_scale
+    tiny = np.finfo(np.float64).tiny
+    kinds = set()
+    for w in omegas:
+        kernel = np.exp(-((w - support) ** 2))
+        if kernel.max() == 0.0:
+            kinds.add("zero")
+        elif np.any((kernel > 0.0) & (kernel < tiny)):
+            kinds.add("partly subnormal")
+        elif kernel.min() >= tiny:
+            kinds.add("normal")
+    assert kinds == {"normal", "partly subnormal", "zero"}
 
 
 def test_constants_margins_are_recorded(shannon_constants):

@@ -1,4 +1,4 @@
-"""Randomized invariants of the transform layer.
+"""Randomized invariants of the transform layer and of the octave sums.
 
 Hypothesis drives the scalar choices (grid size, seed, shift, frequency);
 the arrays themselves come from a seeded numpy generator so failures
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatdecay.decay import _functional_terms, _lp_up_to_coarsest
+from scatdecay.filterbank import X_WINDOW, build_bank, make_mother
 from scatdecay.signals import (
     Signal,
     Spectrum,
@@ -22,6 +24,7 @@ from scatdecay.signals import (
     reflection_index,
     shift,
 )
+from test_decay import reference_octave_sums
 
 sizes = st.sampled_from((8, 16, 32, 64, 128))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -130,3 +133,23 @@ def test_band_limited_signal_is_real_and_confined(n, seed, data):
     coeffs = dft(f).coeffs
     # synthesis goes through the time domain, so "zero" means FFT round-off
     assert np.all(np.abs(coeffs[outside]) <= 1e-13 * np.abs(coeffs).max())
+
+
+@given(st.sampled_from((256, 2048)), seeds, st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=40), st.sampled_from(("morlet", "shannon")))
+@settings(deadline=None, max_examples=60)
+def test_octave_slice_sums_on_random_ascending_grids(n, seed, size, n_edges, mother):
+    # ascending grids on [2^-8, N/2]; duplicates and points on the window's
+    # edges 2^-j X_WINDOW, where an octave's slice starts or stops, included
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    edges = np.ldexp(np.array(X_WINDOW)[:, None], -np.arange(-40, 41)).ravel()
+    edges = edges[(edges >= 2.0**-8) & (edges <= half)]
+    omegas = np.sort(np.concatenate([
+        2.0 ** rng.uniform(-8.0, np.log2(half), size),
+        rng.choice(edges, n_edges),
+    ]))
+    bank = build_bank(make_mother(mother), 0, n)
+    got = (*_functional_terms(bank, omegas), _lp_up_to_coarsest(bank, omegas))
+    want = reference_octave_sums(bank, omegas)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
