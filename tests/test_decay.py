@@ -219,23 +219,32 @@ def _constant_grid(kind, n):
     }[kind]
 
 
-# at both ends of the geometric grids a lognormal column summed pairwise, as
-# np.sum does a lone column, differs; the others are the constants' own grids
-OCTAVE_GRIDS = {
-    **{f"geom{size}": (lambda size=size: np.geomspace(0.1, 115.0, size)) for size in (1, 2, 6, 7, 8)},
-    **{
-        f"{kind}{n}": (lambda kind=kind, n=n: _constant_grid(kind, n))
-        for kind in ("samples", "curvature", "band")
-        for n in (256, 2048)
-    },
-}
-
-
-@pytest.mark.parametrize("grid", list(OCTAVE_GRIDS))
+@pytest.mark.parametrize("block, size", [(1, 1), (1, 2), (7, 6), (7, 7), (7, 8)])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother, lognormal_mother])
-def test_octave_slice_sums_match_whole_grid(make, grid):
+def test_blocked_octave_sums_match_unblocked(make, block, size):
     bank = build_bank(make(), 0, 256)
-    omegas = OCTAVE_GRIDS[grid]()
+    # at both ends of this grid a lognormal column summed pairwise, as
+    # np.sum does a lone column, differs
+    omegas = np.geomspace(0.1, 115.0, size)
+    want = reference_octave_sums(bank, omegas)
+    got = (*decay._functional_terms(bank, omegas), decay._lp_up_to_coarsest(bank, omegas))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # each block of columns alone spans its own octave range and gives the same bits
+    parts = [omegas[i : i + block] for i in range(0, size, block)]
+    blocked = [
+        (*decay._functional_terms(bank, part), decay._lp_up_to_coarsest(bank, part)) for part in parts
+    ]
+    joined = [np.concatenate([b[k] for b in blocked]) for k in range(4)]
+    assert [g.tobytes() for g in joined] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("kind", ["samples", "curvature", "band"])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother, lognormal_mother])
+def test_octave_slice_sums_match_whole_grid(make, kind, n):
+    # the ascending grids the constants themselves take octave sums on
+    bank = build_bank(make(), 0, 256)
+    omegas = _constant_grid(kind, n)
     got = (*decay._functional_terms(bank, omegas), decay._lp_up_to_coarsest(bank, omegas))
     want = reference_octave_sums(bank, omegas)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
