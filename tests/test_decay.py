@@ -180,15 +180,19 @@ def _in_order(rows):
     return total
 
 
-def reference_octave_sums(bank, omegas):
-    """S, F1 and F2 numerators and the j <= j_max sum, on the whole grid at once."""
+def reference_terms(mother, omegas):
+    """Octaves js and |psi_hat(+-2^j w)|^2 on the whole (octave, frequency) grid, 0.0 outside X_WINDOW."""
     j_lo = math.ceil(math.log2(X_WINDOW[0] / omegas.max()))
     j_hi = math.floor(math.log2(X_WINDOW[1] / omegas.min()))
     js = np.arange(j_lo, j_hi + 1)
     x = np.ldexp(omegas[None, :], js[:, None])
     keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    p = np.where(keep, bank.mother(x) ** 2, 0.0)
-    m = np.where(keep, bank.mother(-x) ** 2, 0.0)
+    return js, np.where(keep, mother(x) ** 2, 0.0), np.where(keep, mother(-x) ** 2, 0.0)
+
+
+def reference_octave_sums(bank, omegas):
+    """S, F1 and F2 numerators and the j <= j_max sum, on the whole grid at once."""
+    js, p, m = reference_terms(bank.mother, omegas)
     w1 = np.ldexp(1.0, -js)[:, None]
     return (
         0.5 * (_in_order(p) + _in_order(m)),
@@ -248,6 +252,71 @@ def test_octave_slice_sums_match_whole_grid(make, kind, n):
     got = (*decay._functional_terms(bank, omegas), decay._lp_up_to_coarsest(bank, omegas))
     want = reference_octave_sums(bank, omegas)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert ideal_lp_sum(bank.mother, omegas).tobytes() == want[0].tobytes()
+    # in any order, or as a list, each frequency keeps the bits it has in the ascending grid
+    shuffle = np.random.default_rng(n).permutation(omegas.size)
+    assert ideal_lp_sum(bank.mother, list(omegas[shuffle])).tobytes() == want[0][shuffle].tobytes()
+
+
+def reference_validated_band(bank):
+    """Widest run of integers in 1..N/2-1 where the j_min..j_max sum is within 1e-3 of the full one."""
+    omegas = np.arange(1, bank.n // 2, dtype=np.float64)
+    js, p, m = reference_terms(bank.mother, omegas)
+    full = 0.5 * (_in_order(p) + _in_order(m))
+    retained = ((js >= bank.j_min) & (js <= bank.j_max))[:, None]
+    kept = 0.5 * _in_order(np.where(retained, p + m, 0.0))
+    best, start = None, None
+    for i, ok in enumerate([*(np.abs(full - kept) <= 1e-3), False]):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            if best is None or i - start > best[1] - best[0] + 1:  # the first of a tie
+                best = (start + 1, i)  # the run's integers, omegas[start] to omegas[i - 1]
+            start = None
+    return best
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize(
+    "make",
+    [morlet_mother, lambda: morlet_mother(2.7, 0.9), shannon_mother,
+     lambda: bandpass_mother(1.0, 1.5), lognormal_mother],
+)
+def test_validated_band_matches_reference(make, n):
+    # default, narrow, shifted and one-octave ranges: full, partial and no coverage
+    for j_max, j_min in [(0, None), (0, -3), (2, -2), (-1, -1)]:
+        bank = build_bank(make(), j_max, n, j_min=j_min)
+        assert bank.validated_band == reference_validated_band(bank), (j_max, j_min)
+
+
+def reference_lemma2_gaps(bank, constants, x):
+    """rhs - lhs of ``lemma2_envelope_check`` at every validated frequency, on the whole grid."""
+    lo, hi = bank.validated_band
+    omegas = np.arange(lo, hi + 1, dtype=np.float64)
+    js, p, m = reference_terms(bank.mother, omegas)
+    centers = constants.delta * np.ldexp(1.0, -js)[:, None]
+    loss_pos = 1.0 - np.exp(-2.0 * ((omegas - centers) / x) ** 2)
+    loss_neg = 1.0 - np.exp(-2.0 * ((-omegas - centers) / x) ** 2)
+    lhs = 0.5 * _in_order(p * loss_pos + m * loss_neg)
+    return omegas, 1.0 - np.exp(-2.0 * (omegas / (constants.a * x)) ** 2) - lhs
+
+
+@pytest.mark.parametrize("which", ["shannon", "morlet"])
+def test_lemma2_gaps_match_reference(which, request):
+    bank = request.getfixturevalue(f"{which}_bank")
+    cst = request.getfixturevalue(f"{which}_constants")
+    for n in range(2, 6):
+        x = cst.r * cst.a**n
+        omegas, gaps = reference_lemma2_gaps(bank, cst, x)
+        report = lemma2_envelope_check(bank, cst, x)
+        k = int(np.argmin(gaps))
+        assert (repr(report.margin), repr(report.witness_freq)) == (repr(float(gaps[k])), repr(float(omegas[k])))
+        # a one-frequency band reads off the gap at that frequency
+        singles = [
+            lemma2_envelope_check(replace(bank, validated_band=(w, w)), cst, x).margin
+            for w in range(int(omegas[0]), int(omegas[-1]) + 1)
+        ]
+        assert repr(singles) == repr(gaps.tolist())
 
 
 def test_lognormal_sums_see_the_summation_order():
