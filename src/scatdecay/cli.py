@@ -9,7 +9,8 @@ Exit codes are part of the contract:
     0   everything ran and every checked condition passed
     1   a condition failed or the bank cannot support the machinery
     2   unreadable or malformed input (files, flags, formats)
-    3   the request's node arrays exceed the memory budget (scatter, decay, stationary)
+    3   the request's arrays exceed the memory budget: the nodes of scatter,
+        decay and stationary, or a bank's or model's own arrays
 
 All outputs are byte-stable for identical inputs: floats are written in
 shortest round-trip form, JSON keys are sorted, and nothing records

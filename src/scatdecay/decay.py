@@ -38,12 +38,10 @@ from .errors import (
     WeakAsymmetryError,
 )
 from .filterbank import (
-    X_WINDOW,
     ConditionReport,
     FilterBank,
-    _octave_sum,
+    _octave_slices,
     check_littlewood_paley,
-    dyadic_term_grid,
     estimate_vanishing_order,
 )
 from .scattering import layer_energy_profile
@@ -96,32 +94,10 @@ def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
     return bank.validated_band
 
 
-def _octave_slices(bank: FilterBank, omegas: np.ndarray, j_max: int | None = None):
-    """(j, columns, p, m) for each octave j, ascending, that reaches ``omegas``.
-
-    ``omegas`` must be ascending and strictly positive, so the frequencies
-    whose 2^j w lies in ``X_WINDOW`` form one slice; p, m = |psi_hat(+-2^j w)|^2
-    there are the in-window entries of row j of ``dyadic_term_grid``.  Added
-    in ascending j into zeroed sums, they give the bits of the in-order sum
-    over the whole grid: the rest are exact zeros, and adding 0.0 changes no bit.
-    """
-    j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(omegas[-1]))))
-    j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(omegas[0]))))
-    if j_max is not None:
-        j_hi = min(j_hi, j_max)
-    for j in range(j_lo, j_hi + 1):
-        # 2^j w >= x iff w >= 2^-j x: scaling by a power of two is exact
-        start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
-        stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
-        if start < stop:
-            x = np.ldexp(omegas[start:stop], j)
-            yield j, slice(start, stop), bank.mother(x) ** 2, bank.mother(-x) ** 2
-
-
 def _functional_terms(bank: FilterBank, omegas: np.ndarray):
     """Converged S, F1 and F2 numerators at ascending, strictly positive omegas."""
     sp, sm, n1, n2 = (np.zeros(omegas.shape) for _ in range(4))
-    for j, cols, p, m in _octave_slices(bank, omegas):
+    for j, cols, p, m in _octave_slices(bank.mother, omegas):
         w1 = math.ldexp(1.0, -j)
         sp[cols] += p
         sm[cols] += m
@@ -193,7 +169,7 @@ def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
     in-order sum, which change no bit.
     """
     out = np.zeros(omegas.shape)
-    for _, cols, p, m in _octave_slices(bank, omegas, j_max=bank.j_max):
+    for _, cols, p, m in _octave_slices(bank.mother, omegas, j_max=bank.j_max):
         out[cols] += p + m
     return 0.5 * out
 
@@ -550,14 +526,14 @@ def lemma2_envelope_check(
         raise ValueError("contraction must be positive")
     lo, hi = _band_or_raise(bank)
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
-    js, p, m = dyadic_term_grid(bank.mother, omegas)
-    s = 0.5 * (_octave_sum(p) + _octave_sum(m))
-    centers = constants.delta * np.ldexp(1.0, -js)[:, None]
-    loss_pos = 1.0 - _chi_sq(omegas[None, :] - centers, x)
-    loss_neg = 1.0 - _chi_sq(-omegas[None, :] - centers, x)
-    lhs = 0.5 * _octave_sum(p * loss_pos + m * loss_neg)
-    rhs = 1.0 - _chi_sq(omegas, contraction * x)
-    gaps = rhs - lhs
+    sp, sm, lhs = (np.zeros(omegas.shape) for _ in range(3))
+    for j, cols, p, m in _octave_slices(bank.mother, omegas):
+        w, center = omegas[cols], constants.delta * math.ldexp(1.0, -j)
+        sp[cols] += p
+        sm[cols] += m
+        lhs[cols] += p * (1.0 - _chi_sq(w - center, x)) + m * (1.0 - _chi_sq(-w - center, x))
+    s = 0.5 * (sp + sm)
+    gaps = 1.0 - _chi_sq(omegas, contraction * x) - 0.5 * lhs
     idx = int(np.argmin(gaps))
     margin = float(gaps[idx])
     return ConditionReport(

@@ -17,7 +17,7 @@ class ScatdecayError(Exception):
 
 
 class BudgetExceededError(ScatdecayError):
-    """Request would hold ``estimated_bytes`` of node arrays at once, over the memory budget."""
+    """Request would hold ``estimated_bytes`` of arrays at once, over the memory budget."""
 
     def __init__(self, message: str, estimated_bytes: int):
         super().__init__(message)

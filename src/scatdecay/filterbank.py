@@ -14,6 +14,13 @@ Three conditions are checked here:
 All three are grid evaluations that report a signed margin and a witness
 frequency; downstream bounds consume the margins, so the checks never
 round a failure up to a pass.
+
+Every converged dyadic sum over all integer j, here and in ``decay``, is
+taken by ``_octave_slices`` under one rule: the terms are added in
+ascending j, and only the in-window terms, those with 2^j w in
+``X_WINDOW``, are added at all.  The window depends on 2^j w alone, so
+doubling w shifts the added terms by one octave and every such sum is
+dyadically homogeneous bit for bit.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .signals import Spectrum, _write_json, frequencies
 
 __all__ = [
@@ -40,7 +48,6 @@ __all__ = [
     "bandpass_mother",
     "make_mother",
     "build_bank",
-    "dyadic_term_grid",
     "ideal_lp_sum",
     "check_littlewood_paley",
     "check_asymmetry",
@@ -61,11 +68,24 @@ X_WINDOW = (1e-8, 16.0)
 # of its peak: exp(-REACH^2) = 1e-33
 _BUMP_REACH = math.sqrt(33.0 * math.log(10.0))
 
+# bytes of arrays one request may hold at once: a bank's filters, a model's
+# density and autocovariance, the complex128 nodes of a scattering tree
+_BUDGET_BYTES = 1 << 30
+
 _COVERAGE_TOL = 1e-3  # largest |kept - full| octave sum inside a validated band
 _ASYMMETRY_TOL = 1e-12  # largest excess of a mirror amplitude over its partner
 _ORDER_WINDOW = (2.0**-10, 2.0**-4)
 _ORDER_POINTS = 25
 _ORDER_THRESHOLD = 0.05
+
+
+def _check_bytes(what: str, nbytes: int) -> None:
+    """Refuse ``what``, before it is allocated, when its ``nbytes`` exceed the budget."""
+    if nbytes > _BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"{what} needs {nbytes:,} bytes at once, over the budget of {_BUDGET_BYTES:,}",
+            estimated_bytes=nbytes,
+        )
 
 
 def _morlet_kappa(center: float, width: float) -> float:
@@ -207,66 +227,44 @@ def make_mother(name: str, **params) -> MotherWavelet:
 # Dyadic sums over all integer scales, truncated to the converged window.
 
 
-def dyadic_term_grid(
-    mother: MotherWavelet, omegas: np.ndarray, j_max: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared amplitudes of every converged octave term at each frequency.
+def _octave_slices(mother: MotherWavelet, omegas: np.ndarray, j_max: int | None = None):
+    """(j, columns, p, m) for each octave j, ascending, that reaches ``omegas``.
 
-    Parameters
-    ----------
-    mother : MotherWavelet, evaluated elementwise.
-    omegas : array of strictly positive frequencies.
-    j_max : optional coarsest octave; the octaves above it are left out.
-
-    Returns
-    -------
-    js : int array of octaves, ascending, none above ``j_max``.
-    p, m : arrays of shape (len(js), len(omegas)) holding
-        |psi_hat(2^j w)|^2 and |psi_hat(-2^j w)|^2 where the scaled
-        argument 2^j w lies in the converged window, and exactly 0.0
-        elsewhere.
-
-    The mother is evaluated only inside the window, at +-2^j w for the
-    retained (j, w) entries; about half of the grid falls outside and is
-    never computed.  The window mask depends only on 2^j * w, so doubling
-    w shifts the retained term set by exactly one octave and dyadic
-    homogeneity of sums built from these terms holds bitwise.
+    ``omegas`` must be nonempty, strictly positive and ascending (ties
+    allowed), else ``ValueError``; the frequencies whose 2^j w lies in
+    ``X_WINDOW`` then form one slice, where p, m = |psi_hat(+-2^j w)|^2.  The
+    mother is evaluated nowhere else, and the octaves above ``j_max`` not at all.
     """
-    omegas = np.asarray(omegas, dtype=np.float64)
-    if omegas.size == 0 or np.any(omegas <= 0):
-        raise ValueError("frequencies must be strictly positive")
-    j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(omegas.max()))))
-    j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(omegas.min()))))
+    if omegas.size == 0 or not omegas[0] > 0.0 or not np.all(omegas[1:] >= omegas[:-1]):
+        raise ValueError("frequencies must be nonempty, strictly positive and ascending")
+    j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(omegas[-1]))))
+    j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(omegas[0]))))
     if j_max is not None:
         j_hi = min(j_hi, j_max)
-    js = np.arange(j_lo, j_hi + 1)
-    x = np.ldexp(omegas[None, :], js[:, None])
-    keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    inside = x[keep]
-    p = np.zeros(x.shape)
-    m = np.zeros(x.shape)
-    p[keep] = mother(inside) ** 2
-    m[keep] = mother(-inside) ** 2
-    return js, p, m
+    for j in range(j_lo, j_hi + 1):
+        # 2^j w >= x iff w >= 2^-j x: scaling by a power of two is exact
+        start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
+        stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
+        if start < stop:
+            x = np.ldexp(omegas[start:stop], j)
+            yield j, slice(start, stop), mother(x) ** 2, mother(-x) ** 2
 
 
-def _octave_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over octaves (axis 0), adding rows in ascending j for any number of columns.
+def ideal_lp_sum(mother: MotherWavelet, omegas) -> np.ndarray:
+    """Symmetrized squared sum over all integer octaves (converged).
 
-    ``np.sum(axis=0)`` adds rows in order when there are two or more
-    columns, but sums a single column pairwise, so one frequency alone
-    would get other bits than the same frequency inside a longer grid;
-    ``accumulate`` always goes in order.
+    The positive ``omegas`` may come in any order; each frequency gets the
+    bits it has in the ascending grid.
     """
-    if terms.shape[1] == 1 and terms.shape[0] > 0:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.sum(terms, axis=0)
-
-
-def ideal_lp_sum(mother: MotherWavelet, omegas: np.ndarray) -> np.ndarray:
-    """Symmetrized squared sum over all integer octaves (converged)."""
-    _, p, m = dyadic_term_grid(mother, omegas)
-    return 0.5 * (_octave_sum(p) + _octave_sum(m))
+    omegas = np.asarray(omegas, dtype=np.float64)
+    order = np.argsort(omegas, kind="stable")
+    sp, sm = np.zeros(omegas.size), np.zeros(omegas.size)
+    for _, cols, p, m in _octave_slices(mother, omegas[order]):
+        sp[cols] += p
+        sm[cols] += m
+    out = np.empty(omegas.size)
+    out[order] = 0.5 * (sp + sm)
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,11 +293,13 @@ def _validated_band(
     mother: MotherWavelet, j_min: int, j_max: int, n: int
 ) -> tuple[int, int] | None:
     omegas = np.arange(1, n // 2, dtype=np.float64)
-    js, p, m = dyadic_term_grid(mother, omegas)
-    ideal = 0.5 * (_octave_sum(p) + _octave_sum(m))
-    retained = ((js >= j_min) & (js <= j_max))[:, None]
-    kept = 0.5 * _octave_sum(np.where(retained, p + m, 0.0))
-    ok = np.abs(ideal - kept) <= _COVERAGE_TOL
+    sp, sm, kept = (np.zeros(omegas.size) for _ in range(3))
+    for j, cols, p, m in _octave_slices(mother, omegas):
+        sp[cols] += p
+        sm[cols] += m
+        if j_min <= j <= j_max:
+            kept[cols] += p + m
+    ok = np.abs(0.5 * (sp + sm) - 0.5 * kept) <= _COVERAGE_TOL
     if not np.any(ok):
         return None
     # widest contiguous run of covered integers; argmax takes the first of a tie
@@ -318,12 +318,14 @@ def build_bank(
     """Sample the dilated mother on the grid for octaves j_min..j_max.
 
     ``j_min`` defaults to j_max - ceil(log2 n) + 1, the finest octave
-    whose pass band still lies on the grid.
+    whose pass band still lies on the grid.  A bank whose complex128
+    filters, 16 N bytes per octave, exceed the budget is refused first.
     """
     if j_min is None:
         j_min = j_max - math.ceil(math.log2(n)) + 1
     if j_min > j_max:
         raise ValueError(f"empty octave range [{j_min}, {j_max}]")
+    _check_bytes(f"a bank of {j_max - j_min + 1} octaves on N={n}", 16 * n * (j_max - j_min + 1))
     w = frequencies(n).astype(np.float64)
     filters = {
         j: Spectrum(mother(np.ldexp(w, j)).astype(np.complex128))

@@ -22,8 +22,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError, NonTightBankError
-from .filterbank import FilterBank, _recipe, build_bank, shannon_mother
+from .errors import NonTightBankError
+from .filterbank import FilterBank, _check_bytes, _recipe, build_bank, shannon_mother
 from .signals import (
     Signal,
     Spectrum,
@@ -57,9 +57,6 @@ _PARTITION_TOL = 1e-9  # largest partition defect of a pair energy_balance takes
 # a larger chunk would stream every pass through main memory
 _CHUNK_ELEMENTS = 1 << 15
 
-# bytes of complex128 node arrays one request may hold at once
-_BUDGET_BYTES = 1 << 30
-
 
 def _power(breadth: int, depth: int) -> int:
     # B^depth nodes per row; a lower bound past depth 64, far over budget for B >= 2
@@ -68,13 +65,8 @@ def _power(breadth: int, depth: int) -> int:
 
 def _check_budget(request: str, bank: FilterBank, values: int, extra_bytes: int = 0) -> None:
     """Refuse a request whose complex128 ``values`` plus ``extra_bytes`` exceed the budget."""
-    nbytes = 16 * values + extra_bytes
-    if nbytes > _BUDGET_BYTES:
-        raise BudgetExceededError(
-            f"{request} with {len(bank.filters)} octaves per node on N={bank.n} needs "
-            f"{nbytes:,} bytes at once, over the budget of {_BUDGET_BYTES:,}",
-            estimated_bytes=nbytes,
-        )
+    _check_bytes(f"{request} with {len(bank.filters)} octaves per node on N={bank.n}",
+                 16 * values + extra_bytes)
 
 
 def _check_profile(bank: FilterBank, n_max: int) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
-from .filterbank import FilterBank
+from .filterbank import FilterBank, _check_bytes
 from .scattering import _Workspace, _check_budget, _filter_rows, _power, _row_profiles
 from .signals import (
     Signal, Spectrum, _inverse_rows, _write_json, dft, frequencies, gaussian_lowpass, idft,
@@ -117,8 +117,10 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         white noise of level sigma shaped by a named filter,
         density = sigma^2 |h_hat|^2.
 
-    Every family accepts ``mean`` (default 0).
+    Every family accepts ``mean`` (default 0).  A model whose density and
+    autocovariance, 16 N bytes, exceed the memory budget is refused first.
     """
+    _check_bytes(f"a model on N={n}", 16 * n)
     params = dict(params)
     mean = float(params.setdefault("mean", 0.0))
     sigma = float(params.setdefault("sigma", 1.0))
@@ -222,7 +224,7 @@ def mc_layer_energy(
     """Monte Carlo estimate of E (layer-n energy) under the model.
 
     One trial's layer n - 1 (N B^(n-1) complex values for B octaves) plus
-    8 bytes per trial must fit the memory budget of ``scattering``.
+    8 bytes per trial must fit the memory budget.
 
     Trials are synthesized and scattered in blocks, each block one batched
     energy-only pass whose deepest formed layer (n - 1, as layer n is only

@@ -5,10 +5,14 @@ parsing, dispatch, and exit-code mapping a shell user would hit:
 0 = pass, 1 = failed condition, 2 = bad input, 3 = budget.
 """
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scatdecay
 from scatdecay import cli, scattering
 from scatdecay.cli import main
 from scatdecay.filterbank import (
@@ -337,6 +341,42 @@ def test_scatter_run_over_budget_forms_no_layer(tmp_path, capsys, monkeypatch):
                  "--out", str(out), "--depth", "6"])
     assert code == 3
     assert "depth 6 with 12 octaves per node on N=4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# main() in a child process whose address space is capped at 2 GiB, so an
+# oversized grid that slipped past its refusal fails there at once
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from scatdecay.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "bank_n, j_min, model_n, message",
+    [
+        (2**31, None, None, "a bank of 31 octaves on N=2147483648 needs 1,065,151,889,408 bytes"),
+        (2048, -10**6, None, "a bank of 1000001 octaves on N=2048 needs 32,768,032,768 bytes"),
+        (128, None, 2**31, "a model on N=2147483648 needs 34,359,738,368 bytes"),
+    ],
+    ids=["bank-points", "bank-octaves", "model-points"],
+)
+def test_oversized_grid_refused_before_any_allocation(bank_n, j_min, model_n, message, tmp_path):
+    bank_path, model_path, out = tmp_path / "bank.json", tmp_path / "model.json", tmp_path / "out"
+    bank_path.write_text(json.dumps({"mother": {"name": "morlet"}, "J": 0, "j_min": j_min, "N": bank_n}))
+    if model_n is None:
+        argv = ["bank", "check", "--bank", str(bank_path), "--out", str(out)]
+    else:
+        model_path.write_text(json.dumps({"kind": "white", "N": model_n}))
+        argv = ["stationary", "run", "--bank", str(bank_path), "--model", str(model_path), "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(scatdecay.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == f"error: {message} at once, over the budget of 1,073,741,824\n"
     assert not out.exists()
 
 

@@ -9,11 +9,11 @@ from scatdecay.filterbank import (
     ConditionReport,
     MOTHERS,
     X_WINDOW,
+    _octave_slices,
     bandpass_mother,
     build_bank,
     check_asymmetry,
     check_littlewood_paley,
-    dyadic_term_grid,
     estimate_vanishing_order,
     even_morlet_mother,
     ideal_lp_sum,
@@ -24,6 +24,7 @@ from scatdecay.filterbank import (
     save_bank,
     shannon_mother,
 )
+from test_decay import reference_terms
 
 
 # --- mother profiles -------------------------------------------------------
@@ -197,8 +198,19 @@ def test_ideal_sum_scale_invariance_bitwise():
     assert np.array_equal(ideal_lp_sum(m, w), ideal_lp_sum(m, 16.0 * w))
 
 
+def _slice_grid(mother, omegas, j_max=None):
+    """Each slice of ``_octave_slices`` laid out as its octave's row of the whole grid, 0.0 elsewhere."""
+    js, p, m = [], [], []
+    for j, cols, pj, mj in _octave_slices(mother, omegas, j_max):
+        js.append(j)
+        p.append(np.zeros(omegas.size))
+        m.append(np.zeros(omegas.size))
+        p[-1][cols], m[-1][cols] = pj, mj
+    return np.array(js), np.array(p), np.array(m)
+
+
 def test_term_grid_masks_by_window():
-    js, p, m = dyadic_term_grid(shannon_mother(), np.array([3.0]))
+    js, p, m = _slice_grid(shannon_mother(), np.array([3.0]))
     # exactly one octave catches 3.0: j = -1 puts it at 1.5
     hot = np.flatnonzero(p[:, 0])
     assert js[hot].tolist() == [-1]
@@ -217,15 +229,17 @@ def test_term_grid_evaluates_only_inside_window(make):
 
     # far past both window edges, so most (j, w) entries fall outside it
     omegas = np.geomspace(1e-12, 1e6, 257)
-    js, p, m = dyadic_term_grid(replace(base, hat=recording), omegas)
+    js, p, m = _slice_grid(replace(base, hat=recording), omegas)
     args = np.abs(np.concatenate(seen))
     assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
+    want_js, want_p, want_m = reference_terms(base, omegas)
+    assert js.tolist() == want_js.tolist()
     x = np.ldexp(omegas[None, :], js[:, None])
     keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
     assert args.size == 2 * np.count_nonzero(keep)
     # same bits as evaluating the whole grid and masking afterwards
-    assert p.tobytes() == np.where(keep, base(x) ** 2, 0.0).tobytes()
-    assert m.tobytes() == np.where(keep, base(-x) ** 2, 0.0).tobytes()
+    assert p.tobytes() == want_p.tobytes()
+    assert m.tobytes() == want_m.tobytes()
 
 
 @pytest.mark.parametrize("j_max", [-3, 0, 2])
@@ -238,20 +252,26 @@ def test_term_grid_stops_at_j_max(j_max):
         return base.hat(w)
 
     omegas = np.geomspace(0.5, 200.0, 97)
-    js, p, m = dyadic_term_grid(base, omegas)
-    top_js, top_p, top_m = dyadic_term_grid(replace(base, hat=recording), omegas, j_max=j_max)
+    js, p, m = _slice_grid(base, omegas)
+    top_js, top_p, top_m = _slice_grid(replace(base, hat=recording), omegas, j_max=j_max)
     rows = js <= j_max
     assert top_js.tolist() == js[rows].tolist()
     assert top_p.tobytes() == p[rows].tobytes() and top_m.tobytes() == m[rows].tobytes()
-    # the mother is evaluated at +-2^j w inside the window for j <= j_max only
+    # the mother is evaluated at +2^j w, then -2^j w, inside the window, octave by octave up to j_max
     x = np.ldexp(omegas[None, :], top_js[:, None])
     inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    assert np.concatenate(seen).tobytes() == np.concatenate([x[inside], -x[inside]]).tobytes()
+    want = [np.concatenate([row[k], -row[k]]) for row, k in zip(x, inside)]
+    assert np.concatenate(seen).tobytes() == np.concatenate(want).tobytes()
 
 
 def test_term_grid_rejects_nonpositive():
+    # a zero, a negative, a descending pair, a NaN and an empty grid
+    for omegas in ([0.0, 1.0], [-1.0, 1.0], [2.0, 1.0], [1.0, math.nan], []):
+        with pytest.raises(ValueError):
+            list(_octave_slices(shannon_mother(), np.array(omegas)))
+    # ideal_lp_sum takes any order, but not a nonpositive frequency
     with pytest.raises(ValueError):
-        dyadic_term_grid(shannon_mother(), np.array([0.0, 1.0]))
+        ideal_lp_sum(shannon_mother(), [3.0, 0.0])
 
 
 def test_bank_sum_matches_ideal_inside_validated_band():

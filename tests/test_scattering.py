@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from scatdecay import scattering
+from scatdecay import filterbank, scattering
 from scatdecay.errors import BudgetExceededError, NonTightBankError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import (
@@ -340,9 +340,9 @@ def test_absurd_depth_is_refused_at_once():
 
 def _runs_on_exactly(monkeypatch, nbytes, request):
     """``request`` runs on a budget of ``nbytes`` and is refused one byte under it."""
-    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes)
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
     request()
-    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes - 1)
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
     with pytest.raises(BudgetExceededError) as info:
         request()
     assert info.value.estimated_bytes == nbytes

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scatdecay import scattering, stationary
+from scatdecay import filterbank, scattering, stationary
 from scatdecay.decay import compute_constants
 from scatdecay.errors import BudgetExceededError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
@@ -371,9 +371,9 @@ def test_mc_budget_counts_one_trial_and_every_value(monkeypatch):
     bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
     model = make_model("white", 64)
     nbytes = 16 * 64 * 6**2 + 8 * 5  # one trial's layer 2, five 8-byte values
-    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes)
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
     mc_layer_energy(model, bank, 3, trials=5, seed=0)
-    monkeypatch.setattr(scattering, "_BUDGET_BYTES", nbytes - 1)
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
     with pytest.raises(BudgetExceededError) as info:
         mc_layer_energy(model, bank, 3, trials=5, seed=0)
     assert info.value.estimated_bytes == nbytes
