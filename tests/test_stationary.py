@@ -367,6 +367,18 @@ def test_mc_trials_are_bounded_by_the_budget(shannon_128):
     assert info.value.estimated_bytes == 16 * 128 * 7 + 8 * 10**9
 
 
+def test_bank_and_model_budget_count_their_own_arrays(monkeypatch):
+    # a 6-octave bank on N=64 keeps 16 * 64 * 6 bytes of filters; a model on N=64, 16 * 64
+    for nbytes, build in [(16 * 64 * 6, lambda: build_bank(morlet_mother(), 0, 64)),
+                          (16 * 64, lambda: make_model("white", 64))]:
+        monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
+        build()
+        monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
+        with pytest.raises(BudgetExceededError) as info:
+            build()
+        assert info.value.estimated_bytes == nbytes
+
+
 def test_mc_budget_counts_one_trial_and_every_value(monkeypatch):
     bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
     model = make_model("white", 64)
