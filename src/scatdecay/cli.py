@@ -37,7 +37,9 @@ from .signals import (
     Signal, Spectrum, _write_json, band_limited_signal, convolve, dft, energy, frequencies, modulus,
     read_signal, write_signal,
 )
-from .stationary import _check_mc_request, load_model, mc_layer_energy, stationary_bound
+from .stationary import (
+    _check_mc_request, _check_seed, load_model, mc_layer_energy, stationary_bound,
+)
 
 __all__ = ["main"]
 
@@ -124,6 +126,7 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
     _check_tol(args.tol)
+    _check_seed(args.seed)
     bank = _load_bank(args)
     # a bad or over-budget depth, or a signal off the grid, is refused before the constants or --out
     _check_bound_layer(args.depth)
@@ -164,7 +167,7 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     # refused in the order the run would meet them, but before the constants,
     # the simulation or --out
-    _check_mc_request(model, bank, args.depth, args.trials)
+    _check_mc_request(model, bank, args.depth, args.trials, args.seed)
     _check_bound_layer(args.depth)
     out = _require_out(args)
     constants = compute_constants(bank)
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[bank_out], help="constants plus bound-vs-empirical table"
     )
     verify.add_argument("--depth", type=int, default=4, help="deepest layer to verify")
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input")
+    verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input (>= 0)")
     verify.add_argument("--tol", type=float, default=1e-8, help="allowed excess over the bound (finite, >= 0)")
     verify.add_argument("--signal", help="real band-limited input (default: synthesized)")
     verify.set_defaults(handler=cmd_decay_verify, parser=verify)
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[bank_out], help="Monte Carlo layer energy against the bound"
     )
     srun.add_argument("--depth", type=int, default=2, help="layer to estimate")
-    srun.add_argument("--seed", type=int, default=0, help="RNG seed of the trials")
+    srun.add_argument("--seed", type=int, default=0, help="RNG seed of the trials (>= 0)")
     srun.add_argument("--model", help="stationary model (JSON)")
     srun.add_argument("--trials", type=int, default=200, help="Monte Carlo trials")
     srun.set_defaults(handler=cmd_stationary_run, parser=srun)

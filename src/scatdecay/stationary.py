@@ -20,7 +20,9 @@ an exact expectation,
 which pins layer one of the scattering cascade analytically and leaves
 Monte Carlo only for the deeper layers.
 
-Monte Carlo trials are synthesized and scattered in blocks of rows.  Each
+Monte Carlo trials are synthesized and scattered in blocks of rows.  Trial
+k is fixed by the k-th child spawned from the root seed sequence: a block
+derives its children's PCG64 seed words in one vectorised pass, then each
 trial takes all its Gaussians from one call of its own generator.  Each
 block is one batched pass that never forms the requested layer n: its
 energy follows from layer n - 1, because the modulus keeps energy.  A
@@ -35,6 +37,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes
@@ -147,12 +150,73 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
     return _finalize(kind, params, n, mean, density)
 
 
-def _simulate_rows(model: StationaryModel, children) -> np.ndarray:
-    """One real realization per spawned seed sequence, shape (len(children), N).
+def _check_seed(seed) -> None:
+    # the root entropy the seed-word derivation assumes: one plain nonnegative integer
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): the 32-bit constants of
+# its entropy mixing (A), its output hash (B) and its pool mix (L, R)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _xorshift16(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint64(16))
+
+
+def _spawn_words(root: np.random.SeedSequence, start: int, count: int) -> np.ndarray:
+    """PCG64 seed words of children ``start .. start + count - 1`` of ``root``.
+
+    Row k of the (count, 4) uint64 result is what the root's child number
+    ``start + k`` returns from ``generate_state(4, np.uint64)``, for a root of
+    plain integer entropy and spawn keys below 2^32.  A child's
+    entropy is the root's, padded to the 4-word pool, plus its one key word,
+    so its pool is the root's with the key mixed in last; that mix and the
+    output hash are vectorised over the keys, each word held in a uint64
+    and masked to 32 bits.
+    """
+    words = max(1, -(-root.entropy.bit_length() // 32))
+    # the hash constant after the root's own mixing: 4 pool words, 12 cross
+    # mixes, then 4 per entropy word beyond the pool
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    keys = np.arange(start, start + count, dtype=np.uint64)
+    pool = np.empty((count, 4), dtype=np.uint64)
+    for d in range(4):
+        mixed = keys ^ np.uint64(h)
+        h = h * _MULT_A & _MASK32
+        mixed = _xorshift16(mixed * np.uint64(h) & np.uint64(_MASK32))
+        left = np.uint64(_MIX_L * int(root.pool[d]) & _MASK32)
+        pool[:, d] = _xorshift16((left - np.uint64(_MIX_R) * mixed) & np.uint64(_MASK32))
+    state = np.empty((count, 8), dtype=np.uint64)
+    h = _INIT_B
+    for i in range(8):
+        mixed = pool[:, i % 4] ^ np.uint64(h)
+        h = h * _MULT_B & _MASK32
+        state[:, i] = _xorshift16(mixed * np.uint64(h) & np.uint64(_MASK32))
+    # 32-bit words pair up little-endian into the 64-bit seed words
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 its precomputed seed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
+    """One real realization per row of PCG64 seed words, shape (len(states), N).
 
     Each trial draws from its own generator, in one call, so a row depends
-    on its seed sequence alone; scaling, mirroring and the inverse
-    transform act on all rows at once.
+    on its seed words alone; scaling, mirroring and the inverse transform
+    act on all rows at once.
     """
     n = model.n
     zero, nyquist = n // 2, 0  # centered-grid bins of w = 0 and w = -N/2
@@ -160,10 +224,10 @@ def _simulate_rows(model: StationaryModel, children) -> np.ndarray:
     root = np.sqrt(model.density)
     # per trial: real parts of the positive bins, their imaginary parts, then
     # the real draws of the two self-paired bins, in the generator's order
-    draws = np.empty((len(children), 2 * pairs + 2))
-    for k, child in enumerate(children):
-        np.random.default_rng(child).standard_normal(out=draws[k])
-    coeffs = np.empty((len(children), n), dtype=np.complex128)
+    draws = np.empty((len(states), 2 * pairs + 2))
+    for row, words in zip(draws, states):
+        np.random.Generator(np.random.PCG64(_Words(words))).standard_normal(out=row)
+    coeffs = np.empty((len(states), n), dtype=np.complex128)
     re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
     coeffs[:, zero + 1 :] = root[zero + 1 :] * (re + 1j * im) / math.sqrt(2.0)
     coeffs[:, zero] = root[zero] * draws[:, -2]
@@ -175,13 +239,18 @@ def _simulate_rows(model: StationaryModel, children) -> np.ndarray:
 def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     """Draw independent realizations, reproducibly.
 
-    Per-trial generators come from spawning the seed sequence, so trial k
-    of a run is the same signal no matter how many trials are requested.
+    Trial k is fixed by the k-th child spawned from ``SeedSequence(seed)``,
+    whose seed words are derived for all trials in one pass, so trial k of a
+    run is the same signal no matter how many trials are requested.  The
+    seed must be a nonnegative integer, and the draw and coefficient rows,
+    24 N bytes per trial, must fit the memory budget.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    return [Signal(row, real=True) for row in _simulate_rows(model, children)]
+    _check_seed(seed)
+    _check_bytes(f"{trials} trials on N={model.n}", 24 * model.n * trials)
+    states = _spawn_words(np.random.SeedSequence(seed), 0, trials)
+    return [Signal(row, real=True) for row in _simulate_rows(model, states)]
 
 
 def expected_filter_energy(model: StationaryModel, h: Spectrum) -> float:
@@ -205,12 +274,15 @@ class MCEstimate:
     seed: int
 
 
-def _check_mc_request(model: StationaryModel, bank: FilterBank, n: int, trials: int) -> None:
+def _check_mc_request(
+    model: StationaryModel, bank: FilterBank, n: int, trials: int, seed: int
+) -> None:
     """The refusals of ``mc_layer_energy``; cheap enough to make before any work."""
     if n < 1:
         raise ValueError("layer must be at least 1")
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
+    _check_seed(seed)
     if bank.n != model.n:
         raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
     # one trial's layer n - 1, as a block is never smaller, and the 8-byte value per trial
@@ -223,23 +295,25 @@ def mc_layer_energy(
 ) -> MCEstimate:
     """Monte Carlo estimate of E (layer-n energy) under the model.
 
-    One trial's layer n - 1 (N B^(n-1) complex values for B octaves) plus
-    8 bytes per trial must fit the memory budget.
+    The seed must be a nonnegative integer.  One trial's layer n - 1
+    (N B^(n-1) complex values for B octaves) plus 8 bytes per trial must fit
+    the memory budget.
 
     Trials are synthesized and scattered in blocks, each block one batched
     energy-only pass whose deepest formed layer (n - 1, as layer n is only
-    weighed) holds at most 2^18 values, or one trial's if more.  Blocks
-    spawn from one root seed sequence, whose child count carries on, so
-    trial k's value does not depend on the block it falls in.
+    weighed) holds at most 2^18 values, or one trial's if more.  Each block
+    derives the seed words of its trials in one pass; trial k is still fixed
+    by the k-th child spawned from ``SeedSequence(seed)``, so its value does
+    not depend on the block it falls in.
     """
-    _check_mc_request(model, bank, n, trials)
+    _check_mc_request(model, bank, n, trials, seed)
     filts = _filter_rows(bank)
     per_block = max(1, _MC_BLOCK_ELEMENTS // (_power(len(bank.filters), n - 1) * model.n))
     root = np.random.SeedSequence(seed)
     values = np.empty(trials)
     ws = _Workspace()  # one set of block buffers for the whole call
     for i in range(0, trials, per_block):
-        rows = _simulate_rows(model, root.spawn(min(per_block, trials - i)))
+        rows = _simulate_rows(model, _spawn_words(root, i, min(per_block, trials - i)))
         values[i : i + per_block] = _row_profiles(rows, filts, n, ws)[n]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))

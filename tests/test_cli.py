@@ -249,6 +249,8 @@ def _no_work(*args, **kwargs):
          "the contraction argument starts at layer 2"),
         (["stationary", "run", "--depth", "0"], "layer must be at least 1"),
         (["stationary", "run", "--trials", "1"], "need at least two trials for a standard error"),
+        (["stationary", "run", "--seed", "-1"], "seed must be a nonnegative integer"),
+        (["decay", "verify", "--seed", "-1"], "seed must be a nonnegative integer"),
     ],
 )
 def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, capsys,

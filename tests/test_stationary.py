@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scatdecay import filterbank, scattering, stationary
 from scatdecay.decay import compute_constants
@@ -158,6 +160,62 @@ def test_simulate_needs_positive_trials():
         simulate(make_model("white", 32), 0, seed=0)
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("trials were drawn before the seed was refused")
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "3", None, True, [1, 2]])
+def test_bad_seed_refused_before_drawing(seed, monkeypatch):
+    model = make_model("white", 64)
+    bank = build_bank(morlet_mother(), 0, 64)
+    monkeypatch.setattr(stationary, "_simulate_rows", _no_draws)
+    monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
+    for run in (lambda: simulate(model, 3, seed), lambda: mc_layer_energy(model, bank, 2, 3, seed)):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            run()
+
+
+def test_simulate_budget_counts_draw_and_coefficient_rows(monkeypatch):
+    model = make_model("white", 64)
+    nbytes = 24 * 64 * 5  # five trials' float64 draws and complex128 coefficients
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
+    assert len(simulate(model, 5, seed=0)) == 5
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
+    monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
+    with pytest.raises(BudgetExceededError) as info:
+        simulate(model, 5, seed=0)
+    assert info.value.estimated_bytes == nbytes
+
+
+def test_simulate_refuses_a_billion_trials_before_drawing(monkeypatch):
+    monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
+    with pytest.raises(BudgetExceededError) as info:
+        simulate(make_model("white", 128), 10**9, seed=0)
+    assert info.value.estimated_bytes == 24 * 128 * 10**9
+
+
+# --- per-trial seed words ---------------------------------------------------------
+
+
+@given(
+    seed=st.integers(min_value=1, max_value=6).flatmap(
+        lambda words: st.integers(min_value=0, max_value=2 ** (32 * words) - 1)),
+    start=st.integers(min_value=0, max_value=600),
+    count=st.integers(min_value=1, max_value=60),
+)
+@example(seed=0, start=0, count=1)
+@example(seed=2**32 - 1, start=40, count=3)  # around depth-3 blocks of 41 trials
+@example(seed=2**32, start=291, count=3)  # around depth-2 blocks of 292 trials
+@example(seed=2**128 + 7, start=584, count=5)
+@settings(deadline=None, max_examples=60)
+def test_spawn_words_match_spawned_children(seed, start, count):
+    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    want = np.array([child.generate_state(4, np.uint64) for child in children])
+    got = stationary._spawn_words(np.random.SeedSequence(seed), start, count)
+    assert got.dtype == np.uint64 and got.shape == (count, 4)
+    assert got.tobytes() == want.tobytes()
+
+
 # --- exact filter energies ------------------------------------------------------
 
 
@@ -236,7 +294,8 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
     # depth 2: blocks of 4, 4 and 2 trials; depth 3: one trial per block
     monkeypatch.setattr(stationary, "_MC_BLOCK_ELEMENTS", 4 * breadth * 64)
     filts = scattering._filter_rows(bank)
-    rows = stationary._simulate_rows(model, np.random.SeedSequence(17).spawn(10))
+    states = stationary._spawn_words(np.random.SeedSequence(17), 0, 10)
+    rows = stationary._simulate_rows(model, states)
     for n in (2, 3, 2):
         est = mc_layer_energy(model, bank, n, trials=10, seed=17)
         ref = np.array([
@@ -309,11 +368,12 @@ def per_trial_rows(model, children):
 @pytest.mark.parametrize("n", [2, 4, 64, 128])
 def test_simulated_rows_match_per_trial_draws(n):
     children = np.random.SeedSequence(23).spawn(9)
+    states = stationary._spawn_words(np.random.SeedSequence(23), 0, 9)
     for model in (
         make_model("ar1", n, sigma=1.3, rho=0.4, mean=-0.6),
         make_model("filtered_noise", n, filter={"name": "gaussian_lowpass", "a": 2.0}),
     ):
-        got = stationary._simulate_rows(model, children)
+        got = stationary._simulate_rows(model, states)
         assert got.tobytes() == per_trial_rows(model, children).tobytes()
 
 
