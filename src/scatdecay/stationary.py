@@ -172,17 +172,17 @@ def _spawn_words(root: np.random.SeedSequence, start: int, count: int) -> np.nda
     """PCG64 seed words of children ``start .. start + count - 1`` of ``root``.
 
     Row k of the (count, 4) uint64 result is what the root's child number
-    ``start + k`` returns from ``generate_state(4, np.uint64)``, for a root of
-    plain integer entropy and spawn keys below 2^32.  A child's
-    entropy is the root's, padded to the 4-word pool, plus its one key word,
-    so its pool is the root's with the key mixed in last; that mix and the
-    output hash are vectorised over the keys, each word held in a uint64
-    and masked to 32 bits.
+    ``start + k`` returns from ``generate_state(4, np.uint64)``, for a root
+    of plain integer entropy and spawn keys below 2^32.  A child's entropy
+    is the root's, padded to the 4-word pool, plus its one key word, so its
+    pool is the root's with the key mixed in last; that mix and the output
+    hash are vectorised over the keys, each word held in a uint64 and
+    masked to 32 bits.
     """
-    words = max(1, -(-root.entropy.bit_length() // 32))
+    words = max(1, -(-int(root.entropy).bit_length() // 32))
     # the hash constant after the root's own mixing: 4 pool words, 12 cross
     # mixes, then 4 per entropy word beyond the pool
-    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    h = _INIT_A * pow(_MULT_A, 4 + 12 + 4 * max(0, words - 4), 1 << 32) & _MASK32
     keys = np.arange(start, start + count, dtype=np.uint64)
     pool = np.empty((count, 4), dtype=np.uint64)
     for d in range(4):
@@ -202,7 +202,10 @@ def _spawn_words(root: np.random.SeedSequence, start: int, count: int) -> np.nda
 
 
 class _Words(ISeedSequence):
-    """A seed sequence that hands PCG64 its precomputed seed words."""
+    """A seed sequence that hands PCG64 its precomputed seed words.
+
+    PCG64 asks its seed sequence for exactly four uint64 words, once.
+    """
 
     def __init__(self, words: np.ndarray):
         self.words = words
