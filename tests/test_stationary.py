@@ -161,7 +161,7 @@ def test_simulate_needs_positive_trials():
 
 
 def _no_draws(*args, **kwargs):
-    raise AssertionError("trials were drawn before the seed was refused")
+    raise AssertionError("trials were drawn before the request was refused")
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "3", None, True, [1, 2]])
