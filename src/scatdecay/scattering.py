@@ -76,51 +76,26 @@ def _check_profile(bank: FilterBank, n_max: int) -> None:
     _check_budget(f"depth {n_max}", bank, bank.n * _power(len(bank.filters), max(n_max - 1, 0)))
 
 
-def _unshifted(spec: Spectrum) -> np.ndarray:
-    # FFT bin order, ready to multiply against np.fft.fft output
-    return np.fft.ifftshift(spec.coeffs)
-
-
 def _filter_rows(bank: FilterBank) -> np.ndarray:
-    return np.stack([_unshifted(bank.filters[j]) for j in bank.scales])
+    # FFT bin order, ready to multiply against np.fft.fft output
+    return np.fft.ifftshift(np.stack([bank.filters[j].coeffs for j in bank.scales]), axes=1)
 
 
-class _Workspace:
-    """Scratch arrays held for one call and reused by each of its blocks.
-
-    ``take(key, shape)`` returns a view of the buffer kept under ``key``,
-    grown when a larger shape is asked for; the view is valid until the
-    next ``take`` of that key.  Reusing the buffers keeps a multi-block
-    call from mapping and page-faulting fresh megabytes for every block.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict = {}
-
-    def take(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.dtype != dtype or buf.size < size:
-            buf = self._buffers[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
-def _layer_moduli(batch: np.ndarray, filts: np.ndarray, ws: _Workspace, depth: int) -> np.ndarray:
-    """All children |row * psi_j| of a layer, shape (rows*B, N), kept in ``ws`` for ``depth``."""
-    rows, n = batch.shape
+def _layer_moduli(batch: np.ndarray, filts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """All children |row * psi_j| of a layer, written to ``out`` of shape (rows*B, N)."""
+    n = batch.shape[1]
     nfilt = filts.shape[0]
     per_chunk = max(1, _CHUNK_ELEMENTS // (nfilt * n))
-    out = ws.take(("layer", depth), (rows * nfilt, n))
-    for i in range(0, rows, per_chunk):
-        chunk = batch[i : i + per_chunk]
-        k = chunk.shape[0]
-        spec = np.fft.fft(chunk, axis=1, out=ws.take("spec", (k, n), np.complex128))
-        prod = ws.take("prod", (k, nfilt, n), np.complex128)
-        np.multiply(spec[:, None, :], filts[None, :, :], out=prod)
-        children = ws.take("children", (k * nfilt, n), np.complex128)
-        np.fft.ifft(prod.reshape(-1, n), axis=1, out=children)
-        np.abs(children, out=out[i * nfilt : (i + k) * nfilt])
+    for i in range(0, batch.shape[0], per_chunk):
+        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
+        children = np.fft.ifft((spec[:, None, :] * filts[None, :, :]).reshape(-1, n), axis=1)
+        np.abs(children, out=out[i * nfilt : i * nfilt + children.shape[0]])
     return out
+
+
+def _layer_buffers(rows: int, breadth: int, n: int, n_max: int) -> list[np.ndarray]:
+    """One float64 array per layer 1..n_max-1 that ``_row_profiles`` forms from ``rows`` rows."""
+    return [np.empty((rows * _power(breadth, depth), n)) for depth in range(1, n_max)]
 
 
 def _lowpass_rows(batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -209,7 +184,7 @@ def scatter(
         raise ValueError("signal, bank and lowpass must share one grid")
 
     filts = _filter_rows(bank)
-    phi = _unshifted(lowpass)
+    phi = np.fft.ifftshift(lowpass.coeffs)
 
     u_layers: list[np.ndarray] = []
     s_layers: list[np.ndarray] = []
@@ -223,8 +198,7 @@ def scatter(
     layer_energies = {0: float(_row_energies(batch)[0])}
     for depth in range(n_max + 1):
         if depth > 0:
-            # a workspace per layer: its FFT scratch is freed, the layer array it holds is kept
-            batch = _frozen(_layer_moduli(batch, filts, _Workspace(), depth))
+            batch = _frozen(_layer_moduli(batch, filts, np.empty((len(batch) * breadth, bank.n))))
             paths = [p + (j,) for p in paths for j in bank.scales]
             energies = _row_energies(batch)
             layer_energies[depth] = float(np.sum(energies))
@@ -257,7 +231,7 @@ def scatter(
     )
 
 
-def _child_energies(batch: np.ndarray, weight: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """sum_j ||row * psi_j||^2 per row, without forming the children.
 
     The modulus keeps energy, so by Parseval each row's children together
@@ -268,36 +242,32 @@ def _child_energies(batch: np.ndarray, weight: np.ndarray, ws: _Workspace) -> np
     per_chunk = max(1, _CHUNK_ELEMENTS // n)
     out = np.empty(rows)
     for i in range(0, rows, per_chunk):
-        chunk = batch[i : i + per_chunk]
-        spec = np.fft.fft(chunk, axis=1, out=ws.take("spec", chunk.shape, np.complex128))
-        power = ws.take("power", chunk.shape)
-        np.square(spec.real, out=power)
-        power += np.square(spec.imag, out=ws.take("square", chunk.shape))
-        power *= weight
-        out[i : i + per_chunk] = np.sum(power, axis=1)
+        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
+        out[i : i + per_chunk] = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1)
     return out / n**2
 
 
 def _row_profiles(
-    batch: np.ndarray, filts: np.ndarray, n_max: int, ws: _Workspace
+    batch: np.ndarray, filts: np.ndarray, n_max: int, layers: list[np.ndarray]
 ) -> np.ndarray:
     """Energy of every input row's subtree at layers 0..n_max, shape (n_max+1, rows).
 
     Layers below ``n_max`` are propagated; layer ``n_max`` is only weighed,
     so the deepest layer ever held is ``n_max - 1``.  Children of a row
     stay contiguous through ``_layer_moduli``, so each input row owns one
-    block of B^k rows at depth k.  The layers and their FFT buffers come
-    from ``ws``, so repeated calls on one workspace reuse them.
+    block of B^k rows at depth k.  Layer k is written to a leading view of
+    ``layers[k - 1]``, from ``_layer_buffers`` for at least this many rows,
+    so calls that share the buffers reuse them.
     """
     rows = batch.shape[0]
     profiles = np.empty((n_max + 1, rows))
     profiles[0] = _row_energies(batch)
     for depth in range(1, n_max):
-        batch = _layer_moduli(batch, filts, ws, depth)
+        batch = _layer_moduli(batch, filts, layers[depth - 1][: len(batch) * len(filts)])
         profiles[depth] = _row_energies(batch).reshape(rows, -1).sum(axis=1)
     if n_max > 0:
         weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
-        profiles[n_max] = _child_energies(batch, weight, ws).reshape(rows, -1).sum(axis=1)
+        profiles[n_max] = _child_energies(batch, weight).reshape(rows, -1).sum(axis=1)
     return profiles
 
 
@@ -313,7 +283,8 @@ def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, f
     _check_profile(bank, n_max)
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
-    profiles = _row_profiles(f.samples[None, :], _filter_rows(bank), n_max, _Workspace())
+    layers = _layer_buffers(1, len(bank.filters), bank.n, n_max)
+    profiles = _row_profiles(f.samples[None, :], _filter_rows(bank), n_max, layers)
     return {depth: float(value) for depth, value in enumerate(profiles[:, 0])}
 
 

@@ -119,17 +119,17 @@ def idft(spectrum: Spectrum, real: bool = False) -> Signal:
     conjugate-symmetric; the round-off imaginary part is dropped so the
     result carries an exact zero imaginary part.
     """
-    return Signal(_inverse_rows(spectrum.coeffs, real), real=real)
+    return Signal(_inverse_rows(np.fft.ifftshift(spectrum.coeffs), real), real=real)
 
 
 def _inverse_rows(coeffs: np.ndarray, real: bool) -> np.ndarray:
-    """``idft`` along the last axis: the samples of each row of centered coefficients.
+    """``idft`` along the last axis: the samples of each row of coefficients in FFT bin order.
 
     With ``real``, a row whose imaginary part exceeds 1e-9 of its largest real
     sample (or of 1) is refused; otherwise the real parts are returned.
     """
     n = coeffs.shape[-1]
-    samples = np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1), axis=-1) * n
+    samples = np.fft.ifft(coeffs, axis=-1) * n
     if real:
         resid = np.max(np.abs(samples.imag), axis=-1)
         scale = np.maximum(np.max(np.abs(samples.real), axis=-1), 1.0)

@@ -26,8 +26,10 @@ derives its children's PCG64 seed words in one vectorised pass, then each
 trial takes all its Gaussians from one call of its own generator.  Each
 block is one batched pass that never forms the requested layer n: its
 energy follows from layer n - 1, because the modulus keeps energy.  A
-block's layer n - 1 holds at most 2^18 values, so memory grows by only 8
-bytes per trial, and its FFT passes run in cache-sized chunks.
+block's layer n - 1 holds at most 2^18 values, and a call keeps one buffer
+per formed layer, sized for one block and reused by every block, so memory
+grows by only 8 bytes per trial.  A block is laid out in FFT bin order from
+its draws on, and its FFT passes run in cache-sized chunks.
 """
 from __future__ import annotations
 
@@ -41,9 +43,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes
-from .scattering import _Workspace, _check_budget, _filter_rows, _power, _row_profiles
+from .scattering import _check_budget, _filter_rows, _layer_buffers, _power, _row_profiles
 from .signals import (
-    Signal, Spectrum, _inverse_rows, _write_json, dft, frequencies, gaussian_lowpass, idft,
+    Signal, Spectrum, _inverse_rows, _write_json, dft, frequencies, gaussian_lowpass,
 )
 
 __all__ = [
@@ -83,7 +85,8 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     if np.min(density) < -1e-12:
         raise ValueError(f"spectral density is negative at its minimum {np.min(density)}")
     density = np.maximum(density, 0.0)
-    autocov = idft(Spectrum(density.astype(np.complex128)), real=True).samples.real
+    # a copy, so the model holds 8 N bytes here and not the complex transform
+    autocov = _inverse_rows(np.fft.ifftshift(density), real=True).copy()
     if np.max(np.abs(autocov)) > autocov[0] + 1e-10:
         raise ValueError("autocovariance exceeds its lag-zero value")
     density.setflags(write=False)
@@ -222,9 +225,9 @@ def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
     act on all rows at once.
     """
     n = model.n
-    zero, nyquist = n // 2, 0  # centered-grid bins of w = 0 and w = -N/2
-    pairs = zero - 1  # positive bins w = 1..N/2-1
-    root = np.sqrt(model.density)
+    half = n // 2  # FFT bin of w = -N/2; bins 1..half-1 hold w = 1..N/2-1
+    pairs = half - 1
+    root = np.sqrt(np.fft.ifftshift(model.density))
     # per trial: real parts of the positive bins, their imaginary parts, then
     # the real draws of the two self-paired bins, in the generator's order
     draws = np.empty((len(states), 2 * pairs + 2))
@@ -232,10 +235,10 @@ def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
         np.random.Generator(np.random.PCG64(_Words(words))).standard_normal(out=row)
     coeffs = np.empty((len(states), n), dtype=np.complex128)
     re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
-    coeffs[:, zero + 1 :] = root[zero + 1 :] * (re + 1j * im) / math.sqrt(2.0)
-    coeffs[:, zero] = root[zero] * draws[:, -2]
-    coeffs[:, nyquist] = root[nyquist] * draws[:, -1]
-    coeffs[:, 1:zero] = np.conj(coeffs[:, : zero : -1])  # negative bins, skip -N/2
+    coeffs[:, 0] = root[0] * draws[:, -2]
+    coeffs[:, 1:half] = root[1:half] * (re + 1j * im) / math.sqrt(2.0)
+    coeffs[:, half] = root[half] * draws[:, -1]
+    coeffs[:, half + 1 :] = np.conj(coeffs[:, half - 1 : 0 : -1])  # w = -N/2+1..-1
     return _inverse_rows(coeffs, real=True) + model.mean
 
 
@@ -314,10 +317,11 @@ def mc_layer_energy(
     per_block = max(1, _MC_BLOCK_ELEMENTS // (_power(len(bank.filters), n - 1) * model.n))
     root = np.random.SeedSequence(seed)
     values = np.empty(trials)
-    ws = _Workspace()  # one set of block buffers for the whole call
+    # one buffer per formed layer, sized for one block and reused by every block
+    layers = _layer_buffers(min(per_block, trials), len(bank.filters), model.n, n)
     for i in range(0, trials, per_block):
         rows = _simulate_rows(model, _spawn_words(root, i, min(per_block, trials - i)))
-        values[i : i + per_block] = _row_profiles(rows, filts, n, ws)[n]
+        values[i : i + per_block] = _row_profiles(rows, filts, n, layers)[n]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)

@@ -301,7 +301,7 @@ def test_chunk_size_does_not_change_bits(monkeypatch):
 
     def run():
         return (
-            scattering._row_profiles(rows, filts, 3, scattering._Workspace()).tobytes(),
+            scattering._row_profiles(rows, filts, 3, scattering._layer_buffers(5, len(filts), 64, 3)).tobytes(),
             _result_bytes(scatter(sig, bank, low, n_max=3)),
             _result_bytes(scatter(sig, bank, low, n_max=3, prune_eps=1e-3)),
         )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,8 +286,8 @@ def test_mc_matches_per_trial_scatter(n, monkeypatch):
 def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
     """Depth 2 then depth 3 in one process, each on uneven blocks, bitwise.
 
-    The reference scores every trial as a one-row batch on its own new
-    workspace, so buffers kept between blocks, shapes or calls would show.
+    The reference scores every trial as a one-row batch on its own fresh
+    layer buffers, so buffers kept between blocks, shapes or calls would show.
     """
     bank = build_bank(morlet_mother(), 0, 64)
     model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
@@ -299,7 +300,7 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
     for n in (2, 3, 2):
         est = mc_layer_energy(model, bank, n, trials=10, seed=17)
         ref = np.array([
-            scattering._row_profiles(row[None, :], filts, n, scattering._Workspace())[n][0]
+            scattering._row_profiles(row[None, :], filts, n, scattering._layer_buffers(1, breadth, 64, n))[n][0]
             for row in rows
         ])
         assert repr(est.estimate) == repr(float(np.mean(ref)))
@@ -437,6 +438,47 @@ def test_bank_and_model_budget_count_their_own_arrays(monkeypatch):
         with pytest.raises(BudgetExceededError) as info:
             build()
         assert info.value.estimated_bytes == nbytes
+
+
+MODEL_PARAMS = {
+    "white": {},
+    "ar1": {"rho": 0.5},
+    "filtered_noise": {"filter": {"name": "gaussian_lowpass", "a": 16.0}},
+}
+
+
+def _traced(call):
+    """``call()``'s result with tracemalloc's (current, peak) bytes over the call."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_PARAMS))
+def test_model_holds_the_bytes_its_refusal_counts(kind):
+    # the budget counts a model's density and autocovariance as 16 N bytes
+    n = 2**16
+    make_model(kind, n, **MODEL_PARAMS[kind])  # first-call allocations stay out of the count
+    model, (current, _) = _traced(lambda: make_model(kind, n, **MODEL_PARAMS[kind]))
+    assert model.autocov.flags.owndata and model.autocov.dtype == np.float64
+    assert current <= 16 * n + 4096
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mc_memory_grows_by_one_value_per_trial(n):
+    # the README's claim: past one block, each trial adds one 8-byte value
+    bank = build_bank(morlet_mother(), 0, 64)
+    model = make_model("white", 64)
+    per_block = stationary._MC_BLOCK_ELEMENTS // (len(bank.filters) ** (n - 1) * 64)
+    assert per_block < 2000
+    mc_layer_energy(model, bank, n, trials=10, seed=0)
+    peaks = {}
+    for trials in (2000, 6000):
+        _, (_, peaks[trials]) = _traced(lambda: mc_layer_energy(model, bank, n, trials, seed=0))
+    assert peaks[6000] - peaks[2000] <= 16 * 4000
 
 
 def test_mc_budget_counts_one_trial_and_every_value(monkeypatch):
