@@ -45,7 +45,8 @@ from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes
 from .scattering import _check_budget, _filter_rows, _layer_buffers, _power, _row_profiles
 from .signals import (
-    Signal, Spectrum, _inverse_rows, _write_json, dft, frequencies, gaussian_lowpass,
+    Signal, Spectrum, _check_length, _frozen, _inverse_rows, _write_json, dft, frequencies,
+    gaussian_lowpass,
 )
 
 __all__ = [
@@ -84,12 +85,13 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
         raise ValueError("density length does not match the grid")
     if np.min(density) < -1e-12:
         raise ValueError(f"spectral density is negative at its minimum {np.min(density)}")
-    density = np.maximum(density, 0.0)
+    # the refusals of a Spectrum: finite values (a NaN passes the sign test), then the length
+    density = _frozen(np.maximum(density, 0.0))
+    _check_length(n)
     # a copy, so the model holds 8 N bytes here and not the complex transform
     autocov = _inverse_rows(np.fft.ifftshift(density), real=True).copy()
     if np.max(np.abs(autocov)) > autocov[0] + 1e-10:
         raise ValueError("autocovariance exceeds its lag-zero value")
-    density.setflags(write=False)
     autocov.setflags(write=False)
     return StationaryModel(
         kind=kind, params=params, n=n, mean=float(mean), density=density, autocov=autocov

@@ -5,6 +5,7 @@ parsing, dispatch, and exit-code mapping a shell user would hit:
 0 = pass, 1 = failed condition, 2 = bad input, 3 = budget.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,6 +267,28 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
     argv = words + ["--bank", str(bank_path), "--out", str(out)]
     if words[0] == "stationary":
         argv += ["--model", str(model_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "white", "N": 256, "params": {"sigma": math.nan}}, "values must be finite"),
+        ({"kind": "white", "N": 100}, "sample count must be a power of two >= 2, got 100"),
+    ],
+    ids=["sigma-nan", "length-100"],
+)
+def test_bad_model_file_refused_before_any_work(model, message, shannon_bank_file, tmp_path,
+                                                capsys, monkeypatch):
+    # a NaN density once passed every model check and wrote a NaN mc_report.json
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    monkeypatch.setattr(cli, "mc_layer_energy", _no_work)
+    out = tmp_path / "out"
+    argv = ["stationary", "run", "--bank", shannon_bank_file, "--model", str(model_path),
+            "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

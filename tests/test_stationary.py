@@ -91,6 +91,23 @@ def test_model_validation():
         make_model("filtered_noise", 64)
 
 
+@pytest.mark.parametrize(
+    "kind, n, params, message",
+    [
+        ("white", 100, {}, "sample count must be a power of two >= 2, got 100"),
+        ("white", 1, {}, "sample count must be a power of two >= 2, got 1"),
+        ("white", 64, {"sigma": math.inf}, "values must be finite"),
+        ("white", 64, {"sigma": math.nan}, "values must be finite"),
+        ("filtered_noise", 64, {"sigma": math.nan, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
+         "values must be finite"),
+    ],
+    ids=["length-100", "length-1", "sigma-inf", "sigma-nan", "filtered-sigma-nan"],
+)
+def test_model_refuses_a_bad_grid_or_non_finite_density(kind, n, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_model(kind, n, **params)
+
+
 def test_model_round_trip(tmp_path):
     model = make_model("ar1", 128, sigma=0.5, rho=0.3, mean=1.0)
     path = tmp_path / "model.json"
