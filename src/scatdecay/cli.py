@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .decay import _check_bound_layer, compute_constants, verify_decay
+from .decay import _SLACK_TOL, _check_bound_layer, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
@@ -63,12 +63,6 @@ def _require_out(args: argparse.Namespace) -> str:
     return args.out
 
 
-def _check_tol(tol: float) -> None:
-    # nan fails every comparison and inf passes every one, so either would decide the verdict
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tol must be finite and nonnegative")
-
-
 def _load_bank(args: argparse.Namespace) -> FilterBank:
     if not args.bank:
         raise ValueError("a bank file is required (--bank)")
@@ -89,11 +83,10 @@ def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
 
 
 def cmd_bank_check(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
     bank = _load_bank(args)
     out = _require_out(args)
     reports = [
-        check_littlewood_paley(bank, tol=args.tol),
+        check_littlewood_paley(bank),
         check_asymmetry(bank),
         estimate_vanishing_order(bank.mother),
     ]
@@ -125,7 +118,6 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
     _check_seed(args.seed)
     bank = _load_bank(args)
     # a bad or over-budget depth, or a signal off the grid, is refused before the constants or --out
@@ -151,7 +143,7 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
     )
     ok = True
     for row in rows:
-        good = row.slack >= -args.tol
+        good = row.slack >= -_SLACK_TOL
         ok = ok and good
         print(
             f"layer {row.n}: empirical={row.empirical:.6g} bound={row.bound:.6g} "
@@ -259,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     bank = sub.add_parser("bank", help="filter bank operations")
     bank_sub = bank.add_subparsers(dest="action", required=True)
     check = bank_sub.add_parser("check", parents=[bank_out], help="run the certification checks")
-    check.add_argument("--tol", type=float, default=1e-9, help="allowed excess of the LP sums (finite, >= 0)")
     check.set_defaults(handler=cmd_bank_check, parser=check)
 
     scat = sub.add_parser("scatter", help="scattering transforms")
@@ -280,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--depth", type=int, default=4, help="deepest layer to verify")
     verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input (>= 0)")
-    verify.add_argument("--tol", type=float, default=1e-8, help="allowed excess over the bound (finite, >= 0)")
     verify.add_argument("--signal", help="real band-limited input (default: synthesized)")
     verify.set_defaults(handler=cmd_decay_verify, parser=verify)
 

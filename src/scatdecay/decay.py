@@ -68,6 +68,7 @@ __all__ = [
 _MASS_FLOOR = 1e-12
 _X_TOL = 1e-9  # slack allowed to the admissibility of the initial width x_init
 _ENVELOPE_TOL = 1e-9  # slack allowed to the one-step contraction envelope
+_SLACK_TOL = 1e-8  # excess of a layer's energy over its bound still reported as OK
 
 
 def _chi_sq(w: np.ndarray, x: float) -> np.ndarray:
@@ -298,10 +299,7 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
     return out
 
 
-def initialize_x(
-    bank: FilterBank,
-    init: InitLowpass | None = None,
-) -> float:
+def initialize_x(bank: FilterBank) -> float:
     """Largest admissible Gaussian width on the eighth-octave search grid.
 
     The admissibility condition compares the retrenchment envelope
@@ -314,9 +312,7 @@ def initialize_x(
     clears the condition everywhere.
     """
     _band_or_raise(bank)
-    if init is None:
-        init = initialize_lowpass(bank)
-    return _admissible_width(bank, init)[0]
+    return _admissible_width(bank, initialize_lowpass(bank))[0]
 
 
 def _admissible_width(bank: FilterBank, init: InitLowpass) -> tuple[float, float]:

@@ -74,6 +74,7 @@ _BUDGET_BYTES = 1 << 30
 
 _COVERAGE_TOL = 1e-3  # largest |kept - full| octave sum inside a validated band
 _ASYMMETRY_TOL = 1e-12  # largest excess of a mirror amplitude over its partner
+_LP_TOL = 1e-9  # largest excess of a symmetrized squared octave sum over one
 _ORDER_WINDOW = (2.0**-10, 2.0**-4)
 _ORDER_POINTS = 25
 _ORDER_THRESHOLD = 0.05
@@ -352,7 +353,7 @@ class ConditionReport:
         return asdict(self)
 
 
-def check_littlewood_paley(bank: FilterBank, tol: float = 1e-9) -> ConditionReport:
+def check_littlewood_paley(bank: FilterBank) -> ConditionReport:
     """Certify the symmetrized squared sums never exceed one.
 
     Evaluated at every grid magnitude |w| in 0..N/2; margin is
@@ -366,10 +367,10 @@ def check_littlewood_paley(bank: FilterBank, tol: float = 1e-9) -> ConditionRepo
     margin = 1.0 - float(total[worst])
     return ConditionReport(
         condition="littlewood_paley",
-        passed=margin >= -tol,
+        passed=margin >= -_LP_TOL,
         margin=margin,
         witness_freq=float(omegas[worst]),
-        tolerance=tol,
+        tolerance=_LP_TOL,
         details={"max_sum": float(total[worst]), "grid": f"0..{bank.n // 2}"},
     )
 
@@ -474,16 +475,23 @@ def save_bank(path: str | os.PathLike, bank: FilterBank) -> None:
     _write_json(path, _recipe(bank))
 
 
+def _whole(value) -> int:
+    """A size read from a bank or model file; int() would truncate 128.7 to 128."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise TypeError(f"sizes must be integers, got {value!r}")
+    return int(value)
+
+
 def load_bank(path: str | os.PathLike) -> FilterBank:
     with open(os.fspath(path)) as fh:
         payload = json.load(fh)
     try:
         mother_spec = payload["mother"]
         mother = make_mother(mother_spec["name"], **mother_spec.get("params", {}))
-        j_max = int(payload["J"])
-        n = int(payload["N"])
+        j_max = _whole(payload["J"])
+        n = _whole(payload["N"])
         j_min = payload.get("j_min")
-        j_min = int(j_min) if j_min is not None else None
+        j_min = _whole(j_min) if j_min is not None else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed bank file {path}: {exc}") from None
     return build_bank(mother, j_max, n, j_min=j_min)

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
-from .filterbank import FilterBank, _check_bytes
+from .filterbank import FilterBank, _check_bytes, _whole
 from .scattering import _check_budget, _filter_rows, _layer_buffers, _power, _row_profiles
 from .signals import (
     Signal, Spectrum, _check_length, _frozen, _inverse_rows, _write_json, dft, frequencies,
@@ -88,11 +88,11 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     # the refusals of a Spectrum: finite values (a NaN passes the sign test), then the length
     density = _frozen(np.maximum(density, 0.0))
     _check_length(n)
-    # a copy, so the model holds 8 N bytes here and not the complex transform
-    autocov = _inverse_rows(np.fft.ifftshift(density), real=True).copy()
+    # a copy, so the model holds 8 N bytes here and not the complex transform; a finite
+    # density can still sum to inf, and a NaN lag would pass the lag-zero test
+    autocov = _frozen(_inverse_rows(np.fft.ifftshift(density), real=True).copy())
     if np.max(np.abs(autocov)) > autocov[0] + 1e-10:
         raise ValueError("autocovariance exceeds its lag-zero value")
-    autocov.setflags(write=False)
     return StationaryModel(
         kind=kind, params=params, n=n, mean=float(mean), density=density, autocov=autocov
     )
@@ -112,6 +112,8 @@ def filter_spectrum(name: str, n: int, **params) -> Spectrum:
     raise ValueError(f"unknown filter {name!r}")
 
 
+# every array of a model is refused unless finite, so numpy's overflow warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def make_model(kind: str, n: int, **params) -> StationaryModel:
     """Build one of the registered model families.
 
@@ -134,22 +136,23 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
     sigma = float(params.setdefault("sigma", 1.0))
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    variance = sigma * sigma  # overflows to inf, where sigma**2 would raise OverflowError
     if kind == "white":
-        density = np.full(n, sigma**2)
+        density = np.full(n, variance)
     elif kind == "ar1":
         rho = float(params.get("rho", 0.0))
         params["rho"] = rho
         if not 0.0 <= rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {rho}")
         k = np.arange(n, dtype=np.float64)
-        autocov = sigma**2 * (rho**k + rho ** (n - k)) / (1.0 + rho**n)
+        autocov = variance * (rho**k + rho ** (n - k)) / (1.0 + rho**n)
         density = dft(Signal(autocov, real=True)).coeffs.real
     elif kind == "filtered_noise":
         spec = params.get("filter")
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("filtered_noise needs filter={'name': ..., ...}")
         h = filter_spectrum(spec["name"], n, **{k: v for k, v in spec.items() if k != "name"})
-        density = sigma**2 * np.abs(h.coeffs) ** 2
+        density = variance * np.abs(h.coeffs) ** 2
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     return _finalize(kind, params, n, mean, density)
@@ -349,7 +352,7 @@ def load_model(path: str | os.PathLike) -> StationaryModel:
         payload = json.load(fh)
     try:
         kind = payload["kind"]
-        n = int(payload["N"])
+        n = _whole(payload["N"])
         params = dict(payload.get("params", {}))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None

@@ -16,6 +16,7 @@ import pytest
 import scatdecay
 from scatdecay import cli, scattering
 from scatdecay.cli import main
+from scatdecay.decay import DecayRow
 from scatdecay.filterbank import (
     bandpass_mother,
     build_bank,
@@ -26,7 +27,7 @@ from scatdecay.filterbank import (
     shannon_mother,
 )
 from scatdecay.signals import Signal, band_limited_signal, write_signal
-from scatdecay.stationary import make_model, save_model
+from scatdecay.stationary import load_model, make_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +278,14 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
     [
         ({"kind": "white", "N": 256, "params": {"sigma": math.nan}}, "values must be finite"),
         ({"kind": "white", "N": 100}, "sample count must be a power of two >= 2, got 100"),
+        # the density sums to inf; sigma^2 itself overflows and once raised OverflowError
+        ({"kind": "white", "N": 128, "params": {"sigma": 1e154}}, "values must be finite"),
+        ({"kind": "white", "N": 128, "params": {"sigma": 1e200}}, "values must be finite"),
+        # int() once truncated a size: N=128.9 ran at 128
+        ({"kind": "white", "N": 128.9}, "malformed model file {path}: sizes must be integers, got 128.9"),
+        ({"kind": "white", "N": True}, "malformed model file {path}: sizes must be integers, got True"),
     ],
-    ids=["sigma-nan", "length-100"],
+    ids=["sigma-nan", "length-100", "sigma-1e154", "sigma-1e200", "N-128.9", "N-true"],
 )
 def test_bad_model_file_refused_before_any_work(model, message, shannon_bank_file, tmp_path,
                                                 capsys, monkeypatch):
@@ -290,22 +297,62 @@ def test_bad_model_file_refused_before_any_work(model, message, shannon_bank_fil
     argv = ["stationary", "run", "--bank", shannon_bank_file, "--model", str(model_path),
             "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=model_path)}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
-@pytest.mark.parametrize("words", [["bank", "check"], ["decay", "verify"]])
-def test_bad_tol_refused_before_any_work(words, tol, shannon_bank_file, tmp_path, capsys,
-                                         monkeypatch):
-    # a NaN tolerance once failed every layer and an infinite one passed every layer
-    for name in ("compute_constants", "check_littlewood_paley", "check_asymmetry",
-                 "estimate_vanishing_order"):
+_SHANNON_128 = {"mother": {"name": "shannon", "params": {}}, "J": 0, "j_min": None, "N": 128}
+
+
+@pytest.mark.parametrize(
+    "sizes, shown",
+    [({"N": 128.7}, "128.7"), ({"J": 0.9}, "0.9"), ({"j_min": -0.5}, "-0.5"), ({"N": True}, "True"),
+     ({"N": "128"}, "'128'")],
+    ids=["N-128.7", "J-0.9", "j_min--0.5", "N-true", "N-string"],
+)
+def test_non_integral_bank_size_refused_before_any_work(sizes, shown, tmp_path, capsys,
+                                                        monkeypatch):
+    # int() once truncated these: N=128.7, J=0.9 ran as N=128, J=0 and passed
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps({**_SHANNON_128, **sizes}))
+    for name in ("check_littlewood_paley", "check_asymmetry", "estimate_vanishing_order"):
         monkeypatch.setattr(cli, name, _no_work)
     out = tmp_path / "out"
-    assert main(words + ["--bank", shannon_bank_file, "--out", str(out), f"--tol={tol}"]) == 2
-    assert capsys.readouterr().err == "error: tol must be finite and nonnegative\n"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed bank file {bank_path}: sizes must be integers, got {shown}\n"
+    )
     assert not out.exists()
+
+
+def test_integral_float_sizes_are_accepted(tmp_path):
+    # 128.0 is the size 128: the same reports as the int recipe, byte for byte
+    outs = []
+    for k, sizes in enumerate([{"j_min": -1}, {"J": 0.0, "N": 128.0, "j_min": -1.0}]):
+        bank_path = tmp_path / f"bank{k}.json"
+        bank_path.write_text(json.dumps({**_SHANNON_128, **sizes}))
+        outs.append(tmp_path / f"out{k}")
+        assert main(["bank", "check", "--bank", str(bank_path), "--out", str(outs[-1])]) == 0
+    assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"kind": "white", "params": {"sigma": 1.0}, "N": 128.0}))
+    model = load_model(model_path)
+    assert type(model.n) is int and model.n == 128
+
+
+@pytest.mark.parametrize(
+    "slack, code, verdict",
+    [(-1e-8, 0, "OK"), (np.nextafter(-1e-8, -1.0), 1, "VIOLATED")],
+    ids=["at-tolerance", "one-ulp-below"],
+)
+def test_decay_verdict_edge_is_the_slack_tolerance(slack, code, verdict, shannon_bank_file,
+                                                    tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_decay", lambda *args, **kwargs: [
+        DecayRow(n=2, empirical=1.0, bound=1.0 + slack, slack=float(slack))
+    ])
+    out = tmp_path / "out"
+    assert main(["decay", "verify", "--bank", shannon_bank_file, "--out", str(out)]) == code
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f"[{verdict}]")
 
 
 def test_decay_verify_depth_six_within_budget_runs(tmp_path, capsys):
@@ -427,6 +474,8 @@ def test_decay_verify_wrong_signal_length_refused_before_constants(
         ["scatter", "run", "--seed", "1"],
         ["scatter", "run", "--tol", "1e-6"],
         ["stationary", "run", "--tol", "1e-6"],
+        ["bank", "check", "--tol", "1e-9"],
+        ["decay", "verify", "--tol", "1e-8"],
     ],
     ids=lambda words: " ".join(words[:3]),
 )

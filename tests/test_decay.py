@@ -345,8 +345,7 @@ def test_constants_octave_sums_stay_inside_window():
 
     bank = build_bank(replace(base, hat=recording), 0, 256)
     seen.clear()  # the filters themselves are sampled on the whole grid
-    init = initialize_lowpass(bank)
-    initialize_x(bank, init)
+    initialize_x(bank)
     for functional in (compute_S, compute_F1, compute_F2):
         functional(bank)
     decay._functional_terms(bank, decay._octave_samples(bank))

@@ -100,9 +100,21 @@ def test_model_validation():
         ("white", 64, {"sigma": math.nan}, "values must be finite"),
         ("filtered_noise", 64, {"sigma": math.nan, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
          "values must be finite"),
+        # sigma^2 overflows (1e200), or the density is finite and its sum is not (1e154)
+        ("white", 64, {"sigma": 1e200}, "values must be finite"),
+        ("white", 64, {"sigma": 1e154}, "values must be finite"),
+        ("ar1", 64, {"sigma": 1e200, "rho": 0.5}, "values must be finite"),
+        ("ar1", 64, {"sigma": 1e154, "rho": 0.5}, "values must be finite"),
+        ("filtered_noise", 64, {"sigma": 1e200, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
+         "values must be finite"),
+        ("filtered_noise", 64, {"sigma": 1e154, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
+         "values must be finite"),
     ],
-    ids=["length-100", "length-1", "sigma-inf", "sigma-nan", "filtered-sigma-nan"],
+    ids=["length-100", "length-1", "sigma-inf", "sigma-nan", "filtered-sigma-nan",
+         "white-sigma-1e200", "white-sigma-1e154", "ar1-sigma-1e200", "ar1-sigma-1e154",
+         "filtered-sigma-1e200", "filtered-sigma-1e154"],
 )
+@pytest.mark.filterwarnings("error")
 def test_model_refuses_a_bad_grid_or_non_finite_density(kind, n, params, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_model(kind, n, **params)
