@@ -40,7 +40,7 @@ from .errors import (
 from .filterbank import (
     ConditionReport,
     FilterBank,
-    _octave_slices,
+    _octave_sums,
     check_littlewood_paley,
     estimate_vanishing_order,
 )
@@ -97,13 +97,12 @@ def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
 
 def _functional_terms(bank: FilterBank, omegas: np.ndarray):
     """Converged S, F1 and F2 numerators at ascending, strictly positive omegas."""
-    sp, sm, n1, n2 = (np.zeros(omegas.shape) for _ in range(4))
-    for j, cols, p, m in _octave_slices(bank.mother, omegas):
+
+    def terms(j, w, p, m):
         w1 = math.ldexp(1.0, -j)
-        sp[cols] += p
-        sm[cols] += m
-        n1[cols] += (p - m) * w1
-        n2[cols] += (p + m) * w1 * w1
+        return p, m, (p - m) * w1, (p + m) * w1 * w1
+
+    sp, sm, n1, n2 = _octave_sums(bank.mother, omegas, terms)
     return 0.5 * (sp + sm), 0.5 * n1, 0.5 * n2
 
 
@@ -169,9 +168,7 @@ def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
     j_max are never evaluated: they would be the last, zeroed rows of an
     in-order sum, which change no bit.
     """
-    out = np.zeros(omegas.shape)
-    for _, cols, p, m in _octave_slices(bank.mother, omegas, j_max=bank.j_max):
-        out[cols] += p + m
+    (out,) = _octave_sums(bank.mother, omegas, lambda j, w, p, m: (p + m,), j_max=bank.j_max)
     return 0.5 * out
 
 
@@ -522,12 +519,12 @@ def lemma2_envelope_check(
         raise ValueError("contraction must be positive")
     lo, hi = _band_or_raise(bank)
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
-    sp, sm, lhs = (np.zeros(omegas.shape) for _ in range(3))
-    for j, cols, p, m in _octave_slices(bank.mother, omegas):
-        w, center = omegas[cols], constants.delta * math.ldexp(1.0, -j)
-        sp[cols] += p
-        sm[cols] += m
-        lhs[cols] += p * (1.0 - _chi_sq(w - center, x)) + m * (1.0 - _chi_sq(-w - center, x))
+
+    def terms(j, w, p, m):
+        center = constants.delta * math.ldexp(1.0, -j)
+        return p, m, p * (1.0 - _chi_sq(w - center, x)) + m * (1.0 - _chi_sq(-w - center, x))
+
+    sp, sm, lhs = _octave_sums(bank.mother, omegas, terms)
     s = 0.5 * (sp + sm)
     gaps = 1.0 - _chi_sq(omegas, contraction * x) - 0.5 * lhs
     idx = int(np.argmin(gaps))

@@ -16,11 +16,11 @@ frequency; downstream bounds consume the margins, so the checks never
 round a failure up to a pass.
 
 Every converged dyadic sum over all integer j, here and in ``decay``, is
-taken by ``_octave_slices`` under one rule: the terms are added in
-ascending j, and only the in-window terms, those with 2^j w in
-``X_WINDOW``, are added at all.  The window depends on 2^j w alone, so
-doubling w shifts the added terms by one octave and every such sum is
-dyadically homogeneous bit for bit.
+added by ``_octave_sums`` under one rule: the terms are added in ascending
+j, and only the in-window terms, those with 2^j w in ``X_WINDOW``, are
+added at all.  The window depends on 2^j w alone, so doubling w shifts the
+added terms by one octave and every such sum is dyadically homogeneous bit
+for bit.
 """
 from __future__ import annotations
 
@@ -251,6 +251,20 @@ def _octave_slices(mother: MotherWavelet, omegas: np.ndarray, j_max: int | None 
             yield j, slice(start, stop), mother(x) ** 2, mother(-x) ** 2
 
 
+def _octave_sums(mother: MotherWavelet, omegas: np.ndarray, terms, j_max: int | None = None):
+    """One sum per array ``terms(j, w, p, m)`` returns on each slice of ``_octave_slices``.
+
+    Octaves add in ascending j; a frequency no octave reaches keeps 0.0.
+    ``terms`` is called once on empty arrays first, to count the sums.
+    """
+    empty = omegas[:0]
+    sums = [np.zeros(omegas.shape) for _ in terms(0, empty, empty, empty)]
+    for j, cols, p, m in _octave_slices(mother, omegas, j_max):
+        for total, term in zip(sums, terms(j, omegas[cols], p, m)):
+            total[cols] += term
+    return sums
+
+
 def ideal_lp_sum(mother: MotherWavelet, omegas) -> np.ndarray:
     """Symmetrized squared sum over all integer octaves (converged).
 
@@ -259,10 +273,7 @@ def ideal_lp_sum(mother: MotherWavelet, omegas) -> np.ndarray:
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     order = np.argsort(omegas, kind="stable")
-    sp, sm = np.zeros(omegas.size), np.zeros(omegas.size)
-    for _, cols, p, m in _octave_slices(mother, omegas[order]):
-        sp[cols] += p
-        sm[cols] += m
+    sp, sm = _octave_sums(mother, omegas[order], lambda j, w, p, m: (p, m))
     out = np.empty(omegas.size)
     out[order] = 0.5 * (sp + sm)
     return out
@@ -294,12 +305,9 @@ def _validated_band(
     mother: MotherWavelet, j_min: int, j_max: int, n: int
 ) -> tuple[int, int] | None:
     omegas = np.arange(1, n // 2, dtype=np.float64)
-    sp, sm, kept = (np.zeros(omegas.size) for _ in range(3))
-    for j, cols, p, m in _octave_slices(mother, omegas):
-        sp[cols] += p
-        sm[cols] += m
-        if j_min <= j <= j_max:
-            kept[cols] += p + m
+    sp, sm, kept = _octave_sums(
+        mother, omegas, lambda j, w, p, m: (p, m, p + m if j_min <= j <= j_max else 0.0)
+    )
     ok = np.abs(0.5 * (sp + sm) - 0.5 * kept) <= _COVERAGE_TOL
     if not np.any(ok):
         return None

@@ -12,13 +12,20 @@ Layer batches are propagated as matrices through one FFT per layer, so
 depth-n trees cost O(B^n * N log N) but vectorize well.  A request whose
 complex128 node arrays held at once exceed one memory budget (1 GiB) is
 refused before anything is allocated, so depth is limited by what fits.
+
+Energy-only profiles run in blocks of inputs, each block one batched pass
+that never forms the requested layer n: its energy follows from layer n - 1,
+because the modulus keeps energy.  A block's layer n - 1 holds at most 2^18
+values, or one input's if more, and a call keeps one buffer per formed layer,
+sized for one block and reused by every block.  FFT passes run in cache-sized
+chunks.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -57,6 +64,9 @@ _PARTITION_TOL = 1e-9  # largest partition defect of a pair energy_balance takes
 # a larger chunk would stream every pass through main memory
 _CHUNK_ELEMENTS = 1 << 15
 
+# values in the deepest layer a block of ``_block_profiles`` forms (2 MB of float64)
+_BLOCK_ELEMENTS = 1 << 18
+
 
 def _power(breadth: int, depth: int) -> int:
     # B^depth nodes per row; a lower bound past depth 64, far over budget for B >= 2
@@ -91,11 +101,6 @@ def _layer_moduli(batch: np.ndarray, filts: np.ndarray, out: np.ndarray) -> np.n
         children = np.fft.ifft((spec[:, None, :] * filts[None, :, :]).reshape(-1, n), axis=1)
         np.abs(children, out=out[i * nfilt : i * nfilt + children.shape[0]])
     return out
-
-
-def _layer_buffers(rows: int, breadth: int, n: int, n_max: int) -> list[np.ndarray]:
-    """One float64 array per layer 1..n_max-1 that ``_row_profiles`` forms from ``rows`` rows."""
-    return [np.empty((rows * _power(breadth, depth), n)) for depth in range(1, n_max)]
 
 
 def _lowpass_rows(batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -247,28 +252,31 @@ def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out / n**2
 
 
-def _row_profiles(
-    batch: np.ndarray, filts: np.ndarray, n_max: int, layers: list[np.ndarray]
-) -> np.ndarray:
-    """Energy of every input row's subtree at layers 0..n_max, shape (n_max+1, rows).
+def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) -> Iterator:
+    """(start, energies at layers 0..n_max of inputs start..start+k-1), block by block.
 
-    Layers below ``n_max`` are propagated; layer ``n_max`` is only weighed,
-    so the deepest layer ever held is ``n_max - 1``.  Children of a row
-    stay contiguous through ``_layer_moduli``, so each input row owns one
-    block of B^k rows at depth k.  Layer k is written to a leading view of
-    ``layers[k - 1]``, from ``_layer_buffers`` for at least this many rows,
-    so calls that share the buffers reuse them.
+    ``draw(start, k)`` returns those k inputs as rows.  A block's deepest
+    formed layer, n_max - 1, holds at most ``_BLOCK_ELEMENTS`` values or one
+    input's.  Children of a row stay contiguous through ``_layer_moduli``, so
+    an input's energies, one column, do not depend on its block.
     """
-    rows = batch.shape[0]
-    profiles = np.empty((n_max + 1, rows))
-    profiles[0] = _row_energies(batch)
-    for depth in range(1, n_max):
-        batch = _layer_moduli(batch, filts, layers[depth - 1][: len(batch) * len(filts)])
-        profiles[depth] = _row_energies(batch).reshape(rows, -1).sum(axis=1)
-    if n_max > 0:
-        weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
-        profiles[n_max] = _child_energies(batch, weight).reshape(rows, -1).sum(axis=1)
-    return profiles
+    filts, breadth = _filter_rows(bank), len(bank.filters)
+    per_block = max(1, _BLOCK_ELEMENTS // (_power(breadth, max(n_max - 1, 0)) * bank.n))
+    per_block = min(per_block, count)
+    # one buffer per formed layer 1..n_max-1, sized for one block and reused by every block
+    layers = [np.empty((per_block * _power(breadth, depth), bank.n)) for depth in range(1, n_max)]
+    weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
+    for start in range(0, count, per_block):
+        batch = draw(start, min(per_block, count - start))
+        rows = batch.shape[0]
+        profiles = np.empty((n_max + 1, rows))
+        profiles[0] = _row_energies(batch)
+        for depth in range(1, n_max):
+            batch = _layer_moduli(batch, filts, layers[depth - 1][: len(batch) * breadth])
+            profiles[depth] = _row_energies(batch).reshape(rows, -1).sum(axis=1)
+        if n_max > 0:
+            profiles[n_max] = _child_energies(batch, weight).reshape(rows, -1).sum(axis=1)
+        yield start, profiles
 
 
 def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, float]:
@@ -283,8 +291,7 @@ def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, f
     _check_profile(bank, n_max)
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
-    layers = _layer_buffers(1, len(bank.filters), bank.n, n_max)
-    profiles = _row_profiles(f.samples[None, :], _filter_rows(bank), n_max, layers)
+    ((_, profiles),) = _block_profiles(bank, n_max, 1, lambda start, k: f.samples[None, :])
     return {depth: float(value) for depth, value in enumerate(profiles[:, 0])}
 
 

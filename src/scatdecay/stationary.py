@@ -20,16 +20,11 @@ an exact expectation,
 which pins layer one of the scattering cascade analytically and leaves
 Monte Carlo only for the deeper layers.
 
-Monte Carlo trials are synthesized and scattered in blocks of rows.  Trial
-k is fixed by the k-th child spawned from the root seed sequence: a block
-derives its children's PCG64 seed words in one vectorised pass, then each
-trial takes all its Gaussians from one call of its own generator.  Each
-block is one batched pass that never forms the requested layer n: its
-energy follows from layer n - 1, because the modulus keeps energy.  A
-block's layer n - 1 holds at most 2^18 values, and a call keeps one buffer
-per formed layer, sized for one block and reused by every block, so memory
-grows by only 8 bytes per trial.  A block is laid out in FFT bin order from
-its draws on, and its FFT passes run in cache-sized chunks.
+Monte Carlo trials are drawn and scattered in the blocks of the energy-only
+pass in ``scattering``, so memory grows by only 8 bytes per trial.  Trial k is
+fixed by the k-th child spawned from the root seed sequence: a block derives
+its trials' PCG64 seed words in one vectorised pass, and each trial takes all
+its Gaussians from one call of its own generator.
 """
 from __future__ import annotations
 
@@ -43,7 +38,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes, _whole
-from .scattering import _check_budget, _filter_rows, _layer_buffers, _power, _row_profiles
+from .scattering import _block_profiles, _check_budget, _power
 from .signals import (
     Signal, Spectrum, _check_length, _frozen, _inverse_rows, _write_json, dft, frequencies,
     gaussian_lowpass,
@@ -62,11 +57,6 @@ __all__ = [
     "load_model",
 ]
 
-# values in the deepest layer a Monte Carlo block forms (2 MB of float64);
-# its FFT passes run in the smaller, cache-sized chunks of scattering
-_MC_BLOCK_ELEMENTS = 1 << 18
-
-
 @dataclass(frozen=True)
 class StationaryModel:
     """Mean plus spectral density of a circular stationary process."""
@@ -80,6 +70,8 @@ class StationaryModel:
 
 
 def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray):
+    if not math.isfinite(mean):  # the refusal a non-finite density gets below
+        raise ValueError("values must be finite")
     density = np.asarray(density, dtype=np.float64)
     if density.size != n:
         raise ValueError("density length does not match the grid")
@@ -310,23 +302,16 @@ def mc_layer_energy(
     (N B^(n-1) complex values for B octaves) plus 8 bytes per trial must fit
     the memory budget.
 
-    Trials are synthesized and scattered in blocks, each block one batched
-    energy-only pass whose deepest formed layer (n - 1, as layer n is only
-    weighed) holds at most 2^18 values, or one trial's if more.  Each block
-    derives the seed words of its trials in one pass; trial k is still fixed
-    by the k-th child spawned from ``SeedSequence(seed)``, so its value does
-    not depend on the block it falls in.
+    Trials are drawn and scored in the blocks of the energy-only pass, whose
+    deepest formed layer is n - 1; trial k is fixed by the k-th child spawned
+    from ``SeedSequence(seed)``, so its value does not depend on its block.
     """
     _check_mc_request(model, bank, n, trials, seed)
-    filts = _filter_rows(bank)
-    per_block = max(1, _MC_BLOCK_ELEMENTS // (_power(len(bank.filters), n - 1) * model.n))
     root = np.random.SeedSequence(seed)
     values = np.empty(trials)
-    # one buffer per formed layer, sized for one block and reused by every block
-    layers = _layer_buffers(min(per_block, trials), len(bank.filters), model.n, n)
-    for i in range(0, trials, per_block):
-        rows = _simulate_rows(model, _spawn_words(root, i, min(per_block, trials - i)))
-        values[i : i + per_block] = _row_profiles(rows, filts, n, layers)[n]
+    draw = lambda start, k: _simulate_rows(model, _spawn_words(root, start, k))
+    for start, profiles in _block_profiles(bank, n, trials, draw):
+        values[start : start + profiles.shape[1]] = profiles[n]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)

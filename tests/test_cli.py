@@ -111,6 +111,19 @@ def test_bandpass_outside_window_is_parse_error(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_bank_check_refuses_indicator_with_mass_on_the_fit_window(tmp_path, capsys):
+    bad = tmp_path / "narrow.json"
+    bad.write_text(json.dumps(
+        {"mother": {"name": "bandpass", "params": {"lo": 0.01, "hi": 0.02}}, "J": 0, "N": 256}
+    ))
+    out = tmp_path / "x"
+    assert main(["bank", "check", "--bank", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: mother 'bandpass' is flagged zero near the origin but has mass on the fit window\n"
+    )
+    assert not out.exists()
+
+
 def test_scatter_run_is_byte_stable(shannon_bank_file, signal_file, tmp_path, capsys):
     outs = []
     for name in ("a", "b"):
@@ -284,8 +297,12 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
         # int() once truncated a size: N=128.9 ran at 128
         ({"kind": "white", "N": 128.9}, "malformed model file {path}: sizes must be integers, got 128.9"),
         ({"kind": "white", "N": True}, "malformed model file {path}: sizes must be integers, got True"),
+        # a non-finite mean once wrote "estimate": "nan" and exited 1
+        ({"kind": "white", "N": 256, "params": {"mean": math.nan}}, "values must be finite"),
+        ({"kind": "white", "N": 256, "params": {"mean": math.inf}}, "values must be finite"),
     ],
-    ids=["sigma-nan", "length-100", "sigma-1e154", "sigma-1e200", "N-128.9", "N-true"],
+    ids=["sigma-nan", "length-100", "sigma-1e154", "sigma-1e200", "N-128.9", "N-true", "mean-nan",
+         "mean-inf"],
 )
 def test_bad_model_file_refused_before_any_work(model, message, shannon_bank_file, tmp_path,
                                                 capsys, monkeypatch):

@@ -241,6 +241,13 @@ def test_blocked_octave_sums_match_unblocked(make, block, size):
     assert [g.tobytes() for g in joined] == [w.tobytes() for w in want]
 
 
+def test_sum_up_to_coarsest_is_zero_where_no_octave_reaches():
+    # every octave j <= -40 puts the grid's top, 32, below the window's floor 1e-8
+    bank = build_bank(morlet_mother(), -40, 64)
+    grid = decay._curvature_grid(32)
+    assert decay._lp_up_to_coarsest(bank, grid).tobytes() == np.zeros(grid.size).tobytes()
+
+
 @pytest.mark.parametrize("n", [256, 2048])
 @pytest.mark.parametrize("kind", ["samples", "curvature", "band"])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother, lognormal_mother])

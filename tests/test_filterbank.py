@@ -8,6 +8,7 @@ import pytest
 from scatdecay.filterbank import (
     ConditionReport,
     MOTHERS,
+    MotherWavelet,
     X_WINDOW,
     _octave_slices,
     bandpass_mother,
@@ -393,6 +394,20 @@ def test_order_estimate_flags_inconsistent_indicator():
     # indicator with mass on the fit window contradicts its flag
     with pytest.raises(ValueError):
         estimate_vanishing_order(bandpass_mother(5e-4, 2.0))
+
+
+def test_order_estimate_refuses_indicator_with_mass_on_the_window():
+    # the band (0.01, 0.02] lies inside the fit window [2^-10, 2^-4]
+    with pytest.raises(ValueError, match="^mother 'bandpass' is flagged zero near the origin "
+                       "but has mass on the fit window$"):
+        estimate_vanishing_order(bandpass_mother(0.01, 0.02))
+
+
+def test_order_estimate_refuses_a_zero_at_one_fit_point():
+    hole = np.geomspace(2.0**-10, 2.0**-4, 25)[7]
+    mother = MotherWavelet("holed", {}, lambda w: np.where(w == hole, 0.0, w**2))
+    with pytest.raises(ValueError, match="^profile vanishes at isolated fit points; cannot fit order$"):
+        estimate_vanishing_order(mother)
 
 
 # the three check payloads at N=256, J=0, pinned as strings: a mistyped

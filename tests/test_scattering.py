@@ -118,6 +118,24 @@ def test_profile_agrees_with_tree(pair, n_max):
         assert result.layer_energies[depth] == pytest.approx(value, rel=1e-13)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
+def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
+    """Seven inputs in blocks of 3, 3 and 1 keep the bits each has on its own."""
+    bank = build_bank(make(), 0, 64)
+    rows = np.random.default_rng(43).standard_normal((7, 64))
+    alone = [layer_energy_profile(Signal(row, real=True), bank, n_max) for row in rows]
+    per_input = len(bank.filters) ** max(n_max - 1, 0) * 64  # values in one input's layer n_max-1
+    monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 3 * per_input)
+    blocks = list(scattering._block_profiles(bank, n_max, 7, lambda i, k: rows[i : i + k]))
+    assert [(start, p.shape) for start, p in blocks] == [
+        (0, (n_max + 1, 3)), (3, (n_max + 1, 3)), (6, (n_max + 1, 1))
+    ]
+    got = np.concatenate([p for _, p in blocks], axis=1)
+    want = np.array([[profile[depth] for profile in alone] for depth in range(n_max + 1)])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cosine_second_layer_is_silent():
     # one octave turns a pure cosine into a constant; constants have no
     # band content, so layer 2 carries exactly nothing
@@ -295,13 +313,13 @@ def test_chunk_size_does_not_change_bits(monkeypatch):
     """FFT passes chunked by rows give the same bits at any chunk size."""
     rng = np.random.default_rng(71)
     bank, low = _morlet_gaussian_pair(0, 64)
-    filts = scattering._filter_rows(bank)
     rows = np.stack([band_limited_signal(64, (2, 30), rng).samples.real for _ in range(5)])
     sig = band_limited_signal(64, (2, 30), rng)
 
     def run():
+        blocks = scattering._block_profiles(bank, 3, 5, lambda i, k: rows[i : i + k])
         return (
-            scattering._row_profiles(rows, filts, 3, scattering._layer_buffers(5, len(filts), 64, 3)).tobytes(),
+            b"".join(p.tobytes() for _, p in blocks),
             _result_bytes(scatter(sig, bank, low, n_max=3)),
             _result_bytes(scatter(sig, bank, low, n_max=3, prune_eps=1e-3)),
         )

@@ -109,10 +109,16 @@ def test_model_validation():
          "values must be finite"),
         ("filtered_noise", 64, {"sigma": 1e154, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
          "values must be finite"),
+        # a non-finite mean once ran and wrote a NaN estimate
+        ("white", 64, {"mean": math.nan}, "values must be finite"),
+        ("ar1", 64, {"mean": math.inf, "rho": 0.5}, "values must be finite"),
+        ("filtered_noise", 64, {"mean": -math.inf, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
+         "values must be finite"),
     ],
     ids=["length-100", "length-1", "sigma-inf", "sigma-nan", "filtered-sigma-nan",
          "white-sigma-1e200", "white-sigma-1e154", "ar1-sigma-1e200", "ar1-sigma-1e154",
-         "filtered-sigma-1e200", "filtered-sigma-1e154"],
+         "filtered-sigma-1e200", "filtered-sigma-1e154", "white-mean-nan", "ar1-mean-inf",
+         "filtered-mean--inf"],
 )
 @pytest.mark.filterwarnings("error")
 def test_model_refuses_a_bad_grid_or_non_finite_density(kind, n, params, message):
@@ -178,7 +184,7 @@ def test_zero_variance_model_is_deterministic():
 
 def test_simulated_trials_do_not_depend_on_the_block():
     model = make_model("ar1", 64, sigma=1.0, rho=0.3, mean=0.5)
-    block = stationary._MC_BLOCK_ELEMENTS // 64  # trials per layer-1 block
+    block = scattering._BLOCK_ELEMENTS // 64  # trials per layer-1 block
     short = simulate(model, block - 1, seed=8)
     long = simulate(model, block + 1, seed=8)
     for i in (0, block // 2, block - 2):
@@ -304,7 +310,7 @@ def test_mc_matches_per_trial_scatter(n, monkeypatch):
     model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
     # blocks of 4 trials, so 10 trials end on a partial block
     per_trial = len(bank.filters) ** (n - 1) * 64  # layer n-1 values
-    monkeypatch.setattr(stationary, "_MC_BLOCK_ELEMENTS", 4 * per_trial)
+    monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * per_trial)
     est = mc_layer_energy(model, bank, n, trials=10, seed=17)
     low = gaussian_output_lowpass(0, 64)
     ref = [scatter(sig, bank, low, n).layer_energies[n] for sig in simulate(model, 10, 17)]
@@ -322,14 +328,13 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
     model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
     breadth = len(bank.filters)
     # depth 2: blocks of 4, 4 and 2 trials; depth 3: one trial per block
-    monkeypatch.setattr(stationary, "_MC_BLOCK_ELEMENTS", 4 * breadth * 64)
-    filts = scattering._filter_rows(bank)
+    monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * breadth * 64)
     states = stationary._spawn_words(np.random.SeedSequence(17), 0, 10)
     rows = stationary._simulate_rows(model, states)
     for n in (2, 3, 2):
         est = mc_layer_energy(model, bank, n, trials=10, seed=17)
         ref = np.array([
-            scattering._row_profiles(row[None, :], filts, n, scattering._layer_buffers(1, breadth, 64, n))[n][0]
+            next(scattering._block_profiles(bank, n, 1, lambda i, k: row[None, :]))[1][n][0]
             for row in rows
         ])
         assert repr(est.estimate) == repr(float(np.mean(ref)))
@@ -501,7 +506,7 @@ def test_mc_memory_grows_by_one_value_per_trial(n):
     # the README's claim: past one block, each trial adds one 8-byte value
     bank = build_bank(morlet_mother(), 0, 64)
     model = make_model("white", 64)
-    per_block = stationary._MC_BLOCK_ELEMENTS // (len(bank.filters) ** (n - 1) * 64)
+    per_block = scattering._BLOCK_ELEMENTS // (len(bank.filters) ** (n - 1) * 64)
     assert per_block < 2000
     mc_layer_energy(model, bank, n, trials=10, seed=0)
     peaks = {}
