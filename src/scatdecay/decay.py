@@ -238,6 +238,11 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
     both the continuum grid and the integer grid; a violation means the
     bank is not usable with this construction.
     """
+    return _lowpass_and_integer_sums(bank)[0]
+
+
+def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray]:
+    """``initialize_lowpass`` plus the octave sums for j <= j_max at the integers 1..N/2."""
     order = estimate_vanishing_order(bank.mother)
     if not order.passed:
         raise VanishingOrderError(
@@ -262,13 +267,14 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
 
     combined = init.phi_hat(grid) ** 2 + lp_grid
     ints = np.arange(1, half + 1, dtype=np.float64)
-    combined_int = init.phi_hat(ints) ** 2 + _lp_up_to_coarsest(bank, ints)
+    lp_ints = _lp_up_to_coarsest(bank, ints)
+    combined_int = init.phi_hat(ints) ** 2 + lp_ints
     worst = max(float(np.max(combined)), float(np.max(combined_int)))
     if worst > 1.0 + 1e-9:
         raise BankConditionError(
             f"initial window violates the combined bound: max {worst:.12f}"
         )
-    return init
+    return init, lp_ints
 
 
 def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
@@ -296,6 +302,24 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_reaches(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
+    """Where ``1.0 - _smoothed_window_sq(init, omegas)`` can differ from 1.0.
+
+    phi_hat^2 <= 1 on its support of length L = 1/m_scale, [-L/2, L/2], and
+    zero outside, so with gap = |w| - L/2 > 0 every integrand value is at most
+    exp(-gap^2) / sqrt(pi) and the quadrature, whose weights add up to L, at
+    most L exp(-gap^2) / sqrt(pi).  Twice that covers the rounding and the
+    1e-12 by which the window's normalization check lets phi_hat pass 1.  In
+    float64 1.0 - v == 1.0 once v <= 2^-54, which that doubled bound
+    guarantees when gap^2 >= ln(2 L / sqrt(pi)) + 54 ln 2.  Only the other
+    rows are True.
+    """
+    length = 1.0 / init.m_scale
+    gap = np.abs(omegas) - length / 2.0
+    reach_sq = math.log(2.0 * length / math.sqrt(math.pi)) + 54.0 * math.log(2.0)
+    return (gap <= 0.0) | (gap**2 < reach_sq)
+
+
 def initialize_x(bank: FilterBank) -> float:
     """Largest admissible Gaussian width on the eighth-octave search grid.
 
@@ -309,14 +333,24 @@ def initialize_x(bank: FilterBank) -> float:
     clears the condition everywhere.
     """
     _band_or_raise(bank)
-    return _admissible_width(bank, initialize_lowpass(bank))[0]
+    return _admissible_width(bank)[0]
 
 
-def _admissible_width(bank: FilterBank, init: InitLowpass) -> tuple[float, float]:
-    """The search of ``initialize_x`` plus its slack min(1 - |chi_hat_x|^2 - F)."""
+def _admissible_width(bank: FilterBank) -> tuple[float, float]:
+    """The search of ``initialize_x`` plus its slack min(1 - |chi_hat_x|^2 - F).
+
+    The envelope slices its band lo..hi from the window construction's
+    octave sums at the integers 1..N/2: a column's sum does not depend on
+    the rest of its grid.  The window is smoothed only on the rows where
+    ``_window_reaches``: every other row keeps 1.0 - 0.0, the bits 1.0 - v has.
+    """
+    init, lp_ints = _lowpass_and_integer_sums(bank)
     lo, hi = bank.validated_band
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
-    envelope = (1.0 - _smoothed_window_sq(init, omegas)) * _lp_up_to_coarsest(bank, omegas)
+    window = np.zeros(omegas.shape)
+    near = _window_reaches(init, omegas)
+    window[near] = _smoothed_window_sq(init, omegas[near])
+    envelope = (1.0 - window) * lp_ints[lo - 1 : hi]
     for m in range(64, -65, -1):
         x = 2.0 ** (m / 8.0)
         if np.all(envelope <= 1.0 - _chi_sq(omegas, x) + _X_TOL):
@@ -419,7 +453,7 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
 
     delta = c / big_c
     a = 1.0 / math.sqrt(1.0 - c * c / big_c)
-    x_init, x_margin = _admissible_width(bank, initialize_lowpass(bank))
+    x_init, x_margin = _admissible_width(bank)
     r = x_init / a**2
 
     margins = {

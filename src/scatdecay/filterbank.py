@@ -110,15 +110,48 @@ class MotherWavelet:
     ndarray input.  ``zero_near_origin`` marks indicator-type profiles
     that vanish identically on a neighbourhood of zero; the order check
     accepts those by flag instead of fitting a slope to zeros.
+    ``hat_pair``, when set, maps w to (hat(w), hat(-w)) with the same bits
+    as two ``hat`` calls, sharing the work the two have in common; a
+    ``replace`` of ``hat`` must replace or drop it too.
     """
 
     name: str
     params: dict
     hat: Callable[[np.ndarray], np.ndarray]
     zero_near_origin: bool = False
+    hat_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, w) -> np.ndarray:
         return np.asarray(self.hat(np.asarray(w, dtype=np.float64)), dtype=np.float64)
+
+    def pair(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """(psi_hat(w), psi_hat(-w)), bit for bit what ``self(w), self(-w)`` give."""
+        w = np.asarray(w, dtype=np.float64)
+        if self.hat_pair is None:
+            return self(w), self(-w)
+        plus, minus = self.hat_pair(w)
+        return np.asarray(plus, dtype=np.float64), np.asarray(minus, dtype=np.float64)
+
+
+def _gaussian_pair_mother(name: str, params: dict, width: float, side) -> MotherWavelet:
+    """The mother psi_hat(w) = side(w, g(w)) for the even Gaussian g(w) = exp(-w^2 / (2 width^2)).
+
+    g(-w) and g(w) are the same bits, so the pair evaluates g once for both
+    arguments: three exp calls per mirrored pair for the Morlet profiles
+    instead of four.
+    """
+
+    def gauss(w):
+        return np.exp(-(w**2) / (2.0 * width**2))
+
+    def hat(w):
+        return side(w, gauss(w))
+
+    def hat_pair(w):
+        g = gauss(w)
+        return side(w, g), side(-w, g)
+
+    return MotherWavelet(name, params, hat, hat_pair=hat_pair)
 
 
 def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -133,12 +166,11 @@ def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     """
     kappa = _morlet_kappa(center, width)
 
-    def hat(w):
+    def side(w, gauss):
         main = np.exp(-((w - center) ** 2) / (2.0 * width**2))
-        corr = kappa * (1.0 + center * w / width**2) * np.exp(-(w**2) / (2.0 * width**2))
-        return main - corr
+        return main - kappa * (1.0 + center * w / width**2) * gauss
 
-    return MotherWavelet("morlet", {"center": center, "width": width}, hat)
+    return _gaussian_pair_mother("morlet", {"center": center, "width": width}, width, side)
 
 
 def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -150,12 +182,11 @@ def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> Mother
     """
     kappa = _morlet_kappa(center, width)
 
-    def hat(w):
-        return np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * np.exp(
-            -(w**2) / (2.0 * width**2)
-        )
+    def side(w, gauss):
+        return np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * gauss
 
-    return MotherWavelet("morlet_first_order", {"center": center, "width": width}, hat)
+    params = {"center": center, "width": width}
+    return _gaussian_pair_mother("morlet_first_order", params, width, side)
 
 
 def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -169,9 +200,15 @@ def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet
     root_half = 1.0 / math.sqrt(2.0)
 
     def hat(w):
-        return (base.hat(w) + base.hat(-w)) * root_half
+        plus, minus = base.hat_pair(w)
+        return (plus + minus) * root_half
 
-    return MotherWavelet("even_morlet", {"center": center, "width": width}, hat)
+    def hat_pair(w):
+        # (minus + plus) * root_half, hat(-w), has the same bits: float addition commutes
+        even = hat(w)
+        return even, even
+
+    return MotherWavelet("even_morlet", {"center": center, "width": width}, hat, hat_pair=hat_pair)
 
 
 def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> MotherWavelet:
@@ -247,8 +284,8 @@ def _octave_slices(mother: MotherWavelet, omegas: np.ndarray, j_max: int | None 
         start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
         stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
         if start < stop:
-            x = np.ldexp(omegas[start:stop], j)
-            yield j, slice(start, stop), mother(x) ** 2, mother(-x) ** 2
+            plus, minus = mother.pair(np.ldexp(omegas[start:stop], j))
+            yield j, slice(start, stop), plus**2, minus**2
 
 
 def _octave_sums(mother: MotherWavelet, omegas: np.ndarray, terms, j_max: int | None = None):
@@ -328,8 +365,14 @@ def build_bank(
 
     ``j_min`` defaults to j_max - ceil(log2 n) + 1, the finest octave
     whose pass band still lies on the grid.  A bank whose complex128
-    filters, 16 N bytes per octave, exceed the budget is refused first.
+    filters, 16 N bytes per octave, exceed the budget is refused first,
+    and so is an N below 4, whose grid holds no frequency strictly between
+    0 and N/2 to validate a band on.
     """
+    if n < 4:
+        raise ValueError(
+            f"no frequency lies strictly between 0 and N/2 on N={n}: a bank needs N >= 4"
+        )
     if j_min is None:
         j_min = j_max - math.ceil(math.log2(n)) + 1
     if j_min > j_max:
@@ -369,8 +412,9 @@ def check_littlewood_paley(bank: FilterBank) -> ConditionReport:
     """
     omegas = np.arange(0, bank.n // 2 + 1, dtype=np.float64)
     x = np.ldexp(omegas, np.array(bank.scales)[:, None])  # row j holds 2^j * w
+    plus, minus = bank.mother.pair(x)
     # rows add in ascending j: the grid always has two or more columns
-    total = np.sum(0.5 * (bank.mother(x) ** 2 + bank.mother(-x) ** 2), axis=0)
+    total = np.sum(0.5 * (plus**2 + minus**2), axis=0)
     worst = int(np.argmax(total))
     margin = 1.0 - float(total[worst])
     return ConditionReport(
@@ -400,7 +444,8 @@ def check_asymmetry(bank: FilterBank) -> ConditionReport:
         lo, hi = 1, bank.n // 2 - 1
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
     x = np.ldexp(omegas, np.array(bank.scales)[:, None])
-    gaps = np.abs(bank.mother(x)) - np.abs(bank.mother(-x))
+    plus, minus = bank.mother.pair(x)
+    gaps = np.abs(plus) - np.abs(minus)
     worst_violation = min(0.0, float(gaps.min()))
     best = gaps.max(axis=0)
     idx = int(np.argmin(best))

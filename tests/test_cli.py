@@ -342,6 +342,18 @@ def test_non_integral_bank_size_refused_before_any_work(sizes, shown, tmp_path, 
     assert not out.exists()
 
 
+def test_bank_without_inner_frequency_refused_by_its_size(tmp_path, capsys):
+    # N=2 is a legal signal size, but its grid has no frequency for the bank to validate
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps({"mother": {"name": "morlet", "params": {}}, "J": 0, "j_min": None, "N": 2}))
+    out = tmp_path / "out"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no frequency lies strictly between 0 and N/2 on N=2: a bank needs N >= 4\n"
+    )
+    assert not out.exists()
+
+
 def test_integral_float_sizes_are_accepted(tmp_path):
     # 128.0 is the size 128: the same reports as the int recipe, byte for byte
     outs = []

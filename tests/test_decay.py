@@ -350,7 +350,8 @@ def test_constants_octave_sums_stay_inside_window():
         seen.append(np.array(w))
         return base.hat(w)
 
-    bank = build_bank(replace(base, hat=recording), 0, 256)
+    # without its pair the mother evaluates the octave sums through hat, which is recorded
+    bank = build_bank(replace(base, hat=recording, hat_pair=None), 0, 256)
     seen.clear()  # the filters themselves are sampled on the whole grid
     initialize_x(bank)
     for functional in (compute_S, compute_F1, compute_F2):
@@ -405,7 +406,7 @@ def test_morlet_constants(morlet_constants):
     assert cst.margins["x_condition"] > 0.005
 
 
-# Exact constants and margins of three banks: a change to how the constants
+# Exact constants and margins of eight banks: a change to how the constants
 # are computed must keep these bits, or say why they moved.
 PINNED_CONSTANTS = {
     "shannon-256": (
@@ -457,6 +458,27 @@ PINNED_CONSTANTS = {
          "vanishing_order_epsilon": 1.0133016682256377,
          "octave_gap": 0.0949625439492078,
          "x_condition": 0.0240902446878678},
+    ),
+    "morlet(3.4,1.15)-256": (
+        (lambda: morlet_mother(3.4, 1.15), 256),
+        {"c": 0.308004461127083, "C": 0.1542189600912259,
+         "delta": 1.997189327076824, "a": 1.6119457829954882,
+         "x_init": 6.727171322029716, "r": 2.588997476989099},
+        {"littlewood_paley": 0.4467116193816829,
+         "vanishing_order_epsilon": 1.010283468382982,
+         "octave_gap": 0.059352212017041106,
+         "x_condition": 0.017442240610496096},
+    ),
+    # j_min = -6 instead of the default -9: the validated band is 2..128
+    "shannon(j_min=-6)-1024": (
+        (shannon_mother, 1024, -6),
+        {"c": 0.5, "C": 0.9999999999979998, "delta": 0.5000000000010001,
+         "a": 1.1547005383796365, "x_init": 1.189207115002721,
+         "r": 0.8919053362514461},
+        {"littlewood_paley": -2.220446049250313e-16,
+         "vanishing_order_epsilon": math.inf,
+         "octave_gap": 0.7499999999979998,
+         "x_condition": -2.220446049250313e-16},
     ),
     # j_min = -5 instead of the default -7: the validated band shrinks to 2..64
     "shannon(j_min=-5)-256": (
@@ -517,6 +539,52 @@ def test_smoothed_window_matches_full_row_quadrature(case):
         elif kernel.min() >= tiny:
             kinds.add("normal")
     assert kinds == {"normal", "partly subnormal", "zero"}
+
+
+@pytest.mark.parametrize("m_scale", [0.05, 0.125, 0.5, 2.0])
+def test_window_rows_left_out_are_exactly_one(m_scale):
+    u, phi0, alpha_tilde = _raised_cosine_window()
+    init = decay.InitLowpass(m_scale=m_scale, alpha_tilde=alpha_tilde, curvature_sup=0.0, phi_grid=u, phi_values=phi0)
+    omegas = np.arange(0.0, 80.0, 0.25)
+    near = decay._window_reaches(init, omegas)
+    assert np.any(near) and not np.all(near)
+    for w in omegas[~near]:
+        assert 1.0 - decay._smoothed_window_sq(init, np.array([w]))[0] == 1.0
+
+
+def reference_admissible_width(bank, init):
+    """The width search smoothing every row of the band and taking the band's own octave sums."""
+    lo, hi = bank.validated_band
+    omegas = np.arange(lo, hi + 1, dtype=np.float64)
+    envelope = (1.0 - decay._smoothed_window_sq(init, omegas)) * decay._lp_up_to_coarsest(bank, omegas)
+    for m in range(64, -65, -1):
+        x = 2.0 ** (m / 8.0)
+        if np.all(envelope <= 1.0 - decay._chi_sq(omegas, x) + decay._X_TOL):
+            return x, float(np.min(1.0 - decay._chi_sq(omegas, x) - envelope))
+    raise BankConditionError("no admissible Gaussian width")
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CONSTANTS))
+def test_width_search_matches_all_rows_reference(case):
+    (mother, n, *j_min), _, _ = PINNED_CONSTANTS[case]
+    bank = build_bank(mother(), 0, n, *j_min)
+    got = decay._admissible_width(bank)
+    assert repr(got) == repr(reference_admissible_width(bank, initialize_lowpass(bank)))
+
+
+@pytest.mark.parametrize("make, most", [(morlet_mother, 8), (shannon_mother, 6)])
+def test_width_search_smooths_few_rows(make, most, monkeypatch):
+    # 29 (Morlet) and 27 (Shannon) of the band's rows reach exp's range; the rest cannot move 1.0 - v
+    smooth = decay._smoothed_window_sq
+    rows = []
+
+    def counting(init, omegas):
+        rows.append(omegas.size)
+        return smooth(init, omegas)
+
+    monkeypatch.setattr(decay, "_smoothed_window_sq", counting)
+    compute_constants(build_bank(make(), 0, 256))
+    assert 1 <= sum(rows) <= most
 
 
 def test_constants_margins_are_recorded(shannon_constants):

@@ -178,6 +178,15 @@ def test_validated_band_shrinks_with_coarse_floor():
     assert clipped.validated_band[1] < full.validated_band[1]
 
 
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_grid_without_inner_frequency_rejected(n):
+    # N = 0, 2 and 3 hold no integer strictly between 0 and N/2, so no band can be validated
+    with pytest.raises(ValueError, match=f"no frequency lies strictly between 0 and N/2 on N={n}"):
+        build_bank(morlet_mother(), 0, n)
+    # N=4 holds the frequency 1, so it is built, even though it validates no band
+    assert build_bank(morlet_mother(), 0, 4).n == 4
+
+
 def test_empty_octave_range_rejected():
     with pytest.raises(ValueError):
         build_bank(shannon_mother(), 0, 64, j_min=1)
@@ -230,7 +239,8 @@ def test_term_grid_evaluates_only_inside_window(make):
 
     # far past both window edges, so most (j, w) entries fall outside it
     omegas = np.geomspace(1e-12, 1e6, 257)
-    js, p, m = _slice_grid(replace(base, hat=recording), omegas)
+    # without its pair the mother evaluates each mirrored pair as two hat calls, which are recorded
+    js, p, m = _slice_grid(replace(base, hat=recording, hat_pair=None), omegas)
     args = np.abs(np.concatenate(seen))
     assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
     want_js, want_p, want_m = reference_terms(base, omegas)
@@ -254,7 +264,8 @@ def test_term_grid_stops_at_j_max(j_max):
 
     omegas = np.geomspace(0.5, 200.0, 97)
     js, p, m = _slice_grid(base, omegas)
-    top_js, top_p, top_m = _slice_grid(replace(base, hat=recording), omegas, j_max=j_max)
+    # without its pair the mother evaluates each mirrored pair as two hat calls, which are recorded
+    top_js, top_p, top_m = _slice_grid(replace(base, hat=recording, hat_pair=None), omegas, j_max=j_max)
     rows = js <= j_max
     assert top_js.tolist() == js[rows].tolist()
     assert top_p.tobytes() == p[rows].tobytes() and top_m.tobytes() == m[rows].tobytes()
@@ -263,6 +274,56 @@ def test_term_grid_stops_at_j_max(j_max):
     inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
     want = [np.concatenate([row[k], -row[k]]) for row, k in zip(x, inside)]
     assert np.concatenate(seen).tobytes() == np.concatenate(want).tobytes()
+
+
+# each mother at its default parameters and at one other set
+MOTHER_CASES = {
+    "morlet": [{}, {"center": 3.4, "width": 1.15}],
+    "morlet_first_order": [{}, {"center": 2.6, "width": 0.8}],
+    "even_morlet": [{}, {"center": 2.7, "width": 0.9}],
+    "shannon": [{}],
+    "bandpass": [{"lo": 1.0, "hi": 1.5}, {"lo": 0.75, "hi": 3.0, "amplitude": 1.0}],
+}
+
+
+def test_mother_cases_cover_every_mother():
+    assert sorted(MOTHER_CASES) == sorted(MOTHERS)
+
+
+@pytest.mark.parametrize(
+    "name, params", [(name, params) for name, sets in MOTHER_CASES.items() for params in sets]
+)
+def test_pair_has_the_bits_of_two_hat_calls(name, params):
+    mother = make_mother(name, **params)
+    edges = np.ldexp(1.0, np.arange(-26, 5))
+    # a log grid over the window, and both sides of each dyadic edge inside it
+    for w in (np.geomspace(1e-8, 16.0, 4001), np.concatenate([edges, np.nextafter(edges, 0.0), edges * (1.0 + 1e-9)])):
+        plus, minus = mother.pair(w)
+        assert plus.tobytes() == mother(w).tobytes()
+        assert minus.tobytes() == mother(-w).tobytes()
+    # a whole (octave, frequency) grid, as the condition checks evaluate it
+    x = np.ldexp(np.arange(0.0, 129.0), np.arange(-7, 1)[:, None])
+    plus, minus = mother.pair(x)
+    assert (plus.tobytes(), minus.tobytes()) == (mother(x).tobytes(), mother(-x).tobytes())
+
+
+def test_morlet_pair_takes_three_exp_calls_per_mirrored_pair(monkeypatch):
+    bank = build_bank(morlet_mother(), 0, 256)
+    grid = np.geomspace(2.0**-8, 128.0, 2001)
+    pairs = sum(cols.stop - cols.start for _, cols, _, _ in _octave_slices(bank.mother, grid, bank.j_max))
+    exp = np.exp
+    arguments = []
+
+    def counting(x, *args, **kwargs):
+        arguments.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    list(_octave_slices(bank.mother, grid, bank.j_max))
+    assert sum(arguments) == 3 * pairs
+    arguments.clear()
+    list(_octave_slices(replace(bank.mother, hat_pair=None), grid, bank.j_max))
+    assert sum(arguments) == 4 * pairs
 
 
 def test_term_grid_rejects_nonpositive():
