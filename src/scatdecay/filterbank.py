@@ -93,6 +93,8 @@ def _morlet_kappa(center: float, width: float) -> float:
     """Zero-mean correction amplitude of a Morlet bump inside the window."""
     if width <= 0:
         raise ValueError("width must be positive")
+    if width**2 == 0.0:
+        raise ValueError(f"Morlet width {width:g} squares to zero in float64")
     if abs(center) + _BUMP_REACH * width > X_WINDOW[1]:
         raise ValueError(
             f"Morlet bump at {center:g} of width {width:g} reaches past "
@@ -106,52 +108,35 @@ def _morlet_kappa(center: float, width: float) -> float:
 class MotherWavelet:
     """Frequency profile of the generating wavelet.
 
-    ``hat`` maps real frequencies to real amplitudes, vectorized over
-    ndarray input.  ``zero_near_origin`` marks indicator-type profiles
+    ``pair`` maps a float64 array of frequencies w to the real amplitudes
+    (psi_hat(w), psi_hat(-w)), vectorized: every bank condition reads the
+    mother at +2^j w and -2^j w together, so that pair is its one
+    definition.  ``zero_near_origin`` marks indicator-type profiles
     that vanish identically on a neighbourhood of zero; the order check
     accepts those by flag instead of fitting a slope to zeros.
-    ``hat_pair``, when set, maps w to (hat(w), hat(-w)) with the same bits
-    as two ``hat`` calls, sharing the work the two have in common; a
-    ``replace`` of ``hat`` must replace or drop it too.
     """
 
     name: str
     params: dict
-    hat: Callable[[np.ndarray], np.ndarray]
+    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     zero_near_origin: bool = False
-    hat_pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, w) -> np.ndarray:
-        return np.asarray(self.hat(np.asarray(w, dtype=np.float64)), dtype=np.float64)
-
-    def pair(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """(psi_hat(w), psi_hat(-w)), bit for bit what ``self(w), self(-w)`` give."""
-        w = np.asarray(w, dtype=np.float64)
-        if self.hat_pair is None:
-            return self(w), self(-w)
-        plus, minus = self.hat_pair(w)
-        return np.asarray(plus, dtype=np.float64), np.asarray(minus, dtype=np.float64)
+        return np.asarray(self.pair(np.asarray(w, dtype=np.float64))[0], dtype=np.float64)
 
 
 def _gaussian_pair_mother(name: str, params: dict, width: float, side) -> MotherWavelet:
     """The mother psi_hat(w) = side(w, g(w)) for the even Gaussian g(w) = exp(-w^2 / (2 width^2)).
 
     g(-w) and g(w) are the same bits, so the pair evaluates g once for both
-    arguments: three exp calls per mirrored pair for the Morlet profiles
-    instead of four.
+    arguments: three exp calls per mirrored pair for the Morlet profiles.
     """
 
-    def gauss(w):
-        return np.exp(-(w**2) / (2.0 * width**2))
-
-    def hat(w):
-        return side(w, gauss(w))
-
-    def hat_pair(w):
-        g = gauss(w)
+    def pair(w):
+        g = np.exp(-(w**2) / (2.0 * width**2))
         return side(w, g), side(-w, g)
 
-    return MotherWavelet(name, params, hat, hat_pair=hat_pair)
+    return MotherWavelet(name, params, pair)
 
 
 def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -199,16 +184,13 @@ def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet
     base = morlet_mother(center, width)
     root_half = 1.0 / math.sqrt(2.0)
 
-    def hat(w):
-        plus, minus = base.hat_pair(w)
-        return (plus + minus) * root_half
-
-    def hat_pair(w):
-        # (minus + plus) * root_half, hat(-w), has the same bits: float addition commutes
-        even = hat(w)
+    def pair(w):
+        # (minus + plus) * root_half, psi_hat(-w), has the same bits: float addition commutes
+        plus, minus = base.pair(w)
+        even = (plus + minus) * root_half
         return even, even
 
-    return MotherWavelet("even_morlet", {"center": center, "width": width}, hat, hat_pair=hat_pair)
+    return MotherWavelet("even_morlet", {"center": center, "width": width}, pair)
 
 
 def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> MotherWavelet:
@@ -228,11 +210,13 @@ def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> 
             f"[{X_WINDOW[0]:g}, {X_WINDOW[1]:g}] where octave sums are taken"
         )
 
-    def hat(w):
-        return amplitude * ((w > lo) & (w <= hi))
+    scale = float(amplitude)  # float64 amplitudes, also from a JSON integer
+
+    def pair(w):
+        return scale * ((w > lo) & (w <= hi)), scale * ((w < -lo) & (w >= -hi))
 
     return MotherWavelet(
-        "bandpass", {"lo": lo, "hi": hi, "amplitude": amplitude}, hat, zero_near_origin=True
+        "bandpass", {"lo": lo, "hi": hi, "amplitude": amplitude}, pair, zero_near_origin=True
     )
 
 
@@ -367,7 +351,9 @@ def build_bank(
     whose pass band still lies on the grid.  A bank whose complex128
     filters, 16 N bytes per octave, exceed the budget is refused first,
     and so is an N below 4, whose grid holds no frequency strictly between
-    0 and N/2 to validate a band on.
+    0 and N/2 to validate a band on.  So are octaves that float64 cannot
+    scale by: j_min below -2^31, the least exponent ``np.ldexp`` takes, and
+    a J whose top frequency 2^J * N/2 overflows.
     """
     if n < 4:
         raise ValueError(
@@ -378,6 +364,12 @@ def build_bank(
     if j_min > j_max:
         raise ValueError(f"empty octave range [{j_min}, {j_max}]")
     _check_bytes(f"a bank of {j_max - j_min + 1} octaves on N={n}", 16 * n * (j_max - j_min + 1))
+    # (N/2) * 2^J is finite while N/2 has at most 1024 - J bits
+    if j_min < -(2**31) or j_max + int(n // 2).bit_length() > 1024:
+        raise ValueError(
+            f"J={j_max}, j_min={j_min} on N={n}: float64 cannot scale by these octaves "
+            "(need j_min >= -2^31 and a finite top frequency 2^J * N/2)"
+        )
     w = frequencies(n).astype(np.float64)
     filters = {
         j: Spectrum(mother(np.ldexp(w, j)).astype(np.complex128))

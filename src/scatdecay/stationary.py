@@ -85,6 +85,13 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     autocov = _frozen(_inverse_rows(np.fft.ifftshift(density), real=True).copy())
     if np.max(np.abs(autocov)) > autocov[0] + 1e-10:
         raise ValueError("autocovariance exceeds its lag-zero value")
+    # within 2^27 standard deviations one rounding of mean + x moves it by at most
+    # 2^-26 of the standard deviation; far past that, it rounds the fluctuation x away
+    if autocov[0] > 0.0 and abs(mean) > 2.0**27 * math.sqrt(autocov[0]):
+        raise ValueError(
+            f"mean {mean:g} is more than 2^27 times the standard deviation "
+            f"{math.sqrt(autocov[0]):g}: float64 cannot hold the fluctuation beside it"
+        )
     return StationaryModel(
         kind=kind, params=params, n=n, mean=float(mean), density=density, autocov=autocov
     )
@@ -119,7 +126,8 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         white noise of level sigma shaped by a named filter,
         density = sigma^2 |h_hat|^2.
 
-    Every family accepts ``mean`` (default 0).  A model whose density and
+    Every family accepts ``mean`` (default 0), but not one more than 2^27
+    standard deviations sqrt(R(0)) from zero.  A model whose density and
     autocovariance, 16 N bytes, exceed the memory budget is refused first.
     """
     _check_bytes(f"a model on N={n}", 16 * n)

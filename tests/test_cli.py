@@ -86,6 +86,24 @@ def test_missing_bank_flag_is_usage_error(tmp_path, capsys):
     assert "bank file is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        (["bank", "check", "--bank", "{shannon}"], "an output directory is required (--out)"),
+        (["scatter", "run", "--bank", "{shannon}", "--out", "{out}"],
+         "a signal file is required (--signal)"),
+        (["stationary", "run", "--bank", "{shannon}", "--out", "{out}"],
+         "a model file is required (--model)"),
+    ],
+    ids=["bank-check-out", "scatter-signal", "stationary-model"],
+)
+def test_missing_file_flag_is_usage_error(words, message, shannon_bank_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([w.format(shannon=shannon_bank_file, out=out) for w in words]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_malformed_bank_file_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
@@ -300,9 +318,15 @@ def test_bad_depth_or_trials_refused_before_any_work(words, message, tmp_path, c
         # a non-finite mean once wrote "estimate": "nan" and exited 1
         ({"kind": "white", "N": 256, "params": {"mean": math.nan}}, "values must be finite"),
         ({"kind": "white", "N": 256, "params": {"mean": math.inf}}, "values must be finite"),
+        # mean + x once rounded x away: estimate=0 (stderr 0) and [OK] on a Shannon bank
+        ({"kind": "white", "N": 256, "params": {"mean": 1e20}},
+         "mean 1e+20 is more than 2^27 times the standard deviation 16: float64 cannot hold the "
+         "fluctuation beside it"),
+        ({"kind": "filtered_noise", "N": 256, "params": {"filter": {"name": "band", "lo": 3, "hi": 3}}},
+         "need 0 <= lo < hi, got (3.0, 3.0)"),
     ],
     ids=["sigma-nan", "length-100", "sigma-1e154", "sigma-1e200", "N-128.9", "N-true", "mean-nan",
-         "mean-inf"],
+         "mean-inf", "mean-1e20", "band-lo-hi"],
 )
 def test_bad_model_file_refused_before_any_work(model, message, shannon_bank_file, tmp_path,
                                                 capsys, monkeypatch):
@@ -352,6 +376,66 @@ def test_bank_without_inner_frequency_refused_by_its_size(tmp_path, capsys):
         "error: no frequency lies strictly between 0 and N/2 on N=2: a bank needs N >= 4\n"
     )
     assert not out.exists()
+
+
+_OCTAVES_OFF_FLOAT64 = ("J={0}, j_min={1} on N=256: float64 cannot scale by these octaves "
+                        "(need j_min >= -2^31 and a finite top frequency 2^J * N/2)")
+
+
+@pytest.mark.parametrize(
+    "mother, params, j_max, message",
+    [
+        ("morlet", {}, 1e300, _OCTAVES_OFF_FLOAT64.format(int(1e300), int(1e300) - 7)),
+        ("shannon", {}, 1e300, _OCTAVES_OFF_FLOAT64.format(int(1e300), int(1e300) - 7)),
+        ("morlet", {}, 2**62, _OCTAVES_OFF_FLOAT64.format(2**62, 2**62 - 7)),
+        ("shannon", {}, 3000, _OCTAVES_OFF_FLOAT64.format(3000, 2993)),
+        ("morlet", {}, 3000, _OCTAVES_OFF_FLOAT64.format(3000, 2993)),
+        ("morlet", {}, -1e300, _OCTAVES_OFF_FLOAT64.format(-int(1e300), -int(1e300) - 7)),
+        ("shannon", {}, -3000000000, _OCTAVES_OFF_FLOAT64.format(-3000000000, -3000000007)),
+        ("morlet", {"width": 1e-200}, 0, "Morlet width 1e-200 squares to zero in float64"),
+    ],
+    ids=["morlet-1e300", "shannon-1e300", "morlet-2^62", "shannon-3000", "morlet-3000",
+         "morlet--1e300", "shannon--3e9", "morlet-width-1e-200"],
+)
+@pytest.mark.filterwarnings("error")
+def test_out_of_range_bank_recipe_refused(mother, params, j_max, message, tmp_path, capsys):
+    # each once ended in an OverflowError or ZeroDivisionError traceback, or (J=3000)
+    # in a RuntimeWarning and "values must be finite"
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(
+        {"mother": {"name": mother, "params": params}, "J": j_max, "j_min": None, "N": 256}
+    ))
+    out = tmp_path / "out"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_far_coarse_bank_is_built_and_validates_no_band(tmp_path, capsys):
+    # 2^-1100 scales every frequency to zero: a bank, but one that certifies nothing
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps({**_SHANNON_128, "J": -1100}))
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out.endswith("validated band: none\n")
+
+
+def test_asymmetry_without_validated_band_checks_the_whole_grid(tmp_path, capsys):
+    # octaves 5..6 put every frequency of N=64 past the Morlet bump: no band is validated, so
+    # the asymmetry check falls back to 1..N/2-1, where the amplitudes underflow from w=2 on
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(
+        {"mother": {"name": "morlet", "params": {}}, "J": 6, "j_min": 5, "N": 64}
+    ))
+    out = tmp_path / "out"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert "asymmetry: FAIL (margin=0 at w=2)\n" in stdout
+    assert stdout.endswith("validated band: none\n")
+    assert (out / "check_asymmetry.json").read_text() == (
+        '{\n  "condition": "asymmetry",\n  "details": {\n    "band": [\n      1,\n      31\n'
+        '    ],\n    "per_octave_ok": true\n  },\n  "margin": 0.0,\n  "passed": false,\n'
+        '  "tolerance": 1e-12,\n  "witness_freq": 2.0\n}\n'
+    )
 
 
 def test_integral_float_sizes_are_accepted(tmp_path):
@@ -541,6 +625,17 @@ def test_demo_shifts_centroid_down_and_is_byte_stable(tmp_path, capsys):
     # the modulus is pointwise, so it cannot change the signal's energy
     assert summary["energy_modulus"] == pytest.approx(summary["energy_filtered"], rel=1e-15)
     assert "shifted down" in capsys.readouterr().out
+
+
+def test_demo_reads_its_signal_from_a_file(tmp_path, capsys):
+    # the default chirp given as a file runs the same demo, byte for byte
+    assert main(["demo", "modulus-shift", "--out", str(tmp_path / "default")]) == 0
+    default_stdout = capsys.readouterr().out
+    write_signal(tmp_path / "chirp.csv", cli._default_chirp(512))
+    out = tmp_path / "file"
+    assert main(["demo", "modulus-shift", "--signal", str(tmp_path / "chirp.csv"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == default_stdout
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "default")
 
 
 @pytest.fixture(scope="module")

@@ -205,10 +205,10 @@ def lognormal_mother():
     """Analytic bump spread over many octaves: its octave sums have many
     terms of one size, so the order in which a sum adds them shows in its bits."""
 
-    def hat(w):
+    def side(w):
         return np.exp(-np.log2(np.maximum(w, 1e-300)) ** 2 / 8.0) * (w > 0)
 
-    return MotherWavelet("lognormal", {}, hat)
+    return MotherWavelet("lognormal", {}, lambda w: (side(w), side(-w)))
 
 
 def _constant_grid(kind, n):
@@ -348,10 +348,9 @@ def test_constants_octave_sums_stay_inside_window():
 
     def recording(w):
         seen.append(np.array(w))
-        return base.hat(w)
+        return base.pair(w)
 
-    # without its pair the mother evaluates the octave sums through hat, which is recorded
-    bank = build_bank(replace(base, hat=recording, hat_pair=None), 0, 256)
+    bank = build_bank(replace(base, pair=recording), 0, 256)
     seen.clear()  # the filters themselves are sampled on the whole grid
     initialize_x(bank)
     for functional in (compute_S, compute_F1, compute_F2):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,24 @@ def test_morlet_bump_past_window_rejected(builder):
     assert builder(3.5, 1.2).params == {"center": 3.5, "width": 1.2}
 
 
+@pytest.mark.parametrize(
+    "builder", [morlet_mother, morlet_first_order_mother, even_morlet_mother]
+)
+def test_morlet_width_whose_square_underflows_rejected(builder):
+    # 1e-200 ** 2 is 0.0 in float64, and the correction amplitude divides by it
+    with pytest.raises(ValueError, match="^Morlet width 1e-200 squares to zero in float64$"):
+        builder(3.0, 1e-200)
+
+
+def test_integer_amplitude_gives_float64_pair():
+    # a JSON integer amplitude: the same float64 bits as the float amplitude
+    w = np.geomspace(0.25, 8.0, 41)
+    want = bandpass_mother(0.75, 3.0, 1.0).pair(w)
+    got = bandpass_mother(0.75, 3, 1).pair(w)
+    assert [a.dtype for a in got] == [np.float64, np.float64]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_make_mother_registry():
     assert set(MOTHERS) == {
         "morlet",
@@ -192,6 +211,31 @@ def test_empty_octave_range_rejected():
         build_bank(shannon_mother(), 0, 64, j_min=1)
 
 
+_OCTAVES_OFF_FLOAT64 = ("J={}, j_min={} on N=256: float64 cannot scale by these octaves "
+                        "(need j_min >= -2^31 and a finite top frequency 2^J * N/2)")
+
+
+@pytest.mark.parametrize(
+    "j_max",
+    [1017, 3000, 2**62, int(1e300), -(2**31) + 6, -3_000_000_000, -int(1e300)],
+    ids=["1017", "3000", "2^62", "1e300", "-2^31+6", "-3e9", "-1e300"],
+)
+@pytest.mark.filterwarnings("error")
+def test_octaves_float64_cannot_scale_by_are_refused(j_max):
+    # these once raised OverflowError inside np.ldexp, or warned and named no input
+    message = _OCTAVES_OFF_FLOAT64.format(j_max, j_max - 7)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_bank(shannon_mother(), j_max, 256)
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_octaves_float64_can_scale_by_are_built():
+    # 2^1016 * 128 = 2^1023 is finite; j_min = -2^31 is the least exponent np.ldexp takes
+    for j_max in (1016, -(2**31) + 7):
+        bank = build_bank(shannon_mother(), j_max, 256)
+        assert bank.validated_band is None and len(bank.filters) == 8
+
+
 # --- converged dyadic sums -------------------------------------------------
 
 
@@ -235,19 +279,18 @@ def test_term_grid_evaluates_only_inside_window(make):
 
     def recording(w):
         seen.append(np.array(w))
-        return base.hat(w)
+        return base.pair(w)
 
     # far past both window edges, so most (j, w) entries fall outside it
     omegas = np.geomspace(1e-12, 1e6, 257)
-    # without its pair the mother evaluates each mirrored pair as two hat calls, which are recorded
-    js, p, m = _slice_grid(replace(base, hat=recording, hat_pair=None), omegas)
+    js, p, m = _slice_grid(replace(base, pair=recording), omegas)
     args = np.abs(np.concatenate(seen))
     assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
     want_js, want_p, want_m = reference_terms(base, omegas)
     assert js.tolist() == want_js.tolist()
     x = np.ldexp(omegas[None, :], js[:, None])
     keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    assert args.size == 2 * np.count_nonzero(keep)
+    assert args.size == np.count_nonzero(keep)
     # same bits as evaluating the whole grid and masking afterwards
     assert p.tobytes() == want_p.tobytes()
     assert m.tobytes() == want_m.tobytes()
@@ -260,19 +303,18 @@ def test_term_grid_stops_at_j_max(j_max):
 
     def recording(w):
         seen.append(np.array(w))
-        return base.hat(w)
+        return base.pair(w)
 
     omegas = np.geomspace(0.5, 200.0, 97)
     js, p, m = _slice_grid(base, omegas)
-    # without its pair the mother evaluates each mirrored pair as two hat calls, which are recorded
-    top_js, top_p, top_m = _slice_grid(replace(base, hat=recording, hat_pair=None), omegas, j_max=j_max)
+    top_js, top_p, top_m = _slice_grid(replace(base, pair=recording), omegas, j_max=j_max)
     rows = js <= j_max
     assert top_js.tolist() == js[rows].tolist()
     assert top_p.tobytes() == p[rows].tobytes() and top_m.tobytes() == m[rows].tobytes()
-    # the mother is evaluated at +2^j w, then -2^j w, inside the window, octave by octave up to j_max
+    # the mother's pair is evaluated at +2^j w inside the window, octave by octave up to j_max
     x = np.ldexp(omegas[None, :], top_js[:, None])
     inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    want = [np.concatenate([row[k], -row[k]]) for row, k in zip(x, inside)]
+    want = [row[k] for row, k in zip(x, inside)]
     assert np.concatenate(seen).tobytes() == np.concatenate(want).tobytes()
 
 
@@ -321,9 +363,6 @@ def test_morlet_pair_takes_three_exp_calls_per_mirrored_pair(monkeypatch):
     monkeypatch.setattr(np, "exp", counting)
     list(_octave_slices(bank.mother, grid, bank.j_max))
     assert sum(arguments) == 3 * pairs
-    arguments.clear()
-    list(_octave_slices(replace(bank.mother, hat_pair=None), grid, bank.j_max))
-    assert sum(arguments) == 4 * pairs
 
 
 def test_term_grid_rejects_nonpositive():
@@ -466,7 +505,11 @@ def test_order_estimate_refuses_indicator_with_mass_on_the_window():
 
 def test_order_estimate_refuses_a_zero_at_one_fit_point():
     hole = np.geomspace(2.0**-10, 2.0**-4, 25)[7]
-    mother = MotherWavelet("holed", {}, lambda w: np.where(w == hole, 0.0, w**2))
+
+    def side(w):
+        return np.where(w == hole, 0.0, w**2)
+
+    mother = MotherWavelet("holed", {}, lambda w: (side(w), side(-w)))
     with pytest.raises(ValueError, match="^profile vanishes at isolated fit points; cannot fit order$"):
         estimate_vanishing_order(mother)
 

@@ -165,6 +165,14 @@ def test_balance_on_random_band_limited_signal():
         assert report.total == pytest.approx(energy(sig), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_balance_refuses_a_layer_outside_the_tree(n):
+    bank, low = shannon_tight_pair(0, 64)
+    result = scatter(cosine(64, 5), bank, low, n_max=2)
+    with pytest.raises(ValueError, match=f"^need 1 <= n <= 2, got {n}$"):
+        energy_balance(result, n)
+
+
 def test_balance_requires_unpruned_tree():
     bank, low = shannon_tight_pair(0, 64)
     result = scatter(cosine(64, 5), bank, low, n_max=1, prune_eps=1e-6)
@@ -396,6 +404,14 @@ def test_negative_depth_rejected():
     bank, low = shannon_tight_pair(0, 64)
     with pytest.raises(ValueError):
         scatter(cosine(64, 5), bank, low, n_max=-1)
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        layer_energy_profile(cosine(64, 5), bank, -1)
+
+
+def test_profile_refuses_a_signal_off_the_grid():
+    bank, _ = shannon_tight_pair(0, 64)
+    with pytest.raises(ValueError, match="^signal length 128 does not match bank grid 64$"):
+        layer_energy_profile(cosine(128, 5), bank, 2)
 
 
 def test_scatter_builds_nodes_on_read(monkeypatch):

@@ -152,6 +152,12 @@ def test_gaussian_lowpass_values():
     assert chi[w == -4] == chi[w == 4]
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_gaussian_lowpass_refuses_a_nonpositive_width(a):
+    with pytest.raises(ValueError, match="^width must be positive$"):
+        gaussian_lowpass(a, 32)
+
+
 def test_modulus_is_real_and_preserves_energy_of_tone():
     tone = complex_tone(32, 3)
     m = modulus(tone)
@@ -230,6 +236,15 @@ def test_read_raw_with_bad_sidecar(tmp_path):
     dirac(8).samples.real.astype("<f8").tofile(path)
     (tmp_path / "sig.meta").write_text("N=eight;complex=0\n")
     with pytest.raises(ValueError):
+        read_signal(path)
+
+
+@pytest.mark.parametrize("meta, values", [("N=8;complex=0", 9), ("N=8;complex=1", 8)])
+def test_read_raw_refuses_a_payload_of_the_wrong_size(tmp_path, meta, values):
+    path = tmp_path / "sig"
+    np.zeros(values, dtype="<f8").tofile(path)
+    (tmp_path / "sig.meta").write_text(meta + "\n")
+    with pytest.raises(ValueError, match=f"^raw payload holds {values} values, expected N=8$"):
         read_signal(path)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,30 @@ def test_model_validation():
 def test_model_refuses_a_bad_grid_or_non_finite_density(kind, n, params, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_model(kind, n, **params)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("white", {"mean": 1e20}),
+        ("ar1", {"mean": -1e20, "rho": 0.5}),
+        ("filtered_noise", {"mean": 1e20, "filter": {"name": "gaussian_lowpass", "a": 4.0}}),
+    ],
+)
+def test_model_refuses_a_mean_that_swamps_the_fluctuation(kind, params):
+    # a Shannon bank once scored mean 1e20 as estimate=0 and [OK]: mean + x rounded x away
+    std = math.sqrt(make_model(kind, 64, **{**params, "mean": 0.0}).autocov[0])
+    message = (f"mean {params['mean']:g} is more than 2^27 times the standard deviation {std:g}: "
+               "float64 cannot hold the fluctuation beside it")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_model(kind, 64, **params)
+
+
+def test_mean_bound_is_2_27_standard_deviations():
+    bound = 2.0**27 * math.sqrt(make_model("white", 64).autocov[0])
+    assert make_model("white", 64, mean=-bound).mean == -bound
+    with pytest.raises(ValueError, match="^mean .* is more than 2\\^27 times"):
+        make_model("white", 64, mean=np.nextafter(bound, math.inf))
 
 
 def test_model_round_trip(tmp_path):
@@ -429,6 +454,14 @@ def test_bound_closed_form_for_white():
     w = frequencies(128)
     want = float(np.sum(4.0 * (1.0 - np.exp(-2.0 * (w / width) ** 2))))
     assert stationary_bound(model, constants, 2) == pytest.approx(want, rel=1e-14)
+
+
+def test_large_mean_leaves_the_estimate(shannon_128):
+    # mean 1e9 is 8.8e7 standard deviations, inside the bound; the bank has no mass at w=0
+    bank, _ = shannon_128
+    estimates = [mc_layer_energy(make_model("white", 128, sigma=1.0, mean=mean), bank, 2,
+                                 trials=200, seed=0).estimate for mean in (0.0, 1e9)]
+    assert abs(estimates[1] - estimates[0]) <= 1e-9 * estimates[0]
 
 
 def test_bound_ignores_the_mean(shannon_128):
