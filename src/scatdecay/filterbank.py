@@ -91,15 +91,21 @@ def _check_bytes(what: str, nbytes: int) -> None:
 
 def _morlet_kappa(center: float, width: float) -> float:
     """Zero-mean correction amplitude of a Morlet bump inside the window."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if width**2 == 0.0:
-        raise ValueError(f"Morlet width {width:g} squares to zero in float64")
-    if abs(center) + _BUMP_REACH * width > X_WINDOW[1]:
+    if not width > 0:
+        raise ValueError(f"Morlet width must be positive, got {width:g}")
+    if not abs(center) + _BUMP_REACH * width <= X_WINDOW[1]:
         raise ValueError(
             f"Morlet bump at {center:g} of width {width:g} reaches past "
             f"{X_WINDOW[1]:g}, where octave sums are truncated; need "
             f"|center| + {_BUMP_REACH:.2f} * width <= {X_WINDOW[1]:g}"
+        )
+    # the profiles divide center * w by width^2; where that overflows on the
+    # window it meets a correction Gaussian of 0 and makes NaN
+    square = width * width
+    if square == 0.0 or not math.isfinite(abs(center) * X_WINDOW[1] / square):
+        raise ValueError(
+            f"Morlet width {width:g} is too narrow for float64: "
+            f"|center| * {X_WINDOW[1]:g} / width^2 overflows"
         )
     return math.exp(-(center**2) / (2.0 * width**2))
 

@@ -107,10 +107,25 @@ def test_morlet_bump_past_window_rejected(builder):
 @pytest.mark.parametrize(
     "builder", [morlet_mother, morlet_first_order_mother, even_morlet_mother]
 )
-def test_morlet_width_whose_square_underflows_rejected(builder):
-    # 1e-200 ** 2 is 0.0 in float64, and the correction amplitude divides by it
-    with pytest.raises(ValueError, match="^Morlet width 1e-200 squares to zero in float64$"):
-        builder(3.0, 1e-200)
+def test_morlet_width_float64_cannot_hold_rejected(builder):
+    # 1e-200 ** 2 is 0.0 in float64, which the correction amplitude divides by, and
+    # 3 * 16 / 1e-160 ** 2 overflows, which times the zero correction Gaussian is NaN
+    for width in (1e-200, 1e-160):
+        message = (f"Morlet width {width:g} is too narrow for float64: "
+                   "|center| * 16 / width^2 overflows")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builder(3.0, width)
+    # 1e200 ** 2 raises OverflowError in Python; the bump is refused by its reach first
+    for width in (1e200, math.inf):
+        message = f"Morlet bump at 3 of width {width:g} reaches past 16,"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            builder(3.0, width)
+    with pytest.raises(ValueError, match="^Morlet width must be positive, got nan$"):
+        builder(3.0, math.nan)
+    with pytest.raises(ValueError, match="^Morlet bump at nan of width 1 reaches past 16,"):
+        builder(math.nan, 1.0)
+    # a width whose quotient stays finite on the window builds
+    assert builder(3.0, 1e-150).params == {"center": 3.0, "width": 1e-150}
 
 
 def test_integer_amplitude_gives_float64_pair():
