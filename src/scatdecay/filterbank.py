@@ -217,6 +217,14 @@ def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> 
         )
 
     scale = float(amplitude)  # float64 amplitudes, also from a JSON integer
+    # at most ceil(log2(hi / lo)) octaves meet one frequency, so every octave
+    # sum of squares is finite when this is
+    octaves = math.ceil(math.log2(hi / lo))
+    if not math.isfinite(scale * scale * octaves):
+        raise ValueError(
+            f"bandpass amplitude {amplitude:g} is outside float64: its octave sums "
+            f"reach amplitude^2 * {octaves}, which is not finite"
+        )
 
     def pair(w):
         return scale * ((w > lo) & (w <= hi)), scale * ((w < -lo) & (w >= -hi))
@@ -247,7 +255,7 @@ def make_mother(name: str, **params) -> MotherWavelet:
         raise ValueError(f"unknown mother wavelet {name!r}") from None
     try:
         return builder(**params)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad parameters for mother {name!r}: {exc}") from None
 
 

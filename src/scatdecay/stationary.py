@@ -344,9 +344,6 @@ def load_model(path: str | os.PathLike) -> StationaryModel:
     with open(os.fspath(path)) as fh:
         payload = json.load(fh)
     try:
-        kind = payload["kind"]
-        n = _whole(payload["N"])
-        params = dict(payload.get("params", {}))
-    except (KeyError, TypeError) as exc:
+        return make_model(payload["kind"], _whole(payload["N"]), **dict(payload.get("params", {})))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None
-    return make_model(kind, n, **params)

