@@ -40,6 +40,7 @@ from .errors import (
 from .filterbank import (
     ConditionReport,
     FilterBank,
+    _octave_slice,
     _octave_sums,
     check_littlewood_paley,
     estimate_vanishing_order,
@@ -202,14 +203,57 @@ def _raised_cosine_window() -> tuple[np.ndarray, np.ndarray, float]:
     return u, phi0, alpha_tilde
 
 
+# log-spaced points of the curvature grid's base octave [2^-8, 2^-7), besides its edge point
+_OCTAVE_POINTS = 1334
+
+
+def _curvature_octaves(half: int) -> np.ndarray:
+    """One row per octave [2^k, 2^(k+1)) from k = -8 to log2(``half``), the base octave times 2^(k+8).
+
+    The base row is ``_OCTAVE_POINTS`` log-spaced points of [2^-8, 2^-7)
+    plus the edge point 2^-8 (1 + 1e-9); ``np.ldexp`` copies it exactly, so
+    each row is the one below it doubled, point for point.
+    """
+    base = np.geomspace(2.0**-8, 2.0**-7, _OCTAVE_POINTS, endpoint=False)
+    base = np.insert(base, 1, 2.0**-8 * (1.0 + 1e-9))
+    # C int exponents: np.ldexp takes int64 ones on a far slower loop
+    return np.ldexp(base, np.arange(half.bit_length() + 8, dtype=np.intc)[:, None])
+
+
+def _up_to_half(rows: np.ndarray) -> np.ndarray:
+    """The octave rows as one ascending array, the last only up to its edge pair N/2, N/2 (1 + 1e-9)."""
+    return rows.ravel()[: rows.size - rows.shape[1] + 2]
+
+
 def _curvature_grid(half: int) -> np.ndarray:
-    """Step 4's ascending grid on [2^-8, half]: log-spaced, plus both sides of each dyadic edge."""
-    grid = np.geomspace(2.0**-8, float(half), 20001)
-    edges = []
-    for k in range(-8, int(math.log2(half)) + 1):
-        edges.append(2.0**k)
-        edges.append(2.0**k * (1.0 + 1e-9))
-    return np.unique(np.concatenate([grid, np.asarray(edges)]))
+    """Step 4's ascending grid on [2^-8, half (1 + 1e-9)] for ``half`` = N/2, a power of two.
+
+    ``_curvature_octaves`` up to the edge pair at ``half``: each dyadic edge
+    2^k comes with a point just above it, where indicator-type profiles jump.
+    """
+    return _up_to_half(_curvature_octaves(half))
+
+
+def _lp_on_curvature_grid(bank: FilterBank) -> np.ndarray:
+    """``_lp_up_to_coarsest`` on ``_curvature_grid(N/2)``, bit for bit, by one doubling step per octave.
+
+    The sum over j <= j_max at 2w has the terms of the sum at w, in the same
+    ascending order, and then one more: the octave j_max term at 2w, if
+    2^j_max (2w) lies in ``X_WINDOW``.  So each octave row is the row below
+    it plus that term, the last addition the direct sum makes, and the rows
+    take the bits ``_octave_sums`` gives on the flat grid.  Only the base row
+    is summed over all octaves.
+    """
+    rows = _curvature_octaves(bank.n // 2)
+    sums = np.empty(rows.shape)
+    (sums[0],) = _octave_sums(bank.mother, rows[0], lambda j, w, p, m: (p + m,), j_max=bank.j_max)
+    for k in range(1, len(rows)):
+        sums[k] = sums[k - 1]
+        hit = _octave_slice(bank.mother, rows[k], bank.j_max)
+        if hit is not None:
+            cols, p, m = hit
+            sums[k, cols] += p + m
+    return 0.5 * _up_to_half(sums)
 
 
 def initialize_lowpass(bank: FilterBank) -> InitLowpass:
@@ -224,9 +268,13 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
     3. alpha_tilde = min over the support of (1 - phi0_hat^2) / u^2,
        the worst quadratic headroom of the window;
     4. curvature_sup = sup over the positive reals of the octave sums
-       for j <= j_max divided by w^2; a dense log grid is topped up with
-       points just above each dyadic edge, where indicator-type profiles
-       jump and an integer grid badly under-samples the sup;
+       for j <= j_max divided by w^2, taken on a grid closed under
+       doubling: one log-spaced octave from 2^-8, with a point just above
+       its edge, where indicator-type profiles jump and an integer grid
+       badly under-samples the sup, copied exactly to every octave up to
+       N/2.  The sums on one octave are those on the octave below plus the
+       single term at j_max, so past the first octave each grid point
+       costs one mother evaluation, not one per octave;
     5. m_scale = sqrt(curvature_sup / alpha_tilde), inflated by 1e-6 so
        the rescaled window hides strictly inside the uncovered zone.
 
@@ -253,7 +301,7 @@ def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray
 
     half = bank.n // 2
     grid = _curvature_grid(half)
-    lp_grid = _lp_up_to_coarsest(bank, grid)
+    lp_grid = _lp_on_curvature_grid(bank)
     curvature_sup = float(np.max(lp_grid / grid**2))
 
     m_scale = math.sqrt(curvature_sup / alpha_tilde) * (1.0 + 1e-6)

@@ -20,7 +20,8 @@ added by ``_octave_sums`` under one rule: the terms are added in ascending
 j, and only the in-window terms, those with 2^j w in ``X_WINDOW``, are
 added at all.  The window depends on 2^j w alone, so doubling w shifts the
 added terms by one octave and every such sum is dyadically homogeneous bit
-for bit.
+for bit.  That is what makes ``decay``'s doubling step exact: the sum over
+j <= J at 2w is the sum at w plus one term, the one at j = J, added last.
 """
 from __future__ import annotations
 
@@ -267,9 +268,8 @@ def _octave_slices(mother: MotherWavelet, omegas: np.ndarray, j_max: int | None 
     """(j, columns, p, m) for each octave j, ascending, that reaches ``omegas``.
 
     ``omegas`` must be nonempty, strictly positive and ascending (ties
-    allowed), else ``ValueError``; the frequencies whose 2^j w lies in
-    ``X_WINDOW`` then form one slice, where p, m = |psi_hat(+-2^j w)|^2.  The
-    mother is evaluated nowhere else, and the octaves above ``j_max`` not at all.
+    allowed), else ``ValueError``; each octave's slice is ``_octave_slice``'s,
+    and the octaves above ``j_max`` are not evaluated at all.
     """
     if omegas.size == 0 or not omegas[0] > 0.0 or not np.all(omegas[1:] >= omegas[:-1]):
         raise ValueError("frequencies must be nonempty, strictly positive and ascending")
@@ -278,12 +278,24 @@ def _octave_slices(mother: MotherWavelet, omegas: np.ndarray, j_max: int | None 
     if j_max is not None:
         j_hi = min(j_hi, j_max)
     for j in range(j_lo, j_hi + 1):
-        # 2^j w >= x iff w >= 2^-j x: scaling by a power of two is exact
-        start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
-        stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
-        if start < stop:
-            plus, minus = mother.pair(np.ldexp(omegas[start:stop], j))
-            yield j, slice(start, stop), plus**2, minus**2
+        hit = _octave_slice(mother, omegas, j)
+        if hit is not None:
+            yield j, *hit
+
+
+def _octave_slice(mother: MotherWavelet, omegas: np.ndarray, j: int):
+    """(columns, p, m) of the one octave j on ascending ``omegas``, or None if it reaches none.
+
+    The frequencies whose 2^j w lies in ``X_WINDOW`` form one slice, where
+    p, m = |psi_hat(+-2^j w)|^2; the mother is evaluated nowhere else.
+    """
+    # 2^j w >= x iff w >= 2^-j x: scaling by a power of two is exact
+    start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
+    stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
+    if start == stop:
+        return None
+    plus, minus = mother.pair(np.ldexp(omegas[start:stop], j))
+    return slice(start, stop), plus**2, minus**2
 
 
 def _octave_sums(mother: MotherWavelet, omegas: np.ndarray, terms, j_max: int | None = None):

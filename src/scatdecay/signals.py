@@ -13,6 +13,7 @@ is preserved exactly between the two domains.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -237,8 +238,27 @@ def _write_json(path: str | os.PathLike, payload: dict) -> None:
 
 
 def read_signal(path: str | os.PathLike) -> Signal:
-    """Load a signal from CSV, or from raw float64 via its sidecar."""
+    """Load a signal from CSV, or from raw float64 via its sidecar.
+
+    A signal with a sample of modulus over 2^510 / sqrt(N) is refused.  With
+    octave sums at most one, the bound ``check_littlewood_paley`` checks, a layer
+    at most doubles a complex signal's energy and never grows a real one's, so
+    every energy a run computes is at most 2 N max |s_k|^2 before its 1/N:
+    at most 2^1021 under the bound, finite in float64.
+    """
     path = os.fspath(path)
+    sig = _parse_signal(path)
+    bound = 2.0**510 / math.sqrt(sig.n)
+    peak = float(np.max(np.abs(sig.samples)))
+    if peak > bound:
+        raise ValueError(
+            f"signal {path} has a sample of modulus {peak:.6g}, over 2^510 / sqrt(N) = "
+            f"{bound:.6g} at N={sig.n}: its energies would overflow float64"
+        )
+    return sig
+
+
+def _parse_signal(path: str) -> Signal:
     if os.path.exists(path + ".meta"):
         with open(path + ".meta") as fh:
             text = fh.read().strip()

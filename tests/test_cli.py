@@ -530,6 +530,14 @@ _REFUSALS = {
                 "426,958,782,464 bytes at once, over the budget of 1,073,741,824", bank=_bank("morlet", N=4096),
                 signal="1\n" * 4096),
     ],
+    # a finite signal whose energy overflows float64 once wrote Infinity into manifest.json and
+    # exited 0, and at 1e308 printed RuntimeWarnings before an error that named no input
+    "test_signal_whose_energy_overflows_is_refused": [
+        Refusal(_SCATTER, 2, f"error: signal {{signal}} has a sample of modulus {value:g}, over 2^510 / "
+                "sqrt(N) = 2.96273e+152 at N=128: its energies would overflow float64", bank=_SHANNON_128,
+                signal=f"{value!r}\n" * 128, id=f"{value:g}")
+        for value in (1e160, 1e308)
+    ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
                 "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
