@@ -26,11 +26,11 @@ import sys
 
 import numpy as np
 
-from .decay import _SLACK_TOL, _check_bound_layer, compute_constants, verify_decay
+from .decay import _SLACK_TOL, _check_bound_layer, _refuse_inflated, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
-    _PARTITION_TOL, _check_profile, _partition_defect, _tight_lowpass, export_result,
+    _PARTITION_TOL, _check_profile, _check_tree, _partition_defect, _tight_lowpass, export_result,
     gaussian_output_lowpass, scatter,
 )
 from .signals import (
@@ -107,8 +107,11 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
         raise ValueError("a signal file is required (--signal)")
     sig = read_signal(args.signal)
     out = _require_out(args)
-    result = scatter(sig, bank, _output_lowpass(bank, args.lowpass), args.depth,
-                     prune_eps=args.prune_eps)
+    low = _output_lowpass(bank, args.lowpass)
+    _check_tree(sig, bank, low, args.depth, args.prune_eps)
+    # read_signal's overflow bound holds only while the octave sums stay <= 1
+    _refuse_inflated(check_littlewood_paley(bank))
+    result = scatter(sig, bank, low, args.depth, prune_eps=args.prune_eps)
     export_result(result, out)
     print(
         f"depth={args.depth} paths={len(result.s)} pruned={len(result.pruned_paths)} "

@@ -144,11 +144,12 @@ def compute_F2(bank: FilterBank) -> FreqFunctional:
 class InitLowpass:
     """Window phi_hat whose squared profile complements the octave sums.
 
-    Built as the autocorrelation of a raised-cosine bump, rescaled by M so
-    that |phi_hat|^2 + sum of octave profiles stays below one everywhere.
-    ``phi_grid``/``phi_values`` sample the unscaled autocorrelation on its
-    support [-1/2, 1/2]; evaluation at arbitrary frequencies interpolates
-    that table after the M-rescale and is exactly zero outside.
+    The autocorrelation of a raised-cosine bump, evaluated in closed form
+    and rescaled by M so that |phi_hat|^2 + sum of octave profiles stays
+    below one everywhere.  ``phi_grid``/``phi_values`` sample the unscaled
+    autocorrelation on its support [-1/2, 1/2]; evaluation at arbitrary
+    frequencies interpolates that table after the M-rescale and is exactly
+    zero outside.
     """
 
     m_scale: float
@@ -173,7 +174,8 @@ def _lp_up_to_coarsest(bank: FilterBank, omegas: np.ndarray) -> np.ndarray:
     return 0.5 * out
 
 
-# grid intervals of the raised cosine on [-1/4, 1/4]; the window table has twice as many
+# grid intervals of the window table on [0, 1/2], and the index of u = 0; the
+# table has twice as many on its support [-1/2, 1/2]
 _WINDOW_POINTS = 1 << 14
 
 
@@ -184,16 +186,11 @@ def _raised_cosine_window() -> tuple[np.ndarray, np.ndarray, float]:
     None of it depends on the bank, so it is built on first use and shared
     by every window in the process; both arrays are read-only.
     """
-    xi = np.linspace(-0.25, 0.25, _WINDOW_POINTS + 1)
-    dxi = xi[1] - xi[0]
-    gamma = np.cos(2.0 * np.pi * xi) ** 2
-    gamma = gamma / math.sqrt(float(np.trapezoid(gamma**2, xi)))
-
-    phi0 = np.convolve(gamma, gamma) * dxi
-    center = _WINDOW_POINTS  # index of u = 0 on the doubled grid
-    phi0 = phi0 / phi0[center]
     u = np.linspace(-0.5, 0.5, 2 * _WINDOW_POINTS + 1)
-    if float(np.max(phi0)) > 1.0 + 1e-12 or abs(float(phi0[center]) - 1.0) != 0.0:
+    a = np.abs(u)
+    t = 4.0 * np.pi * a
+    phi0 = ((1.0 - 2.0 * a) * (2.0 + np.cos(t)) + 3.0 / (2.0 * np.pi) * np.sin(t)) / 3.0
+    if float(np.max(phi0)) > 1.0 + 1e-12 or abs(float(phi0[_WINDOW_POINTS]) - 1.0) != 0.0:
         raise BankConditionError("window autocorrelation failed normalization checks")
 
     inner = u != 0.0
@@ -207,35 +204,15 @@ def _raised_cosine_window() -> tuple[np.ndarray, np.ndarray, float]:
 _OCTAVE_POINTS = 1334
 
 
-def _curvature_octaves(half: int) -> np.ndarray:
-    """One row per octave [2^k, 2^(k+1)) from k = -8 to log2(``half``), the base octave times 2^(k+8).
+def _curvature_sums(bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """Step 4's ascending grid on [2^-8, N/2 (1 + 1e-9)] and ``_lp_up_to_coarsest`` on it, bit for bit.
 
-    The base row is ``_OCTAVE_POINTS`` log-spaced points of [2^-8, 2^-7)
-    plus the edge point 2^-8 (1 + 1e-9); ``np.ldexp`` copies it exactly, so
-    each row is the one below it doubled, point for point.
-    """
-    base = np.geomspace(2.0**-8, 2.0**-7, _OCTAVE_POINTS, endpoint=False)
-    base = np.insert(base, 1, 2.0**-8 * (1.0 + 1e-9))
-    # C int exponents: np.ldexp takes int64 ones on a far slower loop
-    return np.ldexp(base, np.arange(half.bit_length() + 8, dtype=np.intc)[:, None])
-
-
-def _up_to_half(rows: np.ndarray) -> np.ndarray:
-    """The octave rows as one ascending array, the last only up to its edge pair N/2, N/2 (1 + 1e-9)."""
-    return rows.ravel()[: rows.size - rows.shape[1] + 2]
-
-
-def _curvature_grid(half: int) -> np.ndarray:
-    """Step 4's ascending grid on [2^-8, half (1 + 1e-9)] for ``half`` = N/2, a power of two.
-
-    ``_curvature_octaves`` up to the edge pair at ``half``: each dyadic edge
-    2^k comes with a point just above it, where indicator-type profiles jump.
-    """
-    return _up_to_half(_curvature_octaves(half))
-
-
-def _lp_on_curvature_grid(bank: FilterBank) -> np.ndarray:
-    """``_lp_up_to_coarsest`` on ``_curvature_grid(N/2)``, bit for bit, by one doubling step per octave.
+    The grid has one row per octave [2^k, 2^(k+1)) from k = -8 to log2(N/2):
+    the base row is ``_OCTAVE_POINTS`` log-spaced points of [2^-8, 2^-7) plus
+    the edge point 2^-8 (1 + 1e-9), and ``np.ldexp`` copies it exactly, so
+    each row is the one below it doubled, point for point.  The last row
+    stops at its edge pair N/2, N/2 (1 + 1e-9): each dyadic edge 2^k comes
+    with a point just above it, where indicator-type profiles jump.
 
     The sum over j <= j_max at 2w has the terms of the sum at w, in the same
     ascending order, and then one more: the octave j_max term at 2w, if
@@ -244,7 +221,10 @@ def _lp_on_curvature_grid(bank: FilterBank) -> np.ndarray:
     take the bits ``_octave_sums`` gives on the flat grid.  Only the base row
     is summed over all octaves.
     """
-    rows = _curvature_octaves(bank.n // 2)
+    base = np.geomspace(2.0**-8, 2.0**-7, _OCTAVE_POINTS, endpoint=False)
+    base = np.insert(base, 1, 2.0**-8 * (1.0 + 1e-9))
+    # C int exponents: np.ldexp takes int64 ones on a far slower loop
+    rows = np.ldexp(base, np.arange((bank.n // 2).bit_length() + 8, dtype=np.intc)[:, None])
     sums = np.empty(rows.shape)
     (sums[0],) = _octave_sums(bank.mother, rows[0], lambda j, w, p, m: (p + m,), j_max=bank.j_max)
     for k in range(1, len(rows)):
@@ -253,7 +233,8 @@ def _lp_on_curvature_grid(bank: FilterBank) -> np.ndarray:
         if hit is not None:
             cols, p, m = hit
             sums[k, cols] += p + m
-    return 0.5 * _up_to_half(sums)
+    stop = rows.size - rows.shape[1] + 2
+    return rows.ravel()[:stop], 0.5 * sums.ravel()[:stop]
 
 
 def initialize_lowpass(bank: FilterBank) -> InitLowpass:
@@ -261,10 +242,12 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
 
     Steps, each with its own grid check:
 
-    1. raised cosine gamma_hat(xi) = cos^2(2 pi xi) on [-1/4, 1/4],
-       normalized to unit squared integral;
-    2. phi0_hat = gamma_hat * gamma_hat (autocorrelation), pinned to
-       phi0_hat(0) = 1 exactly and bounded by 1;
+    1. raised cosine gamma_hat(xi) = cos^2(2 pi xi) on [-1/4, 1/4];
+    2. phi0_hat = gamma_hat * gamma_hat / ||gamma_hat||^2, its
+       autocorrelation normalized to phi0_hat(0) = 1, in closed form
+           phi0_hat(u) = [(1 - 2|u|)(2 + cos 4 pi u) + (3 / (2 pi)) sin 4 pi |u|] / 3
+       on [-1/2, 1/2], evaluated on a grid of step 2^-15 and checked to
+       be exactly 1 at u = 0 and at most 1;
     3. alpha_tilde = min over the support of (1 - phi0_hat^2) / u^2,
        the worst quadratic headroom of the window;
     4. curvature_sup = sup over the positive reals of the octave sums
@@ -300,8 +283,7 @@ def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray
     u, phi0, alpha_tilde = _raised_cosine_window()
 
     half = bank.n // 2
-    grid = _curvature_grid(half)
-    lp_grid = _lp_on_curvature_grid(bank)
+    grid, lp_grid = _curvature_sums(bank)
     curvature_sup = float(np.max(lp_grid / grid**2))
 
     m_scale = math.sqrt(curvature_sup / alpha_tilde) * (1.0 + 1e-6)
@@ -345,7 +327,7 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
         near = slice(starts[i], stops[i])
         y = np.zeros(support.shape)
         y[near] = values[near] * (np.exp(-((omegas[i] - support[near]) ** 2)) / math.sqrt(math.pi))
-        # np.trapezoid's arithmetic on the full-length row, so the pairwise sum sees the same array
+        # numpy's trapezoid arithmetic on the full-length row, so the pairwise sum sees the same array
         out[i] = np.sum(dx * (y[1:] + y[:-1]) / 2.0)
     return out
 
@@ -439,6 +421,14 @@ class DecayConstants:
         return payload
 
 
+def _refuse_inflated(lp: ConditionReport) -> None:
+    """Refuse a bank whose squared octave sums exceed one, by its Littlewood-Paley report."""
+    if not lp.passed:
+        raise BankConditionError(
+            f"squared sums exceed one (margin {lp.margin:.3e} at w = {lp.witness_freq})"
+        )
+
+
 def _octave_samples(bank: FilterBank) -> np.ndarray:
     """Sampling set in the reference octave (1, 2].
 
@@ -466,10 +456,7 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
     band = _band_or_raise(bank)
 
     lp = check_littlewood_paley(bank)
-    if not lp.passed:
-        raise BankConditionError(
-            f"squared sums exceed one (margin {lp.margin:.3e} at w = {lp.witness_freq})"
-        )
+    _refuse_inflated(lp)
     order = estimate_vanishing_order(bank.mother)
     if not order.passed:
         raise VanishingOrderError(

@@ -86,6 +86,20 @@ def _check_profile(bank: FilterBank, n_max: int) -> None:
     _check_budget(f"depth {n_max}", bank, bank.n * _power(len(bank.filters), max(n_max - 1, 0)))
 
 
+def _check_tree(f: Signal, bank: FilterBank, lowpass: Spectrum, n_max: int, prune_eps: float) -> None:
+    """The refusals of ``scatter``, made before any layer is formed."""
+    if n_max < 0:
+        raise ValueError("depth must be nonnegative")
+    breadth = len(bank.filters)
+    # one U and one S row per node, sum_{k <= n_max} B^k nodes
+    nodes = n_max + 1 if breadth == 1 else (_power(breadth, n_max + 1) - 1) // (breadth - 1)
+    _check_budget(f"depth {n_max}", bank, 2 * bank.n * nodes)
+    if not 0.0 <= prune_eps < math.inf:
+        raise ValueError("prune_eps must be finite and nonnegative")
+    if f.n != bank.n or f.n != lowpass.n:
+        raise ValueError("signal, bank and lowpass must share one grid")
+
+
 def _filter_rows(bank: FilterBank) -> np.ndarray:
     # FFT bin order, ready to multiply against np.fft.fft output
     return np.fft.ifftshift(np.stack([bank.filters[j].coeffs for j in bank.scales]), axes=1)
@@ -177,17 +191,8 @@ def scatter(
         energy falls below prune_eps * ||f||^2 is dropped after being
         counted; zero keeps everything, including exactly silent nodes.
     """
-    if n_max < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_tree(f, bank, lowpass, n_max, prune_eps)
     breadth = len(bank.filters)
-    # one U and one S row per node, sum_{k <= n_max} B^k nodes
-    nodes = n_max + 1 if breadth == 1 else (_power(breadth, n_max + 1) - 1) // (breadth - 1)
-    _check_budget(f"depth {n_max}", bank, 2 * bank.n * nodes)
-    if not 0.0 <= prune_eps < math.inf:
-        raise ValueError("prune_eps must be finite and nonnegative")
-    if f.n != bank.n or f.n != lowpass.n:
-        raise ValueError("signal, bank and lowpass must share one grid")
-
     filts = _filter_rows(bank)
     phi = np.fft.ifftshift(lowpass.coeffs)
 

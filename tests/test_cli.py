@@ -337,8 +337,8 @@ def test_scatter_shannon_with_uncovered_bins_is_not_tight(signal_file, tmp_path,
 # exit code and the whole stderr: the single "error: ..." line, or argparse's
 # last line after the subcommand's usage.  Placeholders {bank}, {model},
 # {signal} and {out} name the row's files.  Unless a row says `work`, it is
-# refused before any check, constant, simulation or layer is computed.  No row
-# leaves an --out behind.
+# refused before any check, constant or simulation is computed.  No row forms a
+# layer or leaves an --out behind.
 
 
 @dataclass(frozen=True)
@@ -538,6 +538,15 @@ _REFUSALS = {
                 signal=f"{value!r}\n" * 128, id=f"{value:g}")
         for value in (1e160, 1e308)
     ],
+    # read_signal's overflow bound assumes octave sums <= 1: at amplitude 1e150 this
+    # signal once overflowed the layers with RuntimeWarnings and exited 2 naming no input
+    "test_scatter_run_refuses_an_inflated_bank": [
+        Refusal(_SCATTER, 1, f"error: squared sums exceed one (margin {margin} at w = 2.0)",
+                bank=_bank("bandpass", N=128, lo=1, hi=2, amplitude=amplitude),
+                signal="10000000000.0\n" * 64 + "-10000000000.0\n" * 64, work=True, id=name)
+        for name, amplitude, margin in (("1e150", 1e150, "-5.000e+299"),
+                                        ("1.1-sqrt2", 1.1 * math.sqrt(2), "-2.100e-01"))
+    ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
                 "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
@@ -585,7 +594,7 @@ def _refuse(row, tmp_path, capsys, monkeypatch):
         for name in ("compute_constants", "mc_layer_energy", "check_littlewood_paley", "check_asymmetry",
                      "estimate_vanishing_order"):
             monkeypatch.setattr(cli, name, _no_work)
-        monkeypatch.setattr(scattering, "_layer_moduli", _no_work)
+    monkeypatch.setattr(scattering, "_layer_moduli", _no_work)
     files = {"out": str(tmp_path / "out")}
     for name, payload in (("bank", row.bank), ("model", row.model), ("signal", row.signal)):
         if payload is not None:
