@@ -15,6 +15,13 @@ Exit codes are part of the contract:
 All outputs are byte-stable for identical inputs: floats are written in
 shortest round-trip form, JSON keys are sorted, and nothing records
 timestamps or the environment.
+
+Each refusal has one owner.  The subcommand's parser refuses a missing or
+empty required flag and an unknown one; the library function a command
+calls makes its own refusals, and a command checks up front only what would
+otherwise be refused after costly work, such as the constants.  A command
+makes ``--out`` only once every refusal has passed, right before it writes
+its first file.
 """
 from __future__ import annotations
 
@@ -26,12 +33,12 @@ import sys
 
 import numpy as np
 
-from .decay import _SLACK_TOL, _check_bound_layer, _refuse_inflated, compute_constants, verify_decay
+from .decay import _SLACK_TOL, _check_bound_layer, _check_signal, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
 from .scattering import (
-    _PARTITION_TOL, _check_profile, _check_tree, _partition_defect, _tight_lowpass, export_result,
-    gaussian_output_lowpass, scatter,
+    _PARTITION_TOL, _check_profile, _partition_defect, _tight_lowpass, export_result, gaussian_output_lowpass,
+    scatter,
 )
 from .signals import (
     Signal, Spectrum, _write_json, band_limited_signal, convolve, dft, energy, frequencies, modulus,
@@ -55,18 +62,11 @@ def _jsonable(value):
     return value
 
 
-def _require_out(args: argparse.Namespace) -> str:
-    # checked before any work; the directory itself is made only once every
-    # refusal has passed, right before the first file is written
-    if not args.out:
-        raise ValueError("an output directory is required (--out)")
-    return args.out
-
-
-def _load_bank(args: argparse.Namespace) -> FilterBank:
-    if not args.bank:
-        raise ValueError("a bank file is required (--bank)")
-    return load_bank(args.bank)
+def _path(value: str) -> str:
+    # the type of every path flag, so its parser refuses an empty one as it does a missing required one
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
 
 
 def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
@@ -83,16 +83,15 @@ def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
 
 
 def cmd_bank_check(args: argparse.Namespace) -> int:
-    bank = _load_bank(args)
-    out = _require_out(args)
+    bank = load_bank(args.bank)
     reports = [
         check_littlewood_paley(bank),
         check_asymmetry(bank),
         estimate_vanishing_order(bank.mother),
     ]
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     for report in reports:
-        _write_json(os.path.join(out, f"check_{report.condition}.json"), _jsonable(report.to_payload()))
+        _write_json(os.path.join(args.out, f"check_{report.condition}.json"), _jsonable(report.to_payload()))
         verdict = "PASS" if report.passed else "FAIL"
         where = "" if report.witness_freq is None else f" at w={report.witness_freq:g}"
         print(f"{report.condition}: {verdict} (margin={report.margin:.6g}{where})")
@@ -102,17 +101,12 @@ def cmd_bank_check(args: argparse.Namespace) -> int:
 
 
 def cmd_scatter_run(args: argparse.Namespace) -> int:
-    bank = _load_bank(args)
-    if not args.signal:
-        raise ValueError("a signal file is required (--signal)")
+    bank = load_bank(args.bank)
     sig = read_signal(args.signal)
-    out = _require_out(args)
     low = _output_lowpass(bank, args.lowpass)
-    _check_tree(sig, bank, low, args.depth, args.prune_eps)
-    # read_signal's overflow bound holds only while the octave sums stay <= 1
-    _refuse_inflated(check_littlewood_paley(bank))
+    # scatter makes its own refusals, an inflated bank's included, before any layer
     result = scatter(sig, bank, low, args.depth, prune_eps=args.prune_eps)
-    export_result(result, out)
+    export_result(result, args.out)
     print(
         f"depth={args.depth} paths={len(result.s)} pruned={len(result.pruned_paths)} "
         f"pruned_mass={result.pruned_mass:.6g}"
@@ -122,21 +116,20 @@ def cmd_scatter_run(args: argparse.Namespace) -> int:
 
 def cmd_decay_verify(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    bank = _load_bank(args)
-    # a bad or over-budget depth, or a signal off the grid, is refused before the constants or --out
+    bank = load_bank(args.bank)
+    # a bad or over-budget depth, or a signal verify_decay would refuse, is refused before the constants
     _check_bound_layer(args.depth)
     _check_profile(bank, args.depth)
-    out = _require_out(args)
     sig = read_signal(args.signal) if args.signal else None
-    if sig is not None and sig.n != bank.n:
-        raise ValueError(f"signal length {sig.n} does not match bank grid {bank.n}")
+    if sig is not None:
+        _check_signal(sig, bank)
     constants = compute_constants(bank)
     if sig is None:
         sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "constants.json"), _jsonable(constants.to_payload()))
-    with open(os.path.join(out, "decay.csv"), "w") as fh:
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "constants.json"), _jsonable(constants.to_payload()))
+    with open(os.path.join(args.out, "decay.csv"), "w") as fh:
         fh.write("n,empirical,bound,slack\n")
         for row in rows:
             fh.write(f"{row.n},{row.empirical!r},{row.bound!r},{row.slack!r}\n")
@@ -156,15 +149,11 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stationary_run(args: argparse.Namespace) -> int:
-    bank = _load_bank(args)
-    if not args.model:
-        raise ValueError("a model file is required (--model)")
+    bank = load_bank(args.bank)
     model = load_model(args.model)
-    # refused in the order the run would meet them, but before the constants,
-    # the simulation or --out
+    # refused in the order the run would meet them, but before the constants or the simulation
     _check_mc_request(model, bank, args.depth, args.trials, args.seed)
     _check_bound_layer(args.depth)
-    out = _require_out(args)
     constants = compute_constants(bank)
     est = mc_layer_energy(model, bank, args.depth, trials=args.trials, seed=args.seed)
     bound = stationary_bound(model, constants, args.depth)
@@ -178,8 +167,8 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
         "bound": bound,
         "pass": ok,
     }
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "mc_report.json"), _jsonable(report))
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "mc_report.json"), _jsonable(report))
     print(
         f"layer {est.n}: estimate={est.estimate:.6g} (stderr {est.stderr:.3g}, "
         f"{est.trials} trials) bound={bound:.6g} [{'OK' if ok else 'VIOLATED'}]"
@@ -203,7 +192,6 @@ def _abs_centroid(coeffs: np.ndarray, n: int) -> float:
 def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     from .filterbank import build_bank, morlet_mother
 
-    out = _require_out(args)
     if args.signal:
         sig = read_signal(args.signal)
     else:
@@ -218,11 +206,11 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     before = _abs_centroid(dft(filtered).coeffs, sig.n)
     after = _abs_centroid(dft(mod).coeffs, sig.n)
 
-    os.makedirs(out, exist_ok=True)
-    write_signal(os.path.join(out, "input.csv"), sig)
-    write_signal(os.path.join(out, "filtered.csv"), filtered)
-    write_signal(os.path.join(out, "modulus.csv"), mod)
-    write_signal(os.path.join(out, "smoothed.csv"), smoothed)
+    os.makedirs(args.out, exist_ok=True)
+    write_signal(os.path.join(args.out, "input.csv"), sig)
+    write_signal(os.path.join(args.out, "filtered.csv"), filtered)
+    write_signal(os.path.join(args.out, "modulus.csv"), mod)
+    write_signal(os.path.join(args.out, "smoothed.csv"), smoothed)
     summary = {
         "scale": args.scale,
         "centroid_filtered": before,
@@ -231,7 +219,7 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
         "energy_modulus": energy(mod),
         "energy_smoothed": energy(smoothed),
     }
-    _write_json(os.path.join(out, "summary.json"), _jsonable(summary))
+    _write_json(os.path.join(args.out, "summary.json"), _jsonable(summary))
     shifted = after < before
     print(
         f"|w|-centroid: filtered={before:.6g} modulus={after:.6g} "
@@ -247,56 +235,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(group, group_help, action, handler, action_help, parents=()):
+        actions = sub.add_parser(group, help=group_help).add_subparsers(dest="action", required=True)
+        cmd = actions.add_parser(action, parents=list(parents), help=action_help)
+        cmd.set_defaults(handler=handler, parser=cmd)
+        return cmd
+
     bank_out = argparse.ArgumentParser(add_help=False)
-    bank_out.add_argument("--bank", help="bank recipe (JSON)")
-    bank_out.add_argument("--out", help="output directory")
+    bank_out.add_argument("--bank", required=True, type=_path, help="bank recipe (JSON)")
+    bank_out.add_argument("--out", required=True, type=_path, help="output directory")
 
-    bank = sub.add_parser("bank", help="filter bank operations")
-    bank_sub = bank.add_subparsers(dest="action", required=True)
-    check = bank_sub.add_parser("check", parents=[bank_out], help="run the certification checks")
-    check.set_defaults(handler=cmd_bank_check, parser=check)
+    command("bank", "filter bank operations", "check", cmd_bank_check, "run the certification checks",
+            [bank_out])
 
-    scat = sub.add_parser("scatter", help="scattering transforms")
-    scat_sub = scat.add_subparsers(dest="action", required=True)
-    run = scat_sub.add_parser("run", parents=[bank_out], help="compute a scattering tree")
+    run = command("scatter", "scattering transforms", "run", cmd_scatter_run, "compute a scattering tree",
+                  [bank_out])
     run.add_argument("--depth", type=int, default=2, help="tree depth")
-    run.add_argument("--signal", help="input signal: CSV, or raw float64 + .meta sidecar")
+    run.add_argument("--signal", required=True, type=_path,
+                     help="input signal: CSV, or raw float64 + .meta sidecar")
     run.add_argument("--prune-eps", type=float, default=0.0, dest="prune_eps",
                      help="relative energy floor for pruning")
     run.add_argument("--lowpass", choices=("auto", "gaussian", "tight"), default="auto",
                      help="output smoothing filter")
-    run.set_defaults(handler=cmd_scatter_run, parser=run)
 
-    decay = sub.add_parser("decay", help="decay-bound operations")
-    decay_sub = decay.add_subparsers(dest="action", required=True)
-    verify = decay_sub.add_parser(
-        "verify", parents=[bank_out], help="constants plus bound-vs-empirical table"
-    )
+    verify = command("decay", "decay-bound operations", "verify", cmd_decay_verify,
+                     "constants plus bound-vs-empirical table", [bank_out])
     verify.add_argument("--depth", type=int, default=4, help="deepest layer to verify")
     verify.add_argument("--seed", type=int, default=0, help="RNG seed of the synthesized input (>= 0)")
-    verify.add_argument("--signal", help="real band-limited input (default: synthesized)")
-    verify.set_defaults(handler=cmd_decay_verify, parser=verify)
+    verify.add_argument("--signal", type=_path, help="real band-limited input (default: synthesized)")
 
-    stat = sub.add_parser("stationary", help="stationary-model operations")
-    stat_sub = stat.add_subparsers(dest="action", required=True)
-    srun = stat_sub.add_parser(
-        "run", parents=[bank_out], help="Monte Carlo layer energy against the bound"
-    )
+    srun = command("stationary", "stationary-model operations", "run", cmd_stationary_run,
+                   "Monte Carlo layer energy against the bound", [bank_out])
     srun.add_argument("--depth", type=int, default=2, help="layer to estimate")
     srun.add_argument("--seed", type=int, default=0, help="RNG seed of the trials (>= 0)")
-    srun.add_argument("--model", help="stationary model (JSON)")
+    srun.add_argument("--model", required=True, type=_path, help="stationary model (JSON)")
     srun.add_argument("--trials", type=int, default=200, help="Monte Carlo trials")
-    srun.set_defaults(handler=cmd_stationary_run, parser=srun)
 
-    demo = sub.add_parser("demo", help="illustrations")
-    demo_sub = demo.add_subparsers(dest="action", required=True)
-    shift = demo_sub.add_parser(
-        "modulus-shift", help="how the modulus moves a chirp's spectrum toward zero"
-    )
-    shift.add_argument("--signal", help="input signal (default: built-in chirp)")
-    shift.add_argument("--out", help="output directory")
+    shift = command("demo", "illustrations", "modulus-shift", cmd_demo_modulus_shift,
+                    "how the modulus moves a chirp's spectrum toward zero")
+    shift.add_argument("--signal", type=_path, help="input signal (default: built-in chirp)")
+    shift.add_argument("--out", required=True, type=_path, help="output directory")
     shift.add_argument("--scale", type=int, default=0, help="octave of the analyzing filter")
-    shift.set_defaults(handler=cmd_demo_modulus_shift, parser=shift)
 
     return parser
 

@@ -40,9 +40,10 @@ from .errors import (
 from .filterbank import (
     ConditionReport,
     FilterBank,
+    MotherWavelet,
     _octave_slice,
     _octave_sums,
-    check_littlewood_paley,
+    _refuse_inflated,
     estimate_vanishing_order,
 )
 from .scattering import layer_energy_profile
@@ -94,6 +95,17 @@ def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
             "reproduce the full dyadic sum"
         )
     return bank.validated_band
+
+
+def _order_or_raise(mother: MotherWavelet) -> ConditionReport:
+    """``estimate_vanishing_order``'s report, raised as ``VanishingOrderError`` unless it passed."""
+    order = estimate_vanishing_order(mother)
+    if not order.passed:
+        raise VanishingOrderError(
+            f"near-zero decay order {order.details['epsilon_hat']:.4f} "
+            f"below {order.details['threshold']}"
+        )
+    return order
 
 
 def _functional_terms(bank: FilterBank, omegas: np.ndarray):
@@ -269,17 +281,15 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
     both the continuum grid and the integer grid; a violation means the
     bank is not usable with this construction.
     """
+    _order_or_raise(bank.mother)
     return _lowpass_and_integer_sums(bank)[0]
 
 
 def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray]:
-    """``initialize_lowpass`` plus the octave sums for j <= j_max at the integers 1..N/2."""
-    order = estimate_vanishing_order(bank.mother)
-    if not order.passed:
-        raise VanishingOrderError(
-            "cannot build the initial window: near-zero decay order "
-            f"{order.details['epsilon_hat']:.4f} is below {order.details['threshold']}"
-        )
+    """``initialize_lowpass`` plus the octave sums for j <= j_max at the integers 1..N/2.
+
+    The caller has checked the mother's order with ``_order_or_raise``.
+    """
     u, phi0, alpha_tilde = _raised_cosine_window()
 
     half = bank.n // 2
@@ -362,6 +372,7 @@ def initialize_x(bank: FilterBank) -> float:
     walks x = 2^(m/8) downward from 2^8 and stops at the first width that
     clears the condition everywhere.
     """
+    _order_or_raise(bank.mother)
     _band_or_raise(bank)
     return _admissible_width(bank)[0]
 
@@ -421,14 +432,6 @@ class DecayConstants:
         return payload
 
 
-def _refuse_inflated(lp: ConditionReport) -> None:
-    """Refuse a bank whose squared octave sums exceed one, by its Littlewood-Paley report."""
-    if not lp.passed:
-        raise BankConditionError(
-            f"squared sums exceed one (margin {lp.margin:.3e} at w = {lp.witness_freq})"
-        )
-
-
 def _octave_samples(bank: FilterBank) -> np.ndarray:
     """Sampling set in the reference octave (1, 2].
 
@@ -455,14 +458,8 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
     """
     band = _band_or_raise(bank)
 
-    lp = check_littlewood_paley(bank)
-    _refuse_inflated(lp)
-    order = estimate_vanishing_order(bank.mother)
-    if not order.passed:
-        raise VanishingOrderError(
-            f"near-zero decay order {order.details['epsilon_hat']:.4f} "
-            f"below {order.details['threshold']}"
-        )
+    lp = _refuse_inflated(bank)
+    order = _order_or_raise(bank.mother)
 
     x = _octave_samples(bank)
     s, n1, n2 = _functional_terms(bank, x)
@@ -635,19 +632,8 @@ def _layer_loss(constants: DecayConstants, w: np.ndarray, n: int) -> np.ndarray:
     return 1.0 - _chi_sq(w, constants.r * constants.a**n)
 
 
-def verify_decay(
-    f: Signal,
-    bank: FilterBank,
-    constants: DecayConstants,
-    n_max: int = 4,
-) -> list[DecayRow]:
-    """Compare actual layer energies against the certified bound.
-
-    The input must be real and spectrally supported on the validated
-    band; outside it the constants certify nothing.  Rows start at layer
-    2, the first layer the contraction argument controls.
-    """
-    _check_bound_layer(n_max)
+def _check_signal(f: Signal, bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """The refusals of ``verify_decay``'s input; its frequencies and power spectrum if none applies."""
     if not f.real:
         raise ValueError("decay verification needs a real signal")
     if f.n != bank.n:
@@ -663,6 +649,23 @@ def verify_decay(
         raise ValueError(
             f"signal has spectral mass outside the validated band [{lo}, {hi}]"
         )
+    return w, power
+
+
+def verify_decay(
+    f: Signal,
+    bank: FilterBank,
+    constants: DecayConstants,
+    n_max: int = 4,
+) -> list[DecayRow]:
+    """Compare actual layer energies against the certified bound.
+
+    The input must be real and spectrally supported on the validated
+    band; outside it the constants certify nothing.  Rows start at layer
+    2, the first layer the contraction argument controls.
+    """
+    _check_bound_layer(n_max)
+    w, power = _check_signal(f, bank)
     profile = layer_energy_profile(f, bank, n_max)
     rows = []
     for n in range(2, n_max + 1):

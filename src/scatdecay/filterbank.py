@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BankConditionError, BudgetExceededError
 from .signals import Spectrum, _write_json, frequencies
 
 __all__ = [
@@ -443,6 +443,16 @@ def check_littlewood_paley(bank: FilterBank) -> ConditionReport:
         tolerance=_LP_TOL,
         details={"max_sum": float(total[worst]), "grid": f"0..{bank.n // 2}"},
     )
+
+
+def _refuse_inflated(bank: FilterBank) -> ConditionReport:
+    """``check_littlewood_paley``'s report, raised as ``BankConditionError`` unless it passed."""
+    lp = check_littlewood_paley(bank)
+    if not lp.passed:
+        raise BankConditionError(
+            f"squared sums exceed one (margin {lp.margin:.3e} at w = {lp.witness_freq})"
+        )
+    return lp
 
 
 def check_asymmetry(bank: FilterBank) -> ConditionReport:

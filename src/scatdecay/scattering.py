@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .errors import NonTightBankError
-from .filterbank import FilterBank, _check_bytes, _recipe, build_bank, shannon_mother
+from .filterbank import FilterBank, _check_bytes, _recipe, _refuse_inflated, build_bank, shannon_mother
 from .signals import (
     Signal,
     Spectrum,
@@ -87,7 +87,7 @@ def _check_profile(bank: FilterBank, n_max: int) -> None:
 
 
 def _check_tree(f: Signal, bank: FilterBank, lowpass: Spectrum, n_max: int, prune_eps: float) -> None:
-    """The refusals of ``scatter``, made before any layer is formed."""
+    """The refusals of ``scatter``, made before any layer is formed: ``scatter run`` leaves them to it."""
     if n_max < 0:
         raise ValueError("depth must be nonnegative")
     breadth = len(bank.filters)
@@ -98,6 +98,8 @@ def _check_tree(f: Signal, bank: FilterBank, lowpass: Spectrum, n_max: int, prun
         raise ValueError("prune_eps must be finite and nonnegative")
     if f.n != bank.n or f.n != lowpass.n:
         raise ValueError("signal, bank and lowpass must share one grid")
+    # read_signal's overflow bound holds only while the octave sums stay <= 1
+    _refuse_inflated(bank)
 
 
 def _filter_rows(bank: FilterBank) -> np.ndarray:
@@ -183,7 +185,8 @@ def scatter(
     Parameters
     ----------
     f : input signal on the bank's grid.
-    bank : analytic filter bank.
+    bank : analytic filter bank whose squared octave sums stay <= 1, else
+        ``BankConditionError``.
     lowpass : output smoothing filter phi_hat on the bank's centered grid.
     n_max : tree depth >= 0; the unpruned tree's U and S nodes, 2 N
         sum_{k <= n_max} B^k complex values, must fit the memory budget.

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import scatdecay
-from scatdecay import cli, scattering
+from scatdecay import cli, filterbank, scattering
 from scatdecay.cli import main
 from scatdecay.decay import DecayRow
 from scatdecay.filterbank import (
@@ -372,6 +372,10 @@ _TOO_LONG = "int too large to convert to float"
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
 _NEAR_ZERO = "error: near-zero decay order 0.0181 below 0.05"
+_REQUIRED = "scatdecay {}: error: the following arguments are required: {}"
+_REQUIRED_FLAGS = {"bank check": "--bank b.json --out {out}", "decay verify": "--bank b.json --out {out}",
+                   "scatter run": "--bank b.json --signal f.csv --out {out}",
+                   "stationary run": "--bank b.json --model m.json --out {out}"}
 
 
 def _bad_amplitude(amplitude):
@@ -392,16 +396,31 @@ def _bad_size(id, shown, **sizes):
 
 
 _REFUSALS = {
+    # required flags are the subcommand parser's to refuse, a missing and an empty one alike
     "test_missing_bank_flag_is_usage_error": [
-        Refusal("bank check --out {out}", 2, "error: a bank file is required (--bank)"),
+        Refusal("bank check --out {out}", 2, _REQUIRED.format("bank check", "--bank")),
     ],
     "test_missing_file_flag_is_usage_error": [
-        Refusal("bank check --bank {bank}", 2, "error: an output directory is required (--out)",
+        Refusal("bank check --bank {bank}", 2, _REQUIRED.format("bank check", "--out"),
                 bank=_SHANNON, id="bank-check-out"),
-        Refusal("scatter run --bank {bank} --out {out}", 2, "error: a signal file is required (--signal)",
+        Refusal("scatter run --bank {bank} --out {out}", 2, _REQUIRED.format("scatter run", "--signal"),
                 bank=_SHANNON, id="scatter-signal"),
-        Refusal("stationary run --bank {bank} --out {out}", 2, "error: a model file is required (--model)",
+        Refusal("stationary run --bank {bank} --out {out}", 2, _REQUIRED.format("stationary run", "--model"),
                 bank=_SHANNON, id="stationary-model"),
+    ],
+    "test_empty_path_flag_is_usage_error": [
+        Refusal(f"{command} {flags}", 2, f"scatdecay {command}: error: argument {flag}: must not be empty",
+                bank=_SHANNON, id=f"{command} {flag}")
+        for command, flags, flag in (
+            ("bank check", "--bank= --out {out}", "--bank"),
+            ("bank check", "--bank {bank} --out=", "--out"),
+            ("scatter run", "--bank {bank} --signal= --out {out}", "--signal"),
+            ("stationary run", "--bank {bank} --model= --out {out}", "--model"),
+            ("demo modulus-shift", "--out=", "--out"),
+            # optional paths too: an empty --signal was once read as none and synthesized an input
+            ("decay verify", "--bank {bank} --signal= --out {out}", "--signal"),
+            ("demo modulus-shift", "--signal= --out {out}", "--signal"),
+        )
     ],
     "test_malformed_bank_file_is_parse_error": [
         Refusal(_CHECK, 2, "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
@@ -551,10 +570,22 @@ _REFUSALS = {
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
                 "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
     ],
+    # the constants certify nothing for these inputs, so they are refused before the constants
+    "test_decay_verify_bad_signal_refused_before_constants": [
+        Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2, f"error: {message}", bank=_MORLET,
+                signal=signal, id=id)
+        for id, signal, message in (
+            ("complex", "1,1\n" * 256, "decay verification needs a real signal"),
+            ("zero", "0\n" * 256, "signal is identically zero"),
+            ("out-of-band", "".join(f"{math.cos(2 * math.pi * k / 256)!r}\n" for k in range(256)),
+             "signal has spectral mass outside the validated band [3, 127]"),
+        )
+    ],
     # reported by the subcommand's parser, whose usage line lists the flags it takes
+    # with every required flag given: the parser refuses the extra one before any file is read
     "test_unread_flags_are_rejected": [
-        Refusal(f"{command} {flags}", 2, f"scatdecay {command}: error: unrecognized arguments: {flags}",
-                id=f"{command} {flags.split()[0]}")
+        Refusal(f"{command} {_REQUIRED_FLAGS[command]} {flags}", 2,
+                f"scatdecay {command}: error: unrecognized arguments: {flags}", id=f"{command} {flags.split()[0]}")
         for command, flags in (("bank check", "--seed 1"), ("bank check", "--depth 3"), ("scatter run", "--seed 1"),
                                ("scatter run", "--tol 1e-6"), ("stationary run", "--tol 1e-6"),
                                ("bank check", "--tol 1e-9"), ("decay verify", "--tol 1e-8"))
@@ -594,6 +625,8 @@ def _refuse(row, tmp_path, capsys, monkeypatch):
         for name in ("compute_constants", "mc_layer_energy", "check_littlewood_paley", "check_asymmetry",
                      "estimate_vanishing_order"):
             monkeypatch.setattr(cli, name, _no_work)
+        # the library's own check too, which scatter and compute_constants reach through filterbank
+        monkeypatch.setattr(filterbank, "check_littlewood_paley", _no_work)
     monkeypatch.setattr(scattering, "_layer_moduli", _no_work)
     files = {"out": str(tmp_path / "out")}
     for name, payload in (("bank", row.bank), ("model", row.model), ("signal", row.signal)):

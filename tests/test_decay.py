@@ -31,6 +31,7 @@ from scatdecay.filterbank import (
     MotherWavelet,
     bandpass_mother,
     build_bank,
+    estimate_vanishing_order,
     even_morlet_mother,
     ideal_lp_sum,
     morlet_first_order_mother,
@@ -392,9 +393,24 @@ def test_constants_octave_sums_stay_inside_window():
 
 
 def test_window_refuses_first_order_profile():
+    # compute_constants' message, from the one order check every entry point makes first
     bank = build_bank(morlet_first_order_mother(), 0, 256)
-    with pytest.raises(VanishingOrderError):
-        initialize_lowpass(bank)
+    for entry in (initialize_lowpass, initialize_x):
+        with pytest.raises(VanishingOrderError, match=r"^near-zero decay order 0\.0181 below 0\.05$"):
+            entry(bank)
+
+
+def test_constants_estimate_the_order_once(monkeypatch):
+    calls = []
+
+    def counting(mother):
+        calls.append(mother)
+        return estimate_vanishing_order(mother)
+
+    monkeypatch.setattr(decay, "estimate_vanishing_order", counting)
+    bank = build_bank(morlet_mother(), 0, 256)
+    compute_constants(bank)
+    assert calls == [bank.mother]
 
 
 def test_width_search_shannon(shannon_bank):

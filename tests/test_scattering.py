@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from scatdecay import filterbank, scattering
-from scatdecay.errors import BudgetExceededError, NonTightBankError
-from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
+from scatdecay.errors import BankConditionError, BudgetExceededError, NonTightBankError
+from scatdecay.filterbank import bandpass_mother, build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import (
     energy_balance,
     export_result,
@@ -386,6 +387,20 @@ def _runs_on_exactly(monkeypatch, nbytes, request):
 def test_scatter_budget_counts_every_node(monkeypatch):
     bank, low = shannon_tight_pair(0, 64)  # 6 octaves; U and S of 1 + 6 + 36 + 216 nodes
     _runs_on_exactly(monkeypatch, 16 * 2 * 64 * 259, lambda: scatter(cosine(64, 5), bank, low, 3))
+
+
+def test_scatter_refuses_an_inflated_bank_before_any_layer(monkeypatch):
+    # read_signal's bound admits this signal, but only for octave sums <= 1: at amplitude
+    # 1e150 the layers once overflowed with RuntimeWarnings and an error naming no input
+    def no_layer(*args):
+        raise AssertionError("a layer was formed")
+
+    monkeypatch.setattr(scattering, "_layer_moduli", no_layer)
+    bank = build_bank(bandpass_mother(1, 2, amplitude=1e150), 0, 128)
+    sig = Signal(np.repeat([1e10, -1e10], 64).astype(np.complex128), real=True)
+    message = re.escape("squared sums exceed one (margin -5.000e+299 at w = 2.0)")
+    with pytest.raises(BankConditionError, match=message):
+        scatter(sig, bank, gaussian_output_lowpass(bank.j_max, 128), 2)
 
 
 def test_profile_budget_counts_the_deepest_formed_layer(monkeypatch):
