@@ -26,6 +26,7 @@ its first file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -228,7 +229,9 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     return 0 if shifted else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: every parse makes its own namespace, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="scatdecay",
         description="Scattering transforms with certified layer-energy decay.",

@@ -41,9 +41,9 @@ from .filterbank import (
     ConditionReport,
     FilterBank,
     MotherWavelet,
-    _octave_slice,
     _octave_sums,
     _refuse_inflated,
+    _window_squares,
     estimate_vanishing_order,
 )
 from .scattering import layer_energy_profile
@@ -112,7 +112,7 @@ def _functional_terms(bank: FilterBank, omegas: np.ndarray):
     """Converged S, F1 and F2 numerators at ascending, strictly positive omegas."""
 
     def terms(j, w, p, m):
-        w1 = math.ldexp(1.0, -j)
+        w1 = np.ldexp(1.0, -j)
         return p, m, (p - m) * w1, (p + m) * w1 * w1
 
     sp, sm, n1, n2 = _octave_sums(bank.mother, omegas, terms)
@@ -228,10 +228,12 @@ def _curvature_sums(bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
 
     The sum over j <= j_max at 2w has the terms of the sum at w, in the same
     ascending order, and then one more: the octave j_max term at 2w, if
-    2^j_max (2w) lies in ``X_WINDOW``.  So each octave row is the row below
-    it plus that term, the last addition the direct sum makes, and the rows
-    take the bits ``_octave_sums`` gives on the flat grid.  Only the base row
-    is summed over all octaves.
+    2^j_max (2w) lies in ``X_WINDOW``, else an exact 0.0.  So each octave row
+    is the row below it plus that term, the last addition the direct sum
+    makes, and the rows take the bits ``_octave_sums`` gives on the flat
+    grid.  Only the base row is summed over all octaves; the octave j_max
+    terms of rows 1.. take one ``_window_squares`` call, and a cumulative sum
+    down the rows, which adds them in row order, does every doubling step.
     """
     base = np.geomspace(2.0**-8, 2.0**-7, _OCTAVE_POINTS, endpoint=False)
     base = np.insert(base, 1, 2.0**-8 * (1.0 + 1e-9))
@@ -239,12 +241,9 @@ def _curvature_sums(bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
     rows = np.ldexp(base, np.arange((bank.n // 2).bit_length() + 8, dtype=np.intc)[:, None])
     sums = np.empty(rows.shape)
     (sums[0],) = _octave_sums(bank.mother, rows[0], lambda j, w, p, m: (p + m,), j_max=bank.j_max)
-    for k in range(1, len(rows)):
-        sums[k] = sums[k - 1]
-        hit = _octave_slice(bank.mother, rows[k], bank.j_max)
-        if hit is not None:
-            cols, p, m = hit
-            sums[k, cols] += p + m
+    # row k's octave j_max term, p + m, then each row added to the sum of the row below
+    np.add(*_window_squares(bank.mother, np.ldexp(rows[1:], bank.j_max)), out=sums[1:])
+    np.cumsum(sums, axis=0, out=sums)
     stop = rows.size - rows.shape[1] + 2
     return rows.ravel()[:stop], 0.5 * sums.ravel()[:stop]
 
@@ -269,7 +268,8 @@ def initialize_lowpass(bank: FilterBank) -> InitLowpass:
        badly under-samples the sup, copied exactly to every octave up to
        N/2.  The sums on one octave are those on the octave below plus the
        single term at j_max, so past the first octave each grid point
-       costs one mother evaluation, not one per octave;
+       costs one mother evaluation, not one per octave, and the octaves
+       above the first are one cumulative sum of those terms;
     5. m_scale = sqrt(curvature_sup / alpha_tilde), inflated by 1e-6 so
        the rescaled window hides strictly inside the uncovered zone.
 
@@ -322,7 +322,9 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
 
     The integrand vanishes outside phi_hat's support, so the quadrature
     runs over exactly that interval on the construction's fine grid, one
-    frequency at a time, in a row of the support's size.
+    frequency at a time.  Two rows of the support's size, the integrand and
+    the trapezoid's panels, are allocated once and reused by every
+    frequency.
     """
     support = init.phi_grid / init.m_scale
     values = init.phi_values**2
@@ -333,12 +335,26 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
     # and the rest of the row keeps the 0.0 exp would give there
     starts = np.searchsorted(support, omegas - 27.3, "left")
     stops = np.searchsorted(support, omegas + 27.3, "right")
+    y = np.zeros(support.shape)
+    panels = np.zeros(dx.shape)
     for i in np.flatnonzero(starts < stops):
-        near = slice(starts[i], stops[i])
-        y = np.zeros(support.shape)
-        y[near] = values[near] * (np.exp(-((omegas[i] - support[near]) ** 2)) / math.sqrt(math.pi))
-        # numpy's trapezoid arithmetic on the full-length row, so the pairwise sum sees the same array
-        out[i] = np.sum(dx * (y[1:] + y[:-1]) / 2.0)
+        lo, hi = starts[i], stops[i]
+        near = y[lo:hi]
+        np.subtract(omegas[i], support[lo:hi], out=near)
+        np.square(near, out=near)
+        np.exp(np.negative(near, out=near), out=near)
+        np.divide(near, math.sqrt(math.pi), out=near)
+        np.multiply(values[lo:hi], near, out=near)
+        # numpy's trapezoid arithmetic, (dx * (y[1:] + y[:-1])) / 2, on the panels
+        # that touch a nonzero value; the others keep the 0.0 it gives there, so
+        # the pairwise sum sees the full-length row
+        a, b = max(lo - 1, 0), min(hi, dx.size)
+        touched = panels[a:b]
+        np.add(y[a + 1 : b + 1], y[a:b], out=touched)
+        np.multiply(dx[a:b], touched, out=touched)
+        np.divide(touched, 2.0, out=touched)
+        out[i] = np.sum(panels)
+        near[:] = touched[:] = 0.0
     return out
 
 
@@ -587,7 +603,7 @@ def lemma2_envelope_check(
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
 
     def terms(j, w, p, m):
-        center = constants.delta * math.ldexp(1.0, -j)
+        center = constants.delta * np.ldexp(1.0, -j)
         return p, m, p * (1.0 - _chi_sq(w - center, x)) + m * (1.0 - _chi_sq(-w - center, x))
 
     sp, sm, lhs = _octave_sums(bank.mother, omegas, terms)

@@ -17,11 +17,17 @@ round a failure up to a pass.
 
 Every converged dyadic sum over all integer j, here and in ``decay``, is
 added by ``_octave_sums`` under one rule: the terms are added in ascending
-j, and only the in-window terms, those with 2^j w in ``X_WINDOW``, are
-added at all.  The window depends on 2^j w alone, so doubling w shifts the
-added terms by one octave and every such sum is dyadically homogeneous bit
-for bit.  That is what makes ``decay``'s doubling step exact: the sum over
-j <= J at 2w is the sum at w plus one term, the one at j = J, added last.
+j, and only the in-window terms, those with 2^j w in ``X_WINDOW``, add
+anything; every other term is an exact 0.0, which changes no bit.  The
+window depends on 2^j w alone, so doubling w shifts the in-window terms by
+one octave and every such sum is dyadically homogeneous bit for bit.  That
+is what makes ``decay``'s doubling step exact: the sum over j <= J at 2w
+is the sum at w plus one term, the one at j = J, added last.
+
+``_octave_sums`` evaluates a block of octaves, up to ``_OCTAVE_BLOCK``
+(octave, frequency) entries, with one call of the mother, whose arguments
+are clipped to the window: on the short integer grids of small banks the
+cost of a numpy call, not its arithmetic, is what a per-octave loop pays.
 """
 from __future__ import annotations
 
@@ -264,51 +270,60 @@ def make_mother(name: str, **params) -> MotherWavelet:
 # Dyadic sums over all integer scales, truncated to the converged window.
 
 
-def _octave_slices(mother: MotherWavelet, omegas: np.ndarray, j_max: int | None = None):
-    """(j, columns, p, m) for each octave j, ascending, that reaches ``omegas``.
+# (octave, frequency) entries one mother call of ``_octave_sums`` takes at most
+_OCTAVE_BLOCK = 1 << 14
 
-    ``omegas`` must be nonempty, strictly positive and ascending (ties
-    allowed), else ``ValueError``; each octave's slice is ``_octave_slice``'s,
-    and the octaves above ``j_max`` are not evaluated at all.
+
+def _window_squares(mother: MotherWavelet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|psi_hat(+-x)|^2 where x lies in ``X_WINDOW`` and exactly 0.0 elsewhere.
+
+    The mother sees x clipped to the window, so never an argument outside
+    it.  ``x`` ascends along each axis, so its first and last entries bound
+    it: a block wholly inside the window is neither clipped nor masked.
     """
-    if omegas.size == 0 or not omegas[0] > 0.0 or not np.all(omegas[1:] >= omegas[:-1]):
-        raise ValueError("frequencies must be nonempty, strictly positive and ascending")
-    j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(omegas[-1]))))
-    j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(omegas[0]))))
-    if j_max is not None:
-        j_hi = min(j_hi, j_max)
-    for j in range(j_lo, j_hi + 1):
-        hit = _octave_slice(mother, omegas, j)
-        if hit is not None:
-            yield j, *hit
-
-
-def _octave_slice(mother: MotherWavelet, omegas: np.ndarray, j: int):
-    """(columns, p, m) of the one octave j on ascending ``omegas``, or None if it reaches none.
-
-    The frequencies whose 2^j w lies in ``X_WINDOW`` form one slice, where
-    p, m = |psi_hat(+-2^j w)|^2; the mother is evaluated nowhere else.
-    """
-    # 2^j w >= x iff w >= 2^-j x: scaling by a power of two is exact
-    start = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[0], -j), "left"))
-    stop = int(np.searchsorted(omegas, math.ldexp(X_WINDOW[1], -j), "right"))
-    if start == stop:
-        return None
-    plus, minus = mother.pair(np.ldexp(omegas[start:stop], j))
-    return slice(start, stop), plus**2, minus**2
+    if x.flat[0] >= X_WINDOW[0] and x.flat[-1] <= X_WINDOW[1]:
+        plus, minus = mother.pair(x)
+        return plus**2, minus**2
+    inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
+    plus, minus = mother.pair(np.clip(x, *X_WINDOW))
+    return np.where(inside, plus**2, 0.0), np.where(inside, minus**2, 0.0)
 
 
 def _octave_sums(mother: MotherWavelet, omegas: np.ndarray, terms, j_max: int | None = None):
-    """One sum per array ``terms(j, w, p, m)`` returns on each slice of ``_octave_slices``.
+    """One sum per array ``terms(j, w, p, m)`` returns, over the octaves j that reach ``omegas``.
 
-    Octaves add in ascending j; a frequency no octave reaches keeps 0.0.
-    ``terms`` is called once on empty arrays first, to count the sums.
+    ``omegas`` must be nonempty, strictly positive and ascending (ties
+    allowed), else ``ValueError``.  The octaves from the lowest that reaches
+    ``omegas`` to the highest, capped at ``j_max``, are evaluated in blocks
+    of at most ``_OCTAVE_BLOCK`` (octave, frequency) entries, one mother call
+    each: ``j`` is the block's column of octaves, ``w`` its row of
+    frequencies and p, m = ``_window_squares`` of 2^j w, 0.0 outside the
+    window, so each term must vanish where p and m do.  Each sum adds its
+    rows one octave at a time, in ascending j; a frequency no octave
+    reaches keeps 0.0.  ``terms`` is called once on zero octaves first, to
+    count the sums.
     """
-    empty = omegas[:0]
-    sums = [np.zeros(omegas.shape) for _ in terms(0, empty, empty, empty)]
-    for j, cols, p, m in _octave_slices(mother, omegas, j_max):
-        for total, term in zip(sums, terms(j, omegas[cols], p, m)):
-            total[cols] += term
+    if omegas.size == 0 or not omegas[0] > 0.0 or not np.all(omegas[1:] >= omegas[:-1]):
+        raise ValueError("frequencies must be nonempty, strictly positive and ascending")
+    empty = np.zeros((0, omegas.size))
+    sums = [np.zeros(omegas.shape) for _ in terms(np.zeros((0, 1), np.intc), omegas, empty, empty)]
+    width = min(omegas.size, _OCTAVE_BLOCK)
+    for lo in range(0, omegas.size, width):
+        w = omegas[lo : lo + width]
+        j_lo = int(math.ceil(math.log2(X_WINDOW[0] / float(w[-1]))))
+        j_hi = int(math.floor(math.log2(X_WINDOW[1] / float(w[0]))))
+        if j_max is not None:
+            j_hi = min(j_hi, j_max)
+        # C int exponents: np.ldexp takes int64 ones on a far slower loop
+        js = np.arange(j_lo, j_hi + 1, dtype=np.intc)[:, None]
+        parts = [total[lo : lo + width] for total in sums]
+        step = _OCTAVE_BLOCK // width
+        for first in range(0, len(js), step):
+            j = js[first : first + step]
+            p, m = _window_squares(mother, np.ldexp(w, j))
+            for part, term in zip(parts, terms(j, w, p, m)):
+                for row in term:
+                    part += row
     return sums
 
 
@@ -353,7 +368,7 @@ def _validated_band(
 ) -> tuple[int, int] | None:
     omegas = np.arange(1, n // 2, dtype=np.float64)
     sp, sm, kept = _octave_sums(
-        mother, omegas, lambda j, w, p, m: (p, m, p + m if j_min <= j <= j_max else 0.0)
+        mother, omegas, lambda j, w, p, m: (p, m, np.where((j_min <= j) & (j <= j_max), p + m, 0.0))
     )
     ok = np.abs(0.5 * (sp + sm) - 0.5 * kept) <= _COVERAGE_TOL
     if not np.any(ok):

@@ -70,6 +70,30 @@ def test_bank_check_passes_and_writes_reports(shannon_bank_file, tmp_path, capsy
     assert "validated band: 2..127" in stdout
 
 
+def test_shared_parser_keeps_no_state_between_calls(shannon_bank_file, tmp_path, capsys):
+    # main parses with one parser per process; a refusal may not change a later parse
+    assert cli.build_parser() is cli.build_parser()
+    good = ["bank", "check", "--bank", shannon_bank_file, "--out", str(tmp_path / "check")]
+    refused = [
+        good + ["--seed", "1"],
+        ["bank", "check", "--bank", shannon_bank_file],
+        ["scatter", "run", "--bank", shannon_bank_file, "--out", str(tmp_path / "t"), "--signal", "s.csv",
+         "--depth", "x"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusal
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    for argv in refused:
+        first, passed, again = run(argv), run(good), run(argv)
+        assert first == again and first[0] == 2 and first[2].startswith("usage: ")
+        assert passed == run(good) and passed[0] == 0 and "validated band: 2..127" in passed[1]
+
+
 def test_bank_check_flags_symmetric_mother(tmp_path, capsys):
     bank_path = tmp_path / "even.json"
     save_bank(bank_path, build_bank(even_morlet_mother(), 0, 256))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scatdecay import decay
+from scatdecay import decay, filterbank
 from scatdecay.decay import (
     _raised_cosine_window,
     compute_constants,
@@ -248,6 +248,30 @@ def test_blocked_octave_sums_match_unblocked(make, block, size):
     assert [g.tobytes() for g in joined] == [w.tobytes() for w in want]
 
 
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+@pytest.mark.parametrize("kind", ["samples", "curvature", "band", "integers"])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother, lognormal_mother])
+def test_octave_block_size_does_not_change_bits(make, kind, block, monkeypatch):
+    bank = build_bank(make(), 0, 256)
+    if kind == "integers":  # the window check's grid 1..N/2
+        omegas = np.arange(1.0, 129.0)
+    else:  # a strided subset, and its last point, keeps the one-entry blocks few
+        grid = _constant_grid(kind, 256)
+        omegas = np.append(grid[: -1 : grid.size // 60], grid[-1])
+
+    def sums():
+        got = [*decay._functional_terms(bank, omegas), decay._lp_up_to_coarsest(bank, omegas)]
+        if kind == "integers":
+            got.append(np.array(filterbank._validated_band(bank.mother, bank.j_min, bank.j_max, bank.n)))
+        if kind == "curvature" and block > 1:
+            got.extend(decay._curvature_sums(bank))
+        return [g.tobytes() for g in got]
+
+    want = sums()
+    monkeypatch.setattr(filterbank, "_OCTAVE_BLOCK", block)
+    assert sums() == want
+
+
 def test_sum_up_to_coarsest_is_zero_where_no_octave_reaches():
     # every octave j <= -40 puts the grid's top, 32, below the window's floor 1e-8
     bank = build_bank(morlet_mother(), -40, 64)
@@ -388,7 +412,7 @@ def test_constants_octave_sums_stay_inside_window():
     for functional in (compute_S, compute_F1, compute_F2):
         functional(bank)
     decay._functional_terms(bank, decay._octave_samples(bank))
-    args = np.abs(np.concatenate(seen))
+    args = np.abs(np.concatenate([a.ravel() for a in seen]))
     assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
 
 

@@ -11,7 +11,7 @@ from scatdecay.filterbank import (
     MOTHERS,
     MotherWavelet,
     X_WINDOW,
-    _octave_slices,
+    _octave_sums,
     bandpass_mother,
     build_bank,
     check_asymmetry,
@@ -265,19 +265,32 @@ def test_ideal_sum_scale_invariance_bitwise():
     assert np.array_equal(ideal_lp_sum(m, w), ideal_lp_sum(m, 16.0 * w))
 
 
-def _slice_grid(mother, omegas, j_max=None):
-    """Each slice of ``_octave_slices`` laid out as its octave's row of the whole grid, 0.0 elsewhere."""
+def _term_rows(mother, omegas, j_max=None):
+    """The octaves and the p, m rows ``_octave_sums`` hands its terms, stacked in ascending j."""
     js, p, m = [], [], []
-    for j, cols, pj, mj in _octave_slices(mother, omegas, j_max):
-        js.append(j)
-        p.append(np.zeros(omegas.size))
-        m.append(np.zeros(omegas.size))
-        p[-1][cols], m[-1][cols] = pj, mj
-    return np.array(js), np.array(p), np.array(m)
+
+    def recording(j, w, pj, mj):
+        js.extend(j[:, 0].tolist())
+        p.append(pj)
+        m.append(mj)
+        return (pj,)
+
+    _octave_sums(mother, omegas, recording, j_max)
+    return np.array(js), np.concatenate(p), np.concatenate(m)
+
+
+def _recording(base, seen):
+    """``base`` with every array its pair receives appended to ``seen``."""
+
+    def pair(w):
+        seen.append(np.array(w))
+        return base.pair(w)
+
+    return replace(base, pair=pair)
 
 
 def test_term_grid_masks_by_window():
-    js, p, m = _slice_grid(shannon_mother(), np.array([3.0]))
+    js, p, m = _term_rows(shannon_mother(), np.array([3.0]))
     # exactly one octave catches 3.0: j = -1 puts it at 1.5
     hot = np.flatnonzero(p[:, 0])
     assert js[hot].tolist() == [-1]
@@ -289,21 +302,17 @@ def test_term_grid_masks_by_window():
 def test_term_grid_evaluates_only_inside_window(make):
     base = make()
     seen = []
-
-    def recording(w):
-        seen.append(np.array(w))
-        return base.pair(w)
-
     # far past both window edges, so most (j, w) entries fall outside it
     omegas = np.geomspace(1e-12, 1e6, 257)
-    js, p, m = _slice_grid(replace(base, pair=recording), omegas)
-    args = np.abs(np.concatenate(seen))
+    js, p, m = _term_rows(_recording(base, seen), omegas)
+    args = np.concatenate([a.ravel() for a in seen])
     assert X_WINDOW[0] <= args.min() and args.max() <= X_WINDOW[1]
     want_js, want_p, want_m = reference_terms(base, omegas)
     assert js.tolist() == want_js.tolist()
+    # the mother sees the whole (octave, frequency) grid clipped to the window,
+    # in blocks of ascending octaves, each entry once
     x = np.ldexp(omegas[None, :], js[:, None])
-    keep = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    assert args.size == np.count_nonzero(keep)
+    assert args.tobytes() == np.clip(x, *X_WINDOW).tobytes()
     # same bits as evaluating the whole grid and masking afterwards
     assert p.tobytes() == want_p.tobytes()
     assert m.tobytes() == want_m.tobytes()
@@ -313,22 +322,16 @@ def test_term_grid_evaluates_only_inside_window(make):
 def test_term_grid_stops_at_j_max(j_max):
     base = morlet_mother()
     seen = []
-
-    def recording(w):
-        seen.append(np.array(w))
-        return base.pair(w)
-
     omegas = np.geomspace(0.5, 200.0, 97)
-    js, p, m = _slice_grid(base, omegas)
-    top_js, top_p, top_m = _slice_grid(replace(base, pair=recording), omegas, j_max=j_max)
+    js, p, m = _term_rows(base, omegas)
+    top_js, top_p, top_m = _term_rows(_recording(base, seen), omegas, j_max=j_max)
     rows = js <= j_max
     assert top_js.tolist() == js[rows].tolist()
     assert top_p.tobytes() == p[rows].tobytes() and top_m.tobytes() == m[rows].tobytes()
-    # the mother's pair is evaluated at +2^j w inside the window, octave by octave up to j_max
+    # the mother's pair is evaluated at +2^j w clipped to the window, octave by octave up to j_max
     x = np.ldexp(omegas[None, :], top_js[:, None])
-    inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])
-    want = [row[k] for row, k in zip(x, inside)]
-    assert np.concatenate(seen).tobytes() == np.concatenate(want).tobytes()
+    args = np.concatenate([a.ravel() for a in seen])
+    assert args.tobytes() == np.clip(x, *X_WINDOW).tobytes()
 
 
 # each mother at its default parameters and at one other set
@@ -365,7 +368,9 @@ def test_pair_has_the_bits_of_two_hat_calls(name, params):
 def test_morlet_pair_takes_three_exp_calls_per_mirrored_pair(monkeypatch):
     bank = build_bank(morlet_mother(), 0, 256)
     grid = np.geomspace(2.0**-8, 128.0, 2001)
-    pairs = sum(cols.stop - cols.start for _, cols, _, _ in _octave_slices(bank.mother, grid, bank.j_max))
+    # every octave j = -33..0 reaches the grid, and the mother takes all of its entries
+    octaves = np.count_nonzero(reference_terms(bank.mother, grid)[0] <= bank.j_max)
+    seen = []
     exp = np.exp
     arguments = []
 
@@ -374,7 +379,9 @@ def test_morlet_pair_takes_three_exp_calls_per_mirrored_pair(monkeypatch):
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting)
-    list(_octave_slices(bank.mother, grid, bank.j_max))
+    _octave_sums(_recording(bank.mother, seen), grid, lambda j, w, p, m: (p + m,), bank.j_max)
+    pairs = sum(a.size for a in seen)
+    assert pairs == octaves * grid.size == 34 * 2001
     assert sum(arguments) == 3 * pairs
 
 
@@ -382,7 +389,7 @@ def test_term_grid_rejects_nonpositive():
     # a zero, a negative, a descending pair, a NaN and an empty grid
     for omegas in ([0.0, 1.0], [-1.0, 1.0], [2.0, 1.0], [1.0, math.nan], []):
         with pytest.raises(ValueError):
-            list(_octave_slices(shannon_mother(), np.array(omegas)))
+            _octave_sums(shannon_mother(), np.array(omegas), lambda j, w, p, m: (p,))
     # ideal_lp_sum takes any order, but not a nonpositive frequency
     with pytest.raises(ValueError):
         ideal_lp_sum(shannon_mother(), [3.0, 0.0])

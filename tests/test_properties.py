@@ -140,7 +140,7 @@ def test_band_limited_signal_is_real_and_confined(n, seed, data):
 @settings(deadline=None, max_examples=60)
 def test_octave_slice_sums_on_random_ascending_grids(n, seed, size, n_edges, mother):
     # ascending grids on [2^-8, N/2]; duplicates and points on the window's
-    # edges 2^-j X_WINDOW, where an octave's slice starts or stops, included
+    # edges 2^-j X_WINDOW, where an octave's terms start or stop, included
     rng = np.random.default_rng(seed)
     half = n // 2
     edges = np.ldexp(np.array(X_WINDOW)[:, None], -np.arange(-40, 41)).ravel()
