@@ -70,7 +70,7 @@ __all__ = [
 _MASS_FLOOR = 1e-12
 _X_TOL = 1e-9  # slack allowed to the admissibility of the initial width x_init
 _ENVELOPE_TOL = 1e-9  # slack allowed to the one-step contraction envelope
-_SLACK_TOL = 1e-8  # excess of a layer's energy over its bound still reported as OK
+_SLACK_TOL = 1e-8  # excess of a layer's energy over its bound still reported as OK, per unit of ||f||^2
 
 
 def _chi_sq(w: np.ndarray, x: float) -> np.ndarray:
@@ -292,7 +292,6 @@ def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray
     """
     u, phi0, alpha_tilde = _raised_cosine_window()
 
-    half = bank.n // 2
     grid, lp_grid = _curvature_sums(bank)
     curvature_sup = float(np.max(lp_grid / grid**2))
 
@@ -305,11 +304,11 @@ def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray
         phi_values=phi0,
     )
 
-    combined = init.phi_hat(grid) ** 2 + lp_grid
-    ints = np.arange(1, half + 1, dtype=np.float64)
+    ints = np.arange(1, bank.n // 2 + 1, dtype=np.float64)
     lp_ints = _lp_up_to_coarsest(bank, ints)
-    combined_int = init.phi_hat(ints) ** 2 + lp_ints
-    worst = max(float(np.max(combined)), float(np.max(combined_int)))
+    # the combined bound on the continuum grid and on the integers, in one pass
+    omegas, lp = np.concatenate([grid, ints]), np.concatenate([lp_grid, lp_ints])
+    worst = float(np.max(init.phi_hat(omegas) ** 2 + lp))
     if worst > 1.0 + 1e-9:
         raise BankConditionError(
             f"initial window violates the combined bound: max {worst:.12f}"

@@ -394,7 +394,8 @@ def build_bank(
     and so is an N below 4, whose grid holds no frequency strictly between
     0 and N/2 to validate a band on.  So are octaves that float64 cannot
     scale by: j_min below -2^31, the least exponent ``np.ldexp`` takes, and
-    a J whose top frequency 2^J * N/2 overflows.
+    a J whose top frequency 2^J * N/2 overflows when squared, as the
+    mothers and octave sums square it.
     """
     if n < 4:
         raise ValueError(
@@ -405,11 +406,11 @@ def build_bank(
     if j_min > j_max:
         raise ValueError(f"empty octave range [{j_min}, {j_max}]")
     _check_bytes(f"a bank of {j_max - j_min + 1} octaves on N={n}", 16 * n * (j_max - j_min + 1))
-    # (N/2) * 2^J is finite while N/2 has at most 1024 - J bits
-    if j_min < -(2**31) or j_max + int(n // 2).bit_length() > 1024:
+    # ((N/2) * 2^J)^2 is finite while N/2 has at most 512 - J bits
+    if j_min < -(2**31) or j_max + int(n // 2).bit_length() > 512:
         raise ValueError(
             f"J={j_max}, j_min={j_min} on N={n}: float64 cannot scale by these octaves "
-            "(need j_min >= -2^31 and a finite top frequency 2^J * N/2)"
+            "(need j_min >= -2^31 and a top frequency 2^J * N/2 whose square is finite)"
         )
     w = frequencies(n).astype(np.float64)
     filters = {

@@ -17,8 +17,9 @@ Energy-only profiles run in blocks of inputs, each block one batched pass
 that never forms the requested layer n: its energy follows from layer n - 1,
 because the modulus keeps energy.  A block's layer n - 1 holds at most 2^18
 values, or one input's if more, and a call keeps one buffer per formed layer,
-sized for one block and reused by every block.  FFT passes run in cache-sized
-chunks.
+sized for one block and reused by every block.  Every forward FFT runs
+through ``_spectra``, in chunks whose spectra and filter products stay near
+L2 cache size.
 """
 from __future__ import annotations
 
@@ -107,24 +108,26 @@ def _filter_rows(bank: FilterBank) -> np.ndarray:
     return np.fft.ifftshift(np.stack([bank.filters[j].coeffs for j in bank.scales]), axes=1)
 
 
+def _spectra(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, FFT of the chunk of ``batch`` from row i), in chunks sized for ``filters`` products per row."""
+    per_chunk = max(1, _CHUNK_ELEMENTS // (filters * batch.shape[1]))
+    for i in range(0, batch.shape[0], per_chunk):
+        yield i, np.fft.fft(batch[i : i + per_chunk], axis=1)
+
+
 def _layer_moduli(batch: np.ndarray, filts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """All children |row * psi_j| of a layer, written to ``out`` of shape (rows*B, N)."""
-    n = batch.shape[1]
-    nfilt = filts.shape[0]
-    per_chunk = max(1, _CHUNK_ELEMENTS // (nfilt * n))
-    for i in range(0, batch.shape[0], per_chunk):
-        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
+    n, nfilt = batch.shape[1], filts.shape[0]
+    for i, spec in _spectra(batch, nfilt):
         children = np.fft.ifft((spec[:, None, :] * filts[None, :, :]).reshape(-1, n), axis=1)
         np.abs(children, out=out[i * nfilt : i * nfilt + children.shape[0]])
     return out
 
 
 def _lowpass_rows(batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    per_chunk = max(1, _CHUNK_ELEMENTS // batch.shape[1])
     out = np.empty(batch.shape, dtype=np.complex128)
-    for i in range(0, batch.shape[0], per_chunk):
-        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
-        np.fft.ifft(spec * phi[None, :], axis=1, out=out[i : i + per_chunk])
+    for i, spec in _spectra(batch, 1):
+        np.fft.ifft(spec * phi[None, :], axis=1, out=out[i : i + len(spec)])
     return out
 
 
@@ -251,13 +254,10 @@ def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
     carry sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2: one forward FFT per row
     in place of B inverse FFTs.
     """
-    rows, n = batch.shape
-    per_chunk = max(1, _CHUNK_ELEMENTS // n)
-    out = np.empty(rows)
-    for i in range(0, rows, per_chunk):
-        spec = np.fft.fft(batch[i : i + per_chunk], axis=1)
-        out[i : i + per_chunk] = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1)
-    return out / n**2
+    out = np.empty(batch.shape[0])
+    for i, spec in _spectra(batch, 1):
+        out[i : i + len(spec)] = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1)
+    return out / batch.shape[1] ** 2
 
 
 def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) -> Iterator:

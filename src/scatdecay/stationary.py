@@ -73,8 +73,6 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     if not math.isfinite(mean):  # the refusal a non-finite density gets below
         raise ValueError("values must be finite")
     density = np.asarray(density, dtype=np.float64)
-    if density.size != n:
-        raise ValueError("density length does not match the grid")
     if np.min(density) < -1e-12:
         raise ValueError(f"spectral density is negative at its minimum {np.min(density)}")
     # the refusals of a Spectrum: finite values (a NaN passes the sign test), then the length

@@ -10,7 +10,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,16 +18,17 @@ import pytest
 import scatdecay
 from scatdecay import cli, filterbank, scattering
 from scatdecay.cli import main
-from scatdecay.decay import DecayRow
+from scatdecay.decay import _SLACK_TOL, DecayRow, compute_constants
 from scatdecay.filterbank import (
     bandpass_mother,
     build_bank,
     even_morlet_mother,
+    load_bank,
     morlet_mother,
     save_bank,
     shannon_mother,
 )
-from scatdecay.signals import Signal, band_limited_signal, write_signal
+from scatdecay.signals import Signal, band_limited_signal, energy, write_signal
 from scatdecay.stationary import load_model, make_model, save_model
 from test_filterbank import _OCTAVES_OFF_FLOAT64
 
@@ -234,18 +235,37 @@ def test_integral_float_sizes_are_accepted(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "slack, code, verdict",
-    [(-1e-8, 0, "OK"), (np.nextafter(-1e-8, -1.0), 1, "VIOLATED")],
-    ids=["at-tolerance", "one-ulp-below"],
+    "below, code, verdict", [(False, 0, "OK"), (True, 1, "VIOLATED")], ids=["at-tolerance", "one-ulp-below"],
 )
-def test_decay_verdict_edge_is_the_slack_tolerance(slack, code, verdict, shannon_bank_file,
+def test_decay_verdict_edge_is_the_slack_tolerance(below, code, verdict, shannon_bank_file,
                                                     tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_decay", lambda *args, **kwargs: [
-        DecayRow(n=2, empirical=1.0, bound=1.0 + slack, slack=float(slack))
-    ])
+    # the edge is _SLACK_TOL per unit of the input's energy ||f||^2
+    def rows(sig, *args, **kwargs):
+        slack = -_SLACK_TOL * energy(sig)
+        slack = float(np.nextafter(slack, -1.0)) if below else slack
+        return [DecayRow(n=2, empirical=1.0, bound=1.0 + slack, slack=slack)]
+
+    monkeypatch.setattr(cli, "verify_decay", rows)
     out = tmp_path / "out"
     assert main(["decay", "verify", "--bank", shannon_bank_file, "--out", str(out)]) == code
     assert capsys.readouterr().out.splitlines()[-1].endswith(f"[{verdict}]")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6], ids=["1", "1e-6", "1e6"])
+def test_decay_verdicts_do_not_depend_on_the_signal_scale(scale, morlet_bank_file, tmp_path, capsys, monkeypatch):
+    # energies and bounds scale with ||f||^2, and so does the tolerance: an absolute
+    # 1e-8 once read layers 2-4 OK at 1e-6 with an r 1000x too large
+    constants = compute_constants(load_bank(morlet_bank_file))
+    sig = band_limited_signal(256, constants.band, np.random.default_rng(0))
+    write_signal(tmp_path / "f.csv", Signal(scale * sig.samples.real, real=True))
+    argv = ["decay", "verify", "--bank", morlet_bank_file, "--signal", str(tmp_path / "f.csv"), "--out"]
+    for r, code, verdict in ((constants.r, 0, "[OK]"), (1000.0 * constants.r, 1, "[VIOLATED]")):
+        monkeypatch.setattr(cli, "compute_constants", lambda bank, r=r: replace(constants, r=r))
+        assert main([*argv, str(tmp_path / verdict)]) == code
+        layers = capsys.readouterr().out.splitlines()[1:]
+        assert [(line.split()[1], line.split()[-1]) for line in layers] == [
+            (f"{n}:", verdict) for n in (2, 3, 4)
+        ]
 
 
 def test_decay_verify_depth_six_within_budget_runs(tmp_path, capsys):
@@ -545,6 +565,9 @@ _REFUSALS = {
                 bank=_bank("morlet", J=1e300), id="J-too-large"),
         Refusal(_CHECK, 2, "error: " + _OCTAVES_OFF_FLOAT64.format(-3000000000, -3000000007),
                 bank=_bank("shannon", J=-3000000000), id="j_min-too-small"),
+        # these once warned "overflow encountered in square", then exited 1 or named no input
+        *(Refusal(_CHECK, 2, "error: " + _OCTAVES_OFF_FLOAT64.format(j, j - 7), bank=_bank("morlet", J=j),
+                  id=f"morlet-J-{j}") for j in (505, 1016)),
         Refusal(_CHECK, 2, "error: Morlet width 1e-200 is too narrow for float64: |center| * 16 / width^2 "
                 "overflows", bank=_bank("morlet", width=1e-200), id="width-too-small"),
         Refusal(_CHECK, 2, "error: Morlet bump at 3 of width 1e+200 reaches past 16, where octave sums are "

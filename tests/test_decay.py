@@ -717,6 +717,32 @@ def test_constants_reject_inflated_bank():
         compute_constants(bank)
 
 
+def _lift_curvature_grid(sums):
+    def lifted(bank):
+        grid, lp = sums(bank)
+        return grid, np.append(lp[:-1], 1.25)
+
+    return lifted
+
+
+def _lift_integers(sums):
+    return lambda bank, omegas: np.append(sums(bank, omegas)[:-1], 1.25)
+
+
+@pytest.mark.parametrize(
+    "name, lift",
+    [("_curvature_sums", _lift_curvature_grid), ("_lp_up_to_coarsest", _lift_integers)],
+    ids=["curvature-grid", "integers"],
+)
+def test_window_refuses_one_point_over_the_combined_bound(name, lift, monkeypatch):
+    # |phi_hat|^2 + octave sums <= 1 is checked on both grids: one grid's sums, lifted
+    # to 1.25 at their last point N/2, where the window is 0, are refused
+    bank = build_bank(morlet_mother(), 0, 256)
+    monkeypatch.setattr(decay, name, lift(getattr(decay, name)))
+    with pytest.raises(BankConditionError, match=r"^initial window violates the combined bound: max 1\.250000000000$"):
+        initialize_lowpass(bank)
+
+
 def test_constants_reject_first_order_profile():
     bank = build_bank(morlet_first_order_mother(), 0, 256)
     with pytest.raises(VanishingOrderError):

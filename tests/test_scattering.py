@@ -328,11 +328,18 @@ AVX2_TREE_DIGESTS = {
 
 
 def test_chunk_size_does_not_change_bits(monkeypatch):
-    """FFT passes chunked by rows give the same bits at any chunk size."""
+    """FFT passes chunked by rows give the same bits at any chunk size.
+
+    The chunks of ``_spectra`` hold 1 row up to every row of a layer; 7 N
+    values leave a partial last chunk of the low-pass and energy passes.
+    ``scatter``'s U and S rows, its real and complex trees alike, keep their bits.
+    """
     rng = np.random.default_rng(71)
     bank, low = _morlet_gaussian_pair(0, 64)
     rows = np.stack([band_limited_signal(64, (2, 30), rng).samples.real for _ in range(5)])
     sig = band_limited_signal(64, (2, 30), rng)
+    tight_bank, tight_low = shannon_tight_pair(0, 64)
+    noise = Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
 
     def run():
         blocks = scattering._block_profiles(bank, 3, 5, lambda i, k: rows[i : i + k])
@@ -340,10 +347,11 @@ def test_chunk_size_does_not_change_bits(monkeypatch):
             b"".join(p.tobytes() for _, p in blocks),
             _result_bytes(scatter(sig, bank, low, n_max=3)),
             _result_bytes(scatter(sig, bank, low, n_max=3, prune_eps=1e-3)),
+            _result_bytes(scatter(noise, tight_bank, tight_low, n_max=3)),
         )
 
     default = run()
-    for chunk in (1, 1 << 22):
+    for chunk in (1, 7 * 64, 1 << 15, 1 << 20, 1 << 22):
         monkeypatch.setattr(scattering, "_CHUNK_ELEMENTS", chunk)
         assert run() == default
 
