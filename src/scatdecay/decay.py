@@ -321,39 +321,29 @@ def _smoothed_window_sq(init: InitLowpass, omegas: np.ndarray) -> np.ndarray:
 
     The integrand vanishes outside phi_hat's support, so the quadrature
     runs over exactly that interval on the construction's fine grid, one
-    frequency at a time.  Two rows of the support's size, the integrand and
-    the trapezoid's panels, are allocated once and reused by every
-    frequency.
+    frequency at a time, with numpy's trapezoid arithmetic over the whole
+    table.  Two rows of the support's size, the integrand and the
+    trapezoid's panels, are allocated once and reused by every frequency.
+    Which frequencies are worth smoothing is the caller's to decide: see
+    ``_window_reaches``.
     """
     support = init.phi_grid / init.m_scale
     values = init.phi_values**2
     dx = np.diff(support)
-    out = np.zeros(omegas.shape)
-    # exp(-gap^2) is exactly 0.0 in float64 once |gap| > 27.3 (gap^2 > 745.29),
-    # and exp is far slower where it underflows: it runs only within 27.3 of w,
-    # and the rest of the row keeps the 0.0 exp would give there
-    starts = np.searchsorted(support, omegas - 27.3, "left")
-    stops = np.searchsorted(support, omegas + 27.3, "right")
-    y = np.zeros(support.shape)
-    panels = np.zeros(dx.shape)
-    for i in np.flatnonzero(starts < stops):
-        lo, hi = starts[i], stops[i]
-        near = y[lo:hi]
-        np.subtract(omegas[i], support[lo:hi], out=near)
-        np.square(near, out=near)
-        np.exp(np.negative(near, out=near), out=near)
-        np.divide(near, math.sqrt(math.pi), out=near)
-        np.multiply(values[lo:hi], near, out=near)
-        # numpy's trapezoid arithmetic, (dx * (y[1:] + y[:-1])) / 2, on the panels
-        # that touch a nonzero value; the others keep the 0.0 it gives there, so
-        # the pairwise sum sees the full-length row
-        a, b = max(lo - 1, 0), min(hi, dx.size)
-        touched = panels[a:b]
-        np.add(y[a + 1 : b + 1], y[a:b], out=touched)
-        np.multiply(dx[a:b], touched, out=touched)
-        np.divide(touched, 2.0, out=touched)
+    out = np.empty(omegas.shape)
+    y = np.empty(support.shape)
+    panels = np.empty(dx.shape)
+    for i, w in enumerate(omegas):
+        np.subtract(w, support, out=y)
+        np.square(y, out=y)
+        np.exp(np.negative(y, out=y), out=y)
+        np.divide(y, math.sqrt(math.pi), out=y)
+        np.multiply(values, y, out=y)
+        # numpy's trapezoid arithmetic, (dx * (y[1:] + y[:-1])) / 2, summed
+        np.add(y[1:], y[:-1], out=panels)
+        np.multiply(dx, panels, out=panels)
+        np.divide(panels, 2.0, out=panels)
         out[i] = np.sum(panels)
-        near[:] = touched[:] = 0.0
     return out
 
 

@@ -366,11 +366,16 @@ class FilterBank:
 def _validated_band(
     mother: MotherWavelet, j_min: int, j_max: int, n: int
 ) -> tuple[int, int] | None:
+    """``FilterBank.validated_band`` of the octaves j_min..j_max on N=n.
+
+    What the retained octaves leave out of the full dyadic sum at w is the
+    sum of the octaves outside j_min..j_max, so that one sum is taken.
+    """
     omegas = np.arange(1, n // 2, dtype=np.float64)
-    sp, sm, kept = _octave_sums(
-        mother, omegas, lambda j, w, p, m: (p, m, np.where((j_min <= j) & (j <= j_max), p + m, 0.0))
+    (missed,) = _octave_sums(
+        mother, omegas, lambda j, w, p, m: (np.where((j < j_min) | (j > j_max), p + m, 0.0),)
     )
-    ok = np.abs(0.5 * (sp + sm) - 0.5 * kept) <= _COVERAGE_TOL
+    ok = 0.5 * missed <= _COVERAGE_TOL
     if not np.any(ok):
         return None
     # widest contiguous run of covered integers; argmax takes the first of a tie
@@ -395,7 +400,9 @@ def build_bank(
     0 and N/2 to validate a band on.  So are octaves that float64 cannot
     scale by: j_min below -2^31, the least exponent ``np.ldexp`` takes, and
     a J whose top frequency 2^J * N/2 overflows when squared, as the
-    mothers and octave sums square it.
+    mothers and octave sums square it.  So is a mother whose profile
+    overflows float64 on the arguments the bank gives it, such as a Morlet
+    width too narrow for 2^J * N/2.
     """
     if n < 4:
         raise ValueError(
@@ -413,11 +420,20 @@ def build_bank(
             "(need j_min >= -2^31 and a top frequency 2^J * N/2 whose square is finite)"
         )
     w = frequencies(n).astype(np.float64)
-    filters = {
-        j: Spectrum(mother(np.ldexp(w, j)).astype(np.complex128))
-        for j in range(j_min, j_max + 1)
-    }
-    band = _validated_band(mother, j_min, j_max, n)
+    # the filters and the band's octave sums give the mother the largest arguments the bank
+    # and its checks ever give it, 2^J * N/2 and X_WINDOW[1], so an overflow raises here, and
+    # the bank is refused with one message instead of warnings in every check after
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            filters = {
+                j: Spectrum(mother(np.ldexp(w, j)).astype(np.complex128))
+                for j in range(j_min, j_max + 1)
+            }
+            band = _validated_band(mother, j_min, j_max, n)
+    except FloatingPointError:
+        raise ValueError(
+            f"mother {mother.name!r} with {mother.params} overflows float64 in a bank of J={j_max} on N={n}"
+        ) from None
     return FilterBank(mother, j_max, j_min, n, filters, band)
 
 

@@ -262,14 +262,20 @@ def _parse_signal(path: str) -> Signal:
     if os.path.exists(path + ".meta"):
         with open(path + ".meta") as fh:
             text = fh.read().strip()
-        fields = dict(item.split("=", 1) for item in text.split(";") if item)
         try:
-            n, is_complex = int(fields["N"]), bool(int(fields["complex"]))
+            # a field without "=" splits into one item, which dict refuses with a ValueError
+            fields = dict(item.split("=", 1) for item in text.split(";") if item)
+            n, is_complex = int(fields["N"]), {"0": False, "1": True}[fields["complex"]]
+            if n < 1:
+                raise ValueError(f"N={n} is not positive")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed sidecar {path}.meta: {text!r}") from exc
         data = np.fromfile(path, dtype="<f8")
-        if data.size != (2 * n if is_complex else n):
-            raise ValueError(f"raw payload holds {data.size} values, expected N={n}")
+        count = 2 * n if is_complex else n
+        if data.size != count:
+            raise ValueError(
+                f"raw payload holds {data.size} values, expected {count} (N={n}, complex={is_complex:d})"
+            )
         if is_complex:
             return Signal(data[0::2] + 1j * data[1::2])
         return Signal(data.astype(np.complex128), real=True)

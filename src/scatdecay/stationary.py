@@ -72,17 +72,14 @@ class StationaryModel:
 def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray):
     if not math.isfinite(mean):  # the refusal a non-finite density gets below
         raise ValueError("values must be finite")
-    density = np.asarray(density, dtype=np.float64)
-    if np.min(density) < -1e-12:
-        raise ValueError(f"spectral density is negative at its minimum {np.min(density)}")
-    # the refusals of a Spectrum: finite values (a NaN passes the sign test), then the length
+    # every family builds a nonnegative density but for rounding, which the clip removes, and
+    # |R(k)| <= R(0) follows from it; then the refusals of a Spectrum: finite values (a NaN
+    # passes np.maximum), then the length
     density = _frozen(np.maximum(density, 0.0))
     _check_length(n)
     # a copy, so the model holds 8 N bytes here and not the complex transform; a finite
-    # density can still sum to inf, and a NaN lag would pass the lag-zero test
+    # density can still sum to inf
     autocov = _frozen(_inverse_rows(np.fft.ifftshift(density), real=True).copy())
-    if np.max(np.abs(autocov)) > autocov[0] + 1e-10:
-        raise ValueError("autocovariance exceeds its lag-zero value")
     # within 2^27 standard deviations one rounding of mean + x moves it by at most
     # 2^-26 of the standard deviation; far past that, it rounds the fluctuation x away
     if autocov[0] > 0.0 and abs(mean) > 2.0**27 * math.sqrt(autocov[0]):

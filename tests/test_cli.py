@@ -189,6 +189,21 @@ def test_stationary_run_within_bound(tmp_path, capsys):
     assert "[OK]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sigma", [1e-6, 1.0, 1e6])
+def test_near_unit_ar1_model_is_accepted_at_every_scale(sigma, tmp_path, capsys):
+    # rounding takes this density's minimum to -1.17e-5 at sigma 1e6, which was once refused
+    # as a negative density (exit 2) while sigma 1 and 1e-6 were accepted
+    model = make_model("ar1", 1024, rho=0.9999999999, sigma=sigma)
+    assert np.min(model.density) >= 0.0
+    bank_path, model_path = tmp_path / "shannon1024.json", tmp_path / "ar1.json"
+    save_bank(bank_path, build_bank(shannon_mother(), 0, 1024))
+    save_model(model_path, model)
+    code = main(["stationary", "run", "--bank", str(bank_path), "--model", str(model_path),
+                 "--out", str(tmp_path / "mc"), "--trials", "20"])
+    assert code in (0, 1) and (tmp_path / "mc" / "mc_report.json").exists()
+    assert capsys.readouterr().err == ""
+
+
 _SHANNON_128 = {"mother": {"name": "shannon", "params": {}}, "J": 0, "j_min": None, "N": 128}
 
 
@@ -392,7 +407,8 @@ class Refusal:
     err: str
     bank: dict | str | None = None
     model: dict | None = None
-    signal: str | None = None
+    signal: str | bytes | None = None
+    meta: str | None = None
     work: bool = False
     id: str | None = None
 
@@ -407,6 +423,7 @@ def _model(kind, N, **params):
 
 _SHANNON, _MORLET, _WHITE_128 = _bank("shannon"), _bank("morlet"), _model("white", 128, sigma=1.0)
 _SIGNAL_256, _SIGNAL_128 = "1\n" * 256, "1\n" * 128
+_RAW_16 = np.zeros(16, dtype="<f8").tobytes()
 _CHECK = "bank check --bank {bank} --out {out}"
 _STATIONARY = "stationary run --bank {bank} --model {model} --out {out}"
 _SCATTER = "scatter run --bank {bank} --signal {signal} --out {out}"
@@ -573,6 +590,12 @@ _REFUSALS = {
         Refusal(_CHECK, 2, "error: Morlet bump at 3 of width 1e+200 reaches past 16, where octave sums are "
                 "truncated; need |center| + 8.72 * width <= 16", bank=_bank("morlet", width=1e200),
                 id="width-too-large"),
+        # Morlet widths too narrow for the bank's largest arguments, 2^J * N/2 or the window's 16:
+        # they once printed RuntimeWarnings, then exited 2 naming no input, or exited 1
+        *(Refusal(_CHECK, 2, f"error: mother 'morlet' with {{{{'center': 3.0, 'width': {width!r}}}}} overflows "
+                  f"float64 in a bank of J={J} on N={N}", bank=_bank("morlet", J=J, N=N, width=width),
+                  id=f"width-{width!r}-J{J}-N{N}")
+          for width, J, N in ((1e-153, 0, 256), (1e-152, 5, 256), (1e-153, 0, 16))),
         *(_bad_amplitude(amplitude) for amplitude in (1e308, 1e200, math.inf, math.nan)),
         *(Refusal(_CHECK, 2, f"error: bad parameters for mother {mother!r}: {_TOO_LONG}",
                   bank=_bank(mother, **params, **{param: 10**400}), id=f"{param}-401-digits")
@@ -612,6 +635,13 @@ _REFUSALS = {
                 signal="10000000000.0\n" * 64 + "-10000000000.0\n" * 64, work=True, id=name)
         for name, amplitude, margin in (("1e150", 1e150, "-5.000e+299"),
                                         ("1.1-sqrt2", 1.1 * math.sqrt(2), "-2.100e-01"))
+    ],
+    # a field without "=" once exited 2 with dict's own message, naming no file; a complex of
+    # 2 or -1 was read as complex, and N=-16 reached the payload size check
+    "test_malformed_raw_sidecar_refused": [
+        Refusal(_SCATTER, 2, f"error: malformed sidecar {{signal}}.meta: {meta!r}", bank=_SHANNON_128,
+                signal=_RAW_16, meta=meta + "\n", id=meta)
+        for meta in ("N16;complex=0", "N=16;complex=2", "N=16;complex=-1", "N=-16;complex=0")
     ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
@@ -676,10 +706,14 @@ def _refuse(row, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(filterbank, "check_littlewood_paley", _no_work)
     monkeypatch.setattr(scattering, "_layer_moduli", _no_work)
     files = {"out": str(tmp_path / "out")}
-    for name, payload in (("bank", row.bank), ("model", row.model), ("signal", row.signal)):
+    for name, payload in (("bank", row.bank), ("model", row.model), ("signal", row.signal),
+                          ("signal.meta", row.meta)):
         if payload is not None:
             files[name] = str(tmp_path / name)
-            (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            if isinstance(payload, bytes):  # a raw signal, read beside its .meta sidecar
+                (tmp_path / name).write_bytes(payload)
+            else:
+                (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
     argv = [word.format(**files) for word in row.argv.split()]
     try:
         code = main(argv)

@@ -244,7 +244,9 @@ def test_read_raw_refuses_a_payload_of_the_wrong_size(tmp_path, meta, values):
     path = tmp_path / "sig"
     np.zeros(values, dtype="<f8").tofile(path)
     (tmp_path / "sig.meta").write_text(meta + "\n")
-    with pytest.raises(ValueError, match=f"^raw payload holds {values} values, expected N=8$"):
+    flag = int(meta[-1])
+    expected = rf"^raw payload holds {values} values, expected {8 << flag} \(N=8, complex={flag}\)$"
+    with pytest.raises(ValueError, match=expected):
         read_signal(path)
 
 

@@ -1,0 +1,44 @@
+"""The code-line counter that refactors report their size change with."""
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
+
+# every kind of line the counter tells apart; the comment after each counted line numbers it
+SOURCE = '''"""Module docstring,
+over two lines."""
+# a comment line
+
+import os  # 1: a trailing comment does not hide the code before it
+"""A bare string after the first statement is no docstring."""  # 2
+
+
+class Box:  # 3
+    """Class docstring."""
+
+    size = 3  # 4
+
+
+def area(width,  # 5
+         height):  # 6
+    """Function docstring
+    on two lines.
+    """
+    # a comment inside a function
+    label = """a string literal
+    over two lines"""  # 7, 8
+    total = (width  # 9
+             * height)  # 10
+    return total, label  # 11
+'''
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    assert code_lines.code_lines(SOURCE) == 11
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "b.py").write_text("# only a comment\n\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "    11  a.py\n     0  b.py\n    11  total\n"
