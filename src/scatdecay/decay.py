@@ -38,6 +38,7 @@ from .errors import (
     WeakAsymmetryError,
 )
 from .filterbank import (
+    X_WINDOW,
     ConditionReport,
     FilterBank,
     MotherWavelet,
@@ -234,6 +235,8 @@ def _curvature_sums(bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
     grid.  Only the base row is summed over all octaves; the octave j_max
     terms of rows 1.. take one ``_window_squares`` call, and a cumulative sum
     down the rows, which adds them in row order, does every doubling step.
+    That call takes only the rows that reach ``X_WINDOW``, whose first point
+    2^j_max w is at most its top: every later row's term is an exact 0.0.
     """
     base = np.geomspace(2.0**-8, 2.0**-7, _OCTAVE_POINTS, endpoint=False)
     base = np.insert(base, 1, 2.0**-8 * (1.0 + 1e-9))
@@ -242,7 +245,9 @@ def _curvature_sums(bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
     sums = np.empty(rows.shape)
     (sums[0],) = _octave_sums(bank.mother, rows[0], lambda j, w, p, m: (p + m,), j_max=bank.j_max)
     # row k's octave j_max term, p + m, then each row added to the sum of the row below
-    np.add(*_window_squares(bank.mother, np.ldexp(rows[1:], bank.j_max)), out=sums[1:])
+    reach = 1 + int(np.count_nonzero(np.ldexp(rows[1:, 0], bank.j_max) <= X_WINDOW[1]))
+    np.add(*_window_squares(bank.mother, np.ldexp(rows[1:reach], bank.j_max)), out=sums[1:reach])
+    sums[reach:] = 0.0
     np.cumsum(sums, axis=0, out=sums)
     stop = rows.size - rows.shape[1] + 2
     return rows.ravel()[:stop], 0.5 * sums.ravel()[:stop]

@@ -279,9 +279,10 @@ def _window_squares(mother: MotherWavelet, x: np.ndarray) -> tuple[np.ndarray, n
 
     The mother sees x clipped to the window, so never an argument outside
     it.  ``x`` ascends along each axis, so its first and last entries bound
-    it: a block wholly inside the window is neither clipped nor masked.
+    it: a block wholly inside the window, or an empty one, is neither
+    clipped nor masked.
     """
-    if x.flat[0] >= X_WINDOW[0] and x.flat[-1] <= X_WINDOW[1]:
+    if x.size == 0 or x.flat[0] >= X_WINDOW[0] and x.flat[-1] <= X_WINDOW[1]:
         plus, minus = mother.pair(x)
         return plus**2, minus**2
     inside = (x >= X_WINDOW[0]) & (x <= X_WINDOW[1])

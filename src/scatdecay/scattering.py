@@ -15,11 +15,14 @@ refused before anything is allocated, so depth is limited by what fits.
 
 Energy-only profiles run in blocks of inputs, each block one batched pass
 that never forms the requested layer n: its energy follows from layer n - 1,
-because the modulus keeps energy.  A block's layer n - 1 holds at most 2^18
-values, or one input's if more, and a call keeps one buffer per formed layer,
-sized for one block and reused by every block.  Every forward FFT runs
-through ``_spectra``, in chunks whose spectra and filter products stay near
-L2 cache size.
+because the modulus keeps energy.  A block enters as the spectra of its
+inputs, so layer 1 takes no forward FFT, and every row below the root is a
+real modulus, whose energy weighed in frequency takes a half-spectrum
+``np.fft.rfft``.  A block's layer n - 1 holds at most 2^18 values, or one
+input's if more, and a call keeps one buffer per formed layer, sized for one
+block and reused by every block.  Every FFT pass over a layer runs through
+``_chunks``, in chunks whose spectra and filter products stay near L2 cache
+size.
 """
 from __future__ import annotations
 
@@ -108,18 +111,34 @@ def _filter_rows(bank: FilterBank) -> np.ndarray:
     return np.fft.ifftshift(np.stack([bank.filters[j].coeffs for j in bank.scales]), axes=1)
 
 
-def _spectra(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, FFT of the chunk of ``batch`` from row i), in chunks sized for ``filters`` products per row."""
+def _chunks(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, the chunk of ``batch`` from row i), in chunks sized for ``filters`` products per row."""
     per_chunk = max(1, _CHUNK_ELEMENTS // (filters * batch.shape[1]))
     for i in range(0, batch.shape[0], per_chunk):
-        yield i, np.fft.fft(batch[i : i + per_chunk], axis=1)
+        yield i, batch[i : i + per_chunk]
 
 
-def _layer_moduli(batch: np.ndarray, filts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """All children |row * psi_j| of a layer, written to ``out`` of shape (rows*B, N)."""
-    n, nfilt = batch.shape[1], filts.shape[0]
-    for i, spec in _spectra(batch, nfilt):
-        children = np.fft.ifft((spec[:, None, :] * filts[None, :, :]).reshape(-1, n), axis=1)
+def _spectra(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, FFT of the chunk of ``batch`` from row i), chunked as ``_chunks`` does."""
+    for i, chunk in _chunks(batch, filters):
+        yield i, np.fft.fft(chunk, axis=1)
+
+
+def _layer_moduli(spectra: Iterator, filts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """All children |row * psi_j| of a layer, written to ``out`` of shape (rows*B, N).
+
+    ``spectra`` yields (i, the spectra of rows i..), as ``_chunks`` of
+    spectra or ``_spectra`` of samples do.  The filter products and their
+    inverse transforms share one buffer, sized by the first chunk, the
+    largest, and reused by every chunk.
+    """
+    nfilt, products = filts.shape[0], None
+    for i, spec in spectra:
+        if products is None:
+            products = np.empty((len(spec), nfilt, spec.shape[1]), dtype=np.complex128)
+        children = np.multiply(spec[:, None, :], filts[None, :, :], out=products[: len(spec)])
+        children = children.reshape(-1, spec.shape[1])
+        np.fft.ifft(children, axis=1, out=children)
         np.abs(children, out=out[i * nfilt : i * nfilt + children.shape[0]])
     return out
 
@@ -214,7 +233,8 @@ def scatter(
     layer_energies = {0: float(_row_energies(batch)[0])}
     for depth in range(n_max + 1):
         if depth > 0:
-            batch = _frozen(_layer_moduli(batch, filts, np.empty((len(batch) * breadth, bank.n))))
+            out = np.empty((len(batch) * breadth, bank.n))
+            batch = _frozen(_layer_moduli(_spectra(batch, breadth), filts, out))
             paths = [p + (j,) for p in paths for j in bank.scales]
             energies = _row_energies(batch)
             layer_energies[depth] = float(np.sum(energies))
@@ -248,42 +268,61 @@ def scatter(
 
 
 def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_j ||row * psi_j||^2 per row, without forming the children.
+    """sum_j ||row * psi_j||^2 per real row, without forming the children.
 
     The modulus keeps energy, so by Parseval each row's children together
     carry sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2: one forward FFT per row
-    in place of B inverse FFTs.
+    in place of B inverse FFTs.  A real row's |row_hat|^2 is even, so its
+    half spectrum from ``np.fft.rfft`` carries the sum, against ``weight``,
+    sum_j |psi_j|^2 folded onto bins 0..N/2.
     """
     out = np.empty(batch.shape[0])
-    for i, spec in _spectra(batch, 1):
+    for i, chunk in _chunks(batch, 1):
+        spec = np.fft.rfft(chunk, axis=1)
         out[i : i + len(spec)] = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1)
     return out / batch.shape[1] ** 2
+
+
+def _folded(weight: np.ndarray) -> np.ndarray:
+    """``weight`` over the FFT bins folded onto bins 0..N/2: bin k gains bin N-k for 0 < k < N/2."""
+    half = weight.size // 2
+    folded = weight[: half + 1].copy()
+    folded[1:half] += weight[:half:-1]
+    return folded
 
 
 def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) -> Iterator:
     """(start, energies at layers 0..n_max of inputs start..start+k-1), block by block.
 
-    ``draw(start, k)`` returns those k inputs as rows.  A block's deepest
-    formed layer, n_max - 1, holds at most ``_BLOCK_ELEMENTS`` values or one
-    input's.  Children of a row stay contiguous through ``_layer_moduli``, so
-    an input's energies, one column, do not depend on its block.
+    ``draw(start, k)`` returns the spectra of those k inputs as rows, in FFT
+    bin order, so layer 1 takes no forward FFT.  The root's energies are read
+    off its spectrum by Parseval, as is layer 1's at n_max = 1; below the
+    root every row is a real modulus.  A block's deepest formed layer,
+    n_max - 1, holds at most ``_BLOCK_ELEMENTS`` values or one input's.
+    Children of a row stay contiguous through ``_layer_moduli``, so an
+    input's energies, one column, do not depend on its block.
     """
-    filts, breadth = _filter_rows(bank), len(bank.filters)
-    per_block = max(1, _BLOCK_ELEMENTS // (_power(breadth, max(n_max - 1, 0)) * bank.n))
+    filts, breadth, n = _filter_rows(bank), len(bank.filters), bank.n
+    per_block = max(1, _BLOCK_ELEMENTS // (_power(breadth, max(n_max - 1, 0)) * n))
     per_block = min(per_block, count)
     # one buffer per formed layer 1..n_max-1, sized for one block and reused by every block
-    layers = [np.empty((per_block * _power(breadth, depth), bank.n)) for depth in range(1, n_max)]
+    layers = [np.empty((per_block * _power(breadth, depth), n)) for depth in range(1, n_max)]
     weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
+    folded = _folded(weight)
     for start in range(0, count, per_block):
         batch = draw(start, min(per_block, count - start))
         rows = batch.shape[0]
         profiles = np.empty((n_max + 1, rows))
-        profiles[0] = _row_energies(batch)
+        # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
+        profiles[0] = _row_energies(batch) / n
+        if n_max == 1:
+            profiles[1] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
         for depth in range(1, n_max):
-            batch = _layer_moduli(batch, filts, layers[depth - 1][: len(batch) * breadth])
+            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth)
+            batch = _layer_moduli(spectra, filts, layers[depth - 1][: len(batch) * breadth])
             profiles[depth] = _row_energies(batch).reshape(rows, -1).sum(axis=1)
-        if n_max > 0:
-            profiles[n_max] = _child_energies(batch, weight).reshape(rows, -1).sum(axis=1)
+        if n_max > 1:
+            profiles[n_max] = _child_energies(batch, folded).reshape(rows, -1).sum(axis=1)
         yield start, profiles
 
 
@@ -299,7 +338,8 @@ def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, f
     _check_profile(bank, n_max)
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
-    ((_, profiles),) = _block_profiles(bank, n_max, 1, lambda start, k: f.samples[None, :])
+    spectrum = np.fft.fft(f.samples[None, :], axis=1)
+    ((_, profiles),) = _block_profiles(bank, n_max, 1, lambda start, k: spectrum)
     return {depth: float(value) for depth, value in enumerate(profiles[:, 0])}
 
 

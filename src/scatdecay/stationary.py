@@ -21,9 +21,12 @@ which pins layer one of the scattering cascade analytically and leaves
 Monte Carlo only for the deeper layers.
 
 Monte Carlo trials are drawn and scattered in the blocks of the energy-only
-pass in ``scattering``, so memory grows by only 8 bytes per trial.  Trial k is
-fixed by the k-th child spawned from the root seed sequence: a block derives
-its trials' PCG64 seed words in one vectorised pass, and each trial takes all
+pass in ``scattering``, so memory grows by only 8 bytes per trial.  A trial
+never leaves frequency: its coefficients, scaled to the FFT of its samples
+and with the mean at bin 0, enter the cascade as they are, with no inverse
+transform; ``simulate`` inverts the same coefficients.  Trial k is fixed by
+the k-th child spawned from the root seed sequence: a block derives its
+trials' PCG64 seed words in one vectorised pass, and each trial takes all
 its Gaussians from one call of its own generator.
 """
 from __future__ import annotations
@@ -217,12 +220,11 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
-    """One real realization per row of PCG64 seed words, shape (len(states), N).
+def _coefficient_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
+    """The zero-mean spectral coefficients, in FFT bin order, of one trial per row of seed words.
 
     Each trial draws from its own generator, in one call, so a row depends
-    on its seed words alone; scaling, mirroring and the inverse transform
-    act on all rows at once.
+    on its seed words alone; scaling and mirroring act on all rows at once.
     """
     n = model.n
     half = n // 2  # FFT bin of w = -N/2; bins 1..half-1 hold w = 1..N/2-1
@@ -239,7 +241,20 @@ def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
     coeffs[:, 1:half] = root[1:half] * (re + 1j * im) / math.sqrt(2.0)
     coeffs[:, half] = root[half] * draws[:, -1]
     coeffs[:, half + 1 :] = np.conj(coeffs[:, half - 1 : 0 : -1])  # w = -N/2+1..-1
-    return _inverse_rows(coeffs, real=True) + model.mean
+    return coeffs
+
+
+def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
+    """One real realization per row of PCG64 seed words, shape (len(states), N)."""
+    return _inverse_rows(_coefficient_rows(model, states), real=True) + model.mean
+
+
+def _spectrum_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
+    """The FFTs of ``_simulate_rows``'s realizations, built without leaving frequency."""
+    spec = _coefficient_rows(model, states)
+    spec *= model.n
+    spec[:, 0] += model.n * model.mean  # the mean moves bin 0 alone
+    return spec
 
 
 def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
@@ -248,13 +263,15 @@ def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     Trial k is fixed by the k-th child spawned from ``SeedSequence(seed)``,
     whose seed words are derived for all trials in one pass, so trial k of a
     run is the same signal no matter how many trials are requested.  The
-    seed must be a nonnegative integer, and the draw and coefficient rows,
-    24 N bytes per trial, must fit the memory budget.
+    seed must be a nonnegative integer, and the peak held must fit the
+    memory budget: per trial, 40 N bytes while inverting (the complex
+    coefficient row, its transform and the float row of the symmetry check)
+    and 512 bytes of seed words and ``Signal`` objects.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_seed(seed)
-    _check_bytes(f"{trials} trials on N={model.n}", 24 * model.n * trials)
+    _check_bytes(f"{trials} trials on N={model.n}", (40 * model.n + 512) * trials)
     states = _spawn_words(np.random.SeedSequence(seed), 0, trials)
     return [Signal(row, real=True) for row in _simulate_rows(model, states)]
 
@@ -305,14 +322,15 @@ def mc_layer_energy(
     (N B^(n-1) complex values for B octaves) plus 8 bytes per trial must fit
     the memory budget.
 
-    Trials are drawn and scored in the blocks of the energy-only pass, whose
-    deepest formed layer is n - 1; trial k is fixed by the k-th child spawned
-    from ``SeedSequence(seed)``, so its value does not depend on its block.
+    Trials are drawn as spectra and scored in the blocks of the energy-only
+    pass, whose deepest formed layer is n - 1; trial k is fixed by the k-th
+    child spawned from ``SeedSequence(seed)``, so its value does not depend
+    on its block.
     """
     _check_mc_request(model, bank, n, trials, seed)
     root = np.random.SeedSequence(seed)
     values = np.empty(trials)
-    draw = lambda start, k: _simulate_rows(model, _spawn_words(root, start, k))
+    draw = lambda start, k: _spectrum_rows(model, _spawn_words(root, start, k))
     for start, profiles in _block_profiles(bank, n, trials, draw):
         values[start : start + profiles.shape[1]] = profiles[n]
     estimate = float(np.mean(values))

@@ -119,6 +119,33 @@ def test_profile_agrees_with_tree(pair, n_max):
         assert result.layer_energies[depth] == pytest.approx(value, rel=1e-13)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize(
+    "pair", [shannon_tight_pair, _morlet_gaussian_pair], ids=["shannon", "morlet"]
+)
+def test_profile_agrees_with_tree_on_a_complex_root(pair, n_max):
+    # depth 1 reads the root's children off its spectrum, which need not be Hermitian
+    rng = np.random.default_rng(37)
+    bank, low = pair(0, 64)
+    sig = Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    result = scatter(sig, bank, low, n_max=n_max)
+    profile = layer_energy_profile(sig, bank, n_max)
+    for depth, value in profile.items():
+        assert result.layer_energies[depth] == pytest.approx(value, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 256])
+def test_child_energies_of_real_rows_match_the_full_spectrum(n):
+    # N=2 holds only bins 0 and N/2, which pair with no other bin
+    rng = np.random.default_rng(n)
+    rows = np.vstack([rng.standard_normal((4, n)), np.abs(rng.standard_normal((4, n)))])
+    weight = rng.uniform(0.0, 1.0, n)  # not even, so a wrong fold shows
+    got = scattering._child_energies(rows, scattering._folded(weight))
+    spec = np.fft.fft(rows, axis=1)
+    want = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1) / n**2
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
 def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
@@ -128,7 +155,8 @@ def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
     alone = [layer_energy_profile(Signal(row, real=True), bank, n_max) for row in rows]
     per_input = len(bank.filters) ** max(n_max - 1, 0) * 64  # values in one input's layer n_max-1
     monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 3 * per_input)
-    blocks = list(scattering._block_profiles(bank, n_max, 7, lambda i, k: rows[i : i + k]))
+    spectra = np.fft.fft(rows, axis=1)
+    blocks = list(scattering._block_profiles(bank, n_max, 7, lambda i, k: spectra[i : i + k]))
     assert [(start, p.shape) for start, p in blocks] == [
         (0, (n_max + 1, 3)), (3, (n_max + 1, 3)), (6, (n_max + 1, 1))
     ]
@@ -342,7 +370,8 @@ def test_chunk_size_does_not_change_bits(monkeypatch):
     noise = Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
 
     def run():
-        blocks = scattering._block_profiles(bank, 3, 5, lambda i, k: rows[i : i + k])
+        spectra = lambda i, k: np.fft.fft(rows[i : i + k], axis=1)
+        blocks = scattering._block_profiles(bank, 3, 5, spectra)
         return (
             b"".join(p.tobytes() for _, p in blocks),
             _result_bytes(scatter(sig, bank, low, n_max=3)),
