@@ -106,13 +106,14 @@ def _morlet_kappa(center: float, width: float) -> float:
             f"{X_WINDOW[1]:g}, where octave sums are truncated; need "
             f"|center| + {_BUMP_REACH:.2f} * width <= {X_WINDOW[1]:g}"
         )
-    # the profiles divide center * w by width^2; where that overflows on the
-    # window it meets a correction Gaussian of 0 and makes NaN
-    square = width * width
-    if square == 0.0 or not math.isfinite(abs(center) * X_WINDOW[1] / square):
+    # the bump's exponent (w - center)^2 / (2 width^2) is largest on the window at
+    # |w - center| = 16 + |center|; where it is finite, so are the correction's
+    # center * w / width^2, at most half of it, and the Gaussian's w^2 / (2 width^2)
+    square = 2.0 * width**2
+    if square == 0.0 or not math.isfinite((X_WINDOW[1] + abs(center)) ** 2 / square):
         raise ValueError(
             f"Morlet width {width:g} is too narrow for float64: "
-            f"|center| * {X_WINDOW[1]:g} / width^2 overflows"
+            f"({X_WINDOW[1]:g} + |center|)^2 / (2 width^2) overflows"
         )
     return math.exp(-(center**2) / (2.0 * width**2))
 

@@ -117,27 +117,18 @@ def idft(spectrum: Spectrum, real: bool = False) -> Signal:
     """Invert ``dft``.
 
     With ``real=True`` the caller asserts the coefficients are
-    conjugate-symmetric; the round-off imaginary part is dropped so the
-    result carries an exact zero imaginary part.
+    conjugate-symmetric.  The claim is refused when the imaginary part
+    exceeds 1e-9 of the largest real sample (or of 1); otherwise the
+    round-off imaginary part is dropped so the result carries an exact zero
+    imaginary part.
     """
-    return Signal(_inverse_rows(np.fft.ifftshift(spectrum.coeffs), real), real=real)
-
-
-def _inverse_rows(coeffs: np.ndarray, real: bool) -> np.ndarray:
-    """``idft`` along the last axis: the samples of each row of coefficients in FFT bin order.
-
-    With ``real``, a row whose imaginary part exceeds 1e-9 of its largest real
-    sample (or of 1) is refused; otherwise the real parts are returned.
-    """
-    n = coeffs.shape[-1]
-    samples = np.fft.ifft(coeffs, axis=-1) * n
+    samples = np.fft.ifft(np.fft.ifftshift(spectrum.coeffs)) * spectrum.n
     if real:
-        resid = np.max(np.abs(samples.imag), axis=-1)
-        scale = np.maximum(np.max(np.abs(samples.real), axis=-1), 1.0)
-        if np.any(resid > 1e-9 * scale):
+        scale = max(float(np.max(np.abs(samples.real))), 1.0)
+        if np.max(np.abs(samples.imag)) > 1e-9 * scale:
             raise ValueError("coefficients are not conjugate-symmetric")
         samples = samples.real
-    return samples
+    return Signal(samples, real=real)
 
 
 def convolve(signal: Signal, filt: Spectrum) -> Signal:

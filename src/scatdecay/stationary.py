@@ -43,8 +43,7 @@ from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes, _whole
 from .scattering import _block_profiles, _check_budget, _power
 from .signals import (
-    Signal, Spectrum, _check_length, _frozen, _inverse_rows, _write_json, dft, frequencies,
-    gaussian_lowpass,
+    Signal, Spectrum, _check_length, _frozen, _write_json, dft, frequencies, gaussian_lowpass,
 )
 
 __all__ = [
@@ -80,9 +79,10 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     # passes np.maximum), then the length
     density = _frozen(np.maximum(density, 0.0))
     _check_length(n)
-    # a copy, so the model holds 8 N bytes here and not the complex transform; a finite
-    # density can still sum to inf
-    autocov = _frozen(_inverse_rows(np.fft.ifftshift(density), real=True).copy())
+    # the density is even, so its transform is real but for rounding; a copy of the real part,
+    # so the model holds 8 N bytes here and not the complex transform; a finite density can
+    # still sum to inf
+    autocov = _frozen((np.fft.ifft(np.fft.ifftshift(density)) * n).real.copy())
     # within 2^27 standard deviations one rounding of mean + x moves it by at most
     # 2^-26 of the standard deviation; far past that, it rounds the fluctuation x away
     if autocov[0] > 0.0 and abs(mean) > 2.0**27 * math.sqrt(autocov[0]):
@@ -125,10 +125,14 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         density = sigma^2 |h_hat|^2.
 
     Every family accepts ``mean`` (default 0), but not one more than 2^27
-    standard deviations sqrt(R(0)) from zero.  A model whose density and
-    autocovariance, 16 N bytes, exceed the memory budget is refused first.
+    standard deviations sqrt(R(0)) from zero.  A model is refused first
+    when its build's peak exceeds the memory budget: 80 N bytes, what ``ar1``
+    holds at once while inverting its density (its autocovariance, the
+    complex spectrum the density is read from and the inverse transform),
+    and 16 KiB of Python objects.  The model itself keeps its density and
+    autocovariance, 16 N bytes.
     """
-    _check_bytes(f"a model on N={n}", 16 * n)
+    _check_bytes(f"a model on N={n}", 80 * n + (1 << 14))
     params = dict(params)
     mean = float(params.setdefault("mean", 0.0))
     sigma = float(params.setdefault("sigma", 1.0))
@@ -245,8 +249,12 @@ def _coefficient_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
 
 
 def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
-    """One real realization per row of PCG64 seed words, shape (len(states), N)."""
-    return _inverse_rows(_coefficient_rows(model, states), real=True) + model.mean
+    """One real realization per row of PCG64 seed words, shape (len(states), N).
+
+    The coefficient rows are conjugate-symmetric by construction, so the
+    real part of their inverse is the realization.
+    """
+    return (np.fft.ifft(_coefficient_rows(model, states), axis=-1) * model.n).real + model.mean
 
 
 def _spectrum_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
@@ -264,14 +272,17 @@ def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     whose seed words are derived for all trials in one pass, so trial k of a
     run is the same signal no matter how many trials are requested.  The
     seed must be a nonnegative integer, and the peak held must fit the
-    memory budget: per trial, 40 N bytes while inverting (the complex
-    coefficient row, its transform and the float row of the symmetry check)
-    and 512 bytes of seed words and ``Signal`` objects.
+    memory budget: per trial, 40 N bytes while building the coefficients
+    (the draws, the complex coefficient row and two complex half rows) and
+    512 bytes of seed words and ``Signal`` objects; per call, 16 N bytes for
+    the density's square root and its shifted copy, and 256 KiB for numpy's
+    casting buffers.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_seed(seed)
-    _check_bytes(f"{trials} trials on N={model.n}", (40 * model.n + 512) * trials)
+    n = model.n
+    _check_bytes(f"{trials} trials on N={n}", (40 * n + 512) * trials + 16 * n + (1 << 18))
     states = _spawn_words(np.random.SeedSequence(seed), 0, trials)
     return [Signal(row, real=True) for row in _simulate_rows(model, states)]
 

@@ -314,7 +314,7 @@ sys.exit(main(sys.argv[1:]))
     [
         (2**31, None, None, "a bank of 31 octaves on N=2147483648 needs 1,065,151,889,408 bytes"),
         (2048, -10**6, None, "a bank of 1000001 octaves on N=2048 needs 32,768,032,768 bytes"),
-        (128, None, 2**31, "a model on N=2147483648 needs 34,359,738,368 bytes"),
+        (128, None, 2**31, "a model on N=2147483648 needs 171,798,708,224 bytes"),
     ],
     ids=["bank-points", "bank-octaves", "model-points"],
 )
@@ -519,6 +519,11 @@ _REFUSALS = {
                 "4.444444444444e-01 reaches C = 4.444444444444e-01, so the width contraction a is unbounded",
                 bank=_bank("bandpass", lo=1.5 - 1e-9, hi=1.5), work=True),
     ],
+    # no point of the sampling set in (1, 2] lies in (1.3, 1.3000000001]: c and C have nothing to range over
+    "test_decay_verify_massless_bank_exits_one": [
+        Refusal("decay verify --bank {bank} --out {out}", 1, "error: no octave mass anywhere on the sampling set",
+                bank=_bank("bandpass", lo=1.3, hi=1.3000000001), work=True),
+    ],
     "test_bad_depth_or_trials_refused_before_any_work": [
         Refusal(f"{argv} --bank {{bank}} --out {{out}}", 2, f"error: {message}", bank=_SHANNON_128,
                 model=_WHITE_128, id=f"words{k}-{message}")
@@ -585,17 +590,21 @@ _REFUSALS = {
         # these once warned "overflow encountered in square", then exited 1 or named no input
         *(Refusal(_CHECK, 2, "error: " + _OCTAVES_OFF_FLOAT64.format(j, j - 7), bank=_bank("morlet", J=j),
                   id=f"morlet-J-{j}") for j in (505, 1016)),
-        Refusal(_CHECK, 2, "error: Morlet width 1e-200 is too narrow for float64: |center| * 16 / width^2 "
-                "overflows", bank=_bank("morlet", width=1e-200), id="width-too-small"),
+        Refusal(_CHECK, 2, "error: Morlet width 1e-200 is too narrow for float64: (16 + |center|)^2 / "
+                "(2 width^2) overflows", bank=_bank("morlet", width=1e-200), id="width-too-small"),
         Refusal(_CHECK, 2, "error: Morlet bump at 3 of width 1e+200 reaches past 16, where octave sums are "
                 "truncated; need |center| + 8.72 * width <= 16", bank=_bank("morlet", width=1e200),
                 id="width-too-large"),
-        # Morlet widths too narrow for the bank's largest arguments, 2^J * N/2 or the window's 16:
-        # they once printed RuntimeWarnings, then exited 2 naming no input, or exited 1
-        *(Refusal(_CHECK, 2, f"error: mother 'morlet' with {{{{'center': 3.0, 'width': {width!r}}}}} overflows "
-                  f"float64 in a bank of J={J} on N={N}", bank=_bank("morlet", J=J, N=N, width=width),
-                  id=f"width-{width!r}-J{J}-N{N}")
-          for width, J, N in ((1e-153, 0, 256), (1e-152, 5, 256), (1e-153, 0, 16))),
+        # Morlet widths too narrow for the window's 16 or the bank's largest argument 2^J * N/2: they
+        # once printed RuntimeWarnings, then exited 2 naming no input, or exited 1; the mother refuses
+        # a bump whose exponent overflows on the window, and the bank what overflows on its grid
+        *(Refusal(_CHECK, 2, "error: Morlet width 1e-153 is too narrow for float64: (16 + |center|)^2 / "
+                  "(2 width^2) overflows", bank=_bank("morlet", J=0, N=N, width=1e-153),
+                  id=f"width-1e-153-J0-N{N}")
+          for N in (256, 16)),
+        Refusal(_CHECK, 2, "error: mother 'morlet' with {{'center': 3.0, 'width': 1e-152}} overflows "
+                "float64 in a bank of J=5 on N=256", bank=_bank("morlet", J=5, N=256, width=1e-152),
+                id="width-1e-152-J5-N256"),
         *(_bad_amplitude(amplitude) for amplitude in (1e308, 1e200, math.inf, math.nan)),
         *(Refusal(_CHECK, 2, f"error: bad parameters for mother {mother!r}: {_TOO_LONG}",
                   bank=_bank(mother, **params, **{param: 10**400}), id=f"{param}-401-digits")

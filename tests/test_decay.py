@@ -665,6 +665,21 @@ def test_width_search_matches_all_rows_reference(case):
     assert repr(got) == repr(reference_admissible_width(bank, initialize_lowpass(bank)))
 
 
+def test_width_search_stops_at_the_highest_envelope_the_window_admits(shannon_bank, monkeypatch):
+    # the window construction refuses |phi_hat|^2 + octave sums past 1 + _X_TOL, so an envelope
+    # of exactly that float on every row of a band from w = 1 is the worst the search can meet
+    init, lp_ints = decay._lowpass_and_integer_sums(shannon_bank)
+    top = np.full(lp_ints.shape, 1.0 + decay._X_TOL)
+    monkeypatch.setattr(decay, "_lowpass_and_integer_sums", lambda bank: (init, top))
+    monkeypatch.setattr(decay, "_window_reaches", lambda init, omegas: np.zeros(omegas.shape, bool))
+    x, margin = decay._admissible_width(replace(shannon_bank, validated_band=(1, 127)))
+    # 1 - |chi_hat_x(1)|^2 rounds to 1.0 from x = 2^(-17/8) down
+    assert x >= 2.0 ** (-17 / 8)
+    # the least slack is 1.0 - (1.0 + _X_TOL): -_X_TOL, less that sum's rounding
+    assert margin == 1.0 - (1.0 + decay._X_TOL)
+    assert margin >= -decay._X_TOL - 2.0**-52
+
+
 @pytest.mark.parametrize("make, most", [(morlet_mother, 8), (shannon_mother, 6)])
 def test_width_search_smooths_few_rows(make, most, monkeypatch):
     # 29 (Morlet) and 27 (Shannon) of the band's rows reach exp's range; the rest cannot move 1.0 - v

@@ -108,11 +108,11 @@ def test_morlet_bump_past_window_rejected(builder):
     "builder", [morlet_mother, morlet_first_order_mother, even_morlet_mother]
 )
 def test_morlet_width_float64_cannot_hold_rejected(builder):
-    # 1e-200 ** 2 is 0.0 in float64, which the correction amplitude divides by, and
-    # 3 * 16 / 1e-160 ** 2 overflows, which times the zero correction Gaussian is NaN
-    for width in (1e-200, 1e-160):
+    # 1e-200 ** 2 is 0.0 in float64, which the correction amplitude divides by, and the
+    # bump's exponent (16 + 3)^2 / (2 width^2) overflows at 1e-160 and, just, at 1e-153
+    for width in (1e-200, 1e-160, 1e-153):
         message = (f"Morlet width {width:g} is too narrow for float64: "
-                   "|center| * 16 / width^2 overflows")
+                   "(16 + |center|)^2 / (2 width^2) overflows")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             builder(3.0, width)
     # 1e200 ** 2 raises OverflowError in Python; the bump is refused by its reach first
@@ -124,7 +124,8 @@ def test_morlet_width_float64_cannot_hold_rejected(builder):
         builder(3.0, math.nan)
     with pytest.raises(ValueError, match="^Morlet bump at nan of width 1 reaches past 16,"):
         builder(math.nan, 1.0)
-    # a width whose quotient stays finite on the window builds
+    # a width whose exponent stays finite on the window builds
+    assert builder(3.0, 1e-152).params == {"center": 3.0, "width": 1e-152}
     assert builder(3.0, 1e-150).params == {"center": 3.0, "width": 1e-150}
 
 

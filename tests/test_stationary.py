@@ -238,7 +238,8 @@ def test_bad_seed_refused_before_drawing(seed, monkeypatch):
 
 def test_simulate_budget_counts_its_peak(monkeypatch):
     model = make_model("white", 64)
-    nbytes = (40 * 64 + 512) * 5  # five trials' rows while inverting, seed words and objects
+    # five trials' rows while building, seed words and objects, then the call's root rows and casting buffers
+    nbytes = (40 * 64 + 512) * 5 + 16 * 64 + 2**18
     monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
     assert len(simulate(model, 5, seed=0)) == 5
     monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
@@ -252,7 +253,7 @@ def test_simulate_refuses_a_billion_trials_before_drawing(monkeypatch):
     monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
     with pytest.raises(BudgetExceededError) as info:
         simulate(make_model("white", 128), 10**9, seed=0)
-    assert info.value.estimated_bytes == (40 * 128 + 512) * 10**9
+    assert info.value.estimated_bytes == (40 * 128 + 512) * 10**9 + 16 * 128 + 2**18
 
 
 # --- per-trial seed words ---------------------------------------------------------
@@ -503,9 +504,10 @@ def test_mc_trials_are_bounded_by_the_budget(shannon_128):
 
 
 def test_bank_and_model_budget_count_their_own_arrays(monkeypatch):
-    # a 6-octave bank on N=64 keeps 16 * 64 * 6 bytes of filters; a model on N=64, 16 * 64
+    # a 6-octave bank on N=64 keeps 16 * 64 * 6 bytes of filters; a model on N=64 peaks under
+    # 80 * 64 bytes of arrays and 16 KiB of objects while it is built
     for nbytes, build in [(16 * 64 * 6, lambda: build_bank(morlet_mother(), 0, 64)),
-                          (16 * 64, lambda: make_model("white", 64))]:
+                          (80 * 64 + 2**14, lambda: make_model("white", 64))]:
         monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
         build()
         monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
@@ -541,14 +543,34 @@ def test_model_holds_the_bytes_its_refusal_counts(kind):
     assert current <= 16 * n + 4096
 
 
-@pytest.mark.parametrize("n, trials", [(2, 4000), (128, 2000), (1024, 500)])
-def test_simulate_holds_no_more_than_its_refusal_counts(n, trials):
-    # small N is mostly the Signal objects, large N the rows of the inverse transform; a few
-    # rows of FFT scratch per call go uncounted, a small share at these sizes
+def _counted(monkeypatch, call):
+    """The bytes ``call``'s budget refusal counts, read off the refusal under a zero budget."""
+    with monkeypatch.context() as patch:
+        patch.setattr(filterbank, "_BUDGET_BYTES", 0)
+        with pytest.raises(BudgetExceededError) as info:
+            call()
+    return info.value.estimated_bytes
+
+
+@pytest.mark.parametrize("n", [2**4, 2**10, 2**16])
+@pytest.mark.parametrize("kind", sorted(MODEL_PARAMS))
+def test_model_build_peaks_under_its_refusal_count(kind, n, monkeypatch):
+    # ar1 peaks highest, at 80 N bytes and a few KiB while it inverts its density
+    build = lambda: make_model(kind, n, **MODEL_PARAMS[kind])
+    build()  # first-call allocations stay out of the count
+    _, (_, peak) = _traced(build)
+    assert peak <= _counted(monkeypatch, build)
+
+
+@pytest.mark.parametrize("n, trials", [(2, 4000), (128, 2000), (1024, 500), (4096, 10)])
+def test_simulate_holds_no_more_than_its_refusal_counts(n, trials, monkeypatch):
+    # small N is mostly the Signal objects, large N the rows of the coefficient builder; few
+    # long rows, as at N=4096, show the call's own root rows and numpy's casting buffers
     model = make_model("white", n)
+    run = lambda: simulate(model, trials, seed=0)
     simulate(model, 3, seed=0)  # first-call allocations stay out of the count
-    _, (_, peak) = _traced(lambda: simulate(model, trials, seed=0))
-    assert peak <= (40 * n + 512) * trials
+    _, (_, peak) = _traced(run)
+    assert peak <= _counted(monkeypatch, run)
 
 
 @pytest.mark.parametrize("n", [2, 3])
