@@ -98,7 +98,7 @@ def cmd_bank_check(args: argparse.Namespace) -> int:
         print(f"{report.condition}: {verdict} (margin={report.margin:.6g}{where})")
     band = bank.validated_band
     print(f"validated band: {band[0]}..{band[1]}" if band else "validated band: none")
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if band is not None and all(r.passed for r in reports) else 1
 
 
 def cmd_scatter_run(args: argparse.Namespace) -> int:

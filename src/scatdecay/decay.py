@@ -38,6 +38,7 @@ from .errors import (
     WeakAsymmetryError,
 )
 from .filterbank import (
+    _MASS_FLOOR,
     X_WINDOW,
     ConditionReport,
     FilterBank,
@@ -67,8 +68,6 @@ __all__ = [
     "verify_decay",
 ]
 
-# sums smaller than this are holes, not small denominators
-_MASS_FLOOR = 1e-12
 # slack allowed to the combined window bound and to the admissibility of the initial
 # width x_init: one constant, so the width search always stops (see _admissible_width)
 _X_TOL = 1e-9
@@ -94,8 +93,8 @@ class FreqFunctional:
 def _band_or_raise(bank: FilterBank) -> tuple[int, int]:
     if bank.validated_band is None:
         raise CoverageHoleError(
-            "bank has no validated band: the retained octaves nowhere "
-            "reproduce the full dyadic sum"
+            "bank has no validated band: the retained octaves nowhere both "
+            "reproduce the full dyadic sum and carry octave mass"
         )
     return bank.validated_band
 
@@ -123,15 +122,16 @@ def _functional_terms(bank: FilterBank, omegas: np.ndarray):
 
 
 def _functional_on_band(bank: FilterBank, which: str) -> FreqFunctional:
+    """S, F1 or F2 at the integers of the validated band.
+
+    No band integer is a hole, so n1 / S and n2 / S are defined: S(w) is at
+    least the retained octaves' 0.5 * (kept_p + kept_m), which ``build_bank``
+    requires above ``_MASS_FLOOR`` at every band integer (see
+    ``filterbank._validated_band``).
+    """
     lo, hi = _band_or_raise(bank)
     omegas = np.arange(lo, hi + 1, dtype=np.float64)
     s, n1, n2 = _functional_terms(bank, omegas)
-    holes = np.flatnonzero(s <= _MASS_FLOOR)
-    if holes.size:
-        raise CoverageHoleError(
-            f"dyadic sum vanishes at frequency {int(omegas[holes[0]])} "
-            f"inside the validated band [{lo}, {hi}]"
-        )
     values = {"S": s, "F1": n1 / s, "F2": n2 / s}[which]
     return FreqFunctional(which, omegas.astype(np.int64), values, (lo, hi))
 
@@ -298,6 +298,11 @@ def _lowpass_and_integer_sums(bank: FilterBank) -> tuple[InitLowpass, np.ndarray
 
     grid, lp_grid = _curvature_sums(bank)
     curvature_sup = float(np.max(lp_grid / grid**2))
+    if not curvature_sup > 0.0:
+        # the band's mass can lie between the grid's points: a bandpass (1.4999, 1.5001] has it
+        # only on the orbit of 1.5
+        raise CoverageHoleError(f"no octave mass for j <= {bank.j_max} anywhere on the curvature grid "
+                                f"[2^-8, {bank.n // 2}], so the initial window cannot be scaled")
 
     m_scale = math.sqrt(curvature_sup / alpha_tilde) * (1.0 + 1e-6)
     init = InitLowpass(
@@ -469,6 +474,13 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
     missing coverage, an inflated squared sum, too little decay order near
     zero, no strict analytic preference (c <= 0), and octave mass so
     concentrated that c^2 reaches C and the contraction disappears.
+
+    The dense samples of the reference octave still meet holes in the
+    continuum, and are left out of c and C where S is at most
+    ``_MASS_FLOOR``.  The image of a band integer never is: S there has the
+    bits S has at the integer, since the sums are dyadically homogeneous bit
+    for bit, and that is above ``_MASS_FLOOR`` (see ``_functional_on_band``),
+    so c and C always range over one sample at least.
     """
     band = _band_or_raise(bank)
 
@@ -478,8 +490,6 @@ def compute_constants(bank: FilterBank) -> DecayConstants:
     x = _octave_samples(bank)
     s, n1, n2 = _functional_terms(bank, x)
     usable = s > _MASS_FLOOR
-    if not np.any(usable):
-        raise CoverageHoleError("no octave mass anywhere on the sampling set")
     x = x[usable]
     f1 = n1[usable] / s[usable]
     f2 = n2[usable] / s[usable]
@@ -590,7 +600,9 @@ def lemma2_envelope_check(
             <= 1 - |chi_hat_{a x}(w)|^2.
 
     Passing ``a`` overrides the certified contraction, which is how one
-    demonstrates that a faster claimed contraction is false.
+    demonstrates that a faster claimed contraction is false.  The band
+    holds no hole (see ``_functional_on_band``), so every validated
+    frequency carries octave mass and the inequality is all that is checked.
     """
     if x <= 0:
         raise ValueError("width x must be positive")
@@ -602,16 +614,15 @@ def lemma2_envelope_check(
 
     def terms(j, w, p, m):
         center = constants.delta * np.ldexp(1.0, -j)
-        return p, m, p * (1.0 - _chi_sq(w - center, x)) + m * (1.0 - _chi_sq(-w - center, x))
+        return (p * (1.0 - _chi_sq(w - center, x)) + m * (1.0 - _chi_sq(-w - center, x)),)
 
-    sp, sm, lhs = _octave_sums(bank.mother, omegas, terms)
-    s = 0.5 * (sp + sm)
+    (lhs,) = _octave_sums(bank.mother, omegas, terms)
     gaps = 1.0 - _chi_sq(omegas, contraction * x) - 0.5 * lhs
     idx = int(np.argmin(gaps))
     margin = float(gaps[idx])
     return ConditionReport(
         condition="modulation_envelope",
-        passed=bool(margin >= -_ENVELOPE_TOL) and bool(np.all(s > _MASS_FLOOR)),
+        passed=bool(margin >= -_ENVELOPE_TOL),
         margin=margin,
         witness_freq=float(omegas[idx]),
         tolerance=_ENVELOPE_TOL,

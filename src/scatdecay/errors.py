@@ -29,7 +29,7 @@ class NonTightBankError(ScatdecayError):
 
 
 class CoverageHoleError(ScatdecayError):
-    """A dyadic sum vanishes inside the requested frequency range."""
+    """The retained octaves carry no mass where a step needs it: no validated band, or no curvature."""
 
 
 class DegenerateOctaveError(ScatdecayError):

@@ -80,6 +80,7 @@ _BUMP_REACH = math.sqrt(33.0 * math.log(10.0))
 _BUDGET_BYTES = 1 << 30
 
 _COVERAGE_TOL = 1e-3  # largest |kept - full| octave sum inside a validated band
+_MASS_FLOOR = 1e-12  # a retained octave sum at most this is a hole, left out of the validated band
 _ASYMMETRY_TOL = 1e-12  # largest excess of a mirror amplitude over its partner
 _LP_TOL = 1e-9  # largest excess of a symmetrized squared octave sum over one
 _ORDER_WINDOW = (2.0**-10, 2.0**-4)
@@ -97,10 +98,16 @@ def _check_bytes(what: str, nbytes: int) -> None:
 
 
 def _morlet_kappa(center: float, width: float) -> float:
-    """Zero-mean correction amplitude of a Morlet bump inside the window."""
+    """Zero-mean correction amplitude of a Morlet bump inside the window.
+
+    Only |center| enters it, and it and the width are taken as Python
+    floats once the width's sign test has passed: on NumPy scalars the
+    overflows refused below would warn before their refusal.
+    """
     if not width > 0:
         raise ValueError(f"Morlet width must be positive, got {width:g}")
-    if not abs(center) + _BUMP_REACH * width <= X_WINDOW[1]:
+    offset, width = float(abs(center)), float(width)
+    if not offset + _BUMP_REACH * width <= X_WINDOW[1]:
         raise ValueError(
             f"Morlet bump at {center:g} of width {width:g} reaches past "
             f"{X_WINDOW[1]:g}, where octave sums are truncated; need "
@@ -110,12 +117,12 @@ def _morlet_kappa(center: float, width: float) -> float:
     # |w - center| = 16 + |center|; where it is finite, so are the correction's
     # center * w / width^2, at most half of it, and the Gaussian's w^2 / (2 width^2)
     square = 2.0 * width**2
-    if square == 0.0 or not math.isfinite((X_WINDOW[1] + abs(center)) ** 2 / square):
+    if square == 0.0 or not math.isfinite((X_WINDOW[1] + offset) ** 2 / square):
         raise ValueError(
             f"Morlet width {width:g} is too narrow for float64: "
             f"({X_WINDOW[1]:g} + |center|)^2 / (2 width^2) overflows"
         )
-    return math.exp(-(center**2) / (2.0 * width**2))
+    return math.exp(-(offset**2) / (2.0 * width**2))
 
 
 @dataclass(frozen=True)
@@ -349,8 +356,10 @@ class FilterBank:
 
     ``validated_band`` is the widest contiguous range of positive integer
     frequencies on which the retained octaves reproduce the full dyadic
-    sum to within ``_COVERAGE_TOL``; outside it the bank under-covers and
-    no quantitative claim is made.
+    sum to within ``_COVERAGE_TOL`` and carry a symmetrized squared sum
+    above ``_MASS_FLOOR``; outside it the bank under-covers or has a hole,
+    a frequency no retained octave reaches, and no quantitative claim is
+    made.
     """
 
     mother: MotherWavelet
@@ -371,16 +380,27 @@ def _validated_band(
     """``FilterBank.validated_band`` of the octaves j_min..j_max on N=n.
 
     What the retained octaves leave out of the full dyadic sum at w is the
-    sum of the octaves outside j_min..j_max, so that one sum is taken.
+    sum of the octaves outside j_min..j_max, and what they carry is
+    0.5 * (kept_p + kept_m), their sums of |psi_hat(2^j w)|^2 and of
+    |psi_hat(-2^j w)|^2; all three are taken in one pass.  kept_p and kept_m
+    add the terms of the two sums of S(w) = (1/2) sum_j |psi_hat(2^j w)|^2 +
+    |psi_hat(-2^j w)|^2 in the same ascending order, with the octaves outside
+    j_min..j_max replaced by 0.0.  Float addition of nonnegative terms is
+    monotone, so S(w) >= 0.5 * (kept_p + kept_m) > ``_MASS_FLOOR`` at every
+    band integer, and, the sums being dyadically homogeneous bit for bit, at
+    the integer's octave images too: no hole lies in a validated band.
     """
     omegas = np.arange(1, n // 2, dtype=np.float64)
-    (missed,) = _octave_sums(
-        mother, omegas, lambda j, w, p, m: (np.where((j < j_min) | (j > j_max), p + m, 0.0),)
-    )
-    ok = 0.5 * missed <= _COVERAGE_TOL
+
+    def terms(j, w, p, m):
+        retained = (j >= j_min) & (j <= j_max)
+        return np.where(retained, 0.0, p + m), np.where(retained, p, 0.0), np.where(retained, m, 0.0)
+
+    missed, kept_p, kept_m = _octave_sums(mother, omegas, terms)
+    ok = (0.5 * missed <= _COVERAGE_TOL) & (0.5 * (kept_p + kept_m) > _MASS_FLOOR)
     if not np.any(ok):
         return None
-    # widest contiguous run of covered integers; argmax takes the first of a tie
+    # widest contiguous run of covered integers with mass; argmax takes the first of a tie
     edges = np.diff(np.concatenate(([0], ok.astype(np.int8), [0])))
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
     k = int(np.argmax(stops - starts))
@@ -497,8 +517,9 @@ def check_asymmetry(bank: FilterBank) -> ConditionReport:
     dominates strictly.  The margin is min over w of the best per-octave
     amplitude gap, so an even profile reports exactly 0.0 and fails.
 
-    Checked on the validated band, where the bank actually covers; with
-    no validated band it falls back to the full positive grid.
+    Checked on the validated band, where the bank actually covers and
+    carries octave mass; with no validated band it falls back to the full
+    positive grid.
     """
     if bank.validated_band is not None:
         lo, hi = bank.validated_band

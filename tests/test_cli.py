@@ -215,6 +215,19 @@ def test_far_coarse_bank_is_built_and_validates_no_band(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("validated band: none\n")
 
 
+def test_bank_without_validated_band_fails_bank_check(tmp_path, capsys):
+    # the one octave j=0 passes all three checks, but on N=32 it nowhere reproduces the full
+    # dyadic sum: a bank that certifies nothing exits 1, as decay verify does, reports written
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps({"mother": {"name": "morlet", "params": {}}, "J": 0, "j_min": 0, "N": 32}))
+    out = tmp_path / "out"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert stdout.count(": PASS (") == 3 and stdout.endswith("validated band: none\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "check_asymmetry.json", "check_littlewood_paley.json", "check_vanishing_order.json"]
+
+
 def test_asymmetry_without_validated_band_checks_the_whole_grid(tmp_path, capsys):
     # octaves 5..6 put every frequency of N=64 past the Morlet bump: no band is validated, so
     # the asymmetry check falls back to 1..N/2-1, where the amplitudes underflow from w=2 on
@@ -433,6 +446,8 @@ _TOO_LONG = "int too large to convert to float"
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
 _NEAR_ZERO = "error: near-zero decay order 0.0181 below 0.05"
+_NO_BAND = ("error: bank has no validated band: the retained octaves nowhere both reproduce the full "
+            "dyadic sum and carry octave mass")
 _REQUIRED = "scatdecay {}: error: the following arguments are required: {}"
 _REQUIRED_FLAGS = {"bank check": "--bank b.json --out {out}", "decay verify": "--bank b.json --out {out}",
                    "scatter run": "--bank b.json --signal f.csv --out {out}",
@@ -519,10 +534,24 @@ _REFUSALS = {
                 "4.444444444444e-01 reaches C = 4.444444444444e-01, so the width contraction a is unbounded",
                 bank=_bank("bandpass", lo=1.5 - 1e-9, hi=1.5), work=True),
     ],
-    # no point of the sampling set in (1, 2] lies in (1.3, 1.3000000001]: c and C have nothing to range over
+    # no integer of N=256 reaches (1.3, 1.3000000001], so every one is a hole and none is in the band
     "test_decay_verify_massless_bank_exits_one": [
-        Refusal("decay verify --bank {bank} --out {out}", 1, "error: no octave mass anywhere on the sampling set",
+        Refusal("decay verify --bank {bank} --out {out}", 1, _NO_BAND,
                 bank=_bank("bandpass", lo=1.3, hi=1.3000000001), work=True),
+    ],
+    # octaves -6..-3 reach (2.8, 3.8] only above N/2 = 8: the octave sums at 1 and 2 miss nothing,
+    # but carry nothing, and once made a band 1..2 whose window divided by m_scale = 0
+    "test_decay_verify_bank_without_retained_mass_exits_one": [
+        Refusal(argv, 1, _NO_BAND, bank=_bank("bandpass", J=-3, N=16, lo=2.8, hi=3.8),
+                model=_model("white", 16, sigma=1.0), work=True, id=argv.split()[0])
+        for argv in ("decay verify --bank {bank} --out {out}", _STATIONARY)
+    ],
+    # the band is 3..3, which holds mass, but the curvature grid's points near 1.5 all miss
+    # a band of width 2e-4, so the window once divided by m_scale = 0
+    "test_decay_verify_mass_the_curvature_grid_misses_exits_one": [
+        Refusal("decay verify --bank {bank} --out {out}", 1, "error: no octave mass for j <= 0 anywhere on the "
+                "curvature grid [2^-8, 128], so the initial window cannot be scaled",
+                bank=_bank("bandpass", lo=1.4999, hi=1.5001, amplitude=1e-5), work=True),
     ],
     "test_bad_depth_or_trials_refused_before_any_work": [
         Refusal(f"{argv} --bank {{bank}} --out {{out}}", 2, f"error: {message}", bank=_SHANNON_128,

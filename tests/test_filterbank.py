@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,30 @@ def test_morlet_width_float64_cannot_hold_rejected(builder):
     assert builder(3.0, 1e-150).params == {"center": 3.0, "width": 1e-150}
 
 
+@pytest.mark.parametrize(
+    "builder", [morlet_mother, morlet_first_order_mother, even_morlet_mother]
+)
+def test_morlet_numpy_scalar_parameters_refused_without_warning(builder):
+    # NumPy scalars once reached the refusals' arithmetic as NumPy scalars, which warned
+    # "overflow encountered in scalar divide" or "... multiply" before the refusal
+    cases = [
+        (3.0, np.float64(1e-160), "Morlet width 1e-160 is too narrow for float64: "
+         "(16 + |center|)^2 / (2 width^2) overflows"),
+        (np.float64(3.0), 1e-160, "Morlet width 1e-160 is too narrow for float64: "
+         "(16 + |center|)^2 / (2 width^2) overflows"),
+        (3.0, np.float64(1e308), "Morlet bump at 3 of width 1e+308 reaches past 16,"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for center, width, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                builder(center, width)
+    # NumPy scalars that pass give the Python floats' mother, bit for bit
+    w = np.geomspace(2.0**-10, 16.0, 97)
+    got = builder(np.float64(3.0), np.float64(1.0)).pair(w)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in builder(3.0, 1.0).pair(w)]
+
+
 def test_integer_amplitude_gives_float64_pair():
     # a JSON integer amplitude: the same float64 bits as the float amplitude
     w = np.geomspace(0.25, 8.0, 41)
@@ -193,14 +218,30 @@ def test_validated_band_morlet():
 @pytest.mark.parametrize(
     "lo, hi, j, band",
     [
-        # covered runs 1-4, 6-16 and 21-31: the two widest tie, the first wins
-        (1.05, 1.25, -3, (6, 16)),
-        # covered runs 1-2, 4-9, 13-19 and 26-31
-        (1.2, 1.6, -2, (13, 19)),
+        # covered runs 1-4, 6-16 and 21-31, but the one octave carries mass only on
+        # 8.4 < w <= 10: one run, 9-10
+        (1.05, 1.25, -3, (9, 10)),
+        # covered runs 1-2, 4-9, 13-19 and 26-31, mass only on 4.8 < w <= 6.4: one run, 5-6
+        (1.2, 1.6, -2, (5, 6)),
     ],
 )
 def test_validated_band_takes_first_widest_run(lo, hi, j, band):
     bank = build_bank(bandpass_mother(lo, hi), j, 64, j_min=j)
+    assert bank.validated_band == band
+
+
+@pytest.mark.parametrize(
+    "lo, hi, j_max, j_min, band",
+    [
+        # octaves -4..-2 carry mass on 5, 10 and 20, every other integer is a hole:
+        # the three runs tie, the first wins
+        (1.2, 1.3, -2, -4, (5, 5)),
+        # mass on 5-6, 10-12 and 20-25: the last run is the widest
+        (1.2, 1.6, -2, -4, (20, 25)),
+    ],
+)
+def test_validated_band_takes_first_widest_run_of_octave_mass(lo, hi, j_max, j_min, band):
+    bank = build_bank(bandpass_mother(lo, hi), j_max, 64, j_min=j_min)
     assert bank.validated_band == band
 
 
