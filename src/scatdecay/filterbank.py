@@ -554,8 +554,10 @@ def estimate_vanishing_order(mother: MotherWavelet) -> ConditionReport:
     geometric points of ``_ORDER_WINDOW`` estimates |psi_hat(w)| ~ w^(1 + eps);
     it passes when eps >= ``_ORDER_THRESHOLD``, or when the profile vanishes
     identically on the window (indicator-type mothers, flagged at construction).
-    The report's margin is eps - ``_ORDER_THRESHOLD`` (inf for a profile zero on
-    the window), and its ``details`` hold the fit.
+    A profile zero at some fit points but not all, as one that underflows, has
+    no line to fit: it gets slope 0, the order any bounded profile has, and
+    fails.  The report's margin is eps - ``_ORDER_THRESHOLD`` (inf for a profile
+    zero on the window), and its ``details`` hold the fit.
     """
     x = np.geomspace(*_ORDER_WINDOW, _ORDER_POINTS)
     vals = np.abs(mother(x))
@@ -567,9 +569,9 @@ def estimate_vanishing_order(mother: MotherWavelet) -> ConditionReport:
                 "but has mass on the fit window"
             )
         slope, residual = math.inf, 0.0
+    elif np.any(vals == 0.0):
+        slope, residual = 0.0, 0.0
     else:
-        if np.any(vals == 0.0):
-            raise ValueError("profile vanishes at isolated fit points; cannot fit order")
         design = np.column_stack([np.log(x), np.ones_like(x)])
         coef, *_ = np.linalg.lstsq(design, np.log(vals), rcond=None)
         slope = float(coef[0])

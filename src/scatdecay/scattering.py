@@ -14,15 +14,17 @@ complex128 node arrays held at once exceed one memory budget (1 GiB) is
 refused before anything is allocated, so depth is limited by what fits.
 
 Energy-only profiles run in blocks of inputs, each block one batched pass
-that never forms the requested layer n: its energy follows from layer n - 1,
-because the modulus keeps energy.  A block enters as the spectra of its
-inputs, so layer 1 takes no forward FFT, and every row below the root is a
-real modulus, whose energy weighed in frequency takes a half-spectrum
-``np.fft.rfft``.  A block's layer n - 1 holds at most 2^18 values, or one
-input's if more, and a call keeps one buffer per formed layer, sized for one
-block and reused by every block.  Every FFT pass over a layer runs through
-``_chunks``, in chunks whose spectra and filter products stay near L2 cache
-size.
+that never forms the requested layer n.  Every layer below the root is
+weighed from its parent's spectrum, because the modulus keeps energy: each
+parent row passes (1/N^2) sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2 to its
+children, so a layer's energy does not depend on the depth asked for.  A
+block enters as the spectra of its inputs, so layer 1 takes no forward FFT,
+and every row below the root is a real modulus, whose spectrum takes a
+half-spectrum ``np.fft.rfft``.  A block's layer n - 1 holds at most 2^18
+values, or one input's if more, and a call keeps one buffer per formed layer,
+sized for one block and reused by every block.  Every FFT pass over a layer
+runs through ``_chunks``, in chunks whose spectra and filter products stay
+near L2 cache size.
 """
 from __future__ import annotations
 
@@ -296,9 +298,11 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) ->
 
     ``draw(start, k)`` returns the spectra of those k inputs as rows, in FFT
     bin order, so layer 1 takes no forward FFT.  The root's energies are read
-    off its spectrum by Parseval, as is layer 1's at n_max = 1; below the
-    root every row is a real modulus.  A block's deepest formed layer,
-    n_max - 1, holds at most ``_BLOCK_ELEMENTS`` values or one input's.
+    off its spectrum by Parseval.  Every layer k >= 1 is weighed from its
+    parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's, each
+    deeper one through ``_child_energies`` of the real moduli of layer k - 1,
+    so layer k's energies do not depend on n_max.  A block's deepest formed
+    layer, n_max - 1, holds at most ``_BLOCK_ELEMENTS`` values or one input's.
     Children of a row stay contiguous through ``_layer_moduli``, so an
     input's energies, one column, do not depend on its block.
     """
@@ -315,14 +319,12 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) ->
         profiles = np.empty((n_max + 1, rows))
         # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
         profiles[0] = _row_energies(batch) / n
-        if n_max == 1:
+        if n_max >= 1:
             profiles[1] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
         for depth in range(1, n_max):
             spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth)
             batch = _layer_moduli(spectra, filts, layers[depth - 1][: len(batch) * breadth])
-            profiles[depth] = _row_energies(batch).reshape(rows, -1).sum(axis=1)
-        if n_max > 1:
-            profiles[n_max] = _child_energies(batch, folded).reshape(rows, -1).sum(axis=1)
+            profiles[depth + 1] = _child_energies(batch, folded).reshape(rows, -1).sum(axis=1)
         yield start, profiles
 
 
@@ -330,10 +332,11 @@ def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, f
     """Total energy per layer, sum over paths of ||U[p]f||^2, no pruning.
 
     Cheaper than ``scatter`` when only the energies are needed: nodes are
-    never stored, and layer ``n_max`` is never formed.  Its energy comes
-    from the layer above, weighted in frequency by sum_j |psi_j|^2, which
-    the modulus's energy conservation makes exact; so the deepest layer
-    held has B^(n_max-1) rows for a bank of B octaves.
+    never stored, and layer ``n_max`` is never formed.  Every layer below
+    the root is weighed from the layer above, its spectrum weighted in
+    frequency by sum_j |psi_j|^2, which the modulus's energy conservation
+    makes exact; so layer k's value does not depend on ``n_max``, and the
+    deepest layer held has B^(n_max-1) rows for a bank of B octaves.
     """
     _check_profile(bank, n_max)
     if f.n != bank.n:

@@ -171,6 +171,18 @@ def test_decay_verify_is_byte_stable(morlet_bank_file, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("bank_file", ["morlet_bank_file", "shannon_bank_file"])
+def test_decay_csv_rows_do_not_depend_on_the_depth(bank_file, request, tmp_path):
+    # a layer's row is the same at every depth, so a shallower table is a prefix of a deeper one
+    tables = []
+    for depth in ("3", "5"):
+        out = tmp_path / depth
+        assert main(["decay", "verify", "--bank", request.getfixturevalue(bank_file), "--out", str(out),
+                     "--seed", "7", "--depth", depth]) == 0
+        tables.append((out / "decay.csv").read_bytes())
+    assert tables[1].startswith(tables[0]) and tables[1] != tables[0]
+
+
 def test_stationary_run_within_bound(tmp_path, capsys):
     bank_path = tmp_path / "shannon128.json"
     save_bank(bank_path, build_bank(shannon_mother(), 0, 128))
@@ -226,6 +238,19 @@ def test_bank_without_validated_band_fails_bank_check(tmp_path, capsys):
     assert stdout.count(": PASS (") == 3 and stdout.endswith("validated band: none\n")
     assert sorted(p.name for p in out.iterdir()) == [
         "check_asymmetry.json", "check_littlewood_paley.json", "check_vanishing_order.json"]
+
+
+def test_order_fit_through_an_underflowed_point_fails_bank_check(tmp_path, capsys):
+    # once a ValueError and exit 2 for a well-formed recipe; now a failed check, reports written,
+    # with every number finite (decay verify refuses the same bank in the refusal table below)
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(_UNDERFLOWING))
+    out = tmp_path / "out"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 1
+    assert "vanishing_order: FAIL (margin=-1.05)\n" in capsys.readouterr().out
+    report = json.loads((out / "check_vanishing_order.json").read_text())
+    numbers = [report["margin"], *(v for v in report["details"].values() if isinstance(v, float))]
+    assert not report["passed"] and len(numbers) == 5 and all(map(math.isfinite, numbers))
 
 
 def test_asymmetry_without_validated_band_checks_the_whole_grid(tmp_path, capsys):
@@ -446,6 +471,8 @@ _TOO_LONG = "int too large to convert to float"
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
 _NEAR_ZERO = "error: near-zero decay order 0.0181 below 0.05"
+# a narrow Morlet whose profile underflows to 0.0 at 14 of its 25 order-fit points
+_UNDERFLOWING = _bank("morlet", J=-2, N=2048, j_min=-3, center=2.8340951665991154, width=0.0731538287531215)
 _NO_BAND = ("error: bank has no validated band: the retained octaves nowhere both reproduce the full "
             "dyadic sum and carry octave mass")
 _REQUIRED = "scatdecay {}: error: the following arguments are required: {}"
@@ -552,6 +579,13 @@ _REFUSALS = {
         Refusal("decay verify --bank {bank} --out {out}", 1, "error: no octave mass for j <= 0 anywhere on the "
                 "curvature grid [2^-8, 128], so the initial window cannot be scaled",
                 bank=_bank("bandpass", lo=1.4999, hi=1.5001, amplitude=1e-5), work=True),
+    ],
+    # an order fit through 0.0 once raised ValueError, exit 2 as for malformed input; the
+    # fit now takes slope 0, the order of any bounded profile, and the order check fails
+    "test_order_fit_through_an_underflowed_point_exits_one": [
+        Refusal(argv, 1, "error: near-zero decay order -1.0000 below 0.05", bank=_UNDERFLOWING,
+                model=_model("white", 2048, sigma=1.0), work=True, id=argv.split()[0])
+        for argv in ("decay verify --bank {bank} --out {out}", _STATIONARY)
     ],
     "test_bad_depth_or_trials_refused_before_any_work": [
         Refusal(f"{argv} --bank {{bank}} --out {{out}}", 2, f"error: {message}", bank=_SHANNON_128,

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -810,14 +809,8 @@ def test_bank_scan_decides_holes_once():
     window_only = ("initial window violates the combined bound", "no octave mass for j <= ")
     certified = 0
     for bank in banks:
-        try:
-            reports = [check_littlewood_paley(bank), check_asymmetry(bank), estimate_vanishing_order(bank.mother)]
-        except ValueError as exc:
-            # an order fit on a profile that underflows at some fit points: bank check refuses
-            # the bank as input (exit 2), and so does decay verify, with the same message
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                compute_constants(bank)
-            continue
+        # an order fit through an underflowed point fails like any other check, not as input
+        reports = [check_littlewood_paley(bank), check_asymmetry(bank), estimate_vanishing_order(bank.mother)]
         passes = bank.validated_band is not None and all(r.passed for r in reports)
         if bank.validated_band is not None:
             assert np.all(compute_S(bank).values > filterbank._MASS_FLOOR), bank

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
     got = np.concatenate([p for _, p in blocks], axis=1)
     want = np.array([[profile[depth] for profile in alone] for depth in range(n_max + 1)])
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
+def test_layer_energy_does_not_depend_on_the_depth_asked_for(make, n):
+    # every layer below the root is weighed from its parent's spectrum, at any depth
+    bank = build_bank(make(), 0, n)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        sig = band_limited_signal(n, bank.validated_band, rng)
+        deepest = layer_energy_profile(sig, bank, 5)
+        for n_max in range(6):
+            profile = layer_energy_profile(sig, bank, n_max)
+            assert [repr(profile[k]) for k in range(n_max + 1)] == [repr(deepest[k]) for k in range(n_max + 1)]
 
 
 def test_cosine_second_layer_is_silent():
@@ -447,6 +462,26 @@ def test_profile_budget_counts_the_deepest_formed_layer(monkeypatch):
     _runs_on_exactly(monkeypatch, 16 * 64 * 36, lambda: layer_energy_profile(sig, bank, 3))
     for n_max in (0, 1):  # the input itself is the deepest row held
         _runs_on_exactly(monkeypatch, 16 * 64, lambda: layer_energy_profile(sig, bank, n_max))
+
+
+@pytest.mark.parametrize("n, n_max", [(256, 5), (2048, 4)])
+def test_profile_holds_no_more_than_its_refusal_counts(n, n_max, monkeypatch):
+    # the count is the deepest formed layer, 16 N B^(n_max-1) bytes; its energies are
+    # weighed from its spectrum in L2-sized chunks, so no second copy of it is formed
+    bank = build_bank(morlet_mother(), 0, n)
+    sig = band_limited_signal(n, bank.validated_band, np.random.default_rng(n))
+    layer_energy_profile(sig, bank, 2)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        layer_energy_profile(sig, bank, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", 0)
+    with pytest.raises(BudgetExceededError) as info:
+        layer_energy_profile(sig, bank, n_max)
+    assert info.value.estimated_bytes == 16 * n * len(bank.filters) ** (n_max - 1)
+    assert peak <= info.value.estimated_bytes
 
 
 def test_wide_bank_runs_at_depth_one():
