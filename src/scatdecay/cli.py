@@ -12,6 +12,11 @@ Exit codes are part of the contract:
     3   the request's arrays exceed the memory budget: the nodes of scatter,
         decay and stationary, or a bank's or model's own arrays
 
+A bank that builds always gets a verdict: ``bank check`` exits 0 or 1 and
+writes its three reports, and ``decay verify`` and ``stationary run`` exit
+0, 1 or 3; exit 2 is left to files, flags and recipes that cannot be read
+or built.
+
 All outputs are byte-stable for identical inputs: floats are written in
 shortest round-trip form, JSON keys are sorted, and nothing records
 timestamps or the environment.

@@ -133,8 +133,9 @@ class MotherWavelet:
     (psi_hat(w), psi_hat(-w)), vectorized: every bank condition reads the
     mother at +2^j w and -2^j w together, so that pair is its one
     definition.  ``zero_near_origin`` marks indicator-type profiles
-    that vanish identically on a neighbourhood of zero; the order check
-    accepts those by flag instead of fitting a slope to zeros.
+    that may vanish identically on a neighbourhood of zero; the order check
+    passes a profile without a fit only when it is flagged and its samples
+    are 0.0 on the whole fit window.
     """
 
     name: str
@@ -144,20 +145,6 @@ class MotherWavelet:
 
     def __call__(self, w) -> np.ndarray:
         return np.asarray(self.pair(np.asarray(w, dtype=np.float64))[0], dtype=np.float64)
-
-
-def _gaussian_pair_mother(name: str, params: dict, width: float, side) -> MotherWavelet:
-    """The mother psi_hat(w) = side(w, g(w)) for the even Gaussian g(w) = exp(-w^2 / (2 width^2)).
-
-    g(-w) and g(w) are the same bits, so the pair evaluates g once for both
-    arguments: three exp calls per mirrored pair for the Morlet profiles.
-    """
-
-    def pair(w):
-        g = np.exp(-(w**2) / (2.0 * width**2))
-        return side(w, g), side(-w, g)
-
-    return MotherWavelet(name, params, pair)
 
 
 def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -172,11 +159,16 @@ def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     """
     kappa = _morlet_kappa(center, width)
 
-    def side(w, gauss):
-        main = np.exp(-((w - center) ** 2) / (2.0 * width**2))
-        return main - kappa * (1.0 + center * w / width**2) * gauss
+    def pair(w):
+        # the Gaussian at zero is even, so both sides share it; at -w the bump's square
+        # (-w - center)^2 is (w + center)^2 and 1 + center * (-w) / width^2 is
+        # 1 - center * w / width^2, bit for bit, as float negation is exact
+        gauss = np.exp(-(w**2) / (2.0 * width**2))
+        plus = np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * (1.0 + center * w / width**2) * gauss
+        minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * (1.0 - center * w / width**2) * gauss
+        return plus, minus
 
-    return _gaussian_pair_mother("morlet", {"center": center, "width": width}, width, side)
+    return MotherWavelet("morlet", {"center": center, "width": width}, pair)
 
 
 def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -188,11 +180,13 @@ def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> Mother
     """
     kappa = _morlet_kappa(center, width)
 
-    def side(w, gauss):
-        return np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * gauss
+    def pair(w):
+        gauss = np.exp(-(w**2) / (2.0 * width**2))
+        plus = np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * gauss
+        minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * gauss
+        return plus, minus
 
-    params = {"center": center, "width": width}
-    return _gaussian_pair_mother("morlet_first_order", params, width, side)
+    return MotherWavelet("morlet_first_order", {"center": center, "width": width}, pair)
 
 
 def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -552,22 +546,19 @@ def estimate_vanishing_order(mother: MotherWavelet) -> ConditionReport:
 
     A least-squares line through (log w, log |psi_hat(w)|) on ``_ORDER_POINTS``
     geometric points of ``_ORDER_WINDOW`` estimates |psi_hat(w)| ~ w^(1 + eps);
-    it passes when eps >= ``_ORDER_THRESHOLD``, or when the profile vanishes
-    identically on the window (indicator-type mothers, flagged at construction).
-    A profile zero at some fit points but not all, as one that underflows, has
-    no line to fit: it gets slope 0, the order any bounded profile has, and
-    fails.  The report's margin is eps - ``_ORDER_THRESHOLD`` (inf for a profile
-    zero on the window), and its ``details`` hold the fit.
+    it passes when eps >= ``_ORDER_THRESHOLD``.  A mother flagged
+    ``zero_near_origin`` whose samples are 0.0 at every fit point passes without
+    a fit: the flag and the samples decide together.  Any other profile with a
+    0.0 at a fit point, as one that underflows or an indicator whose band
+    reaches the window, has no line to fit: it gets slope 0, the order any
+    bounded profile has, and fails.  The report's margin is
+    eps - ``_ORDER_THRESHOLD`` (inf for the flagged zero profile), and its
+    ``details`` hold the fit.
     """
     x = np.geomspace(*_ORDER_WINDOW, _ORDER_POINTS)
     vals = np.abs(mother(x))
-    zero = mother.zero_near_origin or not np.any(vals > 0.0)
+    zero = mother.zero_near_origin and not np.any(vals > 0.0)
     if zero:
-        if np.any(vals > 0.0):
-            raise ValueError(
-                f"mother {mother.name!r} is flagged zero near the origin "
-                "but has mass on the fit window"
-            )
         slope, residual = math.inf, 0.0
     elif np.any(vals == 0.0):
         slope, residual = 0.0, 0.0

@@ -253,6 +253,49 @@ def test_order_fit_through_an_underflowed_point_fails_bank_check(tmp_path, capsy
     assert not report["passed"] and len(numbers) == 5 and all(map(math.isfinite, numbers))
 
 
+def _fails_alike(recipe, failed, err, tmp_path, capsys):
+    # bank check prints exactly the FAIL lines ``failed`` and writes its three reports, and
+    # decay verify refuses the bank with ``err``; both exit 1, the code of a failed condition
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(recipe))
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(tmp_path / "reports")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if ": FAIL (" in line] == list(failed)
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == [
+        "check_asymmetry.json", "check_littlewood_paley.json", "check_vanishing_order.json"]
+    assert main(["decay", "verify", "--bank", str(bank_path), "--out", str(tmp_path / "decay")]) == 1
+    assert capsys.readouterr() == ("", err + "\n")
+    assert not (tmp_path / "decay").exists()
+
+
+_ORDER_FAILS = "vanishing_order: FAIL (margin=-1.05)"
+_ORDER_REFUSED = "error: near-zero decay order -1.0000 below 0.05"
+
+
+def test_bank_check_refuses_indicator_with_mass_on_the_fit_window(tmp_path, capsys):
+    # the band (0.01, 0.02] lies inside the fit window [2^-10, 2^-4]; it once contradicted the
+    # bandpass flag and exited 2, as malformed input, though the bank builds; now the flag
+    # passes only a profile that is 0.0 on the whole window, and this one fails the fit
+    recipe = {"mother": {"name": "bandpass", "params": {"lo": 0.01, "hi": 0.02}}, "J": 0, "j_min": None, "N": 256}
+    _fails_alike(recipe, [_ORDER_FAILS], _ORDER_REFUSED, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("recipe, failed, err", [
+    # bank check once exited 2 on the order fit's ValueError, decay verify 1 on the sums
+    ({"mother": {"name": "bandpass", "params": {"lo": 0.01, "hi": 0.03}}, "J": -9, "j_min": None, "N": 64},
+     ["littlewood_paley: FAIL (margin=-1 at w=11)", _ORDER_FAILS],
+     "error: squared sums exceed one (margin -1.000e+00 at w = 11.0)"),
+    # unflagged profiles that underflow to 0.0 at all 25 fit points once passed as identically
+    # zero, with margin inf, and both commands exited 0: an order-1 mother among them
+    ({"mother": {"name": "morlet_first_order", "params": {"center": 3.0, "width": 0.05}}, "J": 0,
+      "j_min": None, "N": 256}, [_ORDER_FAILS], _ORDER_REFUSED),
+    ({"mother": {"name": "morlet", "params": {"center": 2.8340951665991154, "width": 0.05}}, "J": -2,
+      "j_min": -3, "N": 2048}, [_ORDER_FAILS], _ORDER_REFUSED),
+], ids=["bandpass-on-the-fit-window", "first-order-morlet-underflowing", "morlet-underflowing"])
+def test_bank_that_builds_gets_a_verdict(recipe, failed, err, tmp_path, capsys):
+    _fails_alike(recipe, failed, err, tmp_path, capsys)
+
+
 def test_asymmetry_without_validated_band_checks_the_whole_grid(tmp_path, capsys):
     # octaves 5..6 put every frequency of N=64 past the Morlet bump: no band is validated, so
     # the asymmetry check falls back to 1..N/2-1, where the amplitudes underflow from w=2 on
@@ -535,10 +578,6 @@ _REFUSALS = {
     "test_bandpass_outside_window_is_parse_error": [
         Refusal(_CHECK, 2, "error: band (20, 40] leaves the converged window [1e-08, 16] where octave "
                 "sums are taken", bank=_bank("bandpass", lo=20, hi=40)),
-    ],
-    "test_bank_check_refuses_indicator_with_mass_on_the_fit_window": [
-        Refusal(_CHECK, 2, "error: mother 'bandpass' is flagged zero near the origin but has mass on "
-                "the fit window", bank=_bank("bandpass", lo=0.01, hi=0.02), work=True),
     ],
     # a NaN floor once pruned nothing and an infinite one all of layer 1, and
     # both reached manifest.json as literals that JSON does not have

@@ -774,17 +774,22 @@ def test_constants_require_coverage():
 
 
 def _scanned_banks(count, seed):
-    """Seeded Morlet, Shannon and bandpass recipes on N=8..2048, J=-4..3, and the banks they build."""
+    """Seeded recipes on N=8..2048, J=-4..3, and the banks they build.
+
+    The mothers are Morlet, first-order Morlet, Shannon and bandpass.  Morlet widths reach
+    down to 0.03, where the profiles underflow on the order fit's window, and bandpass bands
+    down to 10^-2.5, inside that window.
+    """
     rng = np.random.default_rng(seed)
     banks = []
     for _ in range(count):
-        kind = ("morlet", "shannon", "bandpass")[rng.integers(3)]
-        if kind == "morlet":
-            params = {"center": rng.uniform(2.0, 4.0), "width": 10.0 ** rng.uniform(-1.3, 0.18)}
+        kind = ("morlet", "morlet_first_order", "shannon", "bandpass")[rng.integers(4)]
+        if kind.startswith("morlet"):
+            params = {"center": rng.uniform(2.0, 4.0), "width": 10.0 ** rng.uniform(-1.52, 0.18)}
         elif kind == "shannon":
             params = {}
         else:
-            lo = 10.0 ** rng.uniform(-0.5, 0.6)
+            lo = 10.0 ** rng.uniform(-2.5, 0.6)
             params = {"lo": lo, "hi": lo * (1.0 + 10.0 ** rng.uniform(-5.0, 0.5))}
             if rng.random() < 0.3:
                 params["amplitude"] = 10.0 ** rng.uniform(-6.0, 0.15)
@@ -803,14 +808,17 @@ def test_bank_scan_decides_holes_once():
     # bank check and the constants decide alike: on every bank the scan builds, nothing but a
     # ScatdecayError leaves compute_constants, a bank that fails bank check (a check or no band)
     # gets no constants, and one that passes gets them, or is refused only by what the
-    # window construction alone checks; no band frequency is a hole
+    # window construction alone checks; no band frequency is a hole; and the order fit gives
+    # every bank a verdict, passing a profile as identically zero only when its mother says so
     banks = _scanned_banks(320, 31)
     assert len(banks) >= 300
     window_only = ("initial window violates the combined bound", "no octave mass for j <= ")
     certified = 0
     for bank in banks:
-        # an order fit through an underflowed point fails like any other check, not as input
+        # an order fit through an underflowed point, or an indicator's band on the fit window,
+        # fails like any other check, not as input: the fit raises nothing
         reports = [check_littlewood_paley(bank), check_asymmetry(bank), estimate_vanishing_order(bank.mother)]
+        assert bank.mother.zero_near_origin or not reports[2].details["identically_zero"], bank
         passes = bank.validated_band is not None and all(r.passed for r in reports)
         if bank.validated_band is not None:
             assert np.all(compute_S(bank).values > filterbank._MASS_FLOOR), bank

@@ -563,16 +563,20 @@ def test_order_estimate_shannon_identically_zero():
 
 
 def test_order_estimate_flags_inconsistent_indicator():
-    # indicator with mass on the fit window contradicts its flag
-    with pytest.raises(ValueError):
-        estimate_vanishing_order(bandpass_mother(5e-4, 2.0))
+    # a flagged indicator whose band covers the whole fit window is not zero there: the flag
+    # alone passes nothing, and the fit finds the flat order of a constant and fails
+    report = estimate_vanishing_order(bandpass_mother(5e-4, 2.0))
+    assert not report.passed and not report.details["identically_zero"]
+    assert abs(report.details["slope"]) < 1e-12
+    assert report.margin == pytest.approx(-1.05)
 
 
 def test_order_estimate_refuses_indicator_with_mass_on_the_window():
-    # the band (0.01, 0.02] lies inside the fit window [2^-10, 2^-4]
-    with pytest.raises(ValueError, match="^mother 'bandpass' is flagged zero near the origin "
-                       "but has mass on the fit window$"):
-        estimate_vanishing_order(bandpass_mother(0.01, 0.02))
+    # the band (0.01, 0.02] lies inside the fit window [2^-10, 2^-4]: a flagged indicator with
+    # a 0.0 at some fit points but not all takes the slope-0 verdict, as an unflagged one does
+    report = estimate_vanishing_order(bandpass_mother(0.01, 0.02))
+    assert not report.passed and not report.details["identically_zero"]
+    assert (report.margin, report.details["slope"], report.details["epsilon_hat"]) == (-1.05, 0.0, -1.0)
 
 
 def test_order_estimate_refuses_a_zero_at_one_fit_point():
