@@ -297,8 +297,10 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) ->
     """(start, energies at layers 0..n_max of inputs start..start+k-1), block by block.
 
     ``draw(start, k)`` returns the spectra of those k inputs as rows, in FFT
-    bin order, so layer 1 takes no forward FFT.  The root's energies are read
-    off its spectrum by Parseval.  Every layer k >= 1 is weighed from its
+    bin order, so layer 1 takes no forward FFT.  It is called once per
+    block, in ascending ``start``, so a draw may read its rows off one
+    shared random stream.  The root's energies are read off its spectrum by
+    Parseval.  Every layer k >= 1 is weighed from its
     parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's, each
     deeper one through ``_child_energies`` of the real moduli of layer k - 1,
     so layer k's energies do not depend on n_max.  A block's deepest formed

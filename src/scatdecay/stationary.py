@@ -24,10 +24,9 @@ Monte Carlo trials are drawn and scattered in the blocks of the energy-only
 pass in ``scattering``, so memory grows by only 8 bytes per trial.  A trial
 never leaves frequency: its coefficients, scaled to the FFT of its samples
 and with the mean at bin 0, enter the cascade as they are, with no inverse
-transform; ``simulate`` inverts the same coefficients.  Trial k is fixed by
-the k-th child spawned from the root seed sequence: a block derives its
-trials' PCG64 seed words in one vectorised pass, and each trial takes all
-its Gaussians from one call of its own generator.
+transform; ``simulate`` inverts the same coefficients.  One run draws all
+its trials from one ``np.random.default_rng(seed)``: trial k is row k of
+its N-wide standard normal rows, whichever block takes it.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes, _whole
@@ -161,85 +159,24 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
 
 
 def _check_seed(seed) -> None:
-    # the root entropy the seed-word derivation assumes: one plain nonnegative integer
+    # default_rng takes arrays and seed objects too; a run's seed is one plain nonnegative
+    # integer, as its report records it
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe): the 32-bit constants of
-# its entropy mixing (A), its output hash (B) and its pool mix (L, R)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+def _coefficient_rows(model: StationaryModel, draws: np.ndarray) -> np.ndarray:
+    """The zero-mean spectral coefficients, in FFT bin order, of one trial per row of draws.
 
-
-def _xorshift16(v: np.ndarray) -> np.ndarray:
-    return v ^ (v >> np.uint64(16))
-
-
-def _spawn_words(root: np.random.SeedSequence, start: int, count: int) -> np.ndarray:
-    """PCG64 seed words of children ``start .. start + count - 1`` of ``root``.
-
-    Row k of the (count, 4) uint64 result is what the root's child number
-    ``start + k`` returns from ``generate_state(4, np.uint64)``, for a root
-    of plain integer entropy and spawn keys below 2^32.  A child's entropy
-    is the root's, padded to the 4-word pool, plus its one key word, so its
-    pool is the root's with the key mixed in last; that mix and the output
-    hash are vectorised over the keys, each word held in a uint64 and
-    masked to 32 bits.
-    """
-    words = max(1, -(-int(root.entropy).bit_length() // 32))
-    # the hash constant after the root's own mixing: 4 pool words, 12 cross
-    # mixes, then 4 per entropy word beyond the pool
-    h = _INIT_A * pow(_MULT_A, 4 + 12 + 4 * max(0, words - 4), 1 << 32) & _MASK32
-    keys = np.arange(start, start + count, dtype=np.uint64)
-    pool = np.empty((count, 4), dtype=np.uint64)
-    for d in range(4):
-        mixed = keys ^ np.uint64(h)
-        h = h * _MULT_A & _MASK32
-        mixed = _xorshift16(mixed * np.uint64(h) & np.uint64(_MASK32))
-        left = np.uint64(_MIX_L * int(root.pool[d]) & _MASK32)
-        pool[:, d] = _xorshift16((left - np.uint64(_MIX_R) * mixed) & np.uint64(_MASK32))
-    state = np.empty((count, 8), dtype=np.uint64)
-    h = _INIT_B
-    for i in range(8):
-        mixed = pool[:, i % 4] ^ np.uint64(h)
-        h = h * _MULT_B & _MASK32
-        state[:, i] = _xorshift16(mixed * np.uint64(h) & np.uint64(_MASK32))
-    # 32-bit words pair up little-endian into the 64-bit seed words
-    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
-
-
-class _Words(ISeedSequence):
-    """A seed sequence that hands PCG64 its precomputed seed words.
-
-    PCG64 asks its seed sequence for exactly four uint64 words, once.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _coefficient_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
-    """The zero-mean spectral coefficients, in FFT bin order, of one trial per row of seed words.
-
-    Each trial draws from its own generator, in one call, so a row depends
-    on its seed words alone; scaling and mirroring act on all rows at once.
+    A row holds N standard normals: the real parts of the positive bins,
+    their imaginary parts, then the real draws of the self-paired bins
+    w = 0 and w = -N/2.  Scaling and mirroring act on all rows at once.
     """
     n = model.n
     half = n // 2  # FFT bin of w = -N/2; bins 1..half-1 hold w = 1..N/2-1
     pairs = half - 1
     root = np.sqrt(np.fft.ifftshift(model.density))
-    # per trial: real parts of the positive bins, their imaginary parts, then
-    # the real draws of the two self-paired bins, in the generator's order
-    draws = np.empty((len(states), 2 * pairs + 2))
-    for row, words in zip(draws, states):
-        np.random.Generator(np.random.PCG64(_Words(words))).standard_normal(out=row)
-    coeffs = np.empty((len(states), n), dtype=np.complex128)
+    coeffs = np.empty((len(draws), n), dtype=np.complex128)
     re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
     coeffs[:, 0] = root[0] * draws[:, -2]
     coeffs[:, 1:half] = root[1:half] * (re + 1j * im) / math.sqrt(2.0)
@@ -248,18 +185,9 @@ def _coefficient_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _simulate_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
-    """One real realization per row of PCG64 seed words, shape (len(states), N).
-
-    The coefficient rows are conjugate-symmetric by construction, so the
-    real part of their inverse is the realization.
-    """
-    return (np.fft.ifft(_coefficient_rows(model, states), axis=-1) * model.n).real + model.mean
-
-
-def _spectrum_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
-    """The FFTs of ``_simulate_rows``'s realizations, built without leaving frequency."""
-    spec = _coefficient_rows(model, states)
+def _spectrum_rows(model: StationaryModel, draws: np.ndarray) -> np.ndarray:
+    """The FFTs of ``simulate``'s realizations of these draws, built without leaving frequency."""
+    spec = _coefficient_rows(model, draws)
     spec *= model.n
     spec[:, 0] += model.n * model.mean  # the mean moves bin 0 alone
     return spec
@@ -268,23 +196,26 @@ def _spectrum_rows(model: StationaryModel, states: np.ndarray) -> np.ndarray:
 def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     """Draw independent realizations, reproducibly.
 
-    Trial k is fixed by the k-th child spawned from ``SeedSequence(seed)``,
-    whose seed words are derived for all trials in one pass, so trial k of a
-    run is the same signal no matter how many trials are requested.  The
-    seed must be a nonnegative integer, and the peak held must fit the
+    Trial k is row k of a (trials, N) standard normal draw from
+    ``np.random.default_rng(seed)``, so trial k of a run is the same signal
+    no matter how many trials are requested, and the same trial
+    ``mc_layer_energy`` scores.  The coefficient rows are conjugate-symmetric
+    by construction, so the real part of their inverse is the realization.
+    The seed must be a nonnegative integer, and the peak held must fit the
     memory budget: per trial, 40 N bytes while building the coefficients
     (the draws, the complex coefficient row and two complex half rows) and
-    512 bytes of seed words and ``Signal`` objects; per call, 16 N bytes for
-    the density's square root and its shifted copy, and 256 KiB for numpy's
-    casting buffers.
+    512 bytes of ``Signal`` objects; per call, 16 N bytes for the density's
+    square root and its shifted copy, and 256 KiB for numpy's casting
+    buffers.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_seed(seed)
     n = model.n
     _check_bytes(f"{trials} trials on N={n}", (40 * n + 512) * trials + 16 * n + (1 << 18))
-    states = _spawn_words(np.random.SeedSequence(seed), 0, trials)
-    return [Signal(row, real=True) for row in _simulate_rows(model, states)]
+    coeffs = _coefficient_rows(model, np.random.default_rng(seed).standard_normal((trials, n)))
+    rows = (np.fft.ifft(coeffs, axis=-1) * n).real + model.mean
+    return [Signal(row, real=True) for row in rows]
 
 
 def expected_filter_energy(model: StationaryModel, h: Spectrum) -> float:
@@ -334,14 +265,14 @@ def mc_layer_energy(
     the memory budget.
 
     Trials are drawn as spectra and scored in the blocks of the energy-only
-    pass, whose deepest formed layer is n - 1; trial k is fixed by the k-th
-    child spawned from ``SeedSequence(seed)``, so its value does not depend
-    on its block.
+    pass, whose deepest formed layer is n - 1.  Each block takes its trials'
+    rows from one ``np.random.default_rng(seed)`` in turn, so trial k is row
+    k of that stream, the trial ``simulate`` returns, whatever its block.
     """
     _check_mc_request(model, bank, n, trials, seed)
-    root = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
     values = np.empty(trials)
-    draw = lambda start, k: _spectrum_rows(model, _spawn_words(root, start, k))
+    draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)))
     for start, profiles in _block_profiles(bank, n, trials, draw):
         values[start : start + profiles.shape[1]] = profiles[n]
     estimate = float(np.mean(values))

@@ -6,8 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from scatdecay import filterbank, scattering, stationary
 from scatdecay.decay import compute_constants
@@ -229,8 +227,7 @@ def _no_draws(*args, **kwargs):
 def test_bad_seed_refused_before_drawing(seed, monkeypatch):
     model = make_model("white", 64)
     bank = build_bank(morlet_mother(), 0, 64)
-    monkeypatch.setattr(stationary, "_simulate_rows", _no_draws)
-    monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
     for run in (lambda: simulate(model, 3, seed), lambda: mc_layer_energy(model, bank, 2, 3, seed)):
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
             run()
@@ -238,44 +235,22 @@ def test_bad_seed_refused_before_drawing(seed, monkeypatch):
 
 def test_simulate_budget_counts_its_peak(monkeypatch):
     model = make_model("white", 64)
-    # five trials' rows while building, seed words and objects, then the call's root rows and casting buffers
+    # five trials' rows while building and objects, then the call's root rows and casting buffers
     nbytes = (40 * 64 + 512) * 5 + 16 * 64 + 2**18
     monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes)
     assert len(simulate(model, 5, seed=0)) == 5
     monkeypatch.setattr(filterbank, "_BUDGET_BYTES", nbytes - 1)
-    monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
     with pytest.raises(BudgetExceededError) as info:
         simulate(model, 5, seed=0)
     assert info.value.estimated_bytes == nbytes
 
 
 def test_simulate_refuses_a_billion_trials_before_drawing(monkeypatch):
-    monkeypatch.setattr(stationary, "_spawn_words", _no_draws)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
     with pytest.raises(BudgetExceededError) as info:
         simulate(make_model("white", 128), 10**9, seed=0)
     assert info.value.estimated_bytes == (40 * 128 + 512) * 10**9 + 16 * 128 + 2**18
-
-
-# --- per-trial seed words ---------------------------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=1, max_value=6).flatmap(
-        lambda words: st.integers(min_value=0, max_value=2 ** (32 * words) - 1)),
-    start=st.integers(min_value=0, max_value=600),
-    count=st.integers(min_value=1, max_value=60),
-)
-@example(seed=0, start=0, count=1)
-@example(seed=2**32 - 1, start=40, count=3)  # around depth-3 blocks of 41 trials
-@example(seed=2**32, start=291, count=3)  # around depth-2 blocks of 292 trials
-@example(seed=2**128 + 7, start=584, count=5)
-@settings(deadline=None, max_examples=60)
-def test_spawn_words_match_spawned_children(seed, start, count):
-    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
-    want = np.array([child.generate_state(4, np.uint64) for child in children])
-    got = stationary._spawn_words(np.random.SeedSequence(seed), start, count)
-    assert got.dtype == np.uint64 and got.shape == (count, 4)
-    assert got.tobytes() == want.tobytes()
 
 
 # --- exact filter energies ------------------------------------------------------
@@ -334,14 +309,16 @@ def test_layer_one_matches_analytic_value(shannon_128):
 def test_mc_matches_per_trial_scatter(n, monkeypatch):
     bank = build_bank(morlet_mother(), 0, 64)
     model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
-    # blocks of 4 trials, so 10 trials end on a partial block
-    per_trial = len(bank.filters) ** (n - 1) * 64  # layer n-1 values
-    monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * per_trial)
-    est = mc_layer_energy(model, bank, n, trials=10, seed=17)
     low = gaussian_output_lowpass(0, 64)
     ref = [scatter(sig, bank, low, n).layer_energies[n] for sig in simulate(model, 10, 17)]
-    assert est.estimate == pytest.approx(np.mean(ref), rel=1e-13)
-    assert est.stderr == pytest.approx(np.std(ref, ddof=1) / math.sqrt(10), rel=1e-13)
+    per_trial = len(bank.filters) ** (n - 1) * 64  # layer n-1 values
+    # blocks of 1, 3 and 4 trials, the last two ending on a partial block: a block drawn
+    # twice, or from a restarted stream, takes other rows than simulate's trials
+    for block in (1, 3, 4):
+        monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", block * per_trial)
+        est = mc_layer_energy(model, bank, n, trials=10, seed=17)
+        assert est.estimate == pytest.approx(np.mean(ref), rel=1e-13)
+        assert est.stderr == pytest.approx(np.std(ref, ddof=1) / math.sqrt(10), rel=1e-13)
 
 
 def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
@@ -355,8 +332,7 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
     breadth = len(bank.filters)
     # depth 2: blocks of 4, 4 and 2 trials; depth 3: one trial per block
     monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * breadth * 64)
-    states = stationary._spawn_words(np.random.SeedSequence(17), 0, 10)
-    spectra = stationary._spectrum_rows(model, states)
+    spectra = stationary._spectrum_rows(model, np.random.default_rng(17).standard_normal((10, 64)))
     for n in (2, 3, 2):
         est = mc_layer_energy(model, bank, n, trials=10, seed=17)
         ref = np.array([
@@ -377,27 +353,27 @@ def test_mc_estimate_is_reproducible(shannon_128):
 
 # Exact Monte Carlo results at N=128 (7 octaves): depth 2 scores 292 trials
 # per block and depth 3 scores 41, so each case spans three or more blocks.
-# A change to how trials are drawn or scored must keep these bits, one
-# (estimate, stderr) pair per NumPy kernel family.
+# A change to how trials are scored must keep these bits, one (estimate,
+# stderr) pair per NumPy kernel family; trial k is row k of default_rng(seed).
 PINNED_MC = {
     "shannon-white-d2": (
         shannon_mother, ("white", {"sigma": 1.0}), 2, 600, 5, {
-            "avx512": ("20.47869978605277", "0.14788706573250765"),
-            "avx2": ("20.47869978605277", "0.14788706573250765"),
+            "avx512": ("20.527308836949878", "0.15258140987569213"),
+            "avx2": ("20.527308836949878", "0.15258140987569213"),
         },
     ),
     "morlet-filtered_noise-d3": (
         morlet_mother,
         ("filtered_noise", {"sigma": 1.0, "filter": {"name": "gaussian_lowpass", "a": 16.0}}),
         3, 200, 6, {
-            "avx512": ("0.005291585084154183", "0.00013513167154576488"),
-            "avx2": ("0.005291585084154183", "0.0001351316715457649"),
+            "avx512": ("0.005392686856112281", "0.0001388950782309532"),
+            "avx2": ("0.0053926868561122825", "0.00013889507823095323"),
         },
     ),
     "morlet-ar1-mean-d2": (
         morlet_mother, ("ar1", {"sigma": 1.0, "rho": 0.5, "mean": 0.7}), 2, 600, 7, {
-            "avx512": ("0.024846638271385977", "0.0001967516164253932"),
-            "avx2": ("0.02484663827138598", "0.0001967516164253932"),
+            "avx512": ("0.024689153623158298", "0.0001962111130296914"),
+            "avx2": ("0.0246891536231583", "0.0001962111130296914"),
         },
     ),
 }
@@ -412,17 +388,18 @@ def test_mc_estimate_bits_are_pinned(case, kernel_family):
     assert (repr(est.estimate), repr(est.stderr)) == pins[kernel_family]
 
 
-def per_trial_rows(model, children):
-    """Trial signals drawn one generator call at a time, in raw numpy.
+def per_trial_rows(model, trials, seed):
+    """Trial signals drawn from one shared generator, one call at a time, in raw numpy.
 
-    Per trial: a (2, N/2-1) standard normal draw for the real and imaginary
-    parts of the positive bins, then one scalar for w = 0 and one for -N/2.
+    Per trial, in turn: a (2, N/2-1) standard normal draw for the real and
+    imaginary parts of the positive bins, then one scalar for w = 0 and one
+    for -N/2.
     """
     n, half = model.n, model.n // 2
     root = np.sqrt(model.density)
+    rng = np.random.default_rng(seed)
     rows = []
-    for child in children:
-        rng = np.random.default_rng(child)
+    for _ in range(trials):
         draw = rng.standard_normal((2, half - 1))
         coeffs = np.zeros(n, dtype=np.complex128)
         coeffs[half + 1 :] = root[half + 1 :] * (draw[0] + 1j * draw[1]) / math.sqrt(2.0)
@@ -435,14 +412,12 @@ def per_trial_rows(model, children):
 
 @pytest.mark.parametrize("n", [2, 4, 64, 128])
 def test_simulated_rows_match_per_trial_draws(n):
-    children = np.random.SeedSequence(23).spawn(9)
-    states = stationary._spawn_words(np.random.SeedSequence(23), 0, 9)
     for model in (
         make_model("ar1", n, sigma=1.3, rho=0.4, mean=-0.6),
         make_model("filtered_noise", n, filter={"name": "gaussian_lowpass", "a": 2.0}),
     ):
-        got = stationary._simulate_rows(model, states)
-        assert got.tobytes() == per_trial_rows(model, children).tobytes()
+        got = np.array([sig.samples.real for sig in simulate(model, 9, seed=23)])
+        assert got.tobytes() == per_trial_rows(model, 9, 23).tobytes()
 
 
 def test_bound_dominates_white_noise_layers(shannon_128):
