@@ -11,8 +11,9 @@ Three conditions are checked here:
 * positive frequencies strictly dominate their mirrors (analyticity),
 * |psi_hat| decays at better-than-linear order near zero.
 
-All three are grid evaluations that report a signed margin and a witness
-frequency; downstream bounds consume the margins, so the checks never
+The first two are grid evaluations that report a signed margin and a
+witness frequency; the third reads the order the mother's closed form
+guarantees.  Downstream bounds consume the margins, so the checks never
 round a failure up to a pass.
 
 Every converged dyadic sum over all integer j, here and in ``decay``, is
@@ -83,8 +84,6 @@ _COVERAGE_TOL = 1e-3  # largest |kept - full| octave sum inside a validated band
 _MASS_FLOOR = 1e-12  # a retained octave sum at most this is a hole, left out of the validated band
 _ASYMMETRY_TOL = 1e-12  # largest excess of a mirror amplitude over its partner
 _LP_TOL = 1e-9  # largest excess of a symmetrized squared octave sum over one
-_ORDER_WINDOW = (2.0**-10, 2.0**-4)
-_ORDER_POINTS = 25
 _ORDER_THRESHOLD = 0.05
 
 
@@ -132,16 +131,15 @@ class MotherWavelet:
     ``pair`` maps a float64 array of frequencies w to the real amplitudes
     (psi_hat(w), psi_hat(-w)), vectorized: every bank condition reads the
     mother at +2^j w and -2^j w together, so that pair is its one
-    definition.  ``zero_near_origin`` marks indicator-type profiles
-    that may vanish identically on a neighbourhood of zero; the order check
-    passes a profile without a fit only when it is flagged and its samples
-    are 0.0 on the whole fit window.
+    definition.  ``order`` is the vanishing order at zero that the
+    profile's closed form guarantees, |psi_hat(w)| = O(|w|^order), and
+    ``inf`` for a profile that is 0 on a neighbourhood of zero.
     """
 
     name: str
     params: dict
     pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    zero_near_origin: bool = False
+    order: float
 
     def __call__(self, w) -> np.ndarray:
         return np.asarray(self.pair(np.asarray(w, dtype=np.float64))[0], dtype=np.float64)
@@ -153,9 +151,10 @@ def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     The Gaussian bump at ``center`` is corrected by a Gaussian at zero.
     A plain amplitude correction only cancels the value at the origin and
     leaves a linear term; multiplying the correction by
-    (1 + center*w/width^2) also cancels the derivative, so
-    |psi_hat(w)| = O(w^2) as w -> 0 and the order check passes with room
-    to spare.  A bump that reaches past ``X_WINDOW`` is refused.
+    (1 + center*w/width^2) also cancels the derivative.  With
+    t = center w / width^2, kappa = exp(-center^2 / (2 width^2)) and
+    g = exp(-w^2 / (2 width^2)) the profile is kappa g (e^t - 1 - t), of
+    order 2.  A bump that reaches past ``X_WINDOW`` is refused.
     """
     kappa = _morlet_kappa(center, width)
 
@@ -168,15 +167,16 @@ def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
         minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * (1.0 - center * w / width**2) * gauss
         return plus, minus
 
-    return MotherWavelet("morlet", {"center": center, "width": width}, pair)
+    return MotherWavelet("morlet", {"center": center, "width": width}, pair, order=2.0)
 
 
 def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     """Morlet with only the zero-mean correction.
 
-    Kept as the canonical near-linear profile: psi_hat(w) ~ c*w near the
-    origin, so the vanishing-order check rejects it.  Useful in tests and
-    as a contrast case; the decay machinery must refuse it.
+    Kept as the canonical near-linear profile: in the terms of
+    ``morlet_mother`` it is kappa g (e^t - 1), of order 1, so the
+    vanishing-order check rejects it.  Useful in tests and as a contrast
+    case; the decay machinery must refuse it.
     """
     kappa = _morlet_kappa(center, width)
 
@@ -186,15 +186,16 @@ def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> Mother
         minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * gauss
         return plus, minus
 
-    return MotherWavelet("morlet_first_order", {"center": center, "width": width}, pair)
+    return MotherWavelet("morlet_first_order", {"center": center, "width": width}, pair, order=1.0)
 
 
 def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     """Symmetrized Morlet, psi_hat(w) = psi_hat(-w).
 
-    Satisfies the sum and order conditions but carries no analytic
-    preference between +w and -w, so the strict-dominance check fails
-    with margin zero.
+    In the terms of ``morlet_mother`` it is sqrt(2) kappa g (cosh t - 1),
+    of order 2.  Satisfies the sum and order conditions but carries no
+    analytic preference between +w and -w, so the strict-dominance check
+    fails with margin zero.
     """
     base = morlet_mother(center, width)
     root_half = 1.0 / math.sqrt(2.0)
@@ -205,7 +206,7 @@ def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet
         even = (plus + minus) * root_half
         return even, even
 
-    return MotherWavelet("even_morlet", {"center": center, "width": width}, pair)
+    return MotherWavelet("even_morlet", {"center": center, "width": width}, pair, order=2.0)
 
 
 def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> MotherWavelet:
@@ -214,6 +215,7 @@ def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> 
     Generalizes the octave indicator; narrow bands make legal but nearly
     useless banks whose decay constants collapse, which is exactly what
     the degenerate-octave guard in the constants computation detects.
+    The profile is 0 on (-lo, lo), so its order is infinite.
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
@@ -238,13 +240,11 @@ def bandpass_mother(lo: float, hi: float, amplitude: float = math.sqrt(2.0)) -> 
     def pair(w):
         return scale * ((w > lo) & (w <= hi)), scale * ((w < -lo) & (w >= -hi))
 
-    return MotherWavelet(
-        "bandpass", {"lo": lo, "hi": hi, "amplitude": amplitude}, pair, zero_near_origin=True
-    )
+    return MotherWavelet("bandpass", {"lo": lo, "hi": hi, "amplitude": amplitude}, pair, order=math.inf)
 
 
 def shannon_mother() -> MotherWavelet:
-    """Indicator of the octave (1, 2], scaled so the octave sums are 1."""
+    """Indicator of the octave (1, 2], scaled so the octave sums are 1; 0 on (-1, 1), of order inf."""
     return replace(bandpass_mother(1.0, 2.0), name="shannon", params={})
 
 
@@ -542,48 +542,21 @@ def check_asymmetry(bank: FilterBank) -> ConditionReport:
 
 
 def estimate_vanishing_order(mother: MotherWavelet) -> ConditionReport:
-    """Fit the decay order of |psi_hat| near zero.
+    """The order condition |psi_hat(w)| = O(|w|^(1 + eps)) at zero, read from ``mother.order``.
 
-    A least-squares line through (log w, log |psi_hat(w)|) on ``_ORDER_POINTS``
-    geometric points of ``_ORDER_WINDOW`` estimates |psi_hat(w)| ~ w^(1 + eps);
-    it passes when eps >= ``_ORDER_THRESHOLD``.  A mother flagged
-    ``zero_near_origin`` whose samples are 0.0 at every fit point passes without
-    a fit: the flag and the samples decide together.  Any other profile with a
-    0.0 at a fit point, as one that underflows or an indicator whose band
-    reaches the window, has no line to fit: it gets slope 0, the order any
-    bounded profile has, and fails.  The report's margin is
-    eps - ``_ORDER_THRESHOLD`` (inf for the flagged zero profile), and its
-    ``details`` hold the fit.
+    The order is the one the mother's closed form guarantees, so
+    eps = order - 1 is exact and the profile is never evaluated.  The check
+    passes when eps >= ``_ORDER_THRESHOLD``, with margin
+    eps - ``_ORDER_THRESHOLD``: inf for a profile that is 0 near zero.
     """
-    x = np.geomspace(*_ORDER_WINDOW, _ORDER_POINTS)
-    vals = np.abs(mother(x))
-    zero = mother.zero_near_origin and not np.any(vals > 0.0)
-    if zero:
-        slope, residual = math.inf, 0.0
-    elif np.any(vals == 0.0):
-        slope, residual = 0.0, 0.0
-    else:
-        design = np.column_stack([np.log(x), np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(design, np.log(vals), rcond=None)
-        slope = float(coef[0])
-        fitted = design @ coef
-        residual = float(np.sqrt(np.mean((np.log(vals) - fitted) ** 2)))
-    eps = slope - 1.0
+    eps = mother.order - 1.0
     return ConditionReport(
         condition="vanishing_order",
         passed=eps >= _ORDER_THRESHOLD,
-        margin=math.inf if zero else eps - _ORDER_THRESHOLD,
+        margin=eps - _ORDER_THRESHOLD,
         witness_freq=None,
         tolerance=0.0,
-        details={
-            "slope": slope,
-            "epsilon_hat": eps,
-            "threshold": _ORDER_THRESHOLD,
-            "fit_window": list(_ORDER_WINDOW),
-            "n_points": _ORDER_POINTS,
-            "residual": residual,
-            "identically_zero": zero,
-        },
+        details={"order": mother.order, "epsilon_hat": eps, "threshold": _ORDER_THRESHOLD},
     )
 
 

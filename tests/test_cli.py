@@ -183,6 +183,21 @@ def test_decay_csv_rows_do_not_depend_on_the_depth(bank_file, request, tmp_path)
     assert tables[1].startswith(tables[0]) and tables[1] != tables[0]
 
 
+def test_readme_example_files_run_together(tmp_path, capsys):
+    # the README's example bank and model files, read from it, are one grid: its stationary run
+    # command passes on them
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")) as fh:
+        text = fh.read()
+    bank = text.split("Bank files are small JSON recipes, e.g.\n\n```json\n", 1)[1].split("\n", 1)[0]
+    model = text.split("and model files likewise (`", 1)[1].split("`)", 1)[0]
+    (tmp_path / "bank.json").write_text(bank)
+    (tmp_path / "model.json").write_text(model)
+    argv = ["stationary", "run", "--bank", str(tmp_path / "bank.json"), "--model", str(tmp_path / "model.json"),
+            "--out", str(tmp_path / "mc"), "--trials", "200"]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "mc" / "mc_report.json").read_text())["pass"] is True
+
+
 def test_stationary_run_within_bound(tmp_path, capsys):
     bank_path = tmp_path / "shannon128.json"
     save_bank(bank_path, build_bank(shannon_mother(), 0, 128))
@@ -240,60 +255,54 @@ def test_bank_without_validated_band_fails_bank_check(tmp_path, capsys):
         "check_asymmetry.json", "check_littlewood_paley.json", "check_vanishing_order.json"]
 
 
-def test_order_fit_through_an_underflowed_point_fails_bank_check(tmp_path, capsys):
-    # once a ValueError and exit 2 for a well-formed recipe; now a failed check, reports written,
-    # with every number finite (decay verify refuses the same bank in the refusal table below)
-    bank_path = tmp_path / "bank.json"
-    bank_path.write_text(json.dumps(_UNDERFLOWING))
-    out = tmp_path / "out"
-    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 1
-    assert "vanishing_order: FAIL (margin=-1.05)\n" in capsys.readouterr().out
-    report = json.loads((out / "check_vanishing_order.json").read_text())
-    numbers = [report["margin"], *(v for v in report["details"].values() if isinstance(v, float))]
-    assert not report["passed"] and len(numbers) == 5 and all(map(math.isfinite, numbers))
-
-
-def _fails_alike(recipe, failed, err, tmp_path, capsys):
+def _gets_verdict(recipe, failed, err, tmp_path, capsys):
     # bank check prints exactly the FAIL lines ``failed`` and writes its three reports, and
-    # decay verify refuses the bank with ``err``; both exit 1, the code of a failed condition
+    # decay verify refuses the bank with ``err``: both exit 1, the code of a failed condition;
+    # with no FAIL line both pass, exit 0, and decay verify writes its table
+    code = 1 if failed else 0
     bank_path = tmp_path / "bank.json"
     bank_path.write_text(json.dumps(recipe))
-    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(tmp_path / "reports")]) == 1
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(tmp_path / "reports")]) == code
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if ": FAIL (" in line] == list(failed)
     assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == [
         "check_asymmetry.json", "check_littlewood_paley.json", "check_vanishing_order.json"]
-    assert main(["decay", "verify", "--bank", str(bank_path), "--out", str(tmp_path / "decay")]) == 1
-    assert capsys.readouterr() == ("", err + "\n")
-    assert not (tmp_path / "decay").exists()
+    assert main(["decay", "verify", "--bank", str(bank_path), "--out", str(tmp_path / "decay")]) == code
+    if failed:
+        assert capsys.readouterr() == ("", err + "\n")
+        assert not (tmp_path / "decay").exists()
+    else:
+        assert capsys.readouterr().err == "" and (tmp_path / "decay" / "decay.csv").exists()
 
 
-_ORDER_FAILS = "vanishing_order: FAIL (margin=-1.05)"
-_ORDER_REFUSED = "error: near-zero decay order -1.0000 below 0.05"
+_ORDER_FAILS = "vanishing_order: FAIL (margin=-0.05)"
+_ORDER_REFUSED = "error: near-zero decay order 0.0000 below 0.05"
 
 
-def test_bank_check_refuses_indicator_with_mass_on_the_fit_window(tmp_path, capsys):
-    # the band (0.01, 0.02] lies inside the fit window [2^-10, 2^-4]; it once contradicted the
-    # bandpass flag and exited 2, as malformed input, though the bank builds; now the flag
-    # passes only a profile that is 0.0 on the whole window, and this one fails the fit
-    recipe = {"mother": {"name": "bandpass", "params": {"lo": 0.01, "hi": 0.02}}, "J": 0, "j_min": None, "N": 256}
-    _fails_alike(recipe, [_ORDER_FAILS], _ORDER_REFUSED, tmp_path, capsys)
-
-
+# each mother's order is the one its closed form gives, whatever the width or band
 @pytest.mark.parametrize("recipe, failed, err", [
     # bank check once exited 2 on the order fit's ValueError, decay verify 1 on the sums
     ({"mother": {"name": "bandpass", "params": {"lo": 0.01, "hi": 0.03}}, "J": -9, "j_min": None, "N": 64},
-     ["littlewood_paley: FAIL (margin=-1 at w=11)", _ORDER_FAILS],
+     ["littlewood_paley: FAIL (margin=-1 at w=11)"],
      "error: squared sums exceed one (margin -1.000e+00 at w = 11.0)"),
-    # unflagged profiles that underflow to 0.0 at all 25 fit points once passed as identically
-    # zero, with margin inf, and both commands exited 0: an order-1 mother among them
+    # profiles that underflow to 0.0 near zero: order 1 fails, order 2 passes
     ({"mother": {"name": "morlet_first_order", "params": {"center": 3.0, "width": 0.05}}, "J": 0,
       "j_min": None, "N": 256}, [_ORDER_FAILS], _ORDER_REFUSED),
     ({"mother": {"name": "morlet", "params": {"center": 2.8340951665991154, "width": 0.05}}, "J": -2,
-      "j_min": -3, "N": 2048}, [_ORDER_FAILS], _ORDER_REFUSED),
-], ids=["bandpass-on-the-fit-window", "first-order-morlet-underflowing", "morlet-underflowing"])
+      "j_min": -3, "N": 2048}, [], None),
+    # wider, and still 0.0 at 14 of 25 geometric points of [2^-10, 2^-4]
+    ({"mother": {"name": "morlet", "params": {"center": 2.8340951665991154, "width": 0.0731538287531215}},
+      "J": -2, "j_min": -3, "N": 2048}, [], None),
+    # narrow, but far from underflow: order 1 at every width
+    ({"mother": {"name": "morlet_first_order", "params": {"center": 3.0, "width": 0.1}}, "J": 0,
+      "j_min": None, "N": 256}, [_ORDER_FAILS], _ORDER_REFUSED),
+    # a band close to zero: the profile is 0.0 on (-0.01, 0.01)
+    ({"mother": {"name": "bandpass", "params": {"lo": 0.01, "hi": 0.02}}, "J": 0, "j_min": None, "N": 256},
+     [], None),
+], ids=["bandpass-on-the-fit-window", "first-order-morlet-underflowing", "morlet-underflowing",
+        "morlet-underflowing-at-14-points", "first-order-morlet-narrow", "bandpass-near-zero"])
 def test_bank_that_builds_gets_a_verdict(recipe, failed, err, tmp_path, capsys):
-    _fails_alike(recipe, failed, err, tmp_path, capsys)
+    _gets_verdict(recipe, failed, err, tmp_path, capsys)
 
 
 def test_asymmetry_without_validated_band_checks_the_whole_grid(tmp_path, capsys):
@@ -513,9 +522,7 @@ _NOT_A_FLOAT = "float() argument must be a string or a real number, not "
 _TOO_LONG = "int too large to convert to float"
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
-_NEAR_ZERO = "error: near-zero decay order 0.0181 below 0.05"
-# a narrow Morlet whose profile underflows to 0.0 at 14 of its 25 order-fit points
-_UNDERFLOWING = _bank("morlet", J=-2, N=2048, j_min=-3, center=2.8340951665991154, width=0.0731538287531215)
+_NEAR_ZERO = "error: near-zero decay order 0.0000 below 0.05"
 _NO_BAND = ("error: bank has no validated band: the retained octaves nowhere both reproduce the full "
             "dyadic sum and carry octave mass")
 _REQUIRED = "scatdecay {}: error: the following arguments are required: {}"
@@ -618,13 +625,6 @@ _REFUSALS = {
         Refusal("decay verify --bank {bank} --out {out}", 1, "error: no octave mass for j <= 0 anywhere on the "
                 "curvature grid [2^-8, 128], so the initial window cannot be scaled",
                 bank=_bank("bandpass", lo=1.4999, hi=1.5001, amplitude=1e-5), work=True),
-    ],
-    # an order fit through 0.0 once raised ValueError, exit 2 as for malformed input; the
-    # fit now takes slope 0, the order of any bounded profile, and the order check fails
-    "test_order_fit_through_an_underflowed_point_exits_one": [
-        Refusal(argv, 1, "error: near-zero decay order -1.0000 below 0.05", bank=_UNDERFLOWING,
-                model=_model("white", 2048, sigma=1.0), work=True, id=argv.split()[0])
-        for argv in ("decay verify --bank {bank} --out {out}", _STATIONARY)
     ],
     "test_bad_depth_or_trials_refused_before_any_work": [
         Refusal(f"{argv} --bank {{bank}} --out {{out}}", 2, f"error: {message}", bank=_SHANNON_128,

@@ -213,12 +213,13 @@ def reference_octave_sums(bank, omegas):
 
 def lognormal_mother():
     """Analytic bump spread over many octaves: its octave sums have many
-    terms of one size, so the order in which a sum adds them shows in its bits."""
+    terms of one size, so the order in which a sum adds them shows in its bits.
+    It falls faster than any power of w at zero, so its order is inf."""
 
     def side(w):
         return np.exp(-np.log2(np.maximum(w, 1e-300)) ** 2 / 8.0) * (w > 0)
 
-    return MotherWavelet("lognormal", {}, lambda w: (side(w), side(-w)))
+    return MotherWavelet("lognormal", {}, lambda w: (side(w), side(-w)), order=math.inf)
 
 
 def _constant_grid(kind, n):
@@ -423,7 +424,7 @@ def test_window_refuses_first_order_profile():
     # compute_constants' message, from the one order check every entry point makes first
     bank = build_bank(morlet_first_order_mother(), 0, 256)
     for entry in (initialize_lowpass, initialize_x):
-        with pytest.raises(VanishingOrderError, match=r"^near-zero decay order 0\.0181 below 0\.05$"):
+        with pytest.raises(VanishingOrderError, match=r"^near-zero decay order 0\.0000 below 0\.05$"):
             entry(bank)
 
 
@@ -480,8 +481,8 @@ def test_morlet_constants(morlet_constants):
 
 
 # Exact constants and margins of nine banks: a change to how the constants
-# are computed must keep these bits, or say why they moved.  A value that
-# differs between NumPy kernel families is a dict keyed by family.
+# are computed must keep these bits, or say why they moved.  They are the
+# same in both NumPy kernel families.
 PINNED_CONSTANTS = {
     "shannon-256": (
         (shannon_mother, 256),
@@ -499,7 +500,7 @@ PINNED_CONSTANTS = {
          "delta": 1.7580719837645036, "a": 1.6027285952974988,
          "x_init": 4.756828460010884, "r": 1.851814665585075},
         {"littlewood_paley": 0.4494521946678074,
-         "vanishing_order_epsilon": 1.0119870532354418,
+         "vanishing_order_epsilon": 1.0,
          "octave_gap": 0.07691967336316108,
          "x_condition": 0.006786122621667112},
     ),
@@ -509,7 +510,7 @@ PINNED_CONSTANTS = {
          "delta": 1.7580719837645036, "a": 1.6027285952974988,
          "x_init": 4.756828460010884, "r": 1.851814665585075},
         {"littlewood_paley": 0.4493801887513936,
-         "vanishing_order_epsilon": 1.0119870532354418,
+         "vanishing_order_epsilon": 1.0,
          "octave_gap": 0.07691967336316108,
          "x_condition": 0.006786122621667112},
     ),
@@ -519,7 +520,7 @@ PINNED_CONSTANTS = {
          "delta": 1.7580719837645036, "a": 1.6027285952974988,
          "x_init": 4.756828460010884, "r": 1.851814665585075},
         {"littlewood_paley": 0.4493799673608482,
-         "vanishing_order_epsilon": 1.0119870532354418,
+         "vanishing_order_epsilon": 1.0,
          "octave_gap": 0.07691967336316108,
          "x_condition": 0.006786122621667112},
     ),
@@ -529,7 +530,7 @@ PINNED_CONSTANTS = {
          "delta": 1.5822648877107934, "a": 1.6027286762113149,
          "x_init": 4.756828460010884, "r": 1.8518144786072168},
         {"littlewood_paley": 0.4493841324791308,
-         "vanishing_order_epsilon": {"avx512": 1.0133016682256377, "avx2": 1.0133016682256142},
+         "vanishing_order_epsilon": 1.0,
          "octave_gap": 0.0949625439492078,
          "x_condition": 0.024090245653892395},
     ),
@@ -539,7 +540,7 @@ PINNED_CONSTANTS = {
          "delta": 1.997189327076824, "a": 1.6119457829954882,
          "x_init": 6.727171322029716, "r": 2.588997476989099},
         {"littlewood_paley": 0.4467116193816829,
-         "vanishing_order_epsilon": {"avx512": 1.010283468382982, "avx2": 1.0102834683839932},
+         "vanishing_order_epsilon": 1.0,
          "octave_gap": 0.059352212017041106,
          "x_condition": 0.017442240387465335},
     ),
@@ -551,7 +552,7 @@ PINNED_CONSTANTS = {
          "delta": 1.3723716143830653, "a": 1.673815235788457,
          "x_init": 4.756828460010884, "r": 1.697862267547821},
         {"littlewood_paley": 0.4297259576298671,
-         "vanishing_order_epsilon": {"avx512": 1.0090981671672963, "avx2": 1.0090981671666075},
+         "vanishing_order_epsilon": 1.0,
          "octave_gap": 0.12187053011161553,
          "x_condition": 0.03838979506200402},
     ),
@@ -581,15 +582,13 @@ PINNED_CONSTANTS = {
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CONSTANTS))
-def test_constants_bits_are_pinned(case, kernel_family):
+def test_constants_bits_are_pinned(case):
     (mother, n, *j_min), scalars, margins = PINNED_CONSTANTS[case]
     cst = compute_constants(build_bank(mother(), 0, n, *j_min))
     got = {name: getattr(cst, name) for name in scalars}
     # repr round-trips a float exactly, so equal reprs mean equal bits
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in scalars.items()}
-    assert {k: repr(v) for k, v in cst.margins.items()} == {
-        k: repr(v[kernel_family] if isinstance(v, dict) else v) for k, v in margins.items()
-    }
+    assert {k: repr(v) for k, v in cst.margins.items()} == {k: repr(v) for k, v in margins.items()}
 
 
 def test_morlet_width_margin_is_the_same_at_every_size():
@@ -777,8 +776,8 @@ def _scanned_banks(count, seed):
     """Seeded recipes on N=8..2048, J=-4..3, and the banks they build.
 
     The mothers are Morlet, first-order Morlet, Shannon and bandpass.  Morlet widths reach
-    down to 0.03, where the profiles underflow on the order fit's window, and bandpass bands
-    down to 10^-2.5, inside that window.
+    down to 0.03, where the profiles underflow to 0.0 near zero, and bandpass bands down to
+    10^-2.5.
     """
     rng = np.random.default_rng(seed)
     banks = []
@@ -804,21 +803,24 @@ def _scanned_banks(count, seed):
     return banks
 
 
+# the order each scanned family's closed form gives
+_SCAN_ORDERS = {"morlet": 2.0, "morlet_first_order": 1.0, "shannon": math.inf, "bandpass": math.inf}
+
+
 def test_bank_scan_decides_holes_once():
     # bank check and the constants decide alike: on every bank the scan builds, nothing but a
     # ScatdecayError leaves compute_constants, a bank that fails bank check (a check or no band)
     # gets no constants, and one that passes gets them, or is refused only by what the
-    # window construction alone checks; no band frequency is a hole; and the order fit gives
-    # every bank a verdict, passing a profile as identically zero only when its mother says so
+    # window construction alone checks; no band frequency is a hole; and the order verdict is
+    # the one each family's closed form gives, so no first-order Morlet gets constants
     banks = _scanned_banks(320, 31)
     assert len(banks) >= 300
     window_only = ("initial window violates the combined bound", "no octave mass for j <= ")
     certified = 0
     for bank in banks:
-        # an order fit through an underflowed point, or an indicator's band on the fit window,
-        # fails like any other check, not as input: the fit raises nothing
         reports = [check_littlewood_paley(bank), check_asymmetry(bank), estimate_vanishing_order(bank.mother)]
-        assert bank.mother.zero_near_origin or not reports[2].details["identically_zero"], bank
+        assert bank.mother.order == _SCAN_ORDERS[bank.mother.name], bank
+        assert reports[2].passed == (bank.mother.name != "morlet_first_order"), bank
         passes = bank.validated_band is not None and all(r.passed for r in reports)
         if bank.validated_band is not None:
             assert np.all(compute_S(bank).values > filterbank._MASS_FLOOR), bank
@@ -827,7 +829,7 @@ def test_bank_scan_decides_holes_once():
         except ScatdecayError as exc:
             assert not passes or str(exc).startswith(window_only), (bank, exc)
         else:
-            assert passes, bank
+            assert passes and bank.mother.name != "morlet_first_order", bank
             certified += 1
     assert certified >= 150
 

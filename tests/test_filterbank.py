@@ -10,7 +10,6 @@ import pytest
 from scatdecay.filterbank import (
     ConditionReport,
     MOTHERS,
-    MotherWavelet,
     X_WINDOW,
     _octave_sums,
     bandpass_mother,
@@ -533,69 +532,65 @@ def test_octave_grid_checks_match_per_octave_loops(mother, j_max, n):
     assert asym.witness_freq == float(band[np.argmin(best)])
 
 
-def test_order_estimate_morlet():
-    report = estimate_vanishing_order(morlet_mother())
-    assert report.passed
-    assert not report.details["identically_zero"]
-    assert 2.0 < report.details["slope"] < 2.02
-    assert report.details["epsilon_hat"] == pytest.approx(report.details["slope"] - 1.0)
+# each builder's declared order, from the closed form in its docstring; the two bands
+# reach 5e-4 and 0.01, where the profile is 0 on (-lo, lo) as for any band
+DECLARED_ORDERS = {
+    "morlet": (morlet_mother(), 2.0),
+    "morlet_first_order": (morlet_first_order_mother(), 1.0),
+    "even_morlet": (even_morlet_mother(), 2.0),
+    "shannon": (shannon_mother(), math.inf),
+    "bandpass-wide": (bandpass_mother(5e-4, 2.0), math.inf),
+    "bandpass-narrow": (bandpass_mother(0.01, 0.02), math.inf),
+}
 
 
-def test_order_estimate_rejects_first_order_morlet():
-    report = estimate_vanishing_order(morlet_first_order_mother())
-    assert not report.passed
-    assert 1.01 < report.details["slope"] < 1.03
-    assert report.details["epsilon_hat"] < 0.05
+@pytest.mark.parametrize("case", sorted(DECLARED_ORDERS))
+def test_order_estimate_reads_the_declared_order(case):
+    mother, order = DECLARED_ORDERS[case]
+    assert mother.order == order
+    # the check never evaluates the profile: a mother without one gets the same report
+    report = estimate_vanishing_order(replace(mother, pair=None))
+    assert report == estimate_vanishing_order(mother)
+    assert report.details == {"order": order, "epsilon_hat": order - 1.0, "threshold": 0.05}
+    assert report.margin == order - 1.0 - 0.05
+    assert report.passed == (order >= 1.05)
 
 
-def test_order_estimate_even_morlet_passes():
-    # symmetrization preserves the quadratic order
-    report = estimate_vanishing_order(even_morlet_mother())
-    assert report.passed
-    assert 1.99 < report.details["slope"] < 2.02
+# psi_hat(w) / w^order as w -> 0, in the terms of the builders' docstrings:
+# kappa g (e^t - 1 - t), kappa g (e^t - 1) and sqrt(2) kappa g (cosh t - 1)
+CLOSED_FORM_LIMITS = {
+    "morlet": (morlet_mother, lambda kappa, c, s: kappa * c**2 / (2.0 * s**4)),
+    "morlet_first_order": (morlet_first_order_mother, lambda kappa, c, s: kappa * c / s**2),
+    "even_morlet": (even_morlet_mother, lambda kappa, c, s: kappa * c**2 / (math.sqrt(2.0) * s**4)),
+}
 
 
-def test_order_estimate_shannon_identically_zero():
-    report = estimate_vanishing_order(shannon_mother())
-    assert report.passed
-    assert report.details["identically_zero"]
-    assert report.details["residual"] == 0.0
+@pytest.mark.parametrize("center, width", [(3.0, 1.0), (2.5, 0.8), (3.5, 1.2)])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_LIMITS))
+def test_declared_order_has_its_closed_form_limit(name, center, width):
+    builder, limit = CLOSED_FORM_LIMITS[name]
+    mother = builder(center, width)
+    want = limit(math.exp(-(center**2) / (2.0 * width**2)), center, width)
+    for w in (1e-3, 1e-4, 1e-5):
+        # the next term of each series is at most t / 2 = center w / (2 width^2) of the limit
+        ratio = float(mother(w)) / w**mother.order
+        assert ratio == pytest.approx(want, rel=center * w / width**2), w
 
 
-def test_order_estimate_flags_inconsistent_indicator():
-    # a flagged indicator whose band covers the whole fit window is not zero there: the flag
-    # alone passes nothing, and the fit finds the flat order of a constant and fails
-    report = estimate_vanishing_order(bandpass_mother(5e-4, 2.0))
-    assert not report.passed and not report.details["identically_zero"]
-    assert abs(report.details["slope"]) < 1e-12
-    assert report.margin == pytest.approx(-1.05)
-
-
-def test_order_estimate_refuses_indicator_with_mass_on_the_window():
-    # the band (0.01, 0.02] lies inside the fit window [2^-10, 2^-4]: a flagged indicator with
-    # a 0.0 at some fit points but not all takes the slope-0 verdict, as an unflagged one does
-    report = estimate_vanishing_order(bandpass_mother(0.01, 0.02))
-    assert not report.passed and not report.details["identically_zero"]
-    assert (report.margin, report.details["slope"], report.details["epsilon_hat"]) == (-1.05, 0.0, -1.0)
-
-
-def test_order_estimate_refuses_a_zero_at_one_fit_point():
-    hole = np.geomspace(2.0**-10, 2.0**-4, 25)[7]
-
-    def side(w):
-        return np.where(w == hole, 0.0, w**2)
-
-    # no line fits through a zero: the fit falls back to slope 0, the order of any bounded
-    # profile, so the check fails with finite numbers instead of refusing the mother as input
-    mother = MotherWavelet("holed", {}, lambda w: (side(w), side(-w)))
-    report = estimate_vanishing_order(mother)
-    assert not report.passed
-    assert (report.margin, report.details["slope"], report.details["epsilon_hat"]) == (-1.05, 0.0, -1.0)
-    assert report.details["residual"] == 0.0 and not report.details["identically_zero"]
+@pytest.mark.parametrize("mother", [shannon_mother(), bandpass_mother(5e-4, 2.0), bandpass_mother(0.01, 0.02),
+                                    bandpass_mother(1e-8, 16.0), bandpass_mother(0.3, 0.3000001, 7.0)],
+                         ids=["shannon", "wide", "narrow", "window", "thin"])
+def test_indicator_is_zero_below_its_band(mother):
+    # 0.0 exactly on (-lo, lo), and at lo itself, as the band is (lo, hi]: order inf
+    lo = mother.params.get("lo", 1.0)
+    w = np.concatenate((np.linspace(0.0, lo, 1001), [np.nextafter(lo, 0.0), 5e-324]))
+    plus, minus = mother.pair(w)
+    assert mother.order == math.inf
+    assert not np.any(plus) and not np.any(minus)
 
 
 # the three check payloads at N=256, J=0, pinned as strings: a mistyped
-# tolerance, threshold or fit setting changes one
+# tolerance, threshold or declared order changes one
 PINNED_CHECK_PAYLOADS = {
     "morlet": (
         '{"condition": "littlewood_paley", "details": {"grid": "0..128", "max_sum": '
@@ -603,10 +598,8 @@ PINNED_CHECK_PAYLOADS = {
         '1e-09, "witness_freq": 99.0}',
         '{"condition": "asymmetry", "details": {"band": [3, 127], "per_octave_ok": true}, '
         '"margin": 0.6064412200136062, "passed": true, "tolerance": 1e-12, "witness_freq": 4.0}',
-        '{"condition": "vanishing_order", "details": {"epsilon_hat": 1.0119870532354418, '
-        '"fit_window": [0.0009765625, 0.0625], "identically_zero": false, "n_points": 25, '
-        '"residual": 0.007795005175199144, "slope": 2.011987053235442, "threshold": 0.05}, '
-        '"margin": 0.9619870532354418, "passed": true, "tolerance": 0.0, "witness_freq": null}',
+        '{"condition": "vanishing_order", "details": {"epsilon_hat": 1.0, "order": 2.0, "threshold": '
+        '0.05}, "margin": 0.95, "passed": true, "tolerance": 0.0, "witness_freq": null}',
     ),
     "shannon": (
         '{"condition": "littlewood_paley", "details": {"grid": "0..128", "max_sum": '
@@ -614,10 +607,8 @@ PINNED_CHECK_PAYLOADS = {
         '1e-09, "witness_freq": 2.0}',
         '{"condition": "asymmetry", "details": {"band": [2, 127], "per_octave_ok": true}, '
         '"margin": 1.4142135623730951, "passed": true, "tolerance": 1e-12, "witness_freq": 2.0}',
-        '{"condition": "vanishing_order", "details": {"epsilon_hat": Infinity, "fit_window": '
-        '[0.0009765625, 0.0625], "identically_zero": true, "n_points": 25, "residual": 0.0, '
-        '"slope": Infinity, "threshold": 0.05}, "margin": Infinity, "passed": true, '
-        '"tolerance": 0.0, "witness_freq": null}',
+        '{"condition": "vanishing_order", "details": {"epsilon_hat": Infinity, "order": Infinity, '
+        '"threshold": 0.05}, "margin": Infinity, "passed": true, "tolerance": 0.0, "witness_freq": null}',
     ),
     "even_morlet": (
         '{"condition": "littlewood_paley", "details": {"grid": "0..128", "max_sum": '
@@ -625,10 +616,8 @@ PINNED_CHECK_PAYLOADS = {
         '1e-09, "witness_freq": 99.0}',
         '{"condition": "asymmetry", "details": {"band": [3, 127], "per_octave_ok": true}, '
         '"margin": 0.0, "passed": false, "tolerance": 1e-12, "witness_freq": 3.0}',
-        '{"condition": "vanishing_order", "details": {"epsilon_hat": 1.0001418318277486, '
-        '"fit_window": [0.0009765625, 0.0625], "identically_zero": false, "n_points": 25, '
-        '"residual": 0.00016436787877195422, "slope": 2.0001418318277486, "threshold": 0.05}, '
-        '"margin": 0.9501418318277486, "passed": true, "tolerance": 0.0, "witness_freq": null}',
+        '{"condition": "vanishing_order", "details": {"epsilon_hat": 1.0, "order": 2.0, "threshold": '
+        '0.05}, "margin": 0.95, "passed": true, "tolerance": 0.0, "witness_freq": null}',
     ),
 }
 
