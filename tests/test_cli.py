@@ -255,6 +255,20 @@ def test_bank_without_validated_band_fails_bank_check(tmp_path, capsys):
         "check_asymmetry.json", "check_littlewood_paley.json", "check_vanishing_order.json"]
 
 
+def test_order_fit_through_an_underflowed_point_fails_bank_check(tmp_path, capsys):
+    # a fit through this profile's 0.0 samples once raised ValueError, exit 2 for a well-formed
+    # recipe; the order is now the closed form's, 1 here, so the check fails with reports written
+    # and every number finite (decay verify refuses the same bank in the refusal table below)
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(_UNDERFLOWING))
+    out = tmp_path / "out"
+    assert main(["bank", "check", "--bank", str(bank_path), "--out", str(out)]) == 1
+    assert "vanishing_order: FAIL (margin=-0.05)\n" in capsys.readouterr().out
+    report = json.loads((out / "check_vanishing_order.json").read_text())
+    numbers = [report["margin"], *(v for v in report["details"].values() if isinstance(v, float))]
+    assert not report["passed"] and len(numbers) == 4 and all(map(math.isfinite, numbers))
+
+
 def _gets_verdict(recipe, failed, err, tmp_path, capsys):
     # bank check prints exactly the FAIL lines ``failed`` and writes its three reports, and
     # decay verify refuses the bank with ``err``: both exit 1, the code of a failed condition;
@@ -523,6 +537,9 @@ _TOO_LONG = "int too large to convert to float"
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
 _NEAR_ZERO = "error: near-zero decay order 0.0000 below 0.05"
+# a narrow first-order Morlet whose profile underflows to 0.0 at 14 of 25 geometric points of [2^-10, 2^-4]
+_UNDERFLOWING = _bank("morlet_first_order", J=-2, N=2048, j_min=-3, center=2.8340951665991154,
+                      width=0.0731538287531215)
 _NO_BAND = ("error: bank has no validated band: the retained octaves nowhere both reproduce the full "
             "dyadic sum and carry octave mass")
 _REQUIRED = "scatdecay {}: error: the following arguments are required: {}"
@@ -625,6 +642,13 @@ _REFUSALS = {
         Refusal("decay verify --bank {bank} --out {out}", 1, "error: no octave mass for j <= 0 anywhere on the "
                 "curvature grid [2^-8, 128], so the initial window cannot be scaled",
                 bank=_bank("bandpass", lo=1.4999, hi=1.5001, amplitude=1e-5), work=True),
+    ],
+    # an order fit through 0.0 once raised ValueError, exit 2 as for malformed input; the
+    # order is now the closed form's, which no sample of the profile enters
+    "test_order_fit_through_an_underflowed_point_exits_one": [
+        Refusal(argv, 1, _NEAR_ZERO, bank=_UNDERFLOWING, model=_model("white", 2048, sigma=1.0), work=True,
+                id=argv.split()[0])
+        for argv in ("decay verify --bank {bank} --out {out}", _STATIONARY)
     ],
     "test_bad_depth_or_trials_refused_before_any_work": [
         Refusal(f"{argv} --bank {{bank}} --out {{out}}", 2, f"error: {message}", bank=_SHANNON_128,
