@@ -166,6 +166,46 @@ def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def _held_profiles(bank, n_max, spectra):
+    """Every layer's energies with each formed layer held whole, then weighed in one call."""
+    filts, breadth, n = scattering._filter_rows(bank), len(bank.filters), bank.n
+    weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
+    profiles = np.empty((n_max + 1, len(spectra)))
+    profiles[0] = np.sum(spectra.real**2 + spectra.imag**2, axis=1) / n / n
+    if n_max >= 1:
+        profiles[1] = np.sum((spectra.real**2 + spectra.imag**2) * weight, axis=1) / n**2
+    batch = spectra
+    for depth in range(1, n_max):
+        parents = scattering._chunks(batch, breadth) if depth == 1 else scattering._spectra(batch, breadth)
+        batch = np.empty((len(batch) * breadth, n))
+        for _ in scattering._layer_moduli(parents, filts, batch):
+            pass
+        energies = scattering._child_energies(batch, scattering._folded(weight))
+        profiles[depth + 1] = energies.reshape(len(spectra), -1).sum(axis=1)
+    return profiles
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
+def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch):
+    """The deepest formed layer, weighed a chunk at a time, keeps the bits of the held one.
+
+    Chunks of 1 value hold one row each; B N values, one parent row's
+    products; 2^22 values, every row of a block at once.
+    """
+    bank = build_bank(make(), 0, 64)
+    breadth = len(bank.filters)
+    spectra = np.fft.fft(np.random.default_rng(47).standard_normal((7, 64)), axis=1)
+    want = _held_profiles(bank, n_max, spectra)
+    # blocks of 3, 3 and 1 inputs
+    monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 3 * breadth ** max(n_max - 1, 0) * 64)
+    for chunk in (1, breadth * 64, scattering._CHUNK_ELEMENTS, 1 << 22):
+        monkeypatch.setattr(scattering, "_CHUNK_ELEMENTS", chunk)
+        blocks = scattering._block_profiles(bank, n_max, 7, lambda i, k: spectra[i : i + k])
+        got = np.concatenate([p for _, p in blocks], axis=1)
+        assert got.tobytes() == want.tobytes(), chunk
+
+
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
 def test_layer_energy_does_not_depend_on_the_depth_asked_for(make, n):
@@ -482,6 +522,22 @@ def test_profile_holds_no_more_than_its_refusal_counts(n, n_max, monkeypatch):
         layer_energy_profile(sig, bank, n_max)
     assert info.value.estimated_bytes == 16 * n * len(bank.filters) ** (n_max - 1)
     assert peak <= info.value.estimated_bytes
+
+
+@pytest.mark.parametrize("n_max, ceiling", [(5, 4 << 20), (6, 16 << 20)])
+def test_profile_peak_stays_under_its_ceiling(n_max, ceiling):
+    # layer n_max - 1 (10.0 and 74.1 MiB traced peaks when it was held) is weighed a
+    # chunk at a time, so the peak is the held layer n_max - 2 and one chunk's buffers
+    bank = build_bank(morlet_mother(), 0, 256)
+    sig = band_limited_signal(256, bank.validated_band, np.random.default_rng(256))
+    layer_energy_profile(sig, bank, 2)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        layer_energy_profile(sig, bank, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling
 
 
 def test_wide_bank_runs_at_depth_one():
