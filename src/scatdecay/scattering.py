@@ -18,14 +18,14 @@ that never forms the requested layer n.  Every layer below the root is
 weighed from its parent's spectrum, because the modulus keeps energy: each
 parent row passes (1/N^2) sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2 to its
 children, so a layer's energy does not depend on the depth asked for.  A
-block's inputs enter as their spectra, drawn a chunk at a time, so layer 1
-takes no forward FFT, and every row below the root is a real modulus, whose
-spectrum takes a half-spectrum ``np.fft.rfft``.  A block's layer n - 1 has
-at most 2^18 values, or one input's if more, and is never held: each chunk
-of it is weighed as it is formed, in the one buffer its pass allocates.  A
-call keeps one buffer per held layer 1..n-2, sized for one block and reused
-by every block.  Every FFT pass over a layer runs through ``_chunks``, in
-chunks whose spectra and filter products stay near L2 cache size.
+block enters as the spectra of its inputs, so layer 1 takes no forward FFT,
+and every row below the root is a real modulus, whose spectrum takes a
+half-spectrum ``np.fft.rfft``.  A block's layer n - 1 has at most 2^18
+values, or one input's if more, and is never held: each chunk of it is
+weighed as it is formed.  A call keeps one buffer per held layer 1..n-2,
+sized for one block and reused by every block.  Every FFT pass over a layer
+runs through ``_chunks``, in chunks whose spectra and filter products stay
+near L2 cache size.
 """
 from __future__ import annotations
 
@@ -120,14 +120,9 @@ def _filter_rows(bank: FilterBank) -> np.ndarray:
     return np.fft.ifftshift(np.stack([bank.filters[j].coeffs for j in bank.scales]), axes=1)
 
 
-def _per_chunk(filters: int, n: int) -> int:
-    """Rows of length ``n`` per chunk, for ``filters`` products per row."""
-    return max(1, _CHUNK_ELEMENTS // (filters * n))
-
-
 def _chunks(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]:
     """(i, the chunk of ``batch`` from row i), in chunks sized for ``filters`` products per row."""
-    per_chunk = _per_chunk(filters, batch.shape[1])
+    per_chunk = max(1, _CHUNK_ELEMENTS // (filters * batch.shape[1]))
     for i in range(0, batch.shape[0], per_chunk):
         yield i, batch[i : i + per_chunk]
 
@@ -139,7 +134,7 @@ def _spectra(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]
 
 
 def _layer_moduli(spectra: Iterator, filts: np.ndarray, out: np.ndarray | None = None) -> Iterator:
-    """(k, the children |row * psi_j| from child row k, spare), one chunk of parents at a time.
+    """(k, the children |row * psi_j| from child row k), one chunk of parents at a time.
 
     ``spectra`` yields (i, the spectra of rows i..), as ``_chunks`` of
     spectra or ``_spectra`` of samples do; row i's children are rows
@@ -148,22 +143,23 @@ def _layer_moduli(spectra: Iterator, filts: np.ndarray, out: np.ndarray | None =
     of moduli that the next chunk overwrites, so the layer is never held
     whole.  The filter products and their inverse transforms share one
     buffer, sized by the first chunk, the largest, and reused by every chunk;
-    the moduli without ``out`` take its tail, so a pass allocates once.
-    ``spare``, the products as flat complex values, is done with once their
-    moduli are taken: the caller may use it until the next chunk.
+    without ``out`` the moduli take its tail, so a pass allocates once (a
+    second buffer left the blocks of a depth-2 estimate faulting heap pages).
     """
     nfilt, products, moduli = filts.shape[0], None, None
     for i, spec in spectra:
-        rows, n = len(spec) * nfilt, spec.shape[1]
         if products is None:
+            rows, n = len(spec) * nfilt, spec.shape[1]
             tail = 0 if out is not None else (rows + 1) // 2  # complex rows for `rows` float rows
             buffer = np.empty((rows + tail, n), dtype=np.complex128)
-            products, moduli = buffer[:rows].reshape(-1), buffer[rows:].view(np.float64).reshape(-1, n)
-        children = products[: rows * n].reshape(rows, n)
-        np.multiply(spec[:, None, :], filts[None, :, :], out=children.reshape(len(spec), nfilt, n))
+            products = buffer[:rows].reshape(len(spec), nfilt, n)
+            moduli = buffer[rows:].view(np.float64).reshape(-1, n)
+        children = np.multiply(spec[:, None, :], filts[None, :, :], out=products[: len(spec)])
+        children = children.reshape(-1, spec.shape[1])
         np.fft.ifft(children, axis=1, out=children)
         k = i * nfilt
-        yield k, np.abs(children, out=moduli[:rows] if out is None else out[k : k + rows]), products
+        into = moduli[: len(children)] if out is None else out[k : k + len(children)]
+        yield k, np.abs(children, out=into)
 
 
 def _lowpass_rows(batch: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -292,23 +288,19 @@ def scatter(
     )
 
 
-def _child_energies(batch: np.ndarray, weight: np.ndarray, spare: np.ndarray | None = None
-                    ) -> np.ndarray:
+def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """sum_j ||row * psi_j||^2 per real row, without forming the children.
 
     The modulus keeps energy, so by Parseval each row's children together
     carry sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2: one forward FFT per row
     in place of B inverse FFTs.  A real row's |row_hat|^2 is even, so its
     half spectrum from ``np.fft.rfft`` carries the sum, against ``weight``,
-    sum_j |psi_j|^2 folded onto bins 0..N/2.  The half spectra are written
-    to ``spare``, flat complex values as many as ``batch`` has, if given, and
-    weighed in their own real parts.
+    sum_j |psi_j|^2 folded onto bins 0..N/2.  The power is weighed in the
+    half spectrum's own real parts, so a chunk allocates only its spectrum.
     """
     out, n = np.empty(batch.shape[0]), batch.shape[1]
     for i, chunk in _chunks(batch, 1):
-        shape = (len(chunk), n // 2 + 1)
-        into = None if spare is None else spare[: shape[0] * shape[1]].reshape(shape)
-        spec = np.fft.rfft(chunk, axis=1, out=into)
+        spec = np.fft.rfft(chunk, axis=1)
         power = np.square(spec.real, out=spec.real)
         np.add(power, np.square(spec.imag, out=spec.imag), out=power)
         np.sum(np.multiply(power, weight, out=power), axis=1, out=out[i : i + len(chunk)])
@@ -324,82 +316,49 @@ def _folded(weight: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _roots(draw: Callable, start: int, rows: int, per_chunk: int, weight: np.ndarray,
-           profiles: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, the spectra of inputs start+i..), drawn ``per_chunk`` inputs at a time.
-
-    The inputs' energies by Parseval, sum |spec|^2 / N^2, fill
-    ``profiles[0]`` and, against ``weight``, their children's fill
-    ``profiles[1]``, once the last chunk is taken.  N is a power of two, so
-    two divisions round as one.
-    """
-    n = weight.size
-    for i in range(0, rows, per_chunk):
-        spec = draw(start + i, min(per_chunk, rows - i))
-        power = np.square(spec.real)
-        np.add(power, np.square(spec.imag), out=power)
-        np.sum(power, axis=1, out=profiles[0, i : i + len(spec)])
-        if len(profiles) > 1:
-            np.sum(np.multiply(power, weight, out=power), axis=1, out=profiles[1, i : i + len(spec)])
-        yield i, spec
-    profiles[0] /= n
-    profiles[0] /= n
-    if len(profiles) > 1:
-        profiles[1] /= n**2
-
-
-def _weigh_children(parents: Iterator, filts: np.ndarray, out: np.ndarray | None,
-                    weight: np.ndarray, energies: np.ndarray) -> None:
-    """Write to ``energies`` the children energies of each row ``_layer_moduli`` forms.
-
-    Each chunk is weighed as it is formed, while it is still in cache.  The
-    loop has a frame of its own, so the pass's buffer, which its last chunk
-    holds, is freed on return and not when the next pass replaces it.
-    """
-    for k, moduli, spare in _layer_moduli(parents, filts, out):
-        energies[k : k + len(moduli)] = _child_energies(moduli, weight, spare)
-
-
 def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) -> Iterator:
     """(start, energies at layers 0..n_max of inputs start..start+k-1), block by block.
 
     ``draw(start, k)`` returns the spectra of those k inputs as rows, in FFT
     bin order, so layer 1 takes no forward FFT.  It is called once per
-    chunk of a block's inputs, sized as ``_chunks`` sizes layer 1's parents,
-    in ascending ``start``, so a draw may read its rows off one shared random
-    stream, and the inputs are never held whole.  The root's energies are
-    read off its spectrum by Parseval.  Every layer k >= 1 is weighed from
-    its parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's,
-    each deeper one through ``_child_energies`` of the real moduli of layer
-    k - 1, chunk by chunk as ``_layer_moduli`` forms them, so layer k's
-    energies do not depend on n_max.  Layers 1..n_max-2 are held, one buffer
-    each, sized for one block and reused by every block; the deepest formed
-    layer, n_max - 1, is weighed a chunk at a time and never held.  A block
-    takes ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if
-    more.  Children of a row stay contiguous through ``_layer_moduli``, so
-    an input's energies, one column, do not depend on its block or chunk.
+    block, in ascending ``start``, so a draw may read its rows off one
+    shared random stream.  The root's energies are read off its spectrum by
+    Parseval.  Every layer k >= 1 is weighed from its
+    parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's, each
+    deeper one through ``_child_energies`` of the real moduli of layer k - 1,
+    chunk by chunk as ``_layer_moduli`` forms them, so layer k's energies do
+    not depend on n_max.  Layers 1..n_max-2 are held, one buffer each, sized
+    for one block and reused by every block; the deepest formed layer,
+    n_max - 1, is weighed a chunk at a time and never held.  A block takes
+    ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if more.
+    Children of a row stay contiguous through ``_layer_moduli``, so an
+    input's energies, one column, do not depend on its block or chunk.
     """
     filts, breadth, n = _filter_rows(bank), len(bank.filters), bank.n
     deepest = _power(breadth, max(n_max - 1, 0))  # layer n_max-1 rows per input
     per_block = min(max(1, _BLOCK_ELEMENTS // (deepest * n)), count)
-    per_chunk = _per_chunk(breadth, n)
     layers = [np.empty((per_block * _power(breadth, depth), n)) for depth in range(1, n_max - 1)]
-    energies = np.empty(per_block * deepest)  # a block's children energies, one per parent row
+    energies = np.empty(per_block * deepest)  # children energies, one per parent row
     weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
     folded = _folded(weight)
     for start in range(0, count, per_block):
-        rows = min(per_block, count - start)
+        batch = draw(start, min(per_block, count - start))
+        rows = batch.shape[0]
         profiles = np.empty((n_max + 1, rows))
-        batch = roots = _roots(draw, start, rows, per_chunk, weight, profiles)
+        # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
+        profiles[0] = _row_energies(batch) / n
+        if n_max >= 1:
+            profiles[1] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
         for depth in range(1, n_max):
-            parents = batch if depth == 1 else _spectra(batch, breadth)
-            batch = layers[depth - 1][: rows * _power(breadth, depth)] if depth < n_max - 1 else None
-            weighed = energies[: rows * _power(breadth, depth)]
-            _weigh_children(parents, filts, batch, folded, weighed)
+            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth)
+            weighed = energies[: len(batch) * breadth]
+            batch = layers[depth - 1][: len(weighed)] if depth < n_max - 1 else None
+            for k, moduli in _layer_moduli(spectra, filts, batch):
+                weighed[k : k + len(moduli)] = _child_energies(moduli, folded)
+            # free the pass's buffer now, before the next block's draw: held over, it
+            # left each block of a depth-2 estimate faulting fresh heap pages in
+            del moduli
             profiles[depth + 1] = weighed.reshape(rows, -1).sum(axis=1)
-        if n_max < 2:  # no layer is formed to draw the roots
-            for _ in roots:
-                pass
         yield start, profiles
 
 

@@ -20,13 +20,13 @@ an exact expectation,
 which pins layer one of the scattering cascade analytically and leaves
 Monte Carlo only for the deeper layers.
 
-Monte Carlo trials are drawn, a chunk at a time, and scattered in the blocks
-of the energy-only pass in ``scattering``, so memory grows by only 8 bytes
-per trial.  A trial never leaves frequency: its coefficients, scaled to the
-FFT of its samples and with the mean at bin 0, enter the cascade as they
-are, with no inverse transform; ``simulate`` inverts the same coefficients.  One run draws all
+Monte Carlo trials are drawn and scattered in the blocks of the energy-only
+pass in ``scattering``, so memory grows by only 8 bytes per trial.  A trial
+never leaves frequency: its coefficients, scaled to the FFT of its samples
+and with the mean at bin 0, enter the cascade as they are, with no inverse
+transform; ``simulate`` inverts the same coefficients.  One run draws all
 its trials from one ``np.random.default_rng(seed)``: trial k is row k of
-its N-wide standard normal rows, whichever block or chunk takes it.
+its N-wide standard normal rows, whichever block takes it.
 """
 from __future__ import annotations
 
@@ -165,22 +165,17 @@ def _check_seed(seed) -> None:
         raise ValueError("seed must be a nonnegative integer")
 
 
-def _density_root(model: StationaryModel) -> np.ndarray:
-    """sqrt(density) in FFT bin order: the scale of each bin's coefficient."""
-    return np.sqrt(np.fft.ifftshift(model.density))
-
-
-def _coefficient_rows(root: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _coefficient_rows(model: StationaryModel, draws: np.ndarray) -> np.ndarray:
     """The zero-mean spectral coefficients, in FFT bin order, of one trial per row of draws.
 
-    ``root`` is the model's ``_density_root``.  A row holds N standard
-    normals: the real parts of the positive bins, their imaginary parts, then
-    the real draws of the self-paired bins w = 0 and w = -N/2.  Scaling and
-    mirroring act on all rows at once.
+    A row holds N standard normals: the real parts of the positive bins,
+    their imaginary parts, then the real draws of the self-paired bins
+    w = 0 and w = -N/2.  Scaling and mirroring act on all rows at once.
     """
-    n = root.size
+    n = model.n
     half = n // 2  # FFT bin of w = -N/2; bins 1..half-1 hold w = 1..N/2-1
     pairs = half - 1
+    root = np.sqrt(np.fft.ifftshift(model.density))
     coeffs = np.empty((len(draws), n), dtype=np.complex128)
     re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
     coeffs[:, 0] = root[0] * draws[:, -2]
@@ -190,13 +185,9 @@ def _coefficient_rows(root: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _spectrum_rows(model: StationaryModel, draws: np.ndarray, root: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """The FFTs of ``simulate``'s realizations of these draws, built without leaving frequency.
-
-    ``root`` is the model's ``_density_root``, computed here unless given.
-    """
-    spec = _coefficient_rows(_density_root(model) if root is None else root, draws)
+def _spectrum_rows(model: StationaryModel, draws: np.ndarray) -> np.ndarray:
+    """The FFTs of ``simulate``'s realizations of these draws, built without leaving frequency."""
+    spec = _coefficient_rows(model, draws)
     spec *= model.n
     spec[:, 0] += model.n * model.mean  # the mean moves bin 0 alone
     return spec
@@ -222,9 +213,7 @@ def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     _check_seed(seed)
     n = model.n
     _check_bytes(f"{trials} trials on N={n}", (40 * n + 512) * trials + 16 * n + (1 << 18))
-    # the draws are an argument, not a local, so they are freed before the inverse transform
-    coeffs = _coefficient_rows(_density_root(model),
-                               np.random.default_rng(seed).standard_normal((trials, n)))
+    coeffs = _coefficient_rows(model, np.random.default_rng(seed).standard_normal((trials, n)))
     rows = (np.fft.ifft(coeffs, axis=-1) * n).real + model.mean
     return [Signal(row, real=True) for row in rows]
 
@@ -278,16 +267,14 @@ def mc_layer_energy(
     held, so the count is over by a factor of B.
 
     Trials are drawn as spectra and scored in the blocks of the energy-only
-    pass, whose deepest formed layer is n - 1.  Each chunk of a block takes
-    its trials' rows from one ``np.random.default_rng(seed)`` in turn, so
-    trial k is row k of that stream, the trial ``simulate`` returns, whatever
-    its block.
+    pass, whose deepest formed layer is n - 1.  Each block takes its trials'
+    rows from one ``np.random.default_rng(seed)`` in turn, so trial k is row
+    k of that stream, the trial ``simulate`` returns, whatever its block.
     """
     _check_mc_request(model, bank, n, trials, seed)
     rng = np.random.default_rng(seed)
     values = np.empty(trials)
-    root = _density_root(model)
-    draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)), root)
+    draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)))
     for start, profiles in _block_profiles(bank, n, trials, draw):
         values[start : start + profiles.shape[1]] = profiles[n]
     estimate = float(np.mean(values))

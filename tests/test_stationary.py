@@ -565,7 +565,7 @@ def test_mc_memory_grows_by_one_value_per_trial(n):
 @pytest.mark.parametrize("n, ceiling", [(2, 3 << 20), (3, 5 << 19)])
 def test_mc_peak_stays_under_its_ceiling(n, ceiling):
     # 2000 trials on N=128, as the monte_carlo bench runs them: 3.58 and 3.10 MiB traced
-    # peaks when layer n - 1 was held whole and each block's spectra drawn at once
+    # peaks when layer n - 1 was held whole
     bank = build_bank(morlet_mother(), 0, 128)
     model = make_model("white", 128)
     mc_layer_energy(model, bank, n, trials=10, seed=0)  # first-call allocations stay out
