@@ -17,9 +17,10 @@ writes its three reports, and ``decay verify`` and ``stationary run`` exit
 0, 1 or 3; exit 2 is left to files, flags and recipes that cannot be read
 or built.
 
-All outputs are byte-stable for identical inputs: floats are written in
-shortest round-trip form, JSON keys are sorted, and nothing records
-timestamps or the environment.
+All outputs are byte-stable for identical inputs: every file is written
+through ``signals``, which owns the formats (floats in shortest round-trip
+form, sorted JSON keys, non-finite floats as strings), and nothing records
+timestamps or the environment.  No command formats or opens a file itself.
 
 Each refusal has one owner.  The subcommand's parser refuses a missing or
 empty required flag and an unknown one; the library function a command
@@ -33,7 +34,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -47,25 +47,14 @@ from .scattering import (
     scatter,
 )
 from .signals import (
-    Signal, Spectrum, _write_json, band_limited_signal, convolve, dft, energy, frequencies, modulus,
-    read_signal, write_signal,
+    Signal, Spectrum, _write_json, _write_table, band_limited_signal, convolve, dft, energy, frequencies,
+    modulus, read_signal, write_signal,
 )
 from .stationary import (
     _check_mc_request, _check_seed, load_model, mc_layer_energy, stationary_bound,
 )
 
 __all__ = ["main"]
-
-
-def _jsonable(value):
-    """JSON payloads with non-finite floats spelled out as strings."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
 
 
 def _path(value: str) -> str:
@@ -97,7 +86,7 @@ def cmd_bank_check(args: argparse.Namespace) -> int:
     ]
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
-        _write_json(os.path.join(args.out, f"check_{report.condition}.json"), _jsonable(report.to_payload()))
+        _write_json(os.path.join(args.out, f"check_{report.condition}.json"), report.to_payload())
         verdict = "PASS" if report.passed else "FAIL"
         where = "" if report.witness_freq is None else f" at w={report.witness_freq:g}"
         print(f"{report.condition}: {verdict} (margin={report.margin:.6g}{where})")
@@ -134,11 +123,9 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
         sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "constants.json"), _jsonable(constants.to_payload()))
-    with open(os.path.join(args.out, "decay.csv"), "w") as fh:
-        fh.write("n,empirical,bound,slack\n")
-        for row in rows:
-            fh.write(f"{row.n},{row.empirical!r},{row.bound!r},{row.slack!r}\n")
+    _write_json(os.path.join(args.out, "constants.json"), constants.to_payload())
+    _write_table(os.path.join(args.out, "decay.csv"), "n,empirical,bound,slack",
+                 ((row.n, row.empirical, row.bound, row.slack) for row in rows))
     print(
         f"constants: c={constants.c:.6g} C={constants.C:.6g} a={constants.a:.6g} "
         f"r={constants.r:.6g} band={constants.band[0]}..{constants.band[1]}"
@@ -175,7 +162,7 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
         "pass": ok,
     }
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "mc_report.json"), _jsonable(report))
+    _write_json(os.path.join(args.out, "mc_report.json"), report)
     print(
         f"layer {est.n}: estimate={est.estimate:.6g} (stderr {est.stderr:.3g}, "
         f"{est.trials} trials) bound={bound:.6g} [{'OK' if ok else 'VIOLATED'}]"
@@ -226,7 +213,7 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
         "energy_modulus": energy(mod),
         "energy_smoothed": energy(smoothed),
     }
-    _write_json(os.path.join(args.out, "summary.json"), _jsonable(summary))
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     shifted = after < before
     print(
         f"|w|-centroid: filtered={before:.6g} modulus={after:.6g} "

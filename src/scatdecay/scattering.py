@@ -26,6 +26,16 @@ weighed as it is formed.  A call keeps one buffer per held layer 1..n-2,
 sized for one block and reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
+
+The refusal of an energy-only pass, ``_check_profile`` here and
+``stationary._check_mc_request`` per trial, counts its deepest formed layer
+n - 1 as held complex values, N B^(n-1) of them for B octaves.  What a pass
+holds is layers 1..n-2 as float64 plus its chunk buffers, whose size does
+not depend on n, so the count bounds the peak on neither side.  On Morlet
+N=256 (tracemalloc peaks of ``layer_energy_profile``) the count is below the
+peak at depths 2 and 3, 0.03 and 0.25 MiB against 0.1 and 0.7 MiB, where the
+chunk buffers dominate, and 7 to 12 times over it at depths 5 and 6, 16 and
+128 MiB against 2.3 and 10.6 MiB.
 """
 from __future__ import annotations
 
@@ -44,6 +54,7 @@ from .signals import (
     _frozen,
     _row_energies,
     _write_json,
+    _write_table,
     frequencies,
     gaussian_lowpass,
     reflection_index,
@@ -90,9 +101,8 @@ def _check_budget(request: str, bank: FilterBank, values: int, extra_bytes: int 
 def _check_profile(bank: FilterBank, n_max: int) -> None:
     """The refusals of an energy-only profile, whose deepest formed layer is n_max - 1.
 
-    The count is that layer as complex values, though it is weighed a chunk
-    at a time and only layer n_max - 2, B times smaller, is held: a safe
-    over-count by a factor of B.
+    The count is that layer as complex values; the module docstring says how
+    it compares with what the pass holds.
     """
     if n_max < 0:
         raise ValueError("depth must be nonnegative")
@@ -288,23 +298,22 @@ def scatter(
     )
 
 
-def _child_energies(batch: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_j ||row * psi_j||^2 per real row, without forming the children.
+def _child_energies(chunk: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_j ||row * psi_j||^2 per real row of one ``_layer_moduli`` chunk, without forming the children.
 
     The modulus keeps energy, so by Parseval each row's children together
     carry sum_w |row_hat(w)|^2 sum_j |psi_j(w)|^2: one forward FFT per row
     in place of B inverse FFTs.  A real row's |row_hat|^2 is even, so its
     half spectrum from ``np.fft.rfft`` carries the sum, against ``weight``,
     sum_j |psi_j|^2 folded onto bins 0..N/2.  The power is weighed in the
-    half spectrum's own real parts, so a chunk allocates only its spectrum.
+    half spectrum's own real parts, so a call allocates only its spectrum,
+    N/2 + 1 complex values per row.
     """
-    out, n = np.empty(batch.shape[0]), batch.shape[1]
-    for i, chunk in _chunks(batch, 1):
-        spec = np.fft.rfft(chunk, axis=1)
-        power = np.square(spec.real, out=spec.real)
-        np.add(power, np.square(spec.imag, out=spec.imag), out=power)
-        np.sum(np.multiply(power, weight, out=power), axis=1, out=out[i : i + len(chunk)])
-    out /= n**2
+    spec = np.fft.rfft(chunk, axis=1)
+    power = np.square(spec.real, out=spec.real)
+    np.add(power, np.square(spec.imag, out=spec.imag), out=power)
+    out = np.sum(np.multiply(power, weight, out=power), axis=1)
+    out /= chunk.shape[1] ** 2
     return out
 
 
@@ -476,10 +485,7 @@ def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
     for path in sorted(result.s):  # one node built at a time
         label = "_".join(str(j) for j in path) or "root"
         write_signal(os.path.join(out, f"s_{label}.csv"), result.s[path])
-    with open(os.path.join(out, "profile.csv"), "w") as fh:
-        fh.write("n,energy\n")
-        for depth in sorted(result.layer_energies):
-            fh.write(f"{depth},{result.layer_energies[depth]!r}\n")
+    _write_table(os.path.join(out, "profile.csv"), "n,energy", sorted(result.layer_energies.items()))
     manifest = {
         "bank": _recipe(result.bank),
         "n_max": result.n_max,

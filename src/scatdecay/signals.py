@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,24 +209,43 @@ def band_limited_signal(
 
 
 # ---------------------------------------------------------------------------
-# File formats.  CSV holds one sample per line, "re" or "re,im"; raw holds
-# little-endian float64, interleaved re,im when complex, with a sidecar
-# "<path>.meta" recording the count and complexity.  Raw is input only.
+# File formats.  Every file the package writes is written here, through
+# ``_write_text``.  A signal's CSV holds one sample per line, "re" or
+# "re,im"; raw holds little-endian float64, interleaved re,im when complex,
+# with a sidecar "<path>.meta" recording the count and complexity.  Raw is
+# input only.
+
+
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    with open(os.fspath(path), "w") as fh:
+        fh.write(text)
 
 
 def write_signal(path: str | os.PathLike, signal: Signal) -> None:
     """CSV in one write, floats in shortest round-trip form: ``read_signal`` gives the bits back."""
     re, im = signal.samples.real.tolist(), signal.samples.imag.tolist()
     lines = (f"{x!r}\n" for x in re) if signal.real else (f"{x!r},{y!r}\n" for x, y in zip(re, im))
-    with open(os.fspath(path), "w") as fh:
-        fh.write("".join(lines))
+    _write_text(path, "".join(lines))
+
+
+def _jsonable(value):
+    """``value`` with every non-finite float spelled as a string, "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    # float() first, so a numpy float is spelled as a float is
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_json(path: str | os.PathLike, payload: dict) -> None:
-    # the package's one JSON format: sorted keys, two-space indent, final newline
-    with open(os.fspath(path), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # the package's one JSON format: strict JSON, sorted keys, two-space indent, final newline
+    _write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _write_table(path: str | os.PathLike, header: str, rows) -> None:
+    """The package's one table format: ``header``, then each row's values joined by commas, as ``repr``."""
+    _write_text(path, header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def read_signal(path: str | os.PathLike) -> Signal:
@@ -270,7 +290,12 @@ def _parse_signal(path: str) -> Signal:
         if is_complex:
             return Signal(data[0::2] + 1j * data[1::2])
         return Signal(data.astype(np.complex128), real=True)
-    rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():
+        # a file with no data line warns before it returns no rows, which are refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if rows.size == 0:
+        raise ValueError(f"signal CSV {path} holds no samples")
     if rows.shape[1] == 1:
         return Signal(rows[:, 0].astype(np.complex128), real=True)
     if rows.shape[1] == 2:

@@ -251,7 +251,7 @@ def _check_mc_request(
     if bank.n != model.n:
         raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
     # one trial's layer n - 1, as a block is never smaller, and the 8-byte value per trial;
-    # that layer is weighed a chunk at a time, so this over-counts by a factor of B
+    # the ``scattering`` module docstring says how this count compares with what the pass holds
     _check_budget(f"layer {n} over {trials} trials", bank,
                   model.n * _power(len(bank.filters), n - 1), 8 * trials)
 
@@ -263,8 +263,9 @@ def mc_layer_energy(
 
     The seed must be a nonnegative integer.  One trial's layer n - 1
     (N B^(n-1) complex values for B octaves) plus 8 bytes per trial must fit
-    the memory budget; that layer is weighed a chunk at a time and never
-    held, so the count is over by a factor of B.
+    the memory budget.  That layer is weighed a chunk at a time and never
+    held; the ``scattering`` module docstring says how the count compares
+    with what the pass holds.
 
     Trials are drawn as spectra and scored in the blocks of the energy-only
     pass, whose deepest formed layer is n - 1.  Each block takes its trials'

@@ -778,6 +778,15 @@ _REFUSALS = {
                 signal=_RAW_16, meta=meta + "\n", id=meta)
         for meta in ("N16;complex=0", "N=16;complex=2", "N=16;complex=-1", "N=-16;complex=0")
     ],
+    # numpy warns on a CSV with no data line before it returns no rows, and under -W error that
+    # warning once ended scatter run in a traceback, exit 1
+    "test_signal_csv_without_samples_is_refused": [
+        Refusal(argv, 2, "error: signal CSV {signal} holds no samples", bank=_MORLET, signal=signal,
+                id=f"{argv.split()[0]}-{id}")
+        for argv in (_SCATTER, "decay verify --bank {bank} --signal {signal} --out {out}",
+                     "demo modulus-shift --signal {signal} --out {out}")
+        for id, signal in (("empty", ""), ("comments", "# no samples\n\n"))
+    ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
                 "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),

@@ -160,6 +160,26 @@ def test_model_round_trip(tmp_path):
     assert set(payload) == {"kind", "params", "N"}
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("filt, key", [({"name": "gaussian_lowpass", "a": math.inf}, "a"),
+                                       ({"name": "gaussian_lowpass", "a": np.float64(math.inf)}, "a"),
+                                       ({"name": "band", "lo": 2, "hi": math.inf}, "hi")],
+                         ids=["a", "a-numpy", "hi"])
+def test_model_with_an_infinite_filter_parameter_saves_strict_json(filt, key, tmp_path):
+    # make_model takes these, and save_model once wrote them with the token Infinity, which JSON does not have
+    model = make_model("filtered_noise", 64, filter=filt)
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert _strict_json(path.read_text())["params"]["filter"] == {**filt, key: "inf"}
+    assert load_model(path).density.tobytes() == model.density.tobytes()
+
+
 # --- simulation ---------------------------------------------------------------
 
 
