@@ -21,6 +21,10 @@ All outputs are byte-stable for identical inputs: every file is written
 through ``signals``, which owns the formats (floats in shortest round-trip
 form, sorted JSON keys, non-finite floats as strings), and nothing records
 timestamps or the environment.  No command formats or opens a file itself.
+Every file is read through ``signals`` too: a signal by ``read_signal``, and
+a bank or model recipe by its one JSON reader, which refuses a file that is
+not JSON with ``json``'s own message and a missing key or a value of the
+wrong type as a "malformed bank file" or "malformed model file", exit 2.
 
 Each refusal has one owner.  The subcommand's parser refuses a missing or
 empty required flag and an unknown one; the library function a command
@@ -33,15 +37,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
 from .decay import _SLACK_TOL, _check_bound_layer, _check_signal, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
-from .filterbank import FilterBank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank
+from .filterbank import (
+    FilterBank, build_bank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank,
+    morlet_mother,
+)
 from .scattering import (
     _PARTITION_TOL, _check_profile, _partition_defect, _tight_lowpass, export_result, gaussian_output_lowpass,
     scatter,
@@ -124,8 +131,7 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "constants.json"), constants.to_payload())
-    _write_table(os.path.join(args.out, "decay.csv"), "n,empirical,bound,slack",
-                 ((row.n, row.empirical, row.bound, row.slack) for row in rows))
+    _write_table(os.path.join(args.out, "decay.csv"), "n,empirical,bound,slack", map(astuple, rows))
     print(
         f"constants: c={constants.c:.6g} C={constants.C:.6g} a={constants.a:.6g} "
         f"r={constants.r:.6g} band={constants.band[0]}..{constants.band[1]}"
@@ -152,17 +158,8 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
     est = mc_layer_energy(model, bank, args.depth, trials=args.trials, seed=args.seed)
     bound = stationary_bound(model, constants, args.depth)
     ok = est.estimate <= bound + 3.0 * est.stderr
-    report = {
-        "n": est.n,
-        "estimate": est.estimate,
-        "stderr": est.stderr,
-        "trials": est.trials,
-        "seed": est.seed,
-        "bound": bound,
-        "pass": ok,
-    }
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "mc_report.json"), report)
+    _write_json(os.path.join(args.out, "mc_report.json"), {**asdict(est), "bound": bound, "pass": ok})
     print(
         f"layer {est.n}: estimate={est.estimate:.6g} (stderr {est.stderr:.3g}, "
         f"{est.trials} trials) bound={bound:.6g} [{'OK' if ok else 'VIOLATED'}]"
@@ -184,8 +181,6 @@ def _abs_centroid(coeffs: np.ndarray, n: int) -> float:
 
 
 def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
-    from .filterbank import build_bank, morlet_mother
-
     if args.signal:
         sig = read_signal(args.signal)
     else:
@@ -289,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScatdecayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ cost of a numpy call, not its arithmetic, is what a per-octave loop pays.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -41,7 +40,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BankConditionError, BudgetExceededError
-from .signals import Spectrum, _write_json, frequencies
+from .signals import Spectrum, _read_json, _whole, _write_json, frequencies
 
 __all__ = [
     "X_WINDOW",
@@ -577,23 +576,19 @@ def save_bank(path: str | os.PathLike, bank: FilterBank) -> None:
     _write_json(path, _recipe(bank))
 
 
-def _whole(value) -> int:
-    """A size read from a bank or model file; int() would truncate 128.7 to 128."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise TypeError(f"sizes must be integers, got {value!r}")
-    return int(value)
+def _bank_args(payload) -> tuple:
+    """``build_bank``'s mother, J, N and j_min, read from a bank file's payload."""
+    mother = make_mother(payload["mother"]["name"], **payload["mother"].get("params", {}))
+    j_min = payload.get("j_min")
+    return mother, _whole(payload["J"]), _whole(payload["N"]), None if j_min is None else _whole(j_min)
 
 
 def load_bank(path: str | os.PathLike) -> FilterBank:
-    with open(os.fspath(path)) as fh:
-        payload = json.load(fh)
-    try:
-        mother_spec = payload["mother"]
-        mother = make_mother(mother_spec["name"], **mother_spec.get("params", {}))
-        j_max = _whole(payload["J"])
-        n = _whole(payload["N"])
-        j_min = payload.get("j_min")
-        j_min = _whole(j_min) if j_min is not None else None
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed bank file {path}: {exc}") from None
+    """The bank a ``save_bank`` recipe file names, built by ``build_bank``.
+
+    The file is read by ``signals._read_json``: a missing key, a value of the
+    wrong type and a size that is not an integer make it a malformed bank
+    file.  ``build_bank`` makes its own refusals after the file is read.
+    """
+    mother, j_max, n, j_min = _read_json(path, "bank", _bank_args)
     return build_bank(mother, j_max, n, j_min=j_min)

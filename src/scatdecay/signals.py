@@ -210,10 +210,35 @@ def band_limited_signal(
 
 # ---------------------------------------------------------------------------
 # File formats.  Every file the package writes is written here, through
-# ``_write_text``.  A signal's CSV holds one sample per line, "re" or
-# "re,im"; raw holds little-endian float64, interleaved re,im when complex,
-# with a sidecar "<path>.meta" recording the count and complexity.  Raw is
-# input only.
+# ``_write_text``, and every file it reads is read here: a signal by
+# ``read_signal``, a bank or model recipe by ``_read_json``, whose caller maps
+# the payload's keys and nothing else.  A signal's CSV holds one sample per
+# line, "re" or "re,im"; raw holds little-endian float64, interleaved re,im
+# when complex, with a sidecar "<path>.meta" recording the count and
+# complexity.  Raw is input only.
+
+
+def _whole(value) -> int:
+    """A size read from a bank or model file; int() would truncate 128.7 to 128."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise TypeError(f"sizes must be integers, got {value!r}")
+    return int(value)
+
+
+def _read_json(path: str | os.PathLike, what: str, parse):
+    """``parse(payload)`` of the JSON file at ``path``, a ``what`` recipe such as "bank" or "model".
+
+    A file that is not JSON is refused with ``json``'s own message.  A
+    ``KeyError``, ``TypeError`` or ``OverflowError`` from ``parse``, a key
+    missing, a value of the wrong type or too long for float64, becomes
+    ``ValueError("malformed <what> file <path>: ...")``.
+    """
+    with open(os.fspath(path)) as fh:
+        payload = json.load(fh)
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from None
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:

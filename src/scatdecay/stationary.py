@@ -30,7 +30,6 @@ its N-wide standard normal rows, whichever block takes it.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -38,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayConstants, _check_bound_layer, _layer_loss
-from .filterbank import FilterBank, _check_bytes, _whole
+from .filterbank import FilterBank, _check_bytes
 from .scattering import _block_profiles, _check_budget, _power
 from .signals import (
-    Signal, Spectrum, _check_length, _frozen, _write_json, dft, frequencies, gaussian_lowpass,
+    Signal, Spectrum, _check_length, _frozen, _read_json, _whole, _write_json, dft, frequencies,
+    gaussian_lowpass,
 )
 
 __all__ = [
@@ -93,11 +93,20 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     )
 
 
+def _only(what: str, params: dict, *keys: str) -> None:
+    """Refuse a parameter of ``what`` that is not one of the ``keys`` it reads."""
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"{what} takes no parameter {key!r}")
+
+
 def filter_spectrum(name: str, n: int, **params) -> Spectrum:
-    """Named filters available to filtered-noise models."""
+    """Named filters available to filtered-noise models; a parameter the filter does not read is refused."""
     if name == "gaussian_lowpass":
+        _only(f"filter {name!r}", params, "a")
         return gaussian_lowpass(float(params["a"]), n)
     if name == "band":
+        _only(f"filter {name!r}", params, "lo", "hi", "amplitude")
         lo, hi = float(params["lo"]), float(params["hi"])
         if not 0 <= lo < hi:
             raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
@@ -123,7 +132,8 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         density = sigma^2 |h_hat|^2.
 
     Every family accepts ``mean`` (default 0), but not one more than 2^27
-    standard deviations sqrt(R(0)) from zero.  A model is refused first
+    standard deviations sqrt(R(0)) from zero, and ``sigma`` (default 1); a
+    parameter its family does not read is refused.  A model is refused first
     when its build's peak exceeds the memory budget: 80 N bytes, what ``ar1``
     holds at once while inverting its density (its autocovariance, the
     complex spectrum the density is read from and the inverse transform),
@@ -138,8 +148,10 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         raise ValueError("sigma must be nonnegative")
     variance = sigma * sigma  # overflows to inf, where sigma**2 would raise OverflowError
     if kind == "white":
+        _only(f"model kind {kind!r}", params, "mean", "sigma")
         density = np.full(n, variance)
     elif kind == "ar1":
+        _only(f"model kind {kind!r}", params, "mean", "sigma", "rho")
         rho = float(params.get("rho", 0.0))
         params["rho"] = rho
         if not 0.0 <= rho < 1.0:
@@ -148,6 +160,7 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         autocov = variance * (rho**k + rho ** (n - k)) / (1.0 + rho**n)
         density = dft(Signal(autocov, real=True)).coeffs.real
     elif kind == "filtered_noise":
+        _only(f"model kind {kind!r}", params, "mean", "sigma", "filter")
         spec = params.get("filter")
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("filtered_noise needs filter={'name': ..., ...}")
@@ -299,9 +312,10 @@ def save_model(path: str | os.PathLike, model: StationaryModel) -> None:
 
 
 def load_model(path: str | os.PathLike) -> StationaryModel:
-    with open(os.fspath(path)) as fh:
-        payload = json.load(fh)
-    try:
-        return make_model(payload["kind"], _whole(payload["N"]), **dict(payload.get("params", {})))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed model file {path}: {exc}") from None
+    """The model a ``save_model`` file names, built by ``make_model``.
+
+    The file is read by ``signals._read_json``: a missing key, a value of the
+    wrong type (``params`` must be an object) and a size that is not an
+    integer make it a malformed model file.
+    """
+    return _read_json(path, "model", lambda p: make_model(p["kind"], _whole(p["N"]), **p.get("params", {})))

@@ -534,6 +534,7 @@ _SCATTER = "scatter run --bank {bank} --signal {signal} --out {out}"
 _MALFORMED_MODEL = "error: malformed model file {model}: "
 _NOT_A_FLOAT = "float() argument must be a string or a real number, not "
 _TOO_LONG = "int too large to convert to float"
+_NOT_A_MAPPING = "scatdecay.stationary.make_model() argument after ** must be a mapping, not "
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
 _NEAR_ZERO = "error: near-zero decay order 0.0000 below 0.05"
@@ -694,6 +695,23 @@ _REFUSALS = {
         _bad_model(_model("filtered_noise", 256, filter={"name": "gaussian_lowpass"}),
                    _MALFORMED_MODEL + "'a'", "filter-without-a"),
         _bad_model(_model("white", 256, sigma=10**400), _MALFORMED_MODEL + _TOO_LONG, "sigma-401-digits"),
+        # params must be an object, as a bank mother's are: a list of pairs once ran, and a string was
+        # refused with dict()'s own message, naming no file
+        *(_bad_model({"kind": "white", "params": params, "N": 256}, _MALFORMED_MODEL + _NOT_A_MAPPING + shown,
+                     f"params-{shown}")
+          for params, shown in (([["sigma", 2.0]], "list"), ("sigma", "str"), (None, "NoneType"))),
+        # a key its kind or filter does not read was once ignored: "rh0" ran an ar1 model with rho = 0
+        *(_bad_model(_model(kind, 256, **params), f"error: {what} takes no parameter {key!r}", f"{kind}-{key}")
+          for kind, params, what, key in (
+              ("white", {"foo": 1}, "model kind 'white'", "foo"),
+              ("ar1", {"rh0": 0.5}, "model kind 'ar1'", "rh0"),
+              ("filtered_noise", {"filter": {"name": "band", "lo": 3, "hi": 6}, "rho": 0.5},
+               "model kind 'filtered_noise'", "rho"),
+              ("filtered_noise", {"filter": {"name": "gaussian_lowpass", "a": 2.0, "lo": 1}},
+               "filter 'gaussian_lowpass'", "lo"),
+              ("filtered_noise", {"filter": {"name": "band", "lo": 3, "hi": 6, "amp": 2.0}}, "filter 'band'",
+               "amp"),
+          )),
     ],
     "test_non_integral_bank_size_refused_before_any_work": [
         _bad_size("N-128.7", "128.7", N=128.7), _bad_size("J-0.9", "0.9", J=0.9),

@@ -1,12 +1,15 @@
-"""The package namespace re-exports each library module's public API, once."""
+"""The package namespace re-exports each library module's public API, once, and one module owns its files."""
+import ast
 import collections
 import importlib
+from pathlib import Path
 
 import pytest
 
 import scatdecay
 
 MODULES = ("decay", "errors", "filterbank", "scattering", "signals", "stationary")
+PACKAGE = Path(scatdecay.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,3 +24,22 @@ def test_package_all_lists_each_public_name_once():
     names = [public for module in modules for public in module.__all__]
     assert collections.Counter(scatdecay.__all__) == collections.Counter(set(names))
     assert len(names) == len(set(names))  # no name is public in two modules
+
+
+def _file_access(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``open`` or imports ``json``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "json" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_only_signals_opens_files_or_reads_json(name):
+    # signals owns every file format, read and written, so no other module opens a file or
+    # parses JSON; signals itself does both, which shows the check sees what it forbids
+    path = PACKAGE / f"{name}.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if _file_access(node)]
+    assert bool(lines) == (name == "signals"), f"{path.name} opens a file or imports json at lines {lines}"
