@@ -23,8 +23,8 @@ form, sorted JSON keys, non-finite floats as strings), and nothing records
 timestamps or the environment.  No command formats or opens a file itself.
 Every file is read through ``signals`` too: a signal by ``read_signal``, and
 a bank or model recipe by its one JSON reader, which refuses a file that is
-not JSON with ``json``'s own message and a missing key or a value of the
-wrong type as a "malformed bank file" or "malformed model file", exit 2.
+not JSON, a missing key and a value of the wrong type as a "malformed bank
+file" or "malformed model file" naming the file, exit 2.
 
 Each refusal has one owner.  The subcommand's parser refuses a missing or
 empty required flag and an unknown one; the library function a command

@@ -144,6 +144,27 @@ class MotherWavelet:
         return np.asarray(self.pair(np.asarray(w, dtype=np.float64))[0], dtype=np.float64)
 
 
+def _morlet(name: str, center: float, width: float, order: float) -> MotherWavelet:
+    """The Morlet bump at ``center`` less its correction kappa g (1 + t), in the terms of ``morlet_mother``.
+
+    At order 1 t is 0.0, the zero-mean correction alone: kappa * (1.0 + 0.0)
+    is kappa exactly.  A bump that reaches past ``X_WINDOW`` is refused.
+    """
+    kappa = _morlet_kappa(center, width)
+
+    def pair(w):
+        # the Gaussian at zero is even, so both sides share it; at -w the bump's square
+        # (-w - center)^2 is (w + center)^2 and 1 + center * (-w) / width^2 is 1 - t,
+        # bit for bit, as float negation is exact
+        gauss = np.exp(-(w**2) / (2.0 * width**2))
+        t = center * w / width**2 if order == 2.0 else 0.0
+        plus = np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * (1.0 + t) * gauss
+        minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * (1.0 - t) * gauss
+        return plus, minus
+
+    return MotherWavelet(name, {"center": center, "width": width}, pair, order=order)
+
+
 def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     """Analytic Morlet profile with a double zero at the origin.
 
@@ -155,18 +176,7 @@ def morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
     g = exp(-w^2 / (2 width^2)) the profile is kappa g (e^t - 1 - t), of
     order 2.  A bump that reaches past ``X_WINDOW`` is refused.
     """
-    kappa = _morlet_kappa(center, width)
-
-    def pair(w):
-        # the Gaussian at zero is even, so both sides share it; at -w the bump's square
-        # (-w - center)^2 is (w + center)^2 and 1 + center * (-w) / width^2 is
-        # 1 - center * w / width^2, bit for bit, as float negation is exact
-        gauss = np.exp(-(w**2) / (2.0 * width**2))
-        plus = np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * (1.0 + center * w / width**2) * gauss
-        minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * (1.0 - center * w / width**2) * gauss
-        return plus, minus
-
-    return MotherWavelet("morlet", {"center": center, "width": width}, pair, order=2.0)
+    return _morlet("morlet", center, width, order=2.0)
 
 
 def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -177,15 +187,7 @@ def morlet_first_order_mother(center: float = 3.0, width: float = 1.0) -> Mother
     vanishing-order check rejects it.  Useful in tests and as a contrast
     case; the decay machinery must refuse it.
     """
-    kappa = _morlet_kappa(center, width)
-
-    def pair(w):
-        gauss = np.exp(-(w**2) / (2.0 * width**2))
-        plus = np.exp(-((w - center) ** 2) / (2.0 * width**2)) - kappa * gauss
-        minus = np.exp(-((w + center) ** 2) / (2.0 * width**2)) - kappa * gauss
-        return plus, minus
-
-    return MotherWavelet("morlet_first_order", {"center": center, "width": width}, pair, order=1.0)
+    return _morlet("morlet_first_order", center, width, order=1.0)
 
 
 def even_morlet_mother(center: float = 3.0, width: float = 1.0) -> MotherWavelet:
@@ -586,9 +588,10 @@ def _bank_args(payload) -> tuple:
 def load_bank(path: str | os.PathLike) -> FilterBank:
     """The bank a ``save_bank`` recipe file names, built by ``build_bank``.
 
-    The file is read by ``signals._read_json``: a missing key, a value of the
-    wrong type and a size that is not an integer make it a malformed bank
-    file.  ``build_bank`` makes its own refusals after the file is read.
+    The file is read by ``signals._read_json``: text that is not JSON, a
+    missing key, a value of the wrong type and a size that is not an integer
+    make it a malformed bank file.  ``build_bank`` makes its own refusals
+    after the file is read.
     """
     mother, j_max, n, j_min = _read_json(path, "bank", _bank_args)
     return build_bank(mother, j_max, n, j_min=j_min)

@@ -228,13 +228,17 @@ def _whole(value) -> int:
 def _read_json(path: str | os.PathLike, what: str, parse):
     """``parse(payload)`` of the JSON file at ``path``, a ``what`` recipe such as "bank" or "model".
 
-    A file that is not JSON is refused with ``json``'s own message.  A
-    ``KeyError``, ``TypeError`` or ``OverflowError`` from ``parse``, a key
-    missing, a value of the wrong type or too long for float64, becomes
-    ``ValueError("malformed <what> file <path>: ...")``.
+    A file that is not JSON (not UTF-8, not JSON text, or nested past the
+    parser's depth), and a ``KeyError``, ``TypeError`` or ``OverflowError``
+    from ``parse``, a key missing, a value of the wrong type or too long for
+    float64, become ``ValueError("malformed <what> file <path>: ...")``.  A
+    file that cannot be opened keeps its ``OSError``.
     """
-    with open(os.fspath(path)) as fh:
-        payload = json.load(fh)
+    with open(os.fspath(path), encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"malformed {what} file {path}: {exc}") from None
     try:
         return parse(payload)
     except (KeyError, TypeError, OverflowError) as exc:
@@ -295,6 +299,7 @@ def read_signal(path: str | os.PathLike) -> Signal:
 
 
 def _parse_signal(path: str) -> Signal:
+    """The signal at ``path``; every refusal names the file."""
     if os.path.exists(path + ".meta"):
         with open(path + ".meta") as fh:
             text = fh.read().strip()
@@ -310,19 +315,22 @@ def _parse_signal(path: str) -> Signal:
         count = 2 * n if is_complex else n
         if data.size != count:
             raise ValueError(
-                f"raw payload holds {data.size} values, expected {count} (N={n}, complex={is_complex:d})"
+                f"raw payload {path} holds {data.size} values, expected {count} (N={n}, complex={is_complex:d})"
             )
-        if is_complex:
-            return Signal(data[0::2] + 1j * data[1::2])
-        return Signal(data.astype(np.complex128), real=True)
-    with warnings.catch_warnings():
-        # a file with no data line warns before it returns no rows, which are refused below
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if rows.size == 0:
-        raise ValueError(f"signal CSV {path} holds no samples")
-    if rows.shape[1] == 1:
-        return Signal(rows[:, 0].astype(np.complex128), real=True)
-    if rows.shape[1] == 2:
-        return Signal(rows[:, 0] + 1j * rows[:, 1])
-    raise ValueError(f"signal CSV must have 1 or 2 columns, got {rows.shape[1]}")
+        rows = data.reshape(n, -1)  # interleaved re,im: one row per sample, as in a complex CSV
+    else:
+        with warnings.catch_warnings():
+            # a file with no data line warns before it returns no rows, which are refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"signal CSV {path}: {exc}") from None
+        if rows.size == 0:
+            raise ValueError(f"signal CSV {path} holds no samples")
+        if rows.shape[1] > 2:
+            raise ValueError(f"signal CSV {path} must have 1 or 2 columns, got {rows.shape[1]}")
+    try:
+        return Signal(rows[:, 0] + 1j * rows[:, 1]) if rows.shape[1] == 2 else Signal(rows[:, 0], real=True)
+    except ValueError as exc:
+        raise ValueError(f"signal {path}: {exc}") from None

@@ -314,8 +314,8 @@ def save_model(path: str | os.PathLike, model: StationaryModel) -> None:
 def load_model(path: str | os.PathLike) -> StationaryModel:
     """The model a ``save_model`` file names, built by ``make_model``.
 
-    The file is read by ``signals._read_json``: a missing key, a value of the
-    wrong type (``params`` must be an object) and a size that is not an
-    integer make it a malformed model file.
+    The file is read by ``signals._read_json``: text that is not JSON, a
+    missing key, a value of the wrong type (``params`` must be an object) and
+    a size that is not an integer make it a malformed model file.
     """
     return _read_json(path, "model", lambda p: make_model(p["kind"], _whole(p["N"]), **p.get("params", {})))

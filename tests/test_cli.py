@@ -509,8 +509,8 @@ class Refusal:
     argv: str
     code: int
     err: str
-    bank: dict | str | None = None
-    model: dict | None = None
+    bank: dict | str | bytes | None = None
+    model: dict | str | None = None
     signal: str | bytes | None = None
     meta: str | None = None
     work: bool = False
@@ -594,8 +594,19 @@ _REFUSALS = {
         )
     ],
     "test_malformed_bank_file_is_parse_error": [
-        Refusal(_CHECK, 2, "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
-                bank="{this is not json"),
+        Refusal(_CHECK, 2, "error: malformed bank file {bank}: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)", bank="{this is not json"),
+    ],
+    # json's own refusals once named no file, so a stationary run did not say which recipe failed,
+    # and a bank nested past the parser's depth ended in a RecursionError traceback, exit 1
+    "test_recipe_file_that_is_not_json_is_named": [
+        Refusal(_CHECK, 2, "error: malformed bank file {bank}: maximum recursion depth exceeded while decoding "
+                "a JSON array from a unicode string", bank="[" * 200_000, id="deep-bank"),
+        Refusal(_CHECK, 2, "error: malformed bank file {bank}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte", bank=b"\xff\xfe", id="non-utf-8-bank"),
+        Refusal(_STATIONARY, 2, "error: malformed model file {model}: Expecting property name enclosed in double "
+                "quotes: line 1 column 19 (char 18)", bank=_SHANNON_128, model='{"kind": "white", ',
+                id="broken-model"),
     ],
     "test_unknown_mother_is_parse_error": [
         Refusal(_CHECK, 2, "error: unknown mother wavelet 'hann'", bank=_bank("hann", N=64)),
@@ -805,6 +816,16 @@ _REFUSALS = {
                      "demo modulus-shift --signal {signal} --out {out}")
         for id, signal in (("empty", ""), ("comments", "# no samples\n\n"))
     ],
+    # loadtxt's, the column count's and the sample count's refusals once named no file
+    "test_signal_file_refusal_names_it": [
+        Refusal(_SCATTER, 2, f"error: {message}", bank=_MORLET, signal=signal, id=id)
+        for id, signal, message in (
+            ("not-a-float", "1\nabc\n", "signal CSV {signal}: could not convert string 'abc' to float64 at row 1, "
+             "column 1."),
+            ("three-columns", "1,2,3\n" * 4, "signal CSV {signal} must have 1 or 2 columns, got 3"),
+            ("three-rows", "1\n" * 3, "signal {signal}: sample count must be a power of two >= 2, got 3"),
+        )
+    ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
                 "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
@@ -872,7 +893,7 @@ def _refuse(row, tmp_path, capsys, monkeypatch):
                           ("signal.meta", row.meta)):
         if payload is not None:
             files[name] = str(tmp_path / name)
-            if isinstance(payload, bytes):  # a raw signal, read beside its .meta sidecar
+            if isinstance(payload, bytes):  # a raw signal, read beside its .meta sidecar, or a non-UTF-8 recipe
                 (tmp_path / name).write_bytes(payload)
             else:
                 (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))

@@ -1,5 +1,7 @@
-"""The code-line counter that refactors report their size change with."""
+"""The code-line counter that refactors report their size change with, and the smoke script CI runs."""
 import importlib.util
+import re
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -44,58 +46,14 @@ def test_code_lines_counts_only_code(tmp_path, capsys):
     assert capsys.readouterr().out == "    11  a.py\n     0  b.py\n    11  total\n"
 
 
-_REPLAY_PATH = Path(__file__).resolve().parent.parent / "tools" / "replay_smoke.py"
-_REPLAY_SPEC = importlib.util.spec_from_file_location("replay_smoke", _REPLAY_PATH)
-replay_smoke = importlib.util.module_from_spec(_REPLAY_SPEC)
-_REPLAY_SPEC.loader.exec_module(replay_smoke)
-
-WORKFLOW = '''name: demo
-jobs:
-  tests:
-    steps:
-      - name: other job
-        run: echo no
-  smoke:
-    # a comment before the steps
-    runs-on: ubuntu-latest
-    steps:
-      - uses: actions/checkout@v4
-      - name: Install
-        run: |
-          pip install -e .
-      - name: first
-        working-directory: ${{ runner.temp }}
-        env:
-          PYTHONWARNINGS: error
-        run: |
-          echo '{"a": 1}' > a.json
-          # a shell comment, then a blank line
-
-            indented: kept relative
-      - name: second
-        run: |
-          test -f a.json
-
-  after:
-    steps:
-      - name: not smoke
-        run: echo no
-'''
-
-
-def test_replay_reads_the_job_run_blocks():
-    steps = replay_smoke.job_steps(WORKFLOW, "smoke")
-    assert [step.get("name") for step in steps] == [None, "Install", "first", "second"]
-    assert [step.get("run") for step in steps] == [
-        None,
-        "pip install -e .\n",
-        "echo '{\"a\": 1}' > a.json\n# a shell comment, then a blank line\n\n  indented: kept relative\n",
-        "test -f a.json\n",
-    ]
-    assert [step["env"] for step in steps] == [{}, {}, {"PYTHONWARNINGS": "error"}, {}]
-    # the repository's own smoke job: the Install step and five recipe steps
-    real = replay_smoke.job_steps((_REPLAY_PATH.parent.parent / ".github/workflows/tier1.yml").read_text(),
-                                  "package-smoke")
-    assert [step.get("name") for step in real] == [
-        None, None, "Install", "bank check", "scatter run", "decay verify", "stationary run", "demo modulus-shift"]
-    assert all(step["env"] == {"PYTHONWARNINGS": "error"} for step in real[3:])
+def test_smoke_script_is_what_the_package_smoke_job_runs():
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run(["bash", "-n", str(root / "tools" / "smoke.sh")], check=True)
+    # the job is the workflow's lines from "  package-smoke:" up to the next job, comments left out
+    lines = (root / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    start = lines.index("  package-smoke:") + 1
+    end = next((k for k in range(start, len(lines)) if re.match(r"  [^ #]", lines[k])), len(lines))
+    job = [line.strip() for line in lines[start:end] if not line.strip().startswith("#")]
+    assert "run: bash tools/smoke.sh" in job
+    # the recipes live in the script alone, so they cannot drift back into the workflow
+    assert not [line for line in job if "scatdecay" in line]
