@@ -22,9 +22,9 @@ through ``signals``, which owns the formats (floats in shortest round-trip
 form, sorted JSON keys, non-finite floats as strings), and nothing records
 timestamps or the environment.  No command formats or opens a file itself.
 Every file is read through ``signals`` too: a signal by ``read_signal``, and
-a bank or model recipe by its one JSON reader, which refuses a file that is
-not JSON, a missing key and a value of the wrong type as a "malformed bank
-file" or "malformed model file" naming the file, exit 2.
+a bank or model recipe by its one JSON reader, which also builds the bank or
+model.  Both read inside one wrapper, so every refusal of a file's content,
+or of what it describes, reads "<what> file <path>: <reason>", exit 2.
 
 Each refusal has one owner.  The subcommand's parser refuses a missing or
 empty required flag and an unknown one; the library function a command

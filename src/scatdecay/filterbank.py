@@ -40,7 +40,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BankConditionError, BudgetExceededError
-from .signals import Spectrum, _read_json, _whole, _write_json, frequencies
+from .signals import Spectrum, _read_json, _real, _whole, _write_json, frequencies
 
 __all__ = [
     "X_WINDOW",
@@ -264,7 +264,7 @@ def make_mother(name: str, **params) -> MotherWavelet:
     except KeyError:
         raise ValueError(f"unknown mother wavelet {name!r}") from None
     try:
-        return builder(**params)
+        return builder(**{key: _real(key, value) for key, value in params.items()})
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad parameters for mother {name!r}: {exc}") from None
 
@@ -588,10 +588,10 @@ def _bank_args(payload) -> tuple:
 def load_bank(path: str | os.PathLike) -> FilterBank:
     """The bank a ``save_bank`` recipe file names, built by ``build_bank``.
 
-    The file is read by ``signals._read_json``: text that is not JSON, a
-    missing key, a value of the wrong type and a size that is not an integer
-    make it a malformed bank file.  ``build_bank`` makes its own refusals
-    after the file is read.
+    The file is read, and the bank built, by ``signals._read_json``, so text
+    that is not JSON, a missing key, a value of the wrong type, a size that is
+    not an integer and every refusal of ``make_mother`` and ``build_bank`` are
+    reported as "bank file <path>: <reason>".  A bank over the memory budget
+    keeps its ``BudgetExceededError``.
     """
-    mother, j_max, n, j_min = _read_json(path, "bank", _bank_args)
-    return build_bank(mother, j_max, n, j_min=j_min)
+    return _read_json(path, "bank", lambda payload: build_bank(*_bank_args(payload)))

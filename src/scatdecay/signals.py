@@ -12,6 +12,7 @@ is preserved exactly between the two domains.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -212,10 +213,27 @@ def band_limited_signal(
 # File formats.  Every file the package writes is written here, through
 # ``_write_text``, and every file it reads is read here: a signal by
 # ``read_signal``, a bank or model recipe by ``_read_json``, whose caller maps
-# the payload's keys and nothing else.  A signal's CSV holds one sample per
-# line, "re" or "re,im"; raw holds little-endian float64, interleaved re,im
-# when complex, with a sidecar "<path>.meta" recording the count and
-# complexity.  Raw is input only.
+# the payload's keys and nothing else.  Both read inside ``_reading``, the one
+# place that decides how a refused input file is reported.  A signal's CSV
+# holds one sample per line, "re" or "re,im"; raw holds little-endian float64,
+# interleaved re,im when complex, with a sidecar "<path>.meta" recording the
+# count and complexity.  Raw is input only.
+
+
+@contextlib.contextmanager
+def _reading(path: str | os.PathLike, what: str):
+    """Report every refusal raised inside as ``ValueError("<what> file <path>: <reason>")``.
+
+    The refusals are the ``ValueError``, ``KeyError``, ``TypeError``,
+    ``OverflowError`` and ``RecursionError`` of reading the file or of building
+    what it describes.  An ``OSError``, a file that cannot be opened, keeps its
+    own message, which names the file, and so does every ``ScatdecayError``,
+    such as a request over the memory budget.
+    """
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"{what} file {path}: {exc}") from None
 
 
 def _whole(value) -> int:
@@ -225,24 +243,28 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _real(key: str, value):
+    """The number ``value`` a bank or model file gives ``key``; float() would read true as 1.0 and "2" as 2.0.
+
+    Of strings, only "inf", "-inf" and "nan" are taken: ``_write_json`` spells
+    a non-finite float so, and float() reads it back.
+    """
+    if isinstance(value, bool) or isinstance(value, str) and value not in ("inf", "-inf", "nan"):
+        raise TypeError(f"parameter {key!r} must be a number, got {value!r}")
+    return value
+
+
 def _read_json(path: str | os.PathLike, what: str, parse):
     """``parse(payload)`` of the JSON file at ``path``, a ``what`` recipe such as "bank" or "model".
 
-    A file that is not JSON (not UTF-8, not JSON text, or nested past the
-    parser's depth), and a ``KeyError``, ``TypeError`` or ``OverflowError``
-    from ``parse``, a key missing, a value of the wrong type or too long for
-    float64, become ``ValueError("malformed <what> file <path>: ...")``.  A
-    file that cannot be opened keeps its ``OSError``.
+    The file is read, and ``parse`` builds the bank or model, inside
+    ``_reading``: a file that is not JSON (not UTF-8, not JSON text, or
+    nested past the parser's depth), a key missing, a value of the wrong type
+    or too long for float64, and every refusal of the build are reported as
+    "<what> file <path>: <reason>".
     """
-    with open(os.fspath(path), encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"malformed {what} file {path}: {exc}") from None
-    try:
-        return parse(payload)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed {what} file {path}: {exc}") from None
+    with _reading(path, what), open(os.fspath(path), encoding="utf-8") as fh:
+        return parse(json.load(fh))
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:
@@ -280,28 +302,30 @@ def _write_table(path: str | os.PathLike, header: str, rows) -> None:
 def read_signal(path: str | os.PathLike) -> Signal:
     """Load a signal from CSV, or from raw float64 via its sidecar.
 
-    A signal with a sample of modulus over 2^510 / sqrt(N) is refused.  With
-    octave sums at most one, the bound ``check_littlewood_paley`` checks, a layer
-    at most doubles a complex signal's energy and never grows a real one's, so
-    every energy a run computes is at most 2 N max |s_k|^2 before its 1/N:
-    at most 2^1021 under the bound, finite in float64.
+    Every refusal is reported as "signal file <path>: <reason>" by
+    ``_reading``.  A signal with a sample of modulus over 2^510 / sqrt(N) is
+    refused.  With octave sums at most one, the bound ``check_littlewood_paley``
+    checks, a layer at most doubles a complex signal's energy and never grows a
+    real one's, so every energy a run computes is at most 2 N max |s_k|^2 before
+    its 1/N: at most 2^1021 under the bound, finite in float64.
     """
-    path = os.fspath(path)
-    sig = _parse_signal(path)
-    bound = 2.0**510 / math.sqrt(sig.n)
-    peak = float(np.max(np.abs(sig.samples)))
-    if peak > bound:
-        raise ValueError(
-            f"signal {path} has a sample of modulus {peak:.6g}, over 2^510 / sqrt(N) = "
-            f"{bound:.6g} at N={sig.n}: its energies would overflow float64"
-        )
+    with _reading(path, "signal"):
+        sig = _parse_signal(os.fspath(path))
+        bound = 2.0**510 / math.sqrt(sig.n)
+        peak = float(np.max(np.abs(sig.samples)))
+        if peak > bound:
+            raise ValueError(
+                f"signal has a sample of modulus {peak:.6g}, over 2^510 / sqrt(N) = "
+                f"{bound:.6g} at N={sig.n}: its energies would overflow float64"
+            )
     return sig
 
 
 def _parse_signal(path: str) -> Signal:
-    """The signal at ``path``; every refusal names the file."""
+    """The signal at ``path``; ``read_signal`` names the file in every refusal."""
     if os.path.exists(path + ".meta"):
-        with open(path + ".meta") as fh:
+        # a byte that is not UTF-8 is read as a lone surrogate, which no field takes
+        with open(path + ".meta", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read().strip()
         try:
             # a field without "=" splits into one item, which dict refuses with a ValueError
@@ -315,22 +339,16 @@ def _parse_signal(path: str) -> Signal:
         count = 2 * n if is_complex else n
         if data.size != count:
             raise ValueError(
-                f"raw payload {path} holds {data.size} values, expected {count} (N={n}, complex={is_complex:d})"
+                f"raw payload holds {data.size} values, expected {count} (N={n}, complex={is_complex:d})"
             )
         rows = data.reshape(n, -1)  # interleaved re,im: one row per sample, as in a complex CSV
     else:
         with warnings.catch_warnings():
             # a file with no data line warns before it returns no rows, which are refused below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"signal CSV {path}: {exc}") from None
+            rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
         if rows.size == 0:
-            raise ValueError(f"signal CSV {path} holds no samples")
+            raise ValueError("signal CSV holds no samples")
         if rows.shape[1] > 2:
-            raise ValueError(f"signal CSV {path} must have 1 or 2 columns, got {rows.shape[1]}")
-    try:
-        return Signal(rows[:, 0] + 1j * rows[:, 1]) if rows.shape[1] == 2 else Signal(rows[:, 0], real=True)
-    except ValueError as exc:
-        raise ValueError(f"signal {path}: {exc}") from None
+            raise ValueError(f"signal CSV must have 1 or 2 columns, got {rows.shape[1]}")
+    return Signal(rows[:, 0] + 1j * rows[:, 1]) if rows.shape[1] == 2 else Signal(rows[:, 0], real=True)

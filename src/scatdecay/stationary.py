@@ -40,7 +40,7 @@ from .decay import DecayConstants, _check_bound_layer, _layer_loss
 from .filterbank import FilterBank, _check_bytes
 from .scattering import _block_profiles, _check_budget, _power
 from .signals import (
-    Signal, Spectrum, _check_length, _frozen, _read_json, _whole, _write_json, dft, frequencies,
+    Signal, Spectrum, _check_length, _frozen, _read_json, _real, _whole, _write_json, dft, frequencies,
     gaussian_lowpass,
 )
 
@@ -88,6 +88,12 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
             f"mean {mean:g} is more than 2^27 times the standard deviation "
             f"{math.sqrt(autocov[0]):g}: float64 cannot hold the fluctuation beside it"
         )
+    reach = n * (64.0 * math.sqrt(autocov[0]) + abs(mean))  # make_model's docstring argues it
+    if reach > 2.0**512:
+        raise ValueError(
+            f"N (64 sqrt(R(0)) + |mean|) = {reach:.6g} is over 2^512 = {2.0**512:.6g}: "
+            "the squared spectrum of a Monte Carlo trial could overflow float64"
+        )
     return StationaryModel(
         kind=kind, params=params, n=n, mean=float(mean), density=density, autocov=autocov
     )
@@ -104,13 +110,13 @@ def filter_spectrum(name: str, n: int, **params) -> Spectrum:
     """Named filters available to filtered-noise models; a parameter the filter does not read is refused."""
     if name == "gaussian_lowpass":
         _only(f"filter {name!r}", params, "a")
-        return gaussian_lowpass(float(params["a"]), n)
+        return gaussian_lowpass(float(_real("a", params["a"])), n)
     if name == "band":
         _only(f"filter {name!r}", params, "lo", "hi", "amplitude")
-        lo, hi = float(params["lo"]), float(params["hi"])
+        lo, hi = float(_real("lo", params["lo"])), float(_real("hi", params["hi"]))
         if not 0 <= lo < hi:
             raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-        amp = float(params.get("amplitude", 1.0))
+        amp = float(_real("amplitude", params.get("amplitude", 1.0)))
         w = np.abs(frequencies(n))
         return Spectrum((amp * ((w >= lo) & (w <= hi))).astype(np.complex128))
     raise ValueError(f"unknown filter {name!r}")
@@ -133,17 +139,33 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
 
     Every family accepts ``mean`` (default 0), but not one more than 2^27
     standard deviations sqrt(R(0)) from zero, and ``sigma`` (default 1); a
-    parameter its family does not read is refused.  A model is refused first
-    when its build's peak exceeds the memory budget: 80 N bytes, what ``ar1``
-    holds at once while inverting its density (its autocovariance, the
-    complex spectrum the density is read from and the inverse transform),
-    and 16 KiB of Python objects.  The model itself keeps its density and
-    autocovariance, 16 N bytes.
+    parameter its family does not read is refused.
+
+    A model is refused when N (64 sqrt(R(0)) + |mean|) exceeds 2^512, so that
+    no sum a Monte Carlo trial forms overflows.  A trial's spectrum is N
+    times sqrt(density(w)) g(w), plus N mean at w = 0, where each g(w) is
+    made of standard normals of modulus at most z; its squares sum to at
+    most (N (z sqrt(R(0)) + |mean|))^2.  By Parseval, and on a bank whose
+    octave sums stay within one (``stationary run`` computes the constants,
+    which check it, first), no sum a deeper layer forms exceeds that.  So a
+    trial stays finite for z up to 64, a modulus a standard normal passes
+    with probability below 10^-880.  A model of zero variance is refused
+    just where its squared spectrum (N mean)^2 overflows.  The spread of
+    the trials' energies is summed apart, in ``mc_layer_energy``.
+
+    A model is refused first when its build's peak exceeds the memory budget:
+    80 N bytes, what ``ar1`` holds at once while inverting its density (its
+    autocovariance, the complex spectrum the density is read from and the
+    inverse transform), and 16 KiB of Python objects; then when N is
+    negative.  The model itself keeps its density and autocovariance, 16 N
+    bytes.
     """
     _check_bytes(f"a model on N={n}", 80 * n + (1 << 14))
+    if n < 0:  # numpy, or ar1's rho ** (n - k), would refuse it without naming the size
+        _check_length(n)
     params = dict(params)
-    mean = float(params.setdefault("mean", 0.0))
-    sigma = float(params.setdefault("sigma", 1.0))
+    mean = float(_real("mean", params.setdefault("mean", 0.0)))
+    sigma = float(_real("sigma", params.setdefault("sigma", 1.0)))
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     variance = sigma * sigma  # overflows to inf, where sigma**2 would raise OverflowError
@@ -152,7 +174,7 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
         density = np.full(n, variance)
     elif kind == "ar1":
         _only(f"model kind {kind!r}", params, "mean", "sigma", "rho")
-        rho = float(params.get("rho", 0.0))
+        rho = float(_real("rho", params.get("rho", 0.0)))
         params["rho"] = rho
         if not 0.0 <= rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {rho}")
@@ -291,8 +313,13 @@ def mc_layer_energy(
     draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)))
     for start, profiles in _block_profiles(bank, n, trials, draw):
         values[start : start + profiles.shape[1]] = profiles[n]
-    estimate = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
+    # np.std squares deviations as large as the energies, which overflows past about 2^498;
+    # energies past 2^480 are summed divided by a power of two, which moves no bit of a sum
+    # that stays finite undivided
+    scale = 2.0 ** max(0, math.frexp(float(np.max(values)))[1] - 480)
+    values /= scale
+    estimate = float(np.mean(values) * scale)
+    stderr = float(np.std(values, ddof=1) * scale / math.sqrt(trials))
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)
 
 
@@ -314,8 +341,9 @@ def save_model(path: str | os.PathLike, model: StationaryModel) -> None:
 def load_model(path: str | os.PathLike) -> StationaryModel:
     """The model a ``save_model`` file names, built by ``make_model``.
 
-    The file is read by ``signals._read_json``: text that is not JSON, a
-    missing key, a value of the wrong type (``params`` must be an object) and
-    a size that is not an integer make it a malformed model file.
+    The file is read, and the model built, by ``signals._read_json``, so text
+    that is not JSON, a missing key, a value of the wrong type (``params`` must
+    be an object), a size that is not an integer and every refusal of
+    ``make_model`` are reported as "model file <path>: <reason>".
     """
     return _read_json(path, "model", lambda p: make_model(p["kind"], _whole(p["N"]), **p.get("params", {})))

@@ -216,6 +216,31 @@ def test_stationary_run_within_bound(tmp_path, capsys):
     assert "[OK]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("params", [
+    # white: R(0) = N sigma^2; its spread of energies once overflowed from sigma 1e77 on,
+    # writing "stderr": "inf" and "pass": true after an overflow warning
+    {"sigma": 2.0**512 / (128 * 64 * math.sqrt(128))},
+    # zero variance: refused just where (N mean)^2 overflows
+    {"sigma": 0.0, "mean": 2.0**512 / 128},
+], ids=["white", "zero-variance"])
+@pytest.mark.parametrize("scale, code", [(1 - 1e-9, 0), (1 + 1e-9, 2)], ids=["under", "over"])
+def test_model_reach_edge_is_two_to_the_512(params, scale, code, tmp_path, capsys):
+    bank_path, model_path = tmp_path / "morlet128.json", tmp_path / "model.json"
+    save_bank(bank_path, build_bank(morlet_mother(), 0, 128))
+    model_path.write_text(json.dumps(_model("white", 128, **{k: v * scale for k, v in params.items()})))
+    out = tmp_path / "mc"
+    assert main(["stationary", "run", "--bank", str(bank_path), "--model", str(model_path),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        report = json.loads((out / "mc_report.json").read_text())
+        assert math.isfinite(report["stderr"]) and report["pass"] is True and err == ""
+    else:
+        assert err.startswith(f"error: model file {model_path}: N (64 sqrt(R(0)) + |mean|) = 1.34078e+154 "
+                              "is over 2^512")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", [1e-6, 1.0, 1e6])
 def test_near_unit_ar1_model_is_accepted_at_every_scale(sigma, tmp_path, capsys):
     # rounding takes this density's minimum to -1.17e-5 at sigma 1e6, which was once refused
@@ -501,7 +526,9 @@ def test_scatter_shannon_with_uncovered_bins_is_not_tight(signal_file, tmp_path,
 # last line after the subcommand's usage.  Placeholders {bank}, {model},
 # {signal} and {out} name the row's files.  Unless a row says `work`, it is
 # refused before any check, constant or simulation is computed.  No row forms a
-# layer or leaves an --out behind.
+# layer or leaves an --out behind.  Every exit-2 "error: ..." names the row's bank,
+# model or signal file, unless the row says `unnamed`: a refusal of a flag, of two
+# inputs taken together, or of a signal's content after it is read.
 
 
 @dataclass(frozen=True)
@@ -512,8 +539,9 @@ class Refusal:
     bank: dict | str | bytes | None = None
     model: dict | str | None = None
     signal: str | bytes | None = None
-    meta: str | None = None
+    meta: str | bytes | None = None
     work: bool = False
+    unnamed: bool = False
     id: str | None = None
 
 
@@ -531,7 +559,9 @@ _RAW_16 = np.zeros(16, dtype="<f8").tobytes()
 _CHECK = "bank check --bank {bank} --out {out}"
 _STATIONARY = "stationary run --bank {bank} --model {model} --out {out}"
 _SCATTER = "scatter run --bank {bank} --signal {signal} --out {out}"
-_MALFORMED_MODEL = "error: malformed model file {model}: "
+# every refusal of a file's content names the file, as "<what> file <path>: <reason>"
+_BANK_FILE, _MODEL_FILE = "error: bank file {bank}: ", "error: model file {model}: "
+_SIGNAL_FILE = "error: signal file {signal}: "
 _NOT_A_FLOAT = "float() argument must be a string or a real number, not "
 _TOO_LONG = "int too large to convert to float"
 _NOT_A_MAPPING = "scatdecay.stationary.make_model() argument after ** must be a mapping, not "
@@ -551,18 +581,18 @@ _REQUIRED_FLAGS = {"bank check": "--bank b.json --out {out}", "decay verify": "-
 
 def _bad_amplitude(amplitude):
     # float64 cannot square these: they once wrote "max_sum": "inf" or an unnamed refusal
-    return Refusal(_CHECK, 2, f"error: bandpass amplitude {amplitude:g} is outside float64: its "
+    return Refusal(_CHECK, 2, _BANK_FILE + f"bandpass amplitude {amplitude:g} is outside float64: its "
                    "octave sums reach amplitude^2 * 1, which is not finite",
                    bank=_bank("bandpass", lo=1, hi=2, amplitude=amplitude), id=f"amplitude-{amplitude:g}")
 
 
-def _bad_model(model, err, id):
-    return Refusal(_STATIONARY, 2, err, bank=_SHANNON, model=model, id=id)
+def _bad_model(model, reason, id):
+    return Refusal(_STATIONARY, 2, _MODEL_FILE + reason, bank=_SHANNON, model=model, id=id)
 
 
 def _bad_size(id, shown, **sizes):
     # int() once truncated these: N=128.7, J=0.9 ran as N=128, J=0 and passed
-    return Refusal(_CHECK, 2, f"error: malformed bank file {{bank}}: sizes must be integers, got {shown}",
+    return Refusal(_CHECK, 2, _BANK_FILE + f"sizes must be integers, got {shown}",
                    bank={**_SHANNON_128, **sizes}, id=id)
 
 
@@ -594,32 +624,32 @@ _REFUSALS = {
         )
     ],
     "test_malformed_bank_file_is_parse_error": [
-        Refusal(_CHECK, 2, "error: malformed bank file {bank}: Expecting property name enclosed in double quotes: "
+        Refusal(_CHECK, 2, _BANK_FILE + "Expecting property name enclosed in double quotes: "
                 "line 1 column 2 (char 1)", bank="{this is not json"),
     ],
     # json's own refusals once named no file, so a stationary run did not say which recipe failed,
     # and a bank nested past the parser's depth ended in a RecursionError traceback, exit 1
     "test_recipe_file_that_is_not_json_is_named": [
-        Refusal(_CHECK, 2, "error: malformed bank file {bank}: maximum recursion depth exceeded while decoding "
+        Refusal(_CHECK, 2, _BANK_FILE + "maximum recursion depth exceeded while decoding "
                 "a JSON array from a unicode string", bank="[" * 200_000, id="deep-bank"),
-        Refusal(_CHECK, 2, "error: malformed bank file {bank}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        Refusal(_CHECK, 2, _BANK_FILE + "'utf-8' codec can't decode byte 0xff in position 0: "
                 "invalid start byte", bank=b"\xff\xfe", id="non-utf-8-bank"),
-        Refusal(_STATIONARY, 2, "error: malformed model file {model}: Expecting property name enclosed in double "
+        Refusal(_STATIONARY, 2, _MODEL_FILE + "Expecting property name enclosed in double "
                 "quotes: line 1 column 19 (char 18)", bank=_SHANNON_128, model='{"kind": "white", ',
                 id="broken-model"),
     ],
     "test_unknown_mother_is_parse_error": [
-        Refusal(_CHECK, 2, "error: unknown mother wavelet 'hann'", bank=_bank("hann", N=64)),
+        Refusal(_CHECK, 2, _BANK_FILE + "unknown mother wavelet 'hann'", bank=_bank("hann", N=64)),
     ],
     "test_bandpass_outside_window_is_parse_error": [
-        Refusal(_CHECK, 2, "error: band (20, 40] leaves the converged window [1e-08, 16] where octave "
+        Refusal(_CHECK, 2, _BANK_FILE + "band (20, 40] leaves the converged window [1e-08, 16] where octave "
                 "sums are taken", bank=_bank("bandpass", lo=20, hi=40)),
     ],
     # a NaN floor once pruned nothing and an infinite one all of layer 1, and
     # both reached manifest.json as literals that JSON does not have
     "test_scatter_run_refuses_a_non_finite_or_negative_floor": [
         Refusal(f"{_SCATTER} --prune-eps={eps}", 2, "error: prune_eps must be finite and nonnegative",
-                bank=_SHANNON, signal=_SIGNAL_256, id=eps)
+                bank=_SHANNON, signal=_SIGNAL_256, unnamed=True, id=eps)
         for eps in ("nan", "inf", "-inf", "-1e-9")
     ],
     "test_scatter_run_over_budget_exits_three": [
@@ -629,7 +659,7 @@ _REFUSALS = {
     ],
     "test_scatter_tight_lowpass_needs_shannon": [
         Refusal(f"{_SCATTER} --lowpass tight", 2, "error: the tight pair is only defined for the shannon bank",
-                bank=_MORLET, signal=_SIGNAL_256),
+                bank=_MORLET, signal=_SIGNAL_256, unnamed=True),
     ],
     "test_decay_verify_degenerate_bank_exits_one": [
         Refusal("decay verify --bank {bank} --out {out}", 1, "error: degenerate octave: c^2 = "
@@ -664,7 +694,7 @@ _REFUSALS = {
     ],
     "test_bad_depth_or_trials_refused_before_any_work": [
         Refusal(f"{argv} --bank {{bank}} --out {{out}}", 2, f"error: {message}", bank=_SHANNON_128,
-                model=_WHITE_128, id=f"words{k}-{message}")
+                model=_WHITE_128, unnamed=True, id=f"words{k}-{message}")
         for k, (argv, message) in enumerate([
             ("decay verify --depth 1", "the contraction argument starts at layer 2"),
             ("decay verify --depth -1", "the contraction argument starts at layer 2"),
@@ -679,40 +709,50 @@ _REFUSALS = {
     # a NaN density once passed every model check and wrote a NaN mc_report.json;
     # a wrongly typed or overflowing parameter once ended in a traceback
     "test_bad_model_file_refused_before_any_work": [
-        _bad_model(_model("white", 256, sigma=math.nan), "error: values must be finite", "sigma-nan"),
-        _bad_model(_model("white", 100), "error: sample count must be a power of two >= 2, got 100",
+        _bad_model(_model("white", 256, sigma=math.nan), "values must be finite", "sigma-nan"),
+        # a negative N was once refused with numpy's "negative dimensions are not allowed", or for
+        # ar1 as "got 0"
+        *(_bad_model(_model(kind, -1), "sample count must be a power of two >= 2, got -1", f"{kind}-N--1")
+          for kind in ("white", "ar1")),
+        _bad_model(_model("white", 100), "sample count must be a power of two >= 2, got 100",
                    "length-100"),
         # the density sums to inf; sigma^2 itself overflows and once raised OverflowError
-        _bad_model(_model("white", 128, sigma=1e154), "error: values must be finite", "sigma-1e154"),
-        _bad_model(_model("white", 128, sigma=1e200), "error: values must be finite", "sigma-1e200"),
+        _bad_model(_model("white", 128, sigma=1e154), "values must be finite", "sigma-1e154"),
+        _bad_model(_model("white", 128, sigma=1e200), "values must be finite", "sigma-1e200"),
+        # a trial's squared spectrum could overflow; the zero-variance model once warned of
+        # overflow in square and exited 0
+        *(_bad_model(_model("white", 128, **params), f"N (64 sqrt(R(0)) + |mean|) = {reach} is over 2^512 = "
+                     "1.34078e+154: the squared spectrum of a Monte Carlo trial could overflow float64", id)
+          for params, reach, id in (({"sigma": 1e150}, "9.26819e+154", "sigma-1e150"),
+                                    ({"sigma": 0.0, "mean": 1e200}, "1.28e+202", "zero-variance-mean-1e200"))),
         # int() once truncated a size: N=128.9 ran at 128
-        _bad_model(_model("white", 128.9), _MALFORMED_MODEL + "sizes must be integers, got 128.9", "N-128.9"),
-        _bad_model(_model("white", True), _MALFORMED_MODEL + "sizes must be integers, got True", "N-true"),
+        _bad_model(_model("white", 128.9), "sizes must be integers, got 128.9", "N-128.9"),
+        _bad_model(_model("white", True), "sizes must be integers, got True", "N-true"),
         # a non-finite mean once wrote "estimate": "nan" and exited 1
-        _bad_model(_model("white", 256, mean=math.nan), "error: values must be finite", "mean-nan"),
-        _bad_model(_model("white", 256, mean=math.inf), "error: values must be finite", "mean-inf"),
+        _bad_model(_model("white", 256, mean=math.nan), "values must be finite", "mean-nan"),
+        _bad_model(_model("white", 256, mean=math.inf), "values must be finite", "mean-inf"),
         # mean + x once rounded x away: estimate=0 (stderr 0) and [OK] on a Shannon bank
-        _bad_model(_model("white", 256, mean=1e20), "error: mean 1e+20 is more than 2^27 times the standard "
+        _bad_model(_model("white", 256, mean=1e20), "mean 1e+20 is more than 2^27 times the standard "
                    "deviation 16: float64 cannot hold the fluctuation beside it", "mean-1e20"),
         _bad_model(_model("filtered_noise", 256, filter={"name": "band", "lo": 3, "hi": 3}),
-                   "error: need 0 <= lo < hi, got (3.0, 3.0)", "band-lo-hi"),
-        _bad_model(_model("white", 256, sigma=[1]), _MALFORMED_MODEL + _NOT_A_FLOAT + "'list'", "sigma-list"),
-        _bad_model(_model("white", 256, sigma=None), _MALFORMED_MODEL + _NOT_A_FLOAT + "'NoneType'",
+                   "need 0 <= lo < hi, got (3.0, 3.0)", "band-lo-hi"),
+        _bad_model(_model("white", 256, sigma=[1]), _NOT_A_FLOAT + "'list'", "sigma-list"),
+        _bad_model(_model("white", 256, sigma=None), _NOT_A_FLOAT + "'NoneType'",
                    "sigma-null"),
-        _bad_model(_model("white", 256, mean={}), _MALFORMED_MODEL + _NOT_A_FLOAT + "'dict'", "mean-object"),
-        _bad_model(_model("ar1", 256, rho=[0.5]), _MALFORMED_MODEL + _NOT_A_FLOAT + "'list'", "rho-list"),
+        _bad_model(_model("white", 256, mean={}), _NOT_A_FLOAT + "'dict'", "mean-object"),
+        _bad_model(_model("ar1", 256, rho=[0.5]), _NOT_A_FLOAT + "'list'", "rho-list"),
         _bad_model(_model("filtered_noise", 256, filter={"name": "gaussian_lowpass", "a": [2]}),
-                   _MALFORMED_MODEL + _NOT_A_FLOAT + "'list'", "filter-a-list"),
+                   _NOT_A_FLOAT + "'list'", "filter-a-list"),
         _bad_model(_model("filtered_noise", 256, filter={"name": "gaussian_lowpass"}),
-                   _MALFORMED_MODEL + "'a'", "filter-without-a"),
-        _bad_model(_model("white", 256, sigma=10**400), _MALFORMED_MODEL + _TOO_LONG, "sigma-401-digits"),
+                   "'a'", "filter-without-a"),
+        _bad_model(_model("white", 256, sigma=10**400), _TOO_LONG, "sigma-401-digits"),
         # params must be an object, as a bank mother's are: a list of pairs once ran, and a string was
         # refused with dict()'s own message, naming no file
-        *(_bad_model({"kind": "white", "params": params, "N": 256}, _MALFORMED_MODEL + _NOT_A_MAPPING + shown,
+        *(_bad_model({"kind": "white", "params": params, "N": 256}, _NOT_A_MAPPING + shown,
                      f"params-{shown}")
           for params, shown in (([["sigma", 2.0]], "list"), ("sigma", "str"), (None, "NoneType"))),
         # a key its kind or filter does not read was once ignored: "rh0" ran an ar1 model with rho = 0
-        *(_bad_model(_model(kind, 256, **params), f"error: {what} takes no parameter {key!r}", f"{kind}-{key}")
+        *(_bad_model(_model(kind, 256, **params), f"{what} takes no parameter {key!r}", f"{kind}-{key}")
           for kind, params, what, key in (
               ("white", {"foo": 1}, "model kind 'white'", "foo"),
               ("ar1", {"rh0": 0.5}, "model kind 'ar1'", "rh0"),
@@ -724,6 +764,20 @@ _REFUSALS = {
                "amp"),
           )),
     ],
+    # float() once read these as 1.0, 0.0 or 2.0, and the run exited 0
+    "test_recipe_number_refuses_a_bool_or_a_string": [
+        *(Refusal(_CHECK, 2, _BANK_FILE + f"bad parameters for mother {name!r}: parameter {key!r} must be a number, "
+                  "got True", bank=_bank(name, **params, **{key: True}), id=f"{name}-{key}")
+          for name, params, key in (("morlet", {}, "center"), ("morlet", {}, "width"),
+                                    ("bandpass", {"hi": 2}, "lo"))),
+        *(_bad_model(_model(kind, 256, **params), f"parameter {key!r} must be a number, got {value!r}",
+                     f"{kind}-{key}-{value!r}")
+          for kind, params, key, value in (
+              ("white", {"sigma": True}, "sigma", True), ("white", {"mean": True}, "mean", True),
+              ("ar1", {"rho": False}, "rho", False), ("white", {"sigma": "2"}, "sigma", "2"),
+              ("filtered_noise", {"filter": {"name": "gaussian_lowpass", "a": True}}, "a", True),
+          )),
+    ],
     "test_non_integral_bank_size_refused_before_any_work": [
         _bad_size("N-128.7", "128.7", N=128.7), _bad_size("J-0.9", "0.9", J=0.9),
         _bad_size("j_min--0.5", "-0.5", j_min=-0.5), _bad_size("N-true", "True", N=True),
@@ -731,37 +785,37 @@ _REFUSALS = {
     ],
     # N=2 is a legal signal size, but its grid has no frequency for the bank to validate
     "test_bank_without_inner_frequency_refused_by_its_size": [
-        Refusal(_CHECK, 2, "error: no frequency lies strictly between 0 and N/2 on N=2: a bank needs N >= 4",
+        Refusal(_CHECK, 2, _BANK_FILE + "no frequency lies strictly between 0 and N/2 on N=2: a bank needs N >= 4",
                 bank=_bank("morlet", N=2)),
     ],
     # the first three once ended in an OverflowError or ZeroDivisionError traceback, and
     # a width whose square overflows must not raise one either; test_filterbank.py sweeps
     # octaves and widths through the builders themselves
     "test_out_of_range_bank_recipe_refused": [
-        Refusal(_CHECK, 2, "error: " + _OCTAVES_OFF_FLOAT64.format(int(1e300), int(1e300) - 7),
+        Refusal(_CHECK, 2, _BANK_FILE + _OCTAVES_OFF_FLOAT64.format(int(1e300), int(1e300) - 7),
                 bank=_bank("morlet", J=1e300), id="J-too-large"),
-        Refusal(_CHECK, 2, "error: " + _OCTAVES_OFF_FLOAT64.format(-3000000000, -3000000007),
+        Refusal(_CHECK, 2, _BANK_FILE + _OCTAVES_OFF_FLOAT64.format(-3000000000, -3000000007),
                 bank=_bank("shannon", J=-3000000000), id="j_min-too-small"),
         # these once warned "overflow encountered in square", then exited 1 or named no input
-        *(Refusal(_CHECK, 2, "error: " + _OCTAVES_OFF_FLOAT64.format(j, j - 7), bank=_bank("morlet", J=j),
+        *(Refusal(_CHECK, 2, _BANK_FILE + _OCTAVES_OFF_FLOAT64.format(j, j - 7), bank=_bank("morlet", J=j),
                   id=f"morlet-J-{j}") for j in (505, 1016)),
-        Refusal(_CHECK, 2, "error: Morlet width 1e-200 is too narrow for float64: (16 + |center|)^2 / "
+        Refusal(_CHECK, 2, _BANK_FILE + "Morlet width 1e-200 is too narrow for float64: (16 + |center|)^2 / "
                 "(2 width^2) overflows", bank=_bank("morlet", width=1e-200), id="width-too-small"),
-        Refusal(_CHECK, 2, "error: Morlet bump at 3 of width 1e+200 reaches past 16, where octave sums are "
+        Refusal(_CHECK, 2, _BANK_FILE + "Morlet bump at 3 of width 1e+200 reaches past 16, where octave sums are "
                 "truncated; need |center| + 8.72 * width <= 16", bank=_bank("morlet", width=1e200),
                 id="width-too-large"),
         # Morlet widths too narrow for the window's 16 or the bank's largest argument 2^J * N/2: they
         # once printed RuntimeWarnings, then exited 2 naming no input, or exited 1; the mother refuses
         # a bump whose exponent overflows on the window, and the bank what overflows on its grid
-        *(Refusal(_CHECK, 2, "error: Morlet width 1e-153 is too narrow for float64: (16 + |center|)^2 / "
+        *(Refusal(_CHECK, 2, _BANK_FILE + "Morlet width 1e-153 is too narrow for float64: (16 + |center|)^2 / "
                   "(2 width^2) overflows", bank=_bank("morlet", J=0, N=N, width=1e-153),
                   id=f"width-1e-153-J0-N{N}")
           for N in (256, 16)),
-        Refusal(_CHECK, 2, "error: mother 'morlet' with {{'center': 3.0, 'width': 1e-152}} overflows "
+        Refusal(_CHECK, 2, _BANK_FILE + "mother 'morlet' with {{'center': 3.0, 'width': 1e-152}} overflows "
                 "float64 in a bank of J=5 on N=256", bank=_bank("morlet", J=5, N=256, width=1e-152),
                 id="width-1e-152-J5-N256"),
         *(_bad_amplitude(amplitude) for amplitude in (1e308, 1e200, math.inf, math.nan)),
-        *(Refusal(_CHECK, 2, f"error: bad parameters for mother {mother!r}: {_TOO_LONG}",
+        *(Refusal(_CHECK, 2, _BANK_FILE + f"bad parameters for mother {mother!r}: {_TOO_LONG}",
                   bank=_bank(mother, **params, **{param: 10**400}), id=f"{param}-401-digits")
           for mother, params, param in (("morlet", {}, "center"), ("morlet", {}, "width"),
                                         ("bandpass", {"lo": 1, "hi": 2}, "amplitude"))),
@@ -786,7 +840,7 @@ _REFUSALS = {
     # a finite signal whose energy overflows float64 once wrote Infinity into manifest.json and
     # exited 0, and at 1e308 printed RuntimeWarnings before an error that named no input
     "test_signal_whose_energy_overflows_is_refused": [
-        Refusal(_SCATTER, 2, f"error: signal {{signal}} has a sample of modulus {value:g}, over 2^510 / "
+        Refusal(_SCATTER, 2, _SIGNAL_FILE + f"signal has a sample of modulus {value:g}, over 2^510 / "
                 "sqrt(N) = 2.96273e+152 at N=128: its energies would overflow float64", bank=_SHANNON_128,
                 signal=f"{value!r}\n" * 128, id=f"{value:g}")
         for value in (1e160, 1e308)
@@ -803,14 +857,20 @@ _REFUSALS = {
     # a field without "=" once exited 2 with dict's own message, naming no file; a complex of
     # 2 or -1 was read as complex, and N=-16 reached the payload size check
     "test_malformed_raw_sidecar_refused": [
-        Refusal(_SCATTER, 2, f"error: malformed sidecar {{signal}}.meta: {meta!r}", bank=_SHANNON_128,
+        Refusal(_SCATTER, 2, _SIGNAL_FILE + f"malformed sidecar {{signal}}.meta: {meta!r}", bank=_SHANNON_128,
                 signal=_RAW_16, meta=meta + "\n", id=meta)
         for meta in ("N16;complex=0", "N=16;complex=2", "N=16;complex=-1", "N=-16;complex=0")
+    ],
+    # a sidecar that is not UTF-8 was once refused with the codec's bare message, naming no file;
+    # its byte is read as a lone surrogate, which the complex field does not take
+    "test_sidecar_that_is_not_utf_8_is_named": [
+        Refusal(_SCATTER, 2, _SIGNAL_FILE + "malformed sidecar {signal}.meta: 'N=16;complex=0\\udcff'",
+                bank=_SHANNON_128, signal=_RAW_16, meta=b"N=16;complex=0\xff\n"),
     ],
     # numpy warns on a CSV with no data line before it returns no rows, and under -W error that
     # warning once ended scatter run in a traceback, exit 1
     "test_signal_csv_without_samples_is_refused": [
-        Refusal(argv, 2, "error: signal CSV {signal} holds no samples", bank=_MORLET, signal=signal,
+        Refusal(argv, 2, _SIGNAL_FILE + "signal CSV holds no samples", bank=_MORLET, signal=signal,
                 id=f"{argv.split()[0]}-{id}")
         for argv in (_SCATTER, "decay verify --bank {bank} --signal {signal} --out {out}",
                      "demo modulus-shift --signal {signal} --out {out}")
@@ -818,22 +878,23 @@ _REFUSALS = {
     ],
     # loadtxt's, the column count's and the sample count's refusals once named no file
     "test_signal_file_refusal_names_it": [
-        Refusal(_SCATTER, 2, f"error: {message}", bank=_MORLET, signal=signal, id=id)
+        Refusal(_SCATTER, 2, _SIGNAL_FILE + message, bank=_MORLET, signal=signal, id=id)
         for id, signal, message in (
-            ("not-a-float", "1\nabc\n", "signal CSV {signal}: could not convert string 'abc' to float64 at row 1, "
+            ("not-a-float", "1\nabc\n", "could not convert string 'abc' to float64 at row 1, "
              "column 1."),
-            ("three-columns", "1,2,3\n" * 4, "signal CSV {signal} must have 1 or 2 columns, got 3"),
-            ("three-rows", "1\n" * 3, "signal {signal}: sample count must be a power of two >= 2, got 3"),
+            ("three-columns", "1,2,3\n" * 4, "signal CSV must have 1 or 2 columns, got 3"),
+            ("three-rows", "1\n" * 3, "sample count must be a power of two >= 2, got 3"),
         )
     ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
-                "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
+                "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128,
+                unnamed=True),
     ],
     # the constants certify nothing for these inputs, so they are refused before the constants
     "test_decay_verify_bad_signal_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2, f"error: {message}", bank=_MORLET,
-                signal=signal, id=id)
+                signal=signal, unnamed=True, id=id)
         for id, signal, message in (
             ("complex", "1,1\n" * 256, "decay verification needs a real signal"),
             ("zero", "0\n" * 256, "signal is identically zero"),
@@ -852,13 +913,13 @@ _REFUSALS = {
     ],
     "test_stationary_grid_mismatch_is_parse_error": [
         Refusal(_STATIONARY, 2, "error: bank grid 256 does not match model grid 128", bank=_SHANNON,
-                model=_WHITE_128),
+                model=_WHITE_128, unnamed=True),
     ],
     "test_refused_run_leaves_no_out": [
         Refusal(f"{_SCATTER} --lowpass tight", 2, "error: the tight pair is only defined for the shannon bank",
-                bank=_MORLET, signal=_SIGNAL_256, id="tight-on-morlet"),
+                bank=_MORLET, signal=_SIGNAL_256, unnamed=True, id="tight-on-morlet"),
         Refusal(_SCATTER, 2, "error: signal, bank and lowpass must share one grid", bank=_SHANNON,
-                signal=_SIGNAL_128, id="scatter-grid"),
+                signal=_SIGNAL_128, unnamed=True, id="scatter-grid"),
         Refusal("decay verify --bank {bank} --out {out}", 1, _NO_DRIFT, bank=_bank("even_morlet"), work=True,
                 id="verify-even"),
         Refusal("decay verify --bank {bank} --out {out}", 1, _NEAR_ZERO, bank=_bank("morlet_first_order"),
@@ -869,9 +930,9 @@ _REFUSALS = {
                 model=_model("white", 256, sigma=1.0), work=True, id="stationary-first-order"),
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
                 "error: signal length 128 does not match bank grid 256", bank=_SHANNON, signal=_SIGNAL_128,
-                id="verify-signal-grid"),
+                unnamed=True, id="verify-signal-grid"),
         Refusal("demo modulus-shift --scale 5 --out {out}", 2, "error: scale 5 outside bank range [-8, 0]",
-                id="demo-scale"),
+                unnamed=True, id="demo-scale"),
     ],
 }
 
@@ -907,6 +968,9 @@ def _refuse(row, tmp_path, capsys, monkeypatch):
     assert (code, out) == (row.code, "")
     if message.startswith("error: "):
         assert err == message + "\n"
+        if code == 2:
+            named = [files[name] for name in ("bank", "model", "signal") if name in files and files[name] in err]
+            assert bool(named) != row.unnamed
     else:
         assert err.startswith(f"usage: scatdecay {argv[0]} {argv[1]} ") and err.endswith(f"\n{message}\n")
     assert not (tmp_path / "out").exists()  # --out is made only once every refusal has passed

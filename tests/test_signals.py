@@ -247,7 +247,7 @@ def test_read_raw_refuses_a_payload_of_the_wrong_size(tmp_path, meta, values):
     np.zeros(values, dtype="<f8").tofile(path)
     (tmp_path / "sig.meta").write_text(meta + "\n")
     flag = int(meta[-1])
-    expected = (rf"^raw payload {re.escape(str(path))} holds {values} values, "
+    expected = (rf"^signal file {re.escape(str(path))}: raw payload holds {values} values, "
                 rf"expected {8 << flag} \(N=8, complex={flag}\)$")
     with pytest.raises(ValueError, match=expected):
         read_signal(path)

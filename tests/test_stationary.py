@@ -371,6 +371,15 @@ def test_mc_estimate_is_reproducible(shannon_128):
     assert a == b
 
 
+@pytest.mark.parametrize("power", [240, 256, 480])
+def test_mc_estimate_scales_exactly_with_a_power_of_two_sigma(power, shannon_128):
+    # from sigma 2^256 on, np.std's squared deviations once overflowed to "stderr": "inf"
+    bank, _ = shannon_128
+    base, scaled = (mc_layer_energy(make_model("white", 128, sigma=sigma), bank, 2, trials=100, seed=0)
+                    for sigma in (1.0, 2.0**power))
+    assert (scaled.estimate, scaled.stderr) == (base.estimate * 4.0**power, base.stderr * 4.0**power)
+
+
 # Exact Monte Carlo results at N=128 (7 octaves): depth 2 scores 292 trials
 # per block and depth 3 scores 41, so each case spans three or more blocks.
 # A change to how trials are scored must keep these bits, one (estimate,

@@ -11,7 +11,8 @@
 # this script keeps the recipes, the `--depth 7` exit-3 check and four exit-2
 # checks: a bank file that is not JSON, and a Morlet `"J": 505`, a Morlet
 # `"width": 1e-153` and an empty signal CSV, which once warned before their
-# refusals.  Every warning is an error, as under Tier-1's filterwarnings, so a
+# refusals.  Each of the four reads "error: <what> file <path>: <reason>",
+# naming the file it refuses.  Every warning is an error, as under Tier-1's filterwarnings, so a
 # RuntimeWarning in a README recipe fails the script.  The first failing
 # command ends it with a nonzero exit.
 set -eo pipefail
@@ -49,7 +50,7 @@ scatdecay bank check --bank not_json.json --out reports_not_json/ 2> err_not_jso
 cat err_not_json.txt
 test "$code" -eq 2
 test "$(wc -l < err_not_json.txt)" -eq 1
-grep -qF "malformed bank file not_json.json: " err_not_json.txt
+grep -qF "error: bank file not_json.json: " err_not_json.txt
 test ! -e reports_not_json
 # a top frequency 2^J * N/2 that squares past float64: one clean refusal naming J,
 # exit 2 with no warning (an error here) and no --out left behind
@@ -59,6 +60,7 @@ scatdecay bank check --bank bank505.json --out reports505/ 2> err505.txt || code
 cat err505.txt
 test "$code" -eq 2
 test "$(wc -l < err505.txt)" -eq 1
+grep -qF "error: bank file bank505.json: " err505.txt
 grep -qF "J=505" err505.txt
 test ! -e reports505
 # a Morlet width too narrow for the bank's largest arguments, 2^J * N/2 and the window's 16:
@@ -69,6 +71,7 @@ scatdecay bank check --bank narrow.json --out reports_narrow/ 2> err_narrow.txt 
 cat err_narrow.txt
 test "$code" -eq 2
 test "$(wc -l < err_narrow.txt)" -eq 1
+grep -qF "error: bank file narrow.json: " err_narrow.txt
 grep -qF "1e-153" err_narrow.txt
 test ! -e reports_narrow
 
@@ -90,7 +93,7 @@ scatdecay scatter run --bank bank.json --signal empty.csv --out tree_empty/ 2> e
 cat err_empty.txt
 test "$code" -eq 2
 test "$(wc -l < err_empty.txt)" -eq 1
-grep -qF "empty.csv holds no samples" err_empty.txt
+grep -qF "error: signal file empty.csv: signal CSV holds no samples" err_empty.txt
 test ! -e tree_empty
 
 echo "== decay verify"
