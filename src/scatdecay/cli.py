@@ -54,8 +54,8 @@ from .scattering import (
     scatter,
 )
 from .signals import (
-    Signal, Spectrum, _write_json, _write_table, band_limited_signal, convolve, dft, energy, frequencies,
-    modulus, read_signal, write_signal,
+    Signal, Spectrum, _reading, _write_json, _write_table, band_limited_signal, convolve, dft, energy,
+    frequencies, modulus, read_signal, write_signal,
 )
 from .stationary import (
     _check_mc_request, _check_seed, load_model, mc_layer_energy, stationary_bound,
@@ -124,7 +124,8 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
     _check_profile(bank, args.depth)
     sig = read_signal(args.signal) if args.signal else None
     if sig is not None:
-        _check_signal(sig, bank)
+        with _reading(args.signal, "signal"):
+            _check_signal(sig, bank)
     constants = compute_constants(bank)
     if sig is None:
         sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
@@ -181,11 +182,10 @@ def _abs_centroid(coeffs: np.ndarray, n: int) -> float:
 
 
 def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
-    if args.signal:
-        sig = read_signal(args.signal)
-    else:
-        sig = _default_chirp(512)
-    bank = build_bank(morlet_mother(), 0, sig.n)
+    sig = read_signal(args.signal) if args.signal else _default_chirp(512)
+    # the bank is built on the signal's N, so only a read signal can be refused here, naming its file
+    with _reading(args.signal, "signal"):
+        bank = build_bank(morlet_mother(), 0, sig.n)
     if args.scale not in bank.filters:
         raise ValueError(f"scale {args.scale} outside bank range [{bank.j_min}, {bank.j_max}]")
     filtered = convolve(sig, bank.filters[args.scale])

@@ -652,29 +652,37 @@ def _check_bound_layer(n: int) -> None:
         raise ValueError("the contraction argument starts at layer 2")
 
 
-def _layer_loss(constants: DecayConstants, w: np.ndarray, n: int) -> np.ndarray:
-    """Weight 1 - |chi_hat(w)|^2 of the layer-n bound, at the certified width r a^n."""
-    return 1.0 - _chi_sq(w, constants.r * constants.a**n)
+def _layer_bound(power: np.ndarray, constants: DecayConstants, n: int) -> float:
+    """The a-priori layer-n bound sum_w power(w) (1 - |chi_hat(r a^n w)|^2), ``power`` on the centered grid.
+
+    The one place the bound is summed: ``verify_decay`` gives it a signal's
+    |f_hat|^2, and ``stationary.stationary_bound`` a model's density.
+    """
+    _check_bound_layer(n)
+    return float(np.sum(power * (1.0 - _chi_sq(frequencies(power.size), constants.r * constants.a**n))))
 
 
-def _check_signal(f: Signal, bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
-    """The refusals of ``verify_decay``'s input; its frequencies and power spectrum if none applies."""
+def _check_signal(f: Signal, bank: FilterBank) -> np.ndarray:
+    """The refusals of ``verify_decay``'s input; its power spectrum if none applies."""
     if not f.real:
         raise ValueError("decay verification needs a real signal")
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
     lo, hi = _band_or_raise(bank)
+    if not np.any(f.samples):
+        raise ValueError("signal is identically zero")
     w = frequencies(f.n)
     power = np.abs(dft(f).coeffs) ** 2
     inside = (np.abs(w) >= lo) & (np.abs(w) <= hi)
     total = float(np.sum(power))
     if total == 0.0:
-        raise ValueError("signal is identically zero")
+        raise ValueError(f"signal is not zero, but its power spectrum underflows float64 to 0.0 (largest sample "
+                         f"modulus {float(np.max(np.abs(f.samples))):.6g})")
     if float(np.sum(power[~inside])) > 1e-12 * total:
         raise ValueError(
             f"signal has spectral mass outside the validated band [{lo}, {hi}]"
         )
-    return w, power
+    return power
 
 
 def verify_decay(
@@ -690,11 +698,10 @@ def verify_decay(
     2, the first layer the contraction argument controls.
     """
     _check_bound_layer(n_max)
-    w, power = _check_signal(f, bank)
+    power = _check_signal(f, bank)
     profile = layer_energy_profile(f, bank, n_max)
     rows = []
     for n in range(2, n_max + 1):
-        bound = float(np.sum(power * _layer_loss(constants, w, n)))
-        empirical = profile[n]
-        rows.append(DecayRow(n=n, empirical=empirical, bound=bound, slack=bound - empirical))
+        bound = _layer_bound(power, constants, n)
+        rows.append(DecayRow(n=n, empirical=profile[n], bound=bound, slack=bound - profile[n]))
     return rows

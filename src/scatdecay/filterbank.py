@@ -40,7 +40,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BankConditionError, BudgetExceededError
-from .signals import Spectrum, _read_json, _real, _whole, _write_json, frequencies
+from .signals import Spectrum, _only, _read_json, _real, _whole, _write_json, frequencies
 
 __all__ = [
     "X_WINDOW",
@@ -579,7 +579,9 @@ def save_bank(path: str | os.PathLike, bank: FilterBank) -> None:
 
 
 def _bank_args(payload) -> tuple:
-    """``build_bank``'s mother, J, N and j_min, read from a bank file's payload."""
+    """``build_bank``'s mother, J, N and j_min, read from a bank file's payload, which holds no other key."""
+    _only("bank recipe", payload, "mother", "J", "N", "j_min")
+    _only("mother", payload["mother"], "name", "params")
     mother = make_mother(payload["mother"]["name"], **payload["mother"].get("params", {}))
     j_min = payload.get("j_min")
     return mother, _whole(payload["J"]), _whole(payload["N"]), None if j_min is None else _whole(j_min)
@@ -589,9 +591,9 @@ def load_bank(path: str | os.PathLike) -> FilterBank:
     """The bank a ``save_bank`` recipe file names, built by ``build_bank``.
 
     The file is read, and the bank built, by ``signals._read_json``, so text
-    that is not JSON, a missing key, a value of the wrong type, a size that is
-    not an integer and every refusal of ``make_mother`` and ``build_bank`` are
-    reported as "bank file <path>: <reason>".  A bank over the memory budget
+    that is not JSON, a missing or unknown key, a value of the wrong type, a
+    size that is not an integer and every refusal of ``make_mother`` and
+    ``build_bank`` are reported as "bank file <path>: <reason>".  A bank over the memory budget
     keeps its ``BudgetExceededError``.
     """
     return _read_json(path, "bank", lambda payload: build_bank(*_bank_args(payload)))

@@ -27,11 +27,12 @@ sized for one block and reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
 
-The refusal of an energy-only pass, ``_check_profile`` here and
-``stationary._check_mc_request`` per trial, counts its deepest formed layer
-n - 1 as held complex values, N B^(n-1) of them for B octaves.  What a pass
-holds is layers 1..n-2 as float64 plus its chunk buffers, whose size does
-not depend on n, so the count bounds the peak on neither side.  On Morlet
+The refusal of an energy-only pass, ``_check_profile``, which
+``stationary._check_mc_request`` calls with 8 bytes per trial, counts its
+deepest formed layer n - 1 as held complex values, N B^(n-1) of them for B
+octaves.  What a pass holds is layers 1..n-2 as float64 plus its chunk
+buffers, whose size does not depend on n, so the count bounds the peak on
+neither side.  On Morlet
 N=256 (tracemalloc peaks of ``layer_energy_profile``) the count is below the
 peak at depths 2 and 3, 0.03 and 0.25 MiB against 0.1 and 0.7 MiB, where the
 chunk buffers dominate, and 7 to 12 times over it at depths 5 and 6, 16 and
@@ -98,15 +99,18 @@ def _check_budget(request: str, bank: FilterBank, values: int, extra_bytes: int 
                  16 * values + extra_bytes)
 
 
-def _check_profile(bank: FilterBank, n_max: int) -> None:
-    """The refusals of an energy-only profile, whose deepest formed layer is n_max - 1.
+def _check_profile(bank: FilterBank, n_max: int, request: str | None = None, extra_bytes: int = 0) -> None:
+    """The refusals of an energy-only pass, whose deepest formed layer is n_max - 1.
 
-    The count is that layer as complex values; the module docstring says how
-    it compares with what the pass holds.
+    The count is that layer of one input as complex values, plus the
+    caller's ``extra_bytes``, and a refusal names the ``request``, "depth
+    <n_max>" by default; the module docstring says how the count compares
+    with what the pass holds.
     """
     if n_max < 0:
         raise ValueError("depth must be nonnegative")
-    _check_budget(f"depth {n_max}", bank, bank.n * _power(len(bank.filters), max(n_max - 1, 0)))
+    _check_budget(request or f"depth {n_max}", bank, bank.n * _power(len(bank.filters), max(n_max - 1, 0)),
+                  extra_bytes)
 
 
 def _check_tree(f: Signal, bank: FilterBank, lowpass: Spectrum, n_max: int, prune_eps: float) -> None:

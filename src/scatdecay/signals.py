@@ -213,11 +213,11 @@ def band_limited_signal(
 # File formats.  Every file the package writes is written here, through
 # ``_write_text``, and every file it reads is read here: a signal by
 # ``read_signal``, a bank or model recipe by ``_read_json``, whose caller maps
-# the payload's keys and nothing else.  Both read inside ``_reading``, the one
-# place that decides how a refused input file is reported.  A signal's CSV
-# holds one sample per line, "re" or "re,im"; raw holds little-endian float64,
-# interleaved re,im when complex, with a sidecar "<path>.meta" recording the
-# count and complexity.  Raw is input only.
+# the payload's keys and refuses any other with ``_only``.  Both read inside
+# ``_reading``, the one place that decides how a refused input file is
+# reported.  A signal's CSV holds one sample per line, "re" or "re,im"; raw
+# holds little-endian float64, interleaved re,im when complex, with a sidecar
+# "<path>.meta" recording the count and complexity.  Raw is input only.
 
 
 @contextlib.contextmanager
@@ -241,6 +241,15 @@ def _whole(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
         raise TypeError(f"sizes must be integers, got {value!r}")
     return int(value)
+
+
+def _only(what: str, params, *keys: str) -> None:
+    """Refuse ``params`` of ``what`` unless it is a JSON object whose every key is one of the ``keys`` read."""
+    if not isinstance(params, dict):
+        raise TypeError(f"{what} must be an object, got {params!r}")
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"{what} takes no parameter {key!r}")
 
 
 def _real(key: str, value):

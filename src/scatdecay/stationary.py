@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import DecayConstants, _check_bound_layer, _layer_loss
+from .decay import DecayConstants, _layer_bound
 from .filterbank import FilterBank, _check_bytes
-from .scattering import _block_profiles, _check_budget, _power
+from .scattering import _block_profiles, _check_profile
 from .signals import (
-    Signal, Spectrum, _check_length, _frozen, _read_json, _real, _whole, _write_json, dft, frequencies,
+    Signal, Spectrum, _check_length, _frozen, _only, _read_json, _real, _whole, _write_json, dft, frequencies,
     gaussian_lowpass,
 )
 
@@ -97,13 +97,6 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     return StationaryModel(
         kind=kind, params=params, n=n, mean=float(mean), density=density, autocov=autocov
     )
-
-
-def _only(what: str, params: dict, *keys: str) -> None:
-    """Refuse a parameter of ``what`` that is not one of the ``keys`` it reads."""
-    for key in params:
-        if key not in keys:
-            raise ValueError(f"{what} takes no parameter {key!r}")
 
 
 def filter_spectrum(name: str, n: int, **params) -> Spectrum:
@@ -285,10 +278,8 @@ def _check_mc_request(
     _check_seed(seed)
     if bank.n != model.n:
         raise ValueError(f"bank grid {bank.n} does not match model grid {model.n}")
-    # one trial's layer n - 1, as a block is never smaller, and the 8-byte value per trial;
-    # the ``scattering`` module docstring says how this count compares with what the pass holds
-    _check_budget(f"layer {n} over {trials} trials", bank,
-                  model.n * _power(len(bank.filters), n - 1), 8 * trials)
+    # one trial's layer n - 1, as a block is never smaller, and the 8-byte value per trial
+    _check_profile(bank, n, f"layer {n} over {trials} trials", 8 * trials)
 
 
 def mc_layer_energy(
@@ -329,9 +320,7 @@ def stationary_bound(model: StationaryModel, constants: DecayConstants, n: int) 
     The mean never enters: the bound's Gaussian equals one at w = 0, so
     the deterministic component is annihilated exactly.
     """
-    _check_bound_layer(n)
-    w = frequencies(model.n)
-    return float(np.sum(model.density * _layer_loss(constants, w, n)))
+    return _layer_bound(model.density, constants, n)
 
 
 def save_model(path: str | os.PathLike, model: StationaryModel) -> None:
@@ -342,8 +331,14 @@ def load_model(path: str | os.PathLike) -> StationaryModel:
     """The model a ``save_model`` file names, built by ``make_model``.
 
     The file is read, and the model built, by ``signals._read_json``, so text
-    that is not JSON, a missing key, a value of the wrong type (``params`` must
-    be an object), a size that is not an integer and every refusal of
-    ``make_model`` are reported as "model file <path>: <reason>".
+    that is not JSON, a missing or unknown key, a value of the wrong type
+    (``params`` must be an object), a size that is not an integer and every
+    refusal of ``make_model`` are reported as "model file <path>: <reason>".
     """
-    return _read_json(path, "model", lambda p: make_model(p["kind"], _whole(p["N"]), **p.get("params", {})))
+    return _read_json(path, "model", _model_from)
+
+
+def _model_from(payload) -> StationaryModel:
+    """``make_model`` of a model file's payload, which holds no key but ``kind``, ``params`` and ``N``."""
+    _only("model recipe", payload, "kind", "params", "N")
+    return make_model(payload["kind"], _whole(payload["N"]), **payload.get("params", {}))

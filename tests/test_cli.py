@@ -527,8 +527,8 @@ def test_scatter_shannon_with_uncovered_bins_is_not_tight(signal_file, tmp_path,
 # {signal} and {out} name the row's files.  Unless a row says `work`, it is
 # refused before any check, constant or simulation is computed.  No row forms a
 # layer or leaves an --out behind.  Every exit-2 "error: ..." names the row's bank,
-# model or signal file, unless the row says `unnamed`: a refusal of a flag, of two
-# inputs taken together, or of a signal's content after it is read.
+# model or signal file, unless the row says `unnamed`: a refusal of a flag, or of
+# scatter's or a stationary run's inputs taken together.
 
 
 @dataclass(frozen=True)
@@ -778,6 +778,17 @@ _REFUSALS = {
               ("filtered_noise", {"filter": {"name": "gaussian_lowpass", "a": True}}, "a", True),
           )),
     ],
+    # a key no reader takes was once ignored: "j_mn" ran the default j_min, "parms" a default-width
+    # Morlet, and "sigm" the default sigma, each exiting 0
+    "test_unknown_recipe_key_is_refused": [
+        Refusal(_CHECK, 2, _BANK_FILE + "bank recipe takes no parameter 'j_mn'", bank={**_MORLET, "j_mn": -3},
+                id="bank-j_mn"),
+        Refusal(_CHECK, 2, _BANK_FILE + "mother takes no parameter 'parms'",
+                bank={**_MORLET, "mother": {"name": "morlet", "parms": {"width": 0.5}}}, id="mother-parms"),
+        _bad_model({**_WHITE_128, "sigm": 5}, "model recipe takes no parameter 'sigm'", "model-sigm"),
+        Refusal(_CHECK, 2, _BANK_FILE + "mother must be an object, got 'morlet'", bank={**_MORLET, "mother": "morlet"},
+                id="mother-string"),
+    ],
     "test_non_integral_bank_size_refused_before_any_work": [
         _bad_size("N-128.7", "128.7", N=128.7), _bad_size("J-0.9", "0.9", J=0.9),
         _bad_size("j_min--0.5", "-0.5", j_min=-0.5), _bad_size("N-true", "True", N=True),
@@ -888,19 +899,27 @@ _REFUSALS = {
     ],
     "test_decay_verify_wrong_signal_length_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
-                "error: signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128,
-                unnamed=True),
+                _SIGNAL_FILE + "signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
     ],
-    # the constants certify nothing for these inputs, so they are refused before the constants
+    # the constants certify nothing for these inputs, so they are refused before the constants; they once
+    # named no file, and a cosine of amplitude 1e-300, whose squared coefficients underflow, was called zero
     "test_decay_verify_bad_signal_refused_before_constants": [
-        Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2, f"error: {message}", bank=_MORLET,
-                signal=signal, unnamed=True, id=id)
+        Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2, _SIGNAL_FILE + message,
+                bank=_MORLET, signal=signal, id=id)
         for id, signal, message in (
             ("complex", "1,1\n" * 256, "decay verification needs a real signal"),
             ("zero", "0\n" * 256, "signal is identically zero"),
+            ("signed-zero", "0.0\n-0.0\n" * 128, "signal is identically zero"),
+            ("tiny", "".join(f"{1e-300 * math.cos(2 * math.pi * 5 * k / 256)!r}\n" for k in range(256)),
+             "signal is not zero, but its power spectrum underflows float64 to 0.0 (largest sample modulus 1e-300)"),
             ("out-of-band", "".join(f"{math.cos(2 * math.pi * k / 256)!r}\n" for k in range(256)),
              "signal has spectral mass outside the validated band [3, 127]"),
         )
+    ],
+    # the demo builds its bank on the signal's N; a refusal of it once named no file
+    "test_demo_signal_too_short_for_its_bank_is_named": [
+        Refusal("demo modulus-shift --signal {signal} --out {out}", 2, _SIGNAL_FILE + "no frequency lies strictly "
+                "between 0 and N/2 on N=2: a bank needs N >= 4", signal="1\n2\n"),
     ],
     # reported by the subcommand's parser, whose usage line lists the flags it takes
     # with every required flag given: the parser refuses the extra one before any file is read
@@ -929,8 +948,8 @@ _REFUSALS = {
         Refusal(_STATIONARY, 1, _NEAR_ZERO, bank=_bank("morlet_first_order"),
                 model=_model("white", 256, sigma=1.0), work=True, id="stationary-first-order"),
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2,
-                "error: signal length 128 does not match bank grid 256", bank=_SHANNON, signal=_SIGNAL_128,
-                unnamed=True, id="verify-signal-grid"),
+                _SIGNAL_FILE + "signal length 128 does not match bank grid 256", bank=_SHANNON, signal=_SIGNAL_128,
+                id="verify-signal-grid"),
         Refusal("demo modulus-shift --scale 5 --out {out}", 2, "error: scale 5 outside bank range [-8, 0]",
                 unnamed=True, id="demo-scale"),
     ],

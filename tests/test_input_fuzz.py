@@ -6,7 +6,8 @@ signal of the bank's N, CSV or raw beside its sidecar, for ``scatter run
 --depth 1``.  It runs ``cli.main`` in process with every warning an error and
 checks the exit-code contract: the code is 0-3, no exception escapes, no
 ``--out`` is left after exit 2 or 3, and every exit 2 names the faulty file.
-The draw is derandomized, so every run takes the same 150 cases.
+A recipe with an unknown key, at any level, must exit 2.  The draw is
+derandomized, so every run takes the same 150 cases.
 """
 import contextlib
 import io
@@ -66,17 +67,22 @@ def _put(doc, path, value):
 
 @st.composite
 def _recipe(draw, bases):
-    """A recipe's bytes with one fault: a value, an unknown key, deep nesting or bytes not UTF-8."""
+    """A recipe file with one fault, and whether it must be refused.
+
+    The fault is a value, an unknown key, deep nesting or bytes not UTF-8;
+    an unknown key, at whatever level of the recipe, must be refused.
+    """
     base = draw(st.sampled_from(bases))
     sites = list(_sites(base))
     kind = draw(st.sampled_from(("value", "key", "deep", "bytes")))
     if kind == "key":
         path = draw(st.sampled_from([p for p in sites if isinstance(_at(base, p), dict)]))
-        return json.dumps(_put(base, path, {**_at(base, path), "foo": draw(st.sampled_from(_VALUES))})).encode()
+        data = json.dumps(_put(base, path, {**_at(base, path), "foo": draw(st.sampled_from(_VALUES))})).encode()
+        return {"": data}, True
     path = draw(st.sampled_from(sites))
     fault = {"value": lambda: json.dumps(draw(st.sampled_from(_VALUES))).encode(), "deep": lambda: _DEEP,
              "bytes": lambda: _NOT_UTF_8}[kind]()
-    return json.dumps(_put(base, path, "<fault>")).encode().replace(b'"<fault>"', fault)
+    return {"": json.dumps(_put(base, path, "<fault>")).encode().replace(b'"<fault>"', fault)}, False
 
 
 @st.composite
@@ -109,10 +115,10 @@ def _raw(draw):
 
 
 _CASES = st.one_of(
-    st.tuples(st.just("bank check --bank {file} --out {out}"), _recipe(_BANKS).map(lambda b: {"": b})),
-    st.tuples(st.just("stationary run --bank {bank} --model {file} --out {out} --trials 4"),
-              _recipe(_MODELS).map(lambda b: {"": b})),
-    st.tuples(st.just("scatter run --bank {bank} --signal {file} --out {out} --depth 1"), _csv() | _raw()),
+    st.tuples(st.just("bank check --bank {file} --out {out}"), _recipe(_BANKS)),
+    st.tuples(st.just("stationary run --bank {bank} --model {file} --out {out} --trials 4"), _recipe(_MODELS)),
+    st.tuples(st.just("scatter run --bank {bank} --signal {file} --out {out} --depth 1"),
+              (_csv() | _raw()).map(lambda files: (files, False))),
 )
 
 
@@ -120,7 +126,7 @@ _CASES = st.one_of(
           deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(_CASES)
 def test_a_faulty_input_file_keeps_the_exit_code_contract(case):
-    argv, files = case
+    argv, (files, refused) = case
     with tempfile.TemporaryDirectory() as tmp:
         path, out, bank = (os.path.join(tmp, name) for name in ("input", "out", "bank.json"))
         for suffix, data in files.items():
@@ -136,3 +142,4 @@ def test_a_faulty_input_file_keeps_the_exit_code_contract(case):
         assert code in (0, 1, 2, 3), message
         assert code < 2 or not os.path.exists(out), message
         assert code != 2 or path in message, message
+        assert code == 2 or not refused, message
