@@ -23,6 +23,7 @@ from scatdecay.signals import (
     Signal,
     band_limited_signal,
     complex_tone,
+    convolve,
     dft,
     energy,
     frequencies,
@@ -102,6 +103,34 @@ def test_tree_matches_propagate_per_path():
 def _morlet_gaussian_pair(j_max, n):
     # not tight: the energy-only last layer must not lean on a partition
     return build_bank(morlet_mother(), j_max, n), gaussian_output_lowpass(j_max, n)
+
+
+@pytest.mark.parametrize("case", ["morlet", "morlet-pruned", "shannon-complex"])
+def test_every_output_is_its_node_convolved_with_the_lowpass(case):
+    # the readout shares each row's forward FFT with its children; the public path recomputes it
+    rng = np.random.default_rng(43)
+    if case == "shannon-complex":
+        bank, low = shannon_tight_pair(0, 128)
+        sig = Signal(rng.standard_normal(128) + 1j * rng.standard_normal(128))
+    else:
+        bank, low = _morlet_gaussian_pair(0, 128)
+        sig = band_limited_signal(128, bank.validated_band, rng)
+    result = scatter(sig, bank, low, n_max=3, prune_eps=1e-4 if case == "morlet-pruned" else 0.0)
+    assert (len(result.pruned_paths) > 0) == (case == "morlet-pruned")
+    for path in result.s:
+        want = convolve(result.u[path], low).samples
+        assert np.max(np.abs(result.s[path].samples - want)) <= 1e-12
+
+
+def test_scatter_transforms_each_node_forward_once(monkeypatch):
+    # one forward FFT per retained node feeds both its readout and its children
+    bank, low = _morlet_gaussian_pair(0, 128)
+    sig = band_limited_signal(128, bank.validated_band, np.random.default_rng(5))
+    rows, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: rows.append(np.shape(a)[0]) or fft(a, *args, **kw))
+    result = scatter(sig, bank, low, n_max=3)
+    assert len(bank.filters) == 7 and len(result.s) == 1 + 7 + 49 + 343
+    assert sum(rows) == len(result.s)
 
 
 @pytest.mark.parametrize(
@@ -521,6 +550,30 @@ def test_profile_holds_no_more_than_its_refusal_counts(n, n_max, monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         layer_energy_profile(sig, bank, n_max)
     assert info.value.estimated_bytes == 16 * n * len(bank.filters) ** (n_max - 1)
+    assert peak <= info.value.estimated_bytes
+
+
+@pytest.mark.parametrize("n, n_max", [(256, 4), (1024, 3)])
+def test_scatter_holds_no_more_than_its_refusal_counts(n, n_max, monkeypatch):
+    # the count is one complex U and S row per node, 32 N bytes; the tree holds its U rows
+    # as float64 below the root and its S rows as complex128, 24 N bytes per node, and
+    # reads each layer out chunk by chunk, so the chunk buffers fit in the difference.
+    # Smaller trees stay over their count (depth 1 at N=256 peaks at 2.6 times it), where
+    # the chunk buffers and path bookkeeping outweigh the nodes
+    bank, low = _morlet_gaussian_pair(0, n)
+    sig = band_limited_signal(n, bank.validated_band, np.random.default_rng(n))
+    scatter(sig, bank, low, 1)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        scatter(sig, bank, low, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(filterbank, "_BUDGET_BYTES", 0)
+    with pytest.raises(BudgetExceededError) as info:
+        scatter(sig, bank, low, n_max)
+    breadth = len(bank.filters)
+    assert info.value.estimated_bytes == 32 * n * (breadth ** (n_max + 1) - 1) // (breadth - 1)
     assert peak <= info.value.estimated_bytes
 
 
