@@ -675,9 +675,11 @@ def _check_signal(f: Signal, bank: FilterBank) -> np.ndarray:
     power = np.abs(dft(f).coeffs) ** 2
     inside = (np.abs(w) >= lo) & (np.abs(w) <= hi)
     total = float(np.sum(power))
-    if total == 0.0:
-        raise ValueError(f"signal is not zero, but its power spectrum underflows float64 to 0.0 (largest sample "
-                         f"modulus {float(np.max(np.abs(f.samples))):.6g})")
+    # below this, the layer energies a verdict weighs against its tolerance are subnormal or zero
+    if _SLACK_TOL * total < np.finfo(np.float64).tiny:
+        raise ValueError(f"signal energy {total:.6g} is too small to check: its verdicts' tolerance, {_SLACK_TOL:g} "
+                         f"of it, is below float64's smallest normal number; scaling the signal by a power of two "
+                         f"moves no verdict")
     if float(np.sum(power[~inside])) > 1e-12 * total:
         raise ValueError(
             f"signal has spectral mass outside the validated band [{lo}, {hi}]"

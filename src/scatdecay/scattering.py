@@ -296,8 +296,9 @@ def scatter(
                     pruned_mass += e
                 batch = _frozen(batch[keep])
                 paths = [p for p, k in zip(paths, keep.tolist()) if k]
-        # one pass reads the layer out and forms its children; the last layer has none, and is
-        # read out in chunks of one filter per row.  An emptied layer flows through as zero rows
+        # one pass reads the layer out and forms its children.  The last layer has none, so its
+        # chunks are sized for one filter per row, not B.  An emptied layer flows through as zero
+        # rows, so deeper layers read 0.0
         outputs, energies = np.empty(batch.shape, dtype=np.complex128), np.empty(len(batch))
         children = np.empty((len(batch) * breadth if depth < n_max else 0, bank.n))
         passes = _read_out(_spectra(batch, breadth if depth < n_max else 1), phi, outputs, energies)

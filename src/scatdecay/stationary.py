@@ -162,6 +162,8 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     variance = sigma * sigma  # overflows to inf, where sigma**2 would raise OverflowError
+    if sigma > 0 and variance < np.finfo(np.float64).tiny:  # a subnormal or zero density, silently
+        raise ValueError(f"sigma {sigma:g} is positive, but its square is below float64's smallest normal number")
     if kind == "white":
         _only(f"model kind {kind!r}", params, "mean", "sigma")
         density = np.full(n, variance)
@@ -304,13 +306,13 @@ def mc_layer_energy(
     draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)))
     for start, profiles in _block_profiles(bank, n, trials, draw):
         values[start : start + profiles.shape[1]] = profiles[n]
-    # np.std squares deviations as large as the energies, which overflows past about 2^498;
-    # energies past 2^480 are summed divided by a power of two, which moves no bit of a sum
-    # that stays finite undivided
-    scale = 2.0 ** max(0, math.frexp(float(np.max(values)))[1] - 480)
-    values /= scale
-    estimate = float(np.mean(values) * scale)
-    stderr = float(np.std(values, ddof=1) * scale / math.sqrt(trials))
+    # np.std squares deviations as large as the energies, which overflow past about 2^498 and
+    # underflow below about 2^-537; the energies are summed divided by the power of two just
+    # above the largest, which moves no bit of a sum that stays normal undivided
+    exponent = math.frexp(float(np.max(values)))[1]
+    np.ldexp(values, -exponent, out=values)
+    estimate = math.ldexp(float(np.mean(values)), exponent)
+    stderr = math.ldexp(float(np.std(values, ddof=1)), exponent) / math.sqrt(trials)
     return MCEstimate(n=n, estimate=estimate, stderr=stderr, trials=trials, seed=seed)
 
 

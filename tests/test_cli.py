@@ -719,6 +719,9 @@ _REFUSALS = {
         # the density sums to inf; sigma^2 itself overflows and once raised OverflowError
         _bad_model(_model("white", 128, sigma=1e154), "values must be finite", "sigma-1e154"),
         _bad_model(_model("white", 128, sigma=1e200), "values must be finite", "sigma-1e200"),
+        # a positive sigma whose square underflows once ran as a zero model: estimate 0, [OK]
+        *(_bad_model(_model("white", 128, sigma=sigma), f"sigma {sigma:g} is positive, but its square is below "
+                     "float64's smallest normal number", f"sigma-{sigma:g}") for sigma in (1e-170, 1e-160)),
         # a trial's squared spectrum could overflow; the zero-variance model once warned of
         # overflow in square and exited 0
         *(_bad_model(_model("white", 128, **params), f"N (64 sqrt(R(0)) + |mean|) = {reach} is over 2^512 = "
@@ -902,7 +905,8 @@ _REFUSALS = {
                 _SIGNAL_FILE + "signal length 128 does not match bank grid 256", bank=_MORLET, signal=_SIGNAL_128),
     ],
     # the constants certify nothing for these inputs, so they are refused before the constants; they once
-    # named no file, and a cosine of amplitude 1e-300, whose squared coefficients underflow, was called zero
+    # named no file.  A cosine of amplitude 1e-300, whose squared coefficients underflow, was once called
+    # zero, and cosines of amplitude 1e-150 and 1e-158, whose deep layer energies are subnormal, passed
     "test_decay_verify_bad_signal_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2, _SIGNAL_FILE + message,
                 bank=_MORLET, signal=signal, id=id)
@@ -910,8 +914,11 @@ _REFUSALS = {
             ("complex", "1,1\n" * 256, "decay verification needs a real signal"),
             ("zero", "0\n" * 256, "signal is identically zero"),
             ("signed-zero", "0.0\n-0.0\n" * 128, "signal is identically zero"),
-            ("tiny", "".join(f"{1e-300 * math.cos(2 * math.pi * 5 * k / 256)!r}\n" for k in range(256)),
-             "signal is not zero, but its power spectrum underflows float64 to 0.0 (largest sample modulus 1e-300)"),
+            *((id, "".join(f"{amplitude * math.cos(2 * math.pi * 5 * k / 256)!r}\n" for k in range(256)),
+               f"signal energy {energy} is too small to check: its verdicts' tolerance, 1e-08 of it, is below "
+               "float64's smallest normal number; scaling the signal by a power of two moves no verdict")
+              for id, amplitude, energy in (("tiny", 1e-300, "0"), ("tiny-1e-150", 1e-150, "5e-301"),
+                                            ("tiny-1e-158", 1e-158, "5e-317"))),
             ("out-of-band", "".join(f"{math.cos(2 * math.pi * k / 256)!r}\n" for k in range(256)),
              "signal has spectral mass outside the validated band [3, 127]"),
         )

@@ -109,6 +109,12 @@ def test_model_validation():
          "values must be finite"),
         ("filtered_noise", 64, {"sigma": 1e154, "filter": {"name": "gaussian_lowpass", "a": 4.0}},
          "values must be finite"),
+        # a positive sigma whose square underflows was once a zero or subnormal model, and passed
+        *((kind, 64, {"sigma": sigma, **extra}, f"sigma {sigma:g} is positive, but its square is below "
+           "float64's smallest normal number")
+          for sigma in (1e-170, 1e-160)
+          for kind, extra in (("white", {}), ("ar1", {"rho": 0.5}),
+                              ("filtered_noise", {"filter": {"name": "gaussian_lowpass", "a": 4.0}}))),
         # a non-finite mean once ran and wrote a NaN estimate
         ("white", 64, {"mean": math.nan}, "values must be finite"),
         ("ar1", 64, {"mean": math.inf, "rho": 0.5}, "values must be finite"),
@@ -117,7 +123,9 @@ def test_model_validation():
     ],
     ids=["length-100", "length-1", "sigma-inf", "sigma-nan", "filtered-sigma-nan",
          "white-sigma-1e200", "white-sigma-1e154", "ar1-sigma-1e200", "ar1-sigma-1e154",
-         "filtered-sigma-1e200", "filtered-sigma-1e154", "white-mean-nan", "ar1-mean-inf",
+         "filtered-sigma-1e200", "filtered-sigma-1e154",
+         *(f"{kind}-sigma-{sigma}" for sigma in ("1e-170", "1e-160") for kind in ("white", "ar1", "filtered")),
+         "white-mean-nan", "ar1-mean-inf",
          "filtered-mean--inf"],
 )
 def test_model_refuses_a_bad_grid_or_non_finite_density(kind, n, params, message):
@@ -378,6 +386,17 @@ def test_mc_estimate_scales_exactly_with_a_power_of_two_sigma(power, shannon_128
     base, scaled = (mc_layer_energy(make_model("white", 128, sigma=sigma), bank, 2, trials=100, seed=0)
                     for sigma in (1.0, 2.0**power))
     assert (scaled.estimate, scaled.stderr) == (base.estimate * 4.0**power, base.stderr * 4.0**power)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
+def test_mc_estimate_scales_exactly_with_a_small_power_of_two_sigma(make, n):
+    # at sigma 2^-340, np.std's squared deviations once underflowed to "stderr": 0.0
+    bank = build_bank(make(), 0, 128)
+    base, scaled = (mc_layer_energy(make_model("white", 128, sigma=sigma), bank, n, trials=100, seed=1)
+                    for sigma in (1.0, 2.0**-340))
+    assert base.stderr > 0.0
+    assert (scaled.estimate, scaled.stderr) == (base.estimate * 2.0**-680, base.stderr * 2.0**-680)
 
 
 # Exact Monte Carlo results at N=128 (7 octaves): depth 2 scores 292 trials

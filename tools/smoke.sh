@@ -80,6 +80,12 @@ python -c "import math; [print(math.cos(2 * math.pi * 5 * k / 256)) for k in ran
 scatdecay scatter run --bank bank.json --signal f.csv --out tree/ --depth 3
 test -f tree/manifest.json
 test -f tree/profile.csv
+# byte-stable, pruned or not: the same request into a new directory writes identical files
+scatdecay scatter run --bank bank.json --signal f.csv --out tree2/ --depth 3
+diff -r tree tree2
+scatdecay scatter run --bank bank.json --signal f.csv --out tree_pruned/ --depth 3 --prune-eps 1e-4
+scatdecay scatter run --bank bank.json --signal f.csv --out tree_pruned2/ --depth 3 --prune-eps 1e-4
+diff -r tree_pruned tree_pruned2
 # over the memory budget: exit 3, refused before --out is made
 code=0
 scatdecay scatter run --bank bank.json --signal f.csv --out tree7/ --depth 7 || code=$?
