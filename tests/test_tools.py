@@ -1,13 +1,21 @@
-"""The code-line counter that refactors report their size change with, and the smoke script CI runs."""
+"""The code-line counter and same-bytes comparison that refactors report with, and the smoke script CI runs."""
 import importlib.util
 import re
 import subprocess
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _tool("code_lines")
+same_bytes = _tool("same_bytes")
 
 # every kind of line the counter tells apart; the comment after each counted line numbers it
 SOURCE = '''"""Module docstring,
@@ -57,3 +65,20 @@ def test_smoke_script_is_what_the_package_smoke_job_runs():
     assert "run: bash tools/smoke.sh" in job
     # the recipes live in the script alone, so they cannot drift back into the workflow
     assert not [line for line in job if "scatdecay" in line]
+
+
+def test_same_bytes_lists_changed_and_one_sided_files(tmp_path):
+    parent, child = tmp_path / "parent", tmp_path / "child"
+    for top in (parent, child):
+        (top / "tree").mkdir(parents=True)
+        (top / "tree" / "same.csv").write_text("0.1\n")
+    (parent / "tree" / "profile.csv").write_text("n,energy\n0,0.1\n")
+    (child / "tree" / "profile.csv").write_text("n,energy\n0,0.10000000000000001\n")
+    (parent / "err_old.txt").write_text("error: gone\n")
+    (child / "tree" / "new.json").write_text("{}\n")
+    assert same_bytes.compare(parent, child) == [
+        "only in the parent: err_old.txt",
+        "only in ./src: tree/new.json",
+        "differs: tree/profile.csv",
+    ]
+    assert same_bytes.compare(parent, parent) == []

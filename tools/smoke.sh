@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # The README's bank, scatter, decay, stationary and demo recipes, run end to end
-# through the `scatdecay` console script on PATH, in a fresh temporary directory.
+# through the `scatdecay` console script on PATH, in a fresh temporary directory,
+# or in the directory given as the one argument, which is made if missing and kept.
 # CI's package-smoke job runs it after installing the package.  Without
 # installing, put tools/bin, whose `scatdecay` calls scatdecay.cli:main, on PATH
 # and src/ on PYTHONPATH, from the repository root:
 #
-#   PATH="$PWD/tools/bin:$PATH" PYTHONPATH="$PWD/src" bash tools/smoke.sh
+#   PATH="$PWD/tools/bin:$PATH" PYTHONPATH="$PWD/src" bash tools/smoke.sh [DIR]
+#
+# tools/same_bytes.py runs it into kept directories under two source trees and
+# compares every file it writes, the saved stderr of its refusals included.
 #
 # CLI refusals are rows of the table in tests/test_cli.py, run by Tier-1, so
-# this script keeps the recipes, the `--depth 7` exit-3 check and four exit-2
+# this script keeps the recipes, three exit-3 checks (`scatter run --depth 7`,
+# `decay verify --depth 8` and an oversized `stationary run --trials`) and four exit-2
 # checks: a bank file that is not JSON, and a Morlet `"J": 505`, a Morlet
 # `"width": 1e-153` and an empty signal CSV, which once warned before their
 # refusals.  Each of the four reads "error: <what> file <path>: <reason>",
@@ -17,8 +22,13 @@
 # command ends it with a nonzero exit.
 set -eo pipefail
 export PYTHONWARNINGS=error
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+if [ -n "$1" ]; then
+  work=$1
+  mkdir -p "$work"
+else
+  work=$(mktemp -d)
+  trap 'rm -rf "$work"' EXIT
+fi
 cd "$work"
 
 echo "== bank check"
@@ -106,6 +116,13 @@ echo "== decay verify"
 scatdecay decay verify --bank bank.json --out decay/ --seed 7
 test -f decay/constants.json
 test -f decay/decay.csv
+# over the memory budget: exit 3 with one line naming the bytes, refused before --out is made
+code=0
+scatdecay decay verify --bank bank.json --out decay8/ --seed 7 --depth 8 2> err_decay8.txt || code=$?
+cat err_decay8.txt
+test "$code" -eq 3
+test "$(wc -l < err_decay8.txt)" -eq 1
+test ! -e decay8
 # byte-stable: the same request into a new directory writes identical files
 scatdecay decay verify --bank bank.json --out decay2/ --seed 7
 diff -r decay decay2
@@ -134,6 +151,14 @@ echo '{"mother": {"name": "morlet", "params": {}}, "J": 0, "j_min": null, "N": 1
 echo '{"kind": "white", "params": {"sigma": 1.0}, "N": 128}' > model.json
 scatdecay stationary run --bank bank128.json --model model.json --out mc/ --trials 200 --depth 2
 test -f mc/mc_report.json
+# 8 bytes per trial over the memory budget: exit 3 before any trial is drawn
+code=0
+scatdecay stationary run --bank bank128.json --model model.json --out mc_trials/ --trials 1000000000 \
+  2> err_trials.txt || code=$?
+cat err_trials.txt
+test "$code" -eq 3
+test "$(wc -l < err_trials.txt)" -eq 1
+test ! -e mc_trials
 scatdecay stationary run --bank bank128.json --model model.json --out mc2/ --trials 200 --depth 2
 diff -r mc mc2
 # depth 3 runs 5 blocks of 41 trials, the last one partial: blocks do not move a bit
@@ -142,7 +167,7 @@ scatdecay stationary run --bank bank128.json --model model.json --out mc3b/ --tr
 diff -r mc3 mc3b
 # layer 1 is read straight off each trial's spectrum: byte-stable too; `stationary run`
 # refuses depth 1 (its bound starts at layer 2), so the library estimate is compared
-mkdir mc1 mc1b
+mkdir -p mc1 mc1b
 for out in mc1 mc1b; do
   python -c "from scatdecay.filterbank import load_bank; from scatdecay.stationary import load_model, mc_layer_energy; print(repr(mc_layer_energy(load_model('model.json'), load_bank('bank128.json'), 1, 200, 0)))" > $out/estimate.txt
 done
