@@ -29,9 +29,9 @@ or of what it describes, reads "<what> file <path>: <reason>", exit 2.
 Each refusal has one owner.  The subcommand's parser refuses a missing or
 empty required flag and an unknown one; the library function a command
 calls makes its own refusals, and a command checks up front only what would
-otherwise be refused after costly work, such as the constants.  A command
-makes ``--out`` only once every refusal has passed, right before it writes
-its first file.
+otherwise be refused after costly work, such as the constants.  No command
+makes a directory: the writer of a command's first file makes ``--out``,
+so it appears only once every refusal has passed.
 """
 from __future__ import annotations
 
@@ -46,15 +46,11 @@ import numpy as np
 from .decay import _SLACK_TOL, _check_bound_layer, _check_signal, compute_constants, verify_decay
 from .errors import BudgetExceededError, ScatdecayError
 from .filterbank import (
-    FilterBank, build_bank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank,
-    morlet_mother,
+    build_bank, check_asymmetry, check_littlewood_paley, estimate_vanishing_order, load_bank, morlet_mother,
 )
-from .scattering import (
-    _PARTITION_TOL, _check_profile, _partition_defect, _tight_lowpass, export_result, gaussian_output_lowpass,
-    scatter,
-)
+from .scattering import _check_profile, _output_lowpass, export_result, gaussian_output_lowpass, scatter
 from .signals import (
-    Signal, Spectrum, _reading, _write_json, _write_table, band_limited_signal, convolve, dft, energy,
+    Signal, _reading, _write_json, _write_table, band_limited_signal, convolve, dft, energy,
     frequencies, modulus, read_signal, write_signal,
 )
 from .stationary import (
@@ -71,19 +67,6 @@ def _path(value: str) -> str:
     return value
 
 
-def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
-    # tight when the indicator low-pass closes the bank's partition of frequency,
-    # as it does for the shannon profile with every bin covered
-    if kind == "gaussian":
-        return gaussian_output_lowpass(bank.j_max, bank.n)
-    low = _tight_lowpass(bank.j_max, bank.n)
-    if _partition_defect(bank, low) <= _PARTITION_TOL:
-        return low
-    if kind == "tight":
-        raise ValueError("the tight pair is only defined for the shannon bank")
-    return gaussian_output_lowpass(bank.j_max, bank.n)
-
-
 def cmd_bank_check(args: argparse.Namespace) -> int:
     bank = load_bank(args.bank)
     reports = [
@@ -91,7 +74,6 @@ def cmd_bank_check(args: argparse.Namespace) -> int:
         check_asymmetry(bank),
         estimate_vanishing_order(bank.mother),
     ]
-    os.makedirs(args.out, exist_ok=True)
     for report in reports:
         _write_json(os.path.join(args.out, f"check_{report.condition}.json"), report.to_payload())
         verdict = "PASS" if report.passed else "FAIL"
@@ -130,7 +112,6 @@ def cmd_decay_verify(args: argparse.Namespace) -> int:
     if sig is None:
         sig = band_limited_signal(bank.n, constants.band, np.random.default_rng(args.seed))
     rows = verify_decay(sig, bank, constants, n_max=args.depth)
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "constants.json"), constants.to_payload())
     _write_table(os.path.join(args.out, "decay.csv"), "n,empirical,bound,slack", map(astuple, rows))
     print(
@@ -159,7 +140,6 @@ def cmd_stationary_run(args: argparse.Namespace) -> int:
     est = mc_layer_energy(model, bank, args.depth, trials=args.trials, seed=args.seed)
     bound = stationary_bound(model, constants, args.depth)
     ok = est.estimate <= bound + 3.0 * est.stderr
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "mc_report.json"), {**asdict(est), "bound": bound, "pass": ok})
     print(
         f"layer {est.n}: estimate={est.estimate:.6g} (stderr {est.stderr:.3g}, "
@@ -195,7 +175,6 @@ def cmd_demo_modulus_shift(args: argparse.Namespace) -> int:
     before = _abs_centroid(dft(filtered).coeffs, sig.n)
     after = _abs_centroid(dft(mod).coeffs, sig.n)
 
-    os.makedirs(args.out, exist_ok=True)
     write_signal(os.path.join(args.out, "input.csv"), sig)
     write_signal(os.path.join(args.out, "filtered.csv"), filtered)
     write_signal(os.path.join(args.out, "modulus.csv"), mod)

@@ -498,6 +498,19 @@ def gaussian_output_lowpass(j_max: int, n: int) -> Spectrum:
     return gaussian_lowpass(2.0**-j_max, n)
 
 
+def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
+    """The readout ``scatter run --lowpass kind`` takes on ``bank``: "auto" or "tight" take the indicator
+    low-pass where it closes the bank's partition of frequency, as on the shannon bank with every bin covered,
+    and "auto" or "gaussian" otherwise take the Gaussian."""
+    if kind != "gaussian":
+        low = _tight_lowpass(bank.j_max, bank.n)
+        if _partition_defect(bank, low) <= _PARTITION_TOL:
+            return low
+        if kind == "tight":
+            raise ValueError("the tight pair is only defined for the shannon bank")
+    return gaussian_output_lowpass(bank.j_max, bank.n)
+
+
 def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
     """Write outputs, the layer profile and a manifest under ``out_dir``.
 
@@ -506,7 +519,6 @@ def export_result(result: ScatteringResult, out_dir: str | os.PathLike) -> None:
     timestamps or environment records.
     """
     out = os.fspath(out_dir)
-    os.makedirs(out, exist_ok=True)
     for path in sorted(result.s):  # one node built at a time
         label = "_".join(str(j) for j in path) or "root"
         write_signal(os.path.join(out, f"s_{label}.csv"), result.s[path])
