@@ -669,8 +669,6 @@ def _check_signal(f: Signal, bank: FilterBank) -> np.ndarray:
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
     lo, hi = _band_or_raise(bank)
-    if not np.any(f.samples):
-        raise ValueError("signal is identically zero")
     w = frequencies(f.n)
     power = np.abs(dft(f).coeffs) ** 2
     inside = (np.abs(w) >= lo) & (np.abs(w) <= hi)

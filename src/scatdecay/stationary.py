@@ -73,10 +73,9 @@ def _finalize(kind: str, params: dict, n: int, mean: float, density: np.ndarray)
     if not math.isfinite(mean):  # the refusal a non-finite density gets below
         raise ValueError("values must be finite")
     # every family builds a nonnegative density but for rounding, which the clip removes, and
-    # |R(k)| <= R(0) follows from it; then the refusals of a Spectrum: finite values (a NaN
-    # passes np.maximum), then the length
+    # |R(k)| <= R(0) follows from it; then a Spectrum's refusal of values not finite (a NaN
+    # passes np.maximum)
     density = _frozen(np.maximum(density, 0.0))
-    _check_length(n)
     # the density is even, so its transform is real but for rounding; a copy of the real part,
     # so the model holds 8 N bytes here and not the complex transform; a finite density can
     # still sum to inf
@@ -146,16 +145,24 @@ def make_model(kind: str, n: int, **params) -> StationaryModel:
     just where its squared spectrum (N mean)^2 overflows.  The spread of
     the trials' energies is summed apart, in ``mc_layer_energy``.
 
-    A model is refused first when its build's peak exceeds the memory budget:
-    80 N bytes, what ``ar1`` holds at once while inverting its density (its
-    autocovariance, the complex spectrum the density is read from and the
-    inverse transform), and 16 KiB of Python objects; then when N is
-    negative.  The model itself keeps its density and autocovariance, 16 N
-    bytes.
+    Refusals come in this order, each before any array the next one needs:
+
+    1. the build's peak over the memory budget: 80 N bytes, what ``ar1``
+       holds at once while inverting its density (its autocovariance, the
+       complex spectrum the density is read from and the inverse transform),
+       and 16 KiB of Python objects;
+    2. N not a power of two >= 2;
+    3. ``mean`` or ``sigma`` not a number, a negative ``sigma``, or one whose
+       square underflows;
+    4. the family's own: an unknown kind or key, a parameter out of range,
+       or a filter it cannot build;
+    5. the built model: values not finite, the mean too far from zero, or
+       trials that could overflow.
+
+    The model itself keeps its density and autocovariance, 16 N bytes.
     """
     _check_bytes(f"a model on N={n}", 80 * n + (1 << 14))
-    if n < 0:  # numpy, or ar1's rho ** (n - k), would refuse it without naming the size
-        _check_length(n)
+    _check_length(n)
     params = dict(params)
     mean = float(_real("mean", params.setdefault("mean", 0.0)))
     sigma = float(_real("sigma", params.setdefault("sigma", 1.0)))

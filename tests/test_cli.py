@@ -568,6 +568,8 @@ _NOT_A_MAPPING = "scatdecay.stationary.make_model() argument after ** must be a 
 _NO_DRIFT = ("error: first-moment rate c = 0.000e+00 is not positive; the bank has no strict "
              "analytic preference and the drift argument collapses")
 _NEAR_ZERO = "error: near-zero decay order 0.0000 below 0.05"
+_ZERO_ENERGY = ("signal energy 0 is too small to check: its verdicts' tolerance, 1e-08 of it, is below float64's "
+                "smallest normal number; scaling the signal by a power of two moves no verdict")
 # a narrow first-order Morlet whose profile underflows to 0.0 at 14 of 25 geometric points of [2^-10, 2^-4]
 _UNDERFLOWING = _bank("morlet_first_order", J=-2, N=2048, j_min=-3, center=2.8340951665991154,
                       width=0.0731538287531215)
@@ -716,6 +718,12 @@ _REFUSALS = {
           for kind in ("white", "ar1")),
         _bad_model(_model("white", 100), "sample count must be a power of two >= 2, got 100",
                    "length-100"),
+        # the size is refused before the parameters, so a recipe with two faults names its size; these
+        # once named the parameter
+        *(_bad_model(_model(kind, 100, **params), "sample count must be a power of two >= 2, got 100",
+                     f"length-100-{id}")
+          for kind, params, id in (("ar1", {"rho": 2.0}, "rho"), ("white", {"foo": 1}, "foo"),
+                                   ("filtered_noise", {"filter": {"name": "band", "lo": 6, "hi": 3}}, "band"))),
         # the density sums to inf; sigma^2 itself overflows and once raised OverflowError
         _bad_model(_model("white", 128, sigma=1e154), "values must be finite", "sigma-1e154"),
         _bad_model(_model("white", 128, sigma=1e200), "values must be finite", "sigma-1e200"),
@@ -906,14 +914,14 @@ _REFUSALS = {
     ],
     # the constants certify nothing for these inputs, so they are refused before the constants; they once
     # named no file.  A cosine of amplitude 1e-300, whose squared coefficients underflow, was once called
-    # zero, and cosines of amplitude 1e-150 and 1e-158, whose deep layer energies are subnormal, passed
+    # zero; an all-zero signal is now refused as it is, by its energy.  Cosines of amplitude 1e-150 and 1e-158, whose deep layer energies are subnormal, passed
     "test_decay_verify_bad_signal_refused_before_constants": [
         Refusal("decay verify --bank {bank} --signal {signal} --out {out}", 2, _SIGNAL_FILE + message,
                 bank=_MORLET, signal=signal, id=id)
         for id, signal, message in (
             ("complex", "1,1\n" * 256, "decay verification needs a real signal"),
-            ("zero", "0\n" * 256, "signal is identically zero"),
-            ("signed-zero", "0.0\n-0.0\n" * 128, "signal is identically zero"),
+            ("zero", "0\n" * 256, _ZERO_ENERGY),
+            ("signed-zero", "0.0\n-0.0\n" * 128, _ZERO_ENERGY),
             *((id, "".join(f"{amplitude * math.cos(2 * math.pi * 5 * k / 256)!r}\n" for k in range(256)),
                f"signal energy {energy} is too small to check: its verdicts' tolerance, 1e-08 of it, is below "
                "float64's smallest normal number; scaling the signal by a power of two moves no verdict")
