@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scatdecay import decay, filterbank
+from scatdecay import decay, filterbank, scattering
 from scatdecay.decay import (
     _raised_cosine_window,
     compute_constants,
@@ -987,6 +987,36 @@ def test_decay_verification_morlet(morlet_bank, morlet_constants):
     f = band_limited_signal(256, (3, 127), rng)
     for row in verify_decay(f, morlet_bank, morlet_constants, 3):
         assert row.slack >= 0.0
+
+
+@pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
+def test_decay_bound_says_more_than_parseval_on_small_banks(make):
+    # N=16 keeps 5 band frequencies on Morlet (3..7) and 6 on Shannon (2..7), so depth 10 takes a
+    # fraction of a second.  Parseval through each modulus gives E_n <= Lambda^n ||f||^2 for the
+    # bank's Littlewood-Paley level Lambda; at these depths the certified bound is below it
+    bank = build_bank(make(), 0, 16)
+    constants = compute_constants(bank)
+    # what a real row's half spectrum passes to its children per unit of its own energy: bins 0
+    # and N/2 weigh only themselves, every other bin also its mirror, which holds the same energy
+    level = scattering._folded(np.sum(np.abs(scattering._filter_rows(bank)) ** 2, axis=0))
+    level[1:-1] /= 2
+    lam = float(np.max(level))
+    for seed in range(5):
+        f = band_limited_signal(16, constants.band, np.random.default_rng(seed))
+        total = energy(f)
+        rows = verify_decay(f, bank, constants, n_max=10)
+        assert [row.n for row in rows] == list(range(2, 11))
+        empirical = {1: scattering.layer_energy_profile(f, bank, 1)[1], **{row.n: row.empirical for row in rows}}
+        for n, e_n in empirical.items():
+            # E_1 and ||f||^2 are separate float sums, a few ulps apart where Lambda = 1
+            assert e_n <= lam**n * total * (1 + 1e-12), (seed, n)
+        for row in rows:
+            assert row.slack >= -decay._SLACK_TOL * total, (seed, row)
+        bound = {row.n: row.bound for row in rows}
+        if make is morlet_mother:  # Lambda = 0.5468
+            assert bound[9] < lam**9 * total and bound[10] < lam**10 * total, seed
+        else:  # Lambda = 1, so Parseval says only E_n <= ||f||^2
+            assert bound[10] <= 0.98 * total, seed
 
 
 def test_decay_rejects_bad_inputs(shannon_bank, shannon_constants):
