@@ -499,9 +499,13 @@ def gaussian_output_lowpass(j_max: int, n: int) -> Spectrum:
 
 
 def _output_lowpass(bank: FilterBank, kind: str) -> Spectrum:
-    """The readout ``scatter run --lowpass kind`` takes on ``bank``: "auto" or "tight" take the indicator
-    low-pass where it closes the bank's partition of frequency, as on the shannon bank with every bin covered,
-    and "auto" or "gaussian" otherwise take the Gaussian."""
+    """The readout ``scatter run --lowpass kind`` takes on ``bank``.
+
+    "auto" and "tight" take the indicator low-pass where it closes the bank's
+    partition of frequency, as on the shannon bank with every bin covered;
+    otherwise "tight" is refused, and "auto", like "gaussian", takes the
+    Gaussian.
+    """
     if kind != "gaussian":
         low = _tight_lowpass(bank.j_max, bank.n)
         if _partition_defect(bank, low) <= _PARTITION_TOL:

@@ -211,9 +211,10 @@ def band_limited_signal(
 
 # ---------------------------------------------------------------------------
 # File formats.  Every file the package writes is written here, through
-# ``_write_text``, which also makes the file's directory, and every file it reads is read here: a signal by
-# ``read_signal``, a bank or model recipe by ``_read_json``, whose caller maps
-# the payload's keys and refuses any other with ``_only``.  Both read inside
+# ``_write_text``, which also makes the file's directory, and every file it
+# reads is read here: a signal by ``read_signal``, a bank or model recipe by
+# ``_read_json``, whose caller maps the payload's keys and refuses any other
+# with ``_only``.  Both read inside
 # ``_reading``, the one place that decides how a refused input file is
 # reported.  A signal's CSV holds one sample per line, "re" or "re,im"; raw
 # holds little-endian float64, interleaved re,im when complex, with a sidecar
@@ -278,10 +279,10 @@ def _read_json(path: str | os.PathLike, what: str, parse):
 
 def _write_text(path: str | os.PathLike, text: str) -> None:
     # the one place a directory is made: a command's --out appears with its first file, after every refusal
-    folder = os.path.dirname(os.fspath(path))
-    if folder:
-        os.makedirs(folder, exist_ok=True)
-    with open(os.fspath(path), "w") as fh:
+    path = os.fspath(path)
+    if os.path.dirname(path):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
         fh.write(text)
 
 

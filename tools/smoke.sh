@@ -13,8 +13,8 @@
 #
 # CLI refusals are rows of the table in tests/test_cli.py, run by Tier-1, so
 # this script keeps the recipes, three exit-3 checks (`scatter run --depth 7`,
-# `decay verify --depth 8` and an oversized `stationary run --trials`) and four exit-2
-# checks: a bank file that is not JSON, and a Morlet `"J": 505`, a Morlet
+# `decay verify --depth 8` and an oversized `stationary run --trials`) and
+# four exit-2 checks: a bank file that is not JSON, and a Morlet `"J": 505`, a Morlet
 # `"width": 1e-153` and an empty signal CSV, which once warned before their
 # refusals.  Each of the four reads "error: <what> file <path>: <reason>",
 # naming the file it refuses.  Every warning is an error, as under Tier-1's filterwarnings, so a
