@@ -280,8 +280,8 @@ def _read_json(path: str | os.PathLike, what: str, parse):
 def _write_text(path: str | os.PathLike, text: str) -> None:
     # the one place a directory is made: a command's --out appears with its first file, after every refusal
     path = os.fspath(path)
-    if os.path.dirname(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+    if folder := os.path.dirname(path):
+        os.makedirs(folder, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
 
