@@ -17,8 +17,8 @@ one S row each, exceed one memory budget (1 GiB) is refused before anything
 is allocated, so depth is limited by what fits.  The tree holds its U rows
 below the root as float64, 24 N bytes per node against the 32 N counted,
 and the difference covers the chunk buffers of large trees: the traced peak
-of Morlet N=256 at depth 4 is 29.5 against 36.6 MiB counted, and of N=1024
-at depth 3 27.9 against 34.7 MiB.  Small trees stay over their count, where
+of Morlet N=256 at depth 4 is 28.9 against 36.6 MiB counted, and of N=1024
+at depth 3 27.4 against 34.7 MiB.  Small trees stay over their count, where
 the chunk buffers and path bookkeeping outweigh the nodes: 2.6, 1.9 and
 1.1 times it at depths 1, 2 and 3 on N=256.
 
@@ -36,6 +36,18 @@ sized for one block and reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
 
+A block is scored on every usable CPU: one contiguous share of its inputs
+per CPU, each share the serial pass on its own rows of the block's buffers,
+on a thread pool made for the call, while the calling thread draws every
+block, in order, and scores the first share.  So an input's energies keep
+their bits, and a call with one input, such as ``layer_energy_profile``,
+starts no thread.  Each CPU holds its own chunk buffers: a full chunk on a
+layer-1 pass, a share of one on a deeper pass.  The Monte Carlo fills only
+the profile row of the layer it estimates, so no held layer is weighed.
+With 2,000 trials on Morlet N=128, ``stationary.mc_layer_energy`` peaks at
+1.6, 2.6 and 4.4 MiB traced at depth 2 on one, two and four CPUs, and at
+1.5, 1.7 and 2.1 MiB at depth 3.
+
 The refusal of an energy-only pass, ``_check_profile``, which
 ``stationary._check_mc_request`` calls with 8 bytes per trial, counts its
 deepest formed layer n - 1 as held complex values, N B^(n-1) of them for B
@@ -49,6 +61,8 @@ chunk buffers dominate, and 7 to 12 times over it at depths 5 and 6, 16 and
 """
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -151,13 +165,25 @@ def _chunks(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]
 
 
 def _spectra(batch: np.ndarray, filters: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, FFT of the chunk of ``batch`` from row i), chunked as ``_chunks`` does."""
+    """(i, FFT of the chunk of ``batch`` from row i), chunked as ``_chunks`` does.
+
+    Each chunk is copied into one complex buffer, sized by the first chunk,
+    and transformed in place: numpy's own cast of real rows to complex inside
+    ``np.fft.fft`` takes about three times as long as the copy and the
+    transform together, for the same bits.  So a chunk's spectra last only
+    until the next chunk is asked for.
+    """
+    staged = None
     for i, chunk in _chunks(batch, filters):
-        yield i, np.fft.fft(chunk, axis=1)
+        if staged is None:
+            staged = np.empty(chunk.shape, dtype=np.complex128)
+        spec = staged[: len(chunk)]
+        spec[...] = chunk
+        yield i, np.fft.fft(spec, axis=1, out=spec)
 
 
 def _layer_moduli(spectra: Iterator, filts: np.ndarray, out: np.ndarray | None = None) -> Iterator:
-    """(k, the children |row * psi_j| from child row k), one chunk of parents at a time.
+    """(k, the children |row * psi_j| from child row k, their dead products), one chunk of parents at a time.
 
     ``spectra`` yields (i, the spectra of rows i..), as ``_chunks`` of
     spectra or ``_spectra`` of samples do; row i's children are rows
@@ -168,6 +194,9 @@ def _layer_moduli(spectra: Iterator, filts: np.ndarray, out: np.ndarray | None =
     buffer, sized by the first chunk, the largest, and reused by every chunk;
     without ``out`` the moduli take its tail, so a pass allocates once (a
     second buffer left the blocks of a depth-2 estimate faulting heap pages).
+    The chunk's complex products, one (children, N) array, are dead once
+    their moduli are taken: a consumer may overwrite them until it asks for
+    the next chunk.
     """
     nfilt, products, moduli = filts.shape[0], None, None
     for i, spec in spectra:
@@ -182,7 +211,7 @@ def _layer_moduli(spectra: Iterator, filts: np.ndarray, out: np.ndarray | None =
         np.fft.ifft(children, axis=1, out=children)
         k = i * nfilt
         into = moduli[: len(children)] if out is None else out[k : k + len(children)]
-        yield k, np.abs(children, out=into)
+        yield k, np.abs(children, out=into), children
 
 
 def _read_out(spectra: Iterator, phi: np.ndarray, out: np.ndarray, energies: np.ndarray) -> Iterator:
@@ -302,8 +331,8 @@ def scatter(
         outputs, energies = np.empty(batch.shape, dtype=np.complex128), np.empty(len(batch))
         children = np.empty((len(batch) * breadth if depth < n_max else 0, bank.n))
         passes = _read_out(_spectra(batch, breadth if depth < n_max else 1), phi, outputs, energies)
-        for _ in _layer_moduli(passes, filts, children) if depth < n_max else passes:
-            pass
+        # run the pass, keeping no chunk's buffers past it
+        collections.deque(_layer_moduli(passes, filts, children) if depth < n_max else passes, maxlen=0)
         output_energies[depth] = float(np.sum(energies))
         u_layers.append(batch)
         s_layers.append(_frozen(outputs))
@@ -323,7 +352,7 @@ def scatter(
     )
 
 
-def _child_energies(chunk: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _child_energies(chunk: np.ndarray, weight: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     """sum_j ||row * psi_j||^2 per real row of one ``_layer_moduli`` chunk, without forming the children.
 
     The modulus keeps energy, so by Parseval each row's children together
@@ -331,10 +360,14 @@ def _child_energies(chunk: np.ndarray, weight: np.ndarray) -> np.ndarray:
     in place of B inverse FFTs.  A real row's |row_hat|^2 is even, so its
     half spectrum from ``np.fft.rfft`` carries the sum, against ``weight``,
     sum_j |psi_j|^2 folded onto bins 0..N/2.  The power is weighed in the
-    half spectrum's own real parts, so a call allocates only its spectrum,
-    N/2 + 1 complex values per row.
+    half spectrum's own real parts.  The spectrum, N/2 + 1 complex values
+    per row, is written into the front of ``spare``, a contiguous complex
+    array of at least as many values, such as the chunk's dead products;
+    without it, a call allocates the spectrum.
     """
-    spec = np.fft.rfft(chunk, axis=1)
+    rows, half = chunk.shape[0], chunk.shape[1] // 2 + 1
+    into = None if spare is None else spare.reshape(-1)[: rows * half].reshape(rows, half)
+    spec = np.fft.rfft(chunk, axis=1, out=into)
     power = np.square(spec.real, out=spec.real)
     np.add(power, np.square(spec.imag, out=spec.imag), out=power)
     out = np.sum(np.multiply(power, weight, out=power), axis=1)
@@ -350,14 +383,21 @@ def _folded(weight: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) -> Iterator:
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform can say; else all of them
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, deepest_only: bool = False) -> Iterator:
     """(start, energies at layers 0..n_max of inputs start..start+k-1), block by block.
 
     ``draw(start, k)`` returns the spectra of those k inputs as rows, in FFT
     bin order, so layer 1 takes no forward FFT.  It is called once per
-    block, in ascending ``start``, so a draw may read its rows off one
-    shared random stream.  The root's energies are read off its spectrum by
-    Parseval.  Every layer k >= 1 is weighed from its
+    block, in ascending ``start``, on the calling thread, so a draw may read
+    its rows off one shared random stream.  The root's energies are read off
+    its spectrum by Parseval.  Every layer k >= 1 is weighed from its
     parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's, each
     deeper one through ``_child_energies`` of the real moduli of layer k - 1,
     chunk by chunk as ``_layer_moduli`` forms them, so layer k's energies do
@@ -365,8 +405,23 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) ->
     for one block and reused by every block; the deepest formed layer,
     n_max - 1, is weighed a chunk at a time and never held.  A block takes
     ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if more.
-    Children of a row stay contiguous through ``_layer_moduli``, so an
-    input's energies, one column, do not depend on its block or chunk.
+    With ``deepest_only``, as ``stationary.mc_layer_energy`` asks, only row
+    n_max of each block's profiles is filled and the others are NaN: the
+    held layers 1..n_max-2 are formed but never weighed.
+
+    A block is split into one contiguous share of inputs per usable CPU
+    (``os.sched_getaffinity``), at most one per input, and each share runs
+    the serial pass on its own rows of the block's buffers: the calling
+    thread scores the first share, a thread pool made for the call the
+    others, and the calling thread reads every share's result before the
+    next draw.  So a call with one input per block, as
+    ``layer_energy_profile``, starts no thread, and the pool is shut down
+    when the last block is scored or the caller drops the iterator.  Per CPU
+    a block holds one pass's chunk buffers: a full chunk of
+    ``_CHUNK_ELEMENTS`` filter products on a layer-1 pass, and on a deeper
+    pass, over held float64 rows, its share of one chunk.  Children of a row
+    stay contiguous through ``_layer_moduli``, so an input's energies, one
+    column, do not depend on its block, share or chunk.
     """
     filts, breadth, n = _filter_rows(bank), len(bank.filters), bank.n
     deepest = _power(breadth, max(n_max - 1, 0))  # layer n_max-1 rows per input
@@ -375,25 +430,52 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable) ->
     energies = np.empty(per_block * deepest)  # children energies, one per parent row
     weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
     folded = _folded(weight)
-    for start in range(0, count, per_block):
-        batch = draw(start, min(per_block, count - start))
-        rows = batch.shape[0]
-        profiles = np.empty((n_max + 1, rows))
-        # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
-        profiles[0] = _row_energies(batch) / n
-        if n_max >= 1:
-            profiles[1] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
+    first = n_max if deepest_only else 0  # the shallowest layer a block's profiles fill
+
+    def score(block: np.ndarray, profiles: np.ndarray, lo: int, hi: int, shares: int) -> None:
+        # inputs lo..hi-1 of the block, on their own rows of every buffer
+        batch = block[lo:hi]
         for depth in range(1, n_max):
-            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth)
-            weighed = energies[: len(batch) * breadth]
-            batch = layers[depth - 1][: len(weighed)] if depth < n_max - 1 else None
-            for k, moduli in _layer_moduli(spectra, filts, batch):
-                weighed[k : k + len(moduli)] = _child_energies(moduli, folded)
-            # free the pass's buffer now, before the next block's draw: held over, it
-            # left each block of a depth-2 estimate faulting fresh heap pages in
-            del moduli
-            profiles[depth + 1] = weighed.reshape(rows, -1).sum(axis=1)
-        yield start, profiles
+            per_input = _power(breadth, depth)  # layer-depth rows per input
+            weighed = energies[lo * per_input : hi * per_input]
+            # a layer-1 pass takes a CPU's full chunk; deeper passes share one between the CPUs
+            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth * shares)
+            batch = layers[depth - 1][lo * per_input : hi * per_input] if depth < n_max - 1 else None
+            weigh = depth + 1 >= first
+            for k, moduli, products in _layer_moduli(spectra, filts, batch):
+                if weigh:
+                    weighed[k : k + len(moduli)] = _child_energies(moduli, folded, products)
+            # free the pass's buffer now, before the next pass or block's draw: held over,
+            # it left each block of a depth-2 estimate faulting fresh heap pages in
+            del moduli, products
+            if weigh:
+                profiles[depth + 1, lo:hi] = weighed.reshape(hi - lo, -1).sum(axis=1)
+
+    cpus = min(_usable_cpus(), per_block)
+    pool = contextlib.nullcontext()
+    if cpus > 1:  # imported only where a block splits, so most processes never import it
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(cpus - 1)
+    with pool:
+        for start in range(0, count, per_block):
+            block = draw(start, min(per_block, count - start))
+            rows = block.shape[0]
+            profiles = np.full((n_max + 1, rows), np.nan)
+            if first == 0:
+                # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
+                profiles[0] = _row_energies(block) / n
+            if first <= 1 <= n_max:
+                profiles[1] = np.sum((block.real**2 + block.imag**2) * weight, axis=1) / n**2
+            shares = min(cpus, rows)
+            bounds = [rows * s // shares for s in range(shares + 1)]
+            futures = [pool.submit(score, block, profiles, lo, hi, shares)
+                       for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            score(block, profiles, bounds[0], bounds[1], shares)
+            for future in futures:
+                future.result()
+            del block  # before the next block's draw
+            yield start, profiles
 
 
 def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, float]:

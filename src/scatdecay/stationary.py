@@ -216,7 +216,12 @@ def _coefficient_rows(model: StationaryModel, draws: np.ndarray) -> np.ndarray:
     coeffs = np.empty((len(draws), n), dtype=np.complex128)
     re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
     coeffs[:, 0] = root[0] * draws[:, -2]
-    coeffs[:, 1:half] = root[1:half] * (re + 1j * im) / math.sqrt(2.0)
+    # what root * (re + 1j im) / sqrt(2) rounds to, but for the sign of a zero where the
+    # density is 0, written into the real and imaginary parts without a complex temporary
+    positive = coeffs[:, 1:half]
+    for part, normals in ((positive.real, re), (positive.imag, im)):
+        np.multiply(root[1:half], normals, out=part)
+        part *= 1.0 / math.sqrt(2.0)
     coeffs[:, half] = root[half] * draws[:, -1]
     coeffs[:, half + 1 :] = np.conj(coeffs[:, half - 1 : 0 : -1])  # w = -N/2+1..-1
     return coeffs
@@ -239,11 +244,12 @@ def simulate(model: StationaryModel, trials: int, seed: int) -> list[Signal]:
     ``mc_layer_energy`` scores.  The coefficient rows are conjugate-symmetric
     by construction, so the real part of their inverse is the realization.
     The seed must be a nonnegative integer, and the peak held must fit the
-    memory budget: per trial, 40 N bytes while building the coefficients
-    (the draws, the complex coefficient row and two complex half rows) and
-    512 bytes of ``Signal`` objects; per call, 16 N bytes for the density's
-    square root and its shifted copy, and 256 KiB for numpy's casting
-    buffers.
+    memory budget: per trial, 40 N bytes while inverting the coefficients
+    (the complex coefficient row, its inverse transform and the real
+    samples; building the row holds 32 N, with the draws and one mirrored
+    half row) and 512 bytes of ``Signal`` objects; per call, 16 N bytes for
+    the density's square root and its shifted copy, and 256 KiB for numpy's
+    casting buffers.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -304,14 +310,17 @@ def mc_layer_energy(
 
     Trials are drawn as spectra and scored in the blocks of the energy-only
     pass, whose deepest formed layer is n - 1.  Each block takes its trials'
-    rows from one ``np.random.default_rng(seed)`` in turn, so trial k is row
-    k of that stream, the trial ``simulate`` returns, whatever its block.
+    rows from one ``np.random.default_rng(seed)`` in turn, on the calling
+    thread, so trial k is row k of that stream, the trial ``simulate``
+    returns, whatever its block.  A block's trials are scored on every
+    usable CPU, one contiguous share each, with the bits of one CPU; only
+    layer n is weighed, since no other layer's energy is read.
     """
     _check_mc_request(model, bank, n, trials, seed)
     rng = np.random.default_rng(seed)
     values = np.empty(trials)
     draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)))
-    for start, profiles in _block_profiles(bank, n, trials, draw):
+    for start, profiles in _block_profiles(bank, n, trials, draw, deepest_only=True):
         values[start : start + profiles.shape[1]] = profiles[n]
     # np.std squares deviations as large as the energies, which overflow past about 2^498 and
     # underflow below about 2^-537; the energies are summed divided by the power of two just

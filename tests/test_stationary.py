@@ -1,18 +1,21 @@
 import hashlib
 import json
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from scatdecay import filterbank, scattering, stationary
-from scatdecay.decay import compute_constants
+from scatdecay.decay import compute_constants, verify_decay
 from scatdecay.errors import BudgetExceededError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
-from scatdecay.scattering import gaussian_output_lowpass, scatter
-from scatdecay.signals import Spectrum, dft, energy, frequencies, gaussian_lowpass
+from scatdecay.scattering import gaussian_output_lowpass, layer_energy_profile, scatter
+from scatdecay.signals import Signal, Spectrum, band_limited_signal, dft, energy, frequencies, gaussian_lowpass
 from scatdecay.stationary import (
     expected_filter_energy,
     filter_spectrum,
@@ -369,6 +372,103 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
         ])
         assert repr(est.estimate) == repr(float(np.mean(ref)))
         assert repr(est.stderr) == repr(float(np.std(ref, ddof=1) / math.sqrt(10)))
+
+
+def _within(seconds, call):
+    """``call()``, run on a thread that must finish within ``seconds``."""
+    result = []
+    runner = threading.Thread(target=lambda: result.append(call()), daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"no result within {seconds} s"
+    assert result, "the call raised"
+    return result[0]
+
+
+def _report_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch):
+    """Eight CPUs reported, whatever the machine has, and a thread switch every microsecond.
+
+    Blocks of 1, 3 and 4 trials split into up to four shares, at depths 1-4
+    on both mothers; each estimate keeps the bits of the one-CPU run.  The
+    one-input calls start no thread, however many CPUs there are.
+    """
+    model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
+    runs = [(make, n, block) for make in (morlet_mother, shannon_mother) for n in (1, 2, 3, 4) for block in (1, 3, 4)]
+    banks = {make: build_bank(make(), 0, 64) for make in (morlet_mother, shannon_mother)}
+
+    def estimates():
+        got = []
+        for make, n, block in runs:
+            bank = banks[make]
+            monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", block * len(bank.filters) ** (n - 1) * 64)
+            est = mc_layer_energy(model, bank, n, trials=11, seed=29)
+            got.append((repr(est.estimate), repr(est.stderr)))
+        return got
+
+    _report_cpus(monkeypatch, 1)
+    want = estimates()
+    _report_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _within(60, estimates) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+    bank = banks[morlet_mother]
+    sig = Signal(np.random.default_rng(31).standard_normal(64), real=True)
+    constants = compute_constants(bank)
+    threads = threading.active_count()
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    layer_energy_profile(sig, bank, 4)
+    verify_decay(band_limited_signal(64, bank.validated_band, np.random.default_rng(31)), bank, constants, 4)
+    assert started == [] and threading.active_count() == threads
+
+
+def test_mc_weighs_only_the_layer_it_estimates(monkeypatch):
+    """At depth 3 only layer 2's rows are weighed, layer 1's are formed but not; the pool dies with the call."""
+    bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
+    model = make_model("white", 64)
+    _report_cpus(monkeypatch, 4)
+    monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * 6**2 * 64)  # blocks of 4, 4 and 2 trials
+    weighed, child_energies = [], scattering._child_energies
+
+    def counted(rows, *args):
+        weighed.append(len(rows))
+        return child_energies(rows, *args)
+
+    monkeypatch.setattr(scattering, "_child_energies", counted)
+    threads = set(threading.enumerate())
+    mc_layer_energy(model, bank, 3, trials=10, seed=0)
+    assert sum(weighed) == 10 * 6**2
+    weighed.clear()
+    layer_energy_profile(Signal(np.ones(64), real=True), bank, 3)
+    assert sum(weighed) == 6 + 6**2  # the profile weighs every layer
+    assert set(threading.enumerate()) == threads
+
+    def fail_off_the_calling_thread(rows, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("raised in a worker")
+        return child_energies(rows, *args)
+
+    monkeypatch.setattr(scattering, "_child_energies", fail_off_the_calling_thread)
+    with pytest.raises(FloatingPointError, match="raised in a worker"):
+        mc_layer_energy(model, bank, 3, trials=10, seed=0)
+    assert set(threading.enumerate()) == threads
+    # a caller that drops the blocks part way shuts the pool down too
+    spectra = np.fft.fft(np.ones((10, 64)), axis=1)
+    monkeypatch.setattr(scattering, "_child_energies", child_energies)
+    blocks = scattering._block_profiles(bank, 3, 10, lambda i, k: spectra[i : i + k])
+    next(blocks)
+    assert set(threading.enumerate()) > threads
+    blocks.close()
+    assert set(threading.enumerate()) == threads
 
 
 def test_mc_estimate_is_reproducible(shannon_128):
