@@ -36,17 +36,18 @@ sized for one block and reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
 
-A block is scored on every usable CPU: one contiguous share of its inputs
-per CPU, each share the serial pass on its own rows of the block's buffers,
-on a thread pool made for the call, while the calling thread draws every
-block, in order, and scores the first share.  So an input's energies keep
-their bits, and a call with one input, such as ``layer_energy_profile``,
-starts no thread.  Each CPU holds its own chunk buffers: a full chunk on a
-layer-1 pass, a share of one on a deeper pass.  The Monte Carlo fills only
-the profile row of the layer it estimates, so no held layer is weighed.
-With 2,000 trials on Morlet N=128, ``stationary.mc_layer_energy`` peaks at
-1.6, 2.6 and 4.4 MiB traced at depth 2 on one, two and four CPUs, and at
-1.5, 1.7 and 2.1 MiB at depth 3.
+A block is scored on up to two usable CPUs: one contiguous share of its
+inputs per CPU, each share the serial pass on its own rows of the block's
+buffers, on a thread pool made for the call, while the calling thread draws
+every block, in order, and scores the first share.  So an input's energies
+keep their bits, and a call with one input, such as ``layer_energy_profile``,
+starts no thread.  Each share holds its own chunk buffers: a full chunk on a
+layer-1 pass, a share of one on a deeper pass.  Two shares is what was
+measured, and the cap keeps the peak from growing with the CPU count.  The
+Monte Carlo fills only the profile row of the layer it estimates, so no held
+layer is weighed.  With 2,000 trials on Morlet N=128,
+``stationary.mc_layer_energy`` peaks at 1.6 MiB traced at depth 2 on one CPU
+and 2.6 MiB on two or more, and at 1.5 and 1.7 MiB at depth 3.
 
 The refusal of an energy-only pass, ``_check_profile``, which
 ``stationary._check_mc_request`` calls with 8 bytes per trial, counts its
@@ -109,6 +110,11 @@ _CHUNK_ELEMENTS = 1 << 15
 # values in the deepest layer a block of ``_block_profiles`` forms, chunk by chunk; the
 # deepest it holds, one layer up, has B times fewer
 _BLOCK_ELEMENTS = 1 << 18
+
+# most shares, one per usable CPU, a block of ``_block_profiles`` splits into: each share holds
+# a full chunk's buffers on a layer-1 pass, so the Monte Carlo's peak grows with the shares,
+# and its speed and traced peaks were measured on two CPUs only
+_MAX_SHARES = 2
 
 
 def _power(breadth: int, depth: int) -> int:
@@ -352,7 +358,7 @@ def scatter(
     )
 
 
-def _child_energies(chunk: np.ndarray, weight: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+def _child_energies(chunk: np.ndarray, weight: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """sum_j ||row * psi_j||^2 per real row of one ``_layer_moduli`` chunk, without forming the children.
 
     The modulus keeps energy, so by Parseval each row's children together
@@ -362,12 +368,10 @@ def _child_energies(chunk: np.ndarray, weight: np.ndarray, spare: np.ndarray | N
     sum_j |psi_j|^2 folded onto bins 0..N/2.  The power is weighed in the
     half spectrum's own real parts.  The spectrum, N/2 + 1 complex values
     per row, is written into the front of ``spare``, a contiguous complex
-    array of at least as many values, such as the chunk's dead products;
-    without it, a call allocates the spectrum.
+    array of at least as many values, such as the chunk's dead products.
     """
     rows, half = chunk.shape[0], chunk.shape[1] // 2 + 1
-    into = None if spare is None else spare.reshape(-1)[: rows * half].reshape(rows, half)
-    spec = np.fft.rfft(chunk, axis=1, out=into)
+    spec = np.fft.rfft(chunk, axis=1, out=spare.reshape(-1)[: rows * half].reshape(rows, half))
     power = np.square(spec.real, out=spec.real)
     np.add(power, np.square(spec.imag, out=spec.imag), out=power)
     out = np.sum(np.multiply(power, weight, out=power), axis=1)
@@ -410,14 +414,15 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
     held layers 1..n_max-2 are formed but never weighed.
 
     A block is split into one contiguous share of inputs per usable CPU
-    (``os.sched_getaffinity``), at most one per input, and each share runs
-    the serial pass on its own rows of the block's buffers: the calling
+    (``os.sched_getaffinity``), at most ``_MAX_SHARES`` and at most one per
+    input, and each share runs the serial pass on its own rows of the
+    block's buffers: the calling
     thread scores the first share, a thread pool made for the call the
     others, and the calling thread reads every share's result before the
     next draw.  So a call with one input per block, as
     ``layer_energy_profile``, starts no thread, and the pool is shut down
-    when the last block is scored or the caller drops the iterator.  Per CPU
-    a block holds one pass's chunk buffers: a full chunk of
+    when the last block is scored or the caller drops the iterator.  Per
+    share a block holds one pass's chunk buffers: a full chunk of
     ``_CHUNK_ELEMENTS`` filter products on a layer-1 pass, and on a deeper
     pass, over held float64 rows, its share of one chunk.  Children of a row
     stay contiguous through ``_layer_moduli``, so an input's energies, one
@@ -451,7 +456,7 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
             if weigh:
                 profiles[depth + 1, lo:hi] = weighed.reshape(hi - lo, -1).sum(axis=1)
 
-    cpus = min(_usable_cpus(), per_block)
+    cpus = min(_usable_cpus(), _MAX_SHARES, per_block)
     pool = contextlib.nullcontext()
     if cpus > 1:  # imported only where a block splits, so most processes never import it
         from concurrent.futures import ThreadPoolExecutor

@@ -312,8 +312,8 @@ def mc_layer_energy(
     pass, whose deepest formed layer is n - 1.  Each block takes its trials'
     rows from one ``np.random.default_rng(seed)`` in turn, on the calling
     thread, so trial k is row k of that stream, the trial ``simulate``
-    returns, whatever its block.  A block's trials are scored on every
-    usable CPU, one contiguous share each, with the bits of one CPU; only
+    returns, whatever its block.  A block's trials are scored on up to two
+    usable CPUs, one contiguous share each, with the bits of one CPU; only
     layer n is weighed, since no other layer's energy is read.
     """
     _check_mc_request(model, bank, n, trials, seed)

@@ -170,7 +170,7 @@ def test_child_energies_of_real_rows_match_the_full_spectrum(n):
     rng = np.random.default_rng(n)
     rows = np.vstack([rng.standard_normal((4, n)), np.abs(rng.standard_normal((4, n)))])
     weight = rng.uniform(0.0, 1.0, n)  # not even, so a wrong fold shows
-    got = scattering._child_energies(rows, scattering._folded(weight))
+    got = scattering._child_energies(rows, scattering._folded(weight), np.empty(rows.shape, complex))
     spec = np.fft.fft(rows, axis=1)
     want = np.sum((spec.real**2 + spec.imag**2) * weight, axis=1) / n**2
     assert np.max(np.abs(got - want) / want) <= 1e-14
@@ -209,7 +209,8 @@ def _held_profiles(bank, n_max, spectra):
         batch = np.empty((len(batch) * breadth, n))
         for _ in scattering._layer_moduli(parents, filts, batch):
             pass
-        energies = scattering._child_energies(batch, scattering._folded(weight))
+        spare = np.empty(batch.shape, complex)
+        energies = scattering._child_energies(batch, scattering._folded(weight), spare)
         profiles[depth + 1] = energies.reshape(len(spectra), -1).sum(axis=1)
     return profiles
 

@@ -392,7 +392,8 @@ def _report_cpus(monkeypatch, cpus):
 def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch):
     """Eight CPUs reported, whatever the machine has, and a thread switch every microsecond.
 
-    Blocks of 1, 3 and 4 trials split into up to four shares, at depths 1-4
+    With the cap on shares lifted to eight, so uneven splits show, blocks of
+    1, 3 and 4 trials split into up to four shares, at depths 1-4
     on both mothers; each estimate keeps the bits of the one-CPU run.  The
     one-input calls start no thread, however many CPUs there are.
     """
@@ -412,6 +413,7 @@ def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch):
     _report_cpus(monkeypatch, 1)
     want = estimates()
     _report_cpus(monkeypatch, 8)
+    monkeypatch.setattr(scattering, "_MAX_SHARES", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -719,6 +721,16 @@ def test_mc_peak_stays_under_its_ceiling(n, ceiling):
     mc_layer_energy(model, bank, n, trials=10, seed=0)  # first-call allocations stay out
     _, (_, peak) = _traced(lambda: mc_layer_energy(model, bank, n, trials=2000, seed=0))
     assert peak <= ceiling
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+def test_mc_memory_holds_whatever_the_cpu_count(cpus, monkeypatch):
+    """The two tests above, their ceilings as they stand, with 1, 2, 4 or 8 usable CPUs reported."""
+    _report_cpus(monkeypatch, cpus)
+    for n in (2, 3):
+        test_mc_memory_grows_by_one_value_per_trial(n)
+    for n, ceiling in [(2, 3 << 20), (3, 5 << 19)]:
+        test_mc_peak_stays_under_its_ceiling(n, ceiling)
 
 
 def test_mc_budget_counts_one_trial_and_every_value(monkeypatch):
