@@ -31,16 +31,17 @@ block enters as the spectra of its inputs, so layer 1 takes no forward FFT,
 and every row below the root is a real modulus, whose spectrum takes a
 half-spectrum ``np.fft.rfft``.  A block's layer n - 1 has at most 2^18
 values, or one input's if more, and is never held: each chunk of it is
-weighed as it is formed.  A call keeps one buffer per held layer 1..n-2,
-sized for one block and reused by every block.  Every FFT pass over a layer
+weighed as it is formed.  A call keeps one buffer per held layer 1..n-2
+and share of a block, reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
 
 A block is scored on up to two usable CPUs: one contiguous share of its
-inputs per CPU, each share the serial pass on its own rows of the block's
-buffers, on a thread pool made for the call, while the calling thread draws
-every block, in order, and scores the first share.  So an input's energies
-keep their bits, and a call with one input, such as ``layer_energy_profile``,
+inputs per CPU, each share the serial pass on buffers it owns, its held
+layers and energies sized for its inputs, on a thread pool made for the
+call, while the calling thread draws every block, in order, and scores the
+first share.  So no share writes another's rows, an input's energies keep
+their bits, and a call with one input, such as ``layer_energy_profile``,
 starts no thread.  Each share holds its own chunk buffers: a full chunk on a
 layer-1 pass, a share of one on a deeper pass.  Two shares is what was
 measured, and the cap keeps the peak from growing with the CPU count.  The
@@ -405,8 +406,8 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
     parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's, each
     deeper one through ``_child_energies`` of the real moduli of layer k - 1,
     chunk by chunk as ``_layer_moduli`` forms them, so layer k's energies do
-    not depend on n_max.  Layers 1..n_max-2 are held, one buffer each, sized
-    for one block and reused by every block; the deepest formed layer,
+    not depend on n_max.  Layers 1..n_max-2 are held, one buffer each per
+    share of a block, reused by every block; the deepest formed layer,
     n_max - 1, is weighed a chunk at a time and never held.  A block takes
     ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if more.
     With ``deepest_only``, as ``stationary.mc_layer_energy`` asks, only row
@@ -415,37 +416,42 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
 
     A block is split into one contiguous share of inputs per usable CPU
     (``os.sched_getaffinity``), at most ``_MAX_SHARES`` and at most one per
-    input, and each share runs the serial pass on its own rows of the
-    block's buffers: the calling
-    thread scores the first share, a thread pool made for the call the
-    others, and the calling thread reads every share's result before the
-    next draw.  So a call with one input per block, as
-    ``layer_energy_profile``, starts no thread, and the pool is shut down
-    when the last block is scored or the caller drops the iterator.  Per
-    share a block holds one pass's chunk buffers: a full chunk of
-    ``_CHUNK_ELEMENTS`` filter products on a layer-1 pass, and on a deeper
-    pass, over held float64 rows, its share of one chunk.  Children of a row
-    stay contiguous through ``_layer_moduli``, so an input's energies, one
-    column, do not depend on its block, share or chunk.
+    input, and each share runs the serial pass on buffers it owns: its held
+    layers and children energies, sized for one share and reused by every
+    block, so no share writes another's rows.  The calling thread scores the
+    first share, a thread pool made for the call the others, and the
+    calling thread joins every share's profiles before the next draw.  So a
+    call with one input per block, as ``layer_energy_profile``, starts no
+    thread, and the pool is shut down when the last block is scored or the
+    caller drops the iterator.  Per share a block holds one pass's chunk
+    buffers: a full chunk of ``_CHUNK_ELEMENTS`` filter products on a
+    layer-1 pass, and on a deeper pass, over held float64 rows, its share of
+    one chunk.  Children of a row stay contiguous through ``_layer_moduli``,
+    so an input's energies, one column, do not depend on its block, share
+    or chunk.
     """
     filts, breadth, n = _filter_rows(bank), len(bank.filters), bank.n
     deepest = _power(breadth, max(n_max - 1, 0))  # layer n_max-1 rows per input
     per_block = min(max(1, _BLOCK_ELEMENTS // (deepest * n)), count)
-    layers = [np.empty((per_block * _power(breadth, depth), n)) for depth in range(1, n_max - 1)]
-    energies = np.empty(per_block * deepest)  # children energies, one per parent row
+    cpus = min(_usable_cpus(), _MAX_SHARES, per_block)
+    per_share = -(-per_block // cpus)
     weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
     folded = _folded(weight)
     first = n_max if deepest_only else 0  # the shallowest layer a block's profiles fill
 
-    def score(block: np.ndarray, profiles: np.ndarray, lo: int, hi: int, shares: int) -> None:
-        # inputs lo..hi-1 of the block, on their own rows of every buffer
-        batch = block[lo:hi]
+    def score(batch: np.ndarray, layers: list[np.ndarray], energies: np.ndarray) -> np.ndarray:
+        rows = len(batch)
+        profiles = np.full((n_max + 1, rows), np.nan)
+        if first == 0:
+            # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
+            profiles[0] = _row_energies(batch) / n
+        if first <= 1 <= n_max:
+            profiles[1] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
         for depth in range(1, n_max):
-            per_input = _power(breadth, depth)  # layer-depth rows per input
-            weighed = energies[lo * per_input : hi * per_input]
             # a layer-1 pass takes a CPU's full chunk; deeper passes share one between the CPUs
-            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth * shares)
-            batch = layers[depth - 1][lo * per_input : hi * per_input] if depth < n_max - 1 else None
+            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth * cpus)
+            weighed = energies[: len(batch) * breadth]
+            batch = layers[depth - 1][: len(weighed)] if depth < n_max - 1 else None
             weigh = depth + 1 >= first
             for k, moduli, products in _layer_moduli(spectra, filts, batch):
                 if weigh:
@@ -454,9 +460,12 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
             # it left each block of a depth-2 estimate faulting fresh heap pages in
             del moduli, products
             if weigh:
-                profiles[depth + 1, lo:hi] = weighed.reshape(hi - lo, -1).sum(axis=1)
+                profiles[depth + 1] = weighed.reshape(rows, -1).sum(axis=1)
+        return profiles
 
-    cpus = min(_usable_cpus(), _MAX_SHARES, per_block)
+    # per share, one buffer per held layer and one of children energies, one per parent row
+    owned = [([np.empty((per_share * _power(breadth, depth), n)) for depth in range(1, n_max - 1)],
+              np.empty(per_share * deepest)) for _ in range(cpus)]
     pool = contextlib.nullcontext()
     if cpus > 1:  # imported only where a block splits, so most processes never import it
         from concurrent.futures import ThreadPoolExecutor
@@ -465,22 +474,11 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
     with pool:
         for start in range(0, count, per_block):
             block = draw(start, min(per_block, count - start))
-            rows = block.shape[0]
-            profiles = np.full((n_max + 1, rows), np.nan)
-            if first == 0:
-                # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
-                profiles[0] = _row_energies(block) / n
-            if first <= 1 <= n_max:
-                profiles[1] = np.sum((block.real**2 + block.imag**2) * weight, axis=1) / n**2
-            shares = min(cpus, rows)
-            bounds = [rows * s // shares for s in range(shares + 1)]
-            futures = [pool.submit(score, block, profiles, lo, hi, shares)
-                       for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            score(block, profiles, bounds[0], bounds[1], shares)
-            for future in futures:
-                future.result()
-            del block  # before the next block's draw
-            yield start, profiles
+            shares = np.array_split(block, min(cpus, len(block)))
+            futures = [pool.submit(score, share, *buffers) for share, buffers in zip(shares[1:], owned[1:])]
+            profiles = [score(shares[0], *owned[0])] + [future.result() for future in futures]
+            del block, shares  # before the next block's draw
+            yield start, np.concatenate(profiles, axis=1)
 
 
 def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, float]:

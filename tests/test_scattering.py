@@ -176,10 +176,18 @@ def test_child_energies_of_real_rows_match_the_full_spectrum(n):
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
+def _report_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
 def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
-    """Seven inputs in blocks of 3, 3 and 1 keep the bits each has on its own."""
+    """Seven inputs in blocks of 3, 3 and 1 keep the bits each has on its own.
+
+    Two CPUs are reported, whatever the machine has, so each block of 3 splits into two shares.
+    """
+    _report_cpus(monkeypatch, 2)
     bank = build_bank(make(), 0, 64)
     rows = np.random.default_rng(43).standard_normal((7, 64))
     alone = [layer_energy_profile(Signal(row, real=True), bank, n_max) for row in rows]
@@ -193,6 +201,26 @@ def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
     got = np.concatenate([p for _, p in blocks], axis=1)
     want = np.array([[profile[depth] for profile in alone] for depth in range(n_max + 1)])
     assert got.tobytes() == want.tobytes()
+
+
+def test_shares_keep_the_bits_of_one_cpu_at_every_layer(monkeypatch):
+    """400 inputs at depth 4, every layer weighed, keep on 2 CPUs the bits of one.
+
+    Blocks of 5 inputs split into shares of 3 and 2, each running the serial
+    pass on buffers it owns: shares that wrote one block's buffers at offsets
+    that depend on the depth overwrote each other's rows.
+    """
+    bank = build_bank(morlet_mother(), 0, 128)
+    spectra = np.fft.fft(np.random.default_rng(53).standard_normal((400, 128)), axis=1)
+
+    def profiles(cpus):
+        _report_cpus(monkeypatch, cpus)
+        blocks = scattering._block_profiles(bank, 4, 400, lambda i, k: spectra[i : i + k])
+        return np.concatenate([p for _, p in blocks], axis=1)
+
+    want = profiles(1)
+    assert not np.isnan(want).any()
+    assert profiles(2).tobytes() == want.tobytes()
 
 
 def _held_profiles(bank, n_max, spectra):
@@ -221,8 +249,10 @@ def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch):
     """The deepest formed layer, weighed a chunk at a time, keeps the bits of the held one.
 
     Chunks of 1 value hold one row each; B N values, one parent row's
-    products; 2^22 values, every row of a block at once.
+    products; 2^22 values, every row of a block at once.  Two CPUs are
+    reported, so each block of 3 splits into two shares.
     """
+    _report_cpus(monkeypatch, 2)
     bank = build_bank(make(), 0, 64)
     breadth = len(bank.filters)
     spectra = np.fft.fft(np.random.default_rng(47).standard_normal((7, 64)), axis=1)
