@@ -36,19 +36,22 @@ and share of a block, reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
 
-A block is scored on up to two usable CPUs: one contiguous share of its
-inputs per CPU, each share the serial pass on buffers it owns, its held
-layers and energies sized for its inputs, on a thread pool made for the
-call, while the calling thread draws every block, in order, and scores the
-first share.  So no share writes another's rows, an input's energies keep
-their bits, and a call with one input, such as ``layer_energy_profile``,
-starts no thread.  Each share holds its own chunk buffers: a full chunk on a
-layer-1 pass, a share of one on a deeper pass.  Two shares is what was
-measured, and the cap keeps the peak from growing with the CPU count.  The
-Monte Carlo fills only the profile row of the layer it estimates, so no held
-layer is weighed.  With 2,000 trials on Morlet N=128,
-``stationary.mc_layer_energy`` peaks at 1.6 MiB traced at depth 2 on one CPU
-and 2.6 MiB on two or more, and at 1.5 and 1.7 MiB at depth 3.
+The pass returns one array, one column per input.  A block is scored on up
+to two usable CPUs: one contiguous share of its inputs per CPU, each share
+the serial pass on buffers it owns, its held layers and energies sized for
+its inputs, writing its own columns of the result, on a thread pool that
+lives as long as the call, while the calling thread draws every block, in
+order, and scores the first share.  So no share writes another's rows or
+columns, an input's energies keep their bits, and a call with one input,
+such as ``layer_energy_profile``, starts no thread.  Each share holds its
+own chunk buffers: a full chunk on a layer-1 pass, a share of one on a
+deeper pass.  Two shares is what was measured, and the cap keeps the peak
+from growing with the CPU count.  The Monte Carlo asks for the row of the
+layer it estimates alone, so no held layer is weighed.  With 2,000 trials
+on Morlet N=128, ``stationary.mc_layer_energy`` peaks at 1.6 MiB traced at
+depth 2 on one CPU, and on two or more at 2.36 or 2.60 MiB, as the two
+shares' layer-1 chunk buffers are alive one after the other or at once; at
+depth 3 it peaks at 1.5 and 1.7 MiB.
 
 The refusal of an energy-only pass, ``_check_profile``, which
 ``stationary._check_mc_request`` calls with 8 bytes per trial, counts its
@@ -395,40 +398,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, deepest_only: bool = False) -> Iterator:
-    """(start, energies at layers 0..n_max of inputs start..start+k-1), block by block.
+def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, deepest_only: bool = False) -> np.ndarray:
+    """Energies at layers 0..n_max of ``count`` inputs, one column each, drawn and scored in blocks.
 
-    ``draw(start, k)`` returns the spectra of those k inputs as rows, in FFT
-    bin order, so layer 1 takes no forward FFT.  It is called once per
-    block, in ascending ``start``, on the calling thread, so a draw may read
-    its rows off one shared random stream.  The root's energies are read off
-    its spectrum by Parseval.  Every layer k >= 1 is weighed from its
-    parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's, each
-    deeper one through ``_child_energies`` of the real moduli of layer k - 1,
-    chunk by chunk as ``_layer_moduli`` forms them, so layer k's energies do
-    not depend on n_max.  Layers 1..n_max-2 are held, one buffer each per
-    share of a block, reused by every block; the deepest formed layer,
-    n_max - 1, is weighed a chunk at a time and never held.  A block takes
-    ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if more.
-    With ``deepest_only``, as ``stationary.mc_layer_energy`` asks, only row
-    n_max of each block's profiles is filled and the others are NaN: the
-    held layers 1..n_max-2 are formed but never weighed.
+    ``draw(start, k)`` returns the spectra of inputs start..start+k-1 as
+    rows, in FFT bin order, so layer 1 takes no forward FFT.  It is called
+    once per block, in ascending ``start``, on the calling thread, so a draw
+    may read its rows off one shared random stream.  The root's energies are
+    read off its spectrum by Parseval.  Every layer k >= 1 is weighed from
+    its parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's,
+    each deeper one through ``_child_energies`` of the real moduli of layer
+    k - 1, chunk by chunk as ``_layer_moduli`` forms them, so layer k's
+    energies do not depend on n_max.  Layers 1..n_max-2 are held, one buffer
+    each per share of a block, reused by every block; the deepest formed
+    layer, n_max - 1, is weighed a chunk at a time and never held.  A block
+    takes ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if
+    more.  The result has shape (n_max + 1, count); with ``deepest_only``,
+    as ``stationary.mc_layer_energy`` asks, it is (1, count), layer n_max
+    alone, and the held layers 1..n_max-2 are formed but never weighed.
 
     A block is split into one contiguous share of inputs per usable CPU
     (``os.sched_getaffinity``), at most ``_MAX_SHARES`` and at most one per
     input, and each share runs the serial pass on buffers it owns: its held
     layers and children energies, sized for one share and reused by every
-    block, so no share writes another's rows.  The calling thread scores the
-    first share, a thread pool made for the call the others, and the
-    calling thread joins every share's profiles before the next draw.  So a
-    call with one input per block, as ``layer_energy_profile``, starts no
-    thread, and the pool is shut down when the last block is scored or the
-    caller drops the iterator.  Per share a block holds one pass's chunk
-    buffers: a full chunk of ``_CHUNK_ELEMENTS`` filter products on a
-    layer-1 pass, and on a deeper pass, over held float64 rows, its share of
-    one chunk.  Children of a row stay contiguous through ``_layer_moduli``,
-    so an input's energies, one column, do not depend on its block, share
-    or chunk.
+    block.  Each share writes its own columns of the result, split at the
+    same boundaries as its rows of the block, so no share writes another's.
+    The calling thread scores the first share and a thread pool that lives
+    as long as the call the others, and every share is scored before the
+    next draw.  So a call with one input per block, as
+    ``layer_energy_profile``, starts no thread.  Per share a block holds one
+    pass's chunk buffers: a full chunk of ``_CHUNK_ELEMENTS`` filter
+    products on a layer-1 pass, and on a deeper pass, over held float64
+    rows, its share of one chunk.  Children of a row stay contiguous through
+    ``_layer_moduli``, so an input's energies, one column, do not depend on
+    its block, share or chunk.
     """
     filts, breadth, n = _filter_rows(bank), len(bank.filters), bank.n
     deepest = _power(breadth, max(n_max - 1, 0))  # layer n_max-1 rows per input
@@ -437,16 +440,15 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
     per_share = -(-per_block // cpus)
     weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
     folded = _folded(weight)
-    first = n_max if deepest_only else 0  # the shallowest layer a block's profiles fill
+    first = n_max if deepest_only else 0  # the layer of the result's row 0
+    profiles = np.empty((n_max + 1 - first, count))
 
-    def score(batch: np.ndarray, layers: list[np.ndarray], energies: np.ndarray) -> np.ndarray:
-        rows = len(batch)
-        profiles = np.full((n_max + 1, rows), np.nan)
+    def score(batch: np.ndarray, out: np.ndarray, layers: list[np.ndarray], energies: np.ndarray) -> None:
         if first == 0:
             # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
-            profiles[0] = _row_energies(batch) / n
+            out[0] = _row_energies(batch) / n
         if first <= 1 <= n_max:
-            profiles[1] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
+            out[1 - first] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
         for depth in range(1, n_max):
             # a layer-1 pass takes a CPU's full chunk; deeper passes share one between the CPUs
             spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth * cpus)
@@ -460,8 +462,7 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
             # it left each block of a depth-2 estimate faulting fresh heap pages in
             del moduli, products
             if weigh:
-                profiles[depth + 1] = weighed.reshape(rows, -1).sum(axis=1)
-        return profiles
+                out[depth + 1 - first] = weighed.reshape(out.shape[1], -1).sum(axis=1)
 
     # per share, one buffer per held layer and one of children energies, one per parent row
     owned = [([np.empty((per_share * _power(breadth, depth), n)) for depth in range(1, n_max - 1)],
@@ -475,10 +476,14 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
         for start in range(0, count, per_block):
             block = draw(start, min(per_block, count - start))
             shares = np.array_split(block, min(cpus, len(block)))
-            futures = [pool.submit(score, share, *buffers) for share, buffers in zip(shares[1:], owned[1:])]
-            profiles = [score(shares[0], *owned[0])] + [future.result() for future in futures]
+            columns = np.array_split(profiles[:, start : start + len(block)], len(shares), axis=1)
+            futures = [pool.submit(score, share, out, *buffers)
+                       for share, out, buffers in zip(shares[1:], columns[1:], owned[1:])]
+            score(shares[0], columns[0], *owned[0])
+            for future in futures:
+                future.result()
             del block, shares  # before the next block's draw
-            yield start, np.concatenate(profiles, axis=1)
+    return profiles
 
 
 def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, float]:
@@ -496,8 +501,7 @@ def layer_energy_profile(f: Signal, bank: FilterBank, n_max: int) -> dict[int, f
     _check_profile(bank, n_max)
     if f.n != bank.n:
         raise ValueError(f"signal length {f.n} does not match bank grid {bank.n}")
-    spectrum = np.fft.fft(f.samples[None, :], axis=1)
-    ((_, profiles),) = _block_profiles(bank, n_max, 1, lambda start, k: spectrum)
+    profiles = _block_profiles(bank, n_max, 1, lambda start, k: np.fft.fft(f.samples[None, :], axis=1))
     return {depth: float(value) for depth, value in enumerate(profiles[:, 0])}
 
 

@@ -313,15 +313,15 @@ def mc_layer_energy(
     rows from one ``np.random.default_rng(seed)`` in turn, on the calling
     thread, so trial k is row k of that stream, the trial ``simulate``
     returns, whatever its block.  A block's trials are scored on up to two
-    usable CPUs, one contiguous share each, with the bits of one CPU; only
-    layer n is weighed, since no other layer's energy is read.
+    usable CPUs, one contiguous share each, with the bits of one CPU, on a
+    thread pool that lives as long as the call.  Only layer n is weighed,
+    since no other layer's energy is read: the pass returns one row, trial
+    k's energy in column k, the 8 bytes per trial the budget counts.
     """
     _check_mc_request(model, bank, n, trials, seed)
     rng = np.random.default_rng(seed)
-    values = np.empty(trials)
     draw = lambda start, k: _spectrum_rows(model, rng.standard_normal((k, model.n)))
-    for start, profiles in _block_profiles(bank, n, trials, draw, deepest_only=True):
-        values[start : start + profiles.shape[1]] = profiles[n]
+    (values,) = _block_profiles(bank, n, trials, draw, deepest_only=True)
     # np.std squares deviations as large as the energies, which overflow past about 2^498 and
     # underflow below about 2^-537; the energies are summed divided by the power of two just
     # above the largest, which moves no bit of a sum that stays normal undivided

@@ -176,34 +176,34 @@ def test_child_energies_of_real_rows_match_the_full_spectrum(n):
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
-def _report_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
-def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
+def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch, report_cpus):
     """Seven inputs in blocks of 3, 3 and 1 keep the bits each has on its own.
 
     Two CPUs are reported, whatever the machine has, so each block of 3 splits into two shares.
     """
-    _report_cpus(monkeypatch, 2)
+    report_cpus(2)
     bank = build_bank(make(), 0, 64)
     rows = np.random.default_rng(43).standard_normal((7, 64))
     alone = [layer_energy_profile(Signal(row, real=True), bank, n_max) for row in rows]
     per_input = len(bank.filters) ** max(n_max - 1, 0) * 64  # values in one input's layer n_max-1
     monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 3 * per_input)
     spectra = np.fft.fft(rows, axis=1)
-    blocks = list(scattering._block_profiles(bank, n_max, 7, lambda i, k: spectra[i : i + k]))
-    assert [(start, p.shape) for start, p in blocks] == [
-        (0, (n_max + 1, 3)), (3, (n_max + 1, 3)), (6, (n_max + 1, 1))
-    ]
-    got = np.concatenate([p for _, p in blocks], axis=1)
+    draws = []
+
+    def draw(i, k):
+        draws.append((i, k))
+        return spectra[i : i + k]
+
+    got = scattering._block_profiles(bank, n_max, 7, draw)
+    assert draws == [(0, 3), (3, 3), (6, 1)]
+    assert got.shape == (n_max + 1, 7)
     want = np.array([[profile[depth] for profile in alone] for depth in range(n_max + 1)])
     assert got.tobytes() == want.tobytes()
 
 
-def test_shares_keep_the_bits_of_one_cpu_at_every_layer(monkeypatch):
+def test_shares_keep_the_bits_of_one_cpu_at_every_layer(report_cpus):
     """400 inputs at depth 4, every layer weighed, keep on 2 CPUs the bits of one.
 
     Blocks of 5 inputs split into shares of 3 and 2, each running the serial
@@ -214,9 +214,8 @@ def test_shares_keep_the_bits_of_one_cpu_at_every_layer(monkeypatch):
     spectra = np.fft.fft(np.random.default_rng(53).standard_normal((400, 128)), axis=1)
 
     def profiles(cpus):
-        _report_cpus(monkeypatch, cpus)
-        blocks = scattering._block_profiles(bank, 4, 400, lambda i, k: spectra[i : i + k])
-        return np.concatenate([p for _, p in blocks], axis=1)
+        report_cpus(cpus)
+        return scattering._block_profiles(bank, 4, 400, lambda i, k: spectra[i : i + k])
 
     want = profiles(1)
     assert not np.isnan(want).any()
@@ -245,14 +244,14 @@ def _held_profiles(bank, n_max, spectra):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
-def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch):
+def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch, report_cpus):
     """The deepest formed layer, weighed a chunk at a time, keeps the bits of the held one.
 
     Chunks of 1 value hold one row each; B N values, one parent row's
     products; 2^22 values, every row of a block at once.  Two CPUs are
     reported, so each block of 3 splits into two shares.
     """
-    _report_cpus(monkeypatch, 2)
+    report_cpus(2)
     bank = build_bank(make(), 0, 64)
     breadth = len(bank.filters)
     spectra = np.fft.fft(np.random.default_rng(47).standard_normal((7, 64)), axis=1)
@@ -261,8 +260,7 @@ def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch):
     monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 3 * breadth ** max(n_max - 1, 0) * 64)
     for chunk in (1, breadth * 64, scattering._CHUNK_ELEMENTS, 1 << 22):
         monkeypatch.setattr(scattering, "_CHUNK_ELEMENTS", chunk)
-        blocks = scattering._block_profiles(bank, n_max, 7, lambda i, k: spectra[i : i + k])
-        got = np.concatenate([p for _, p in blocks], axis=1)
+        got = scattering._block_profiles(bank, n_max, 7, lambda i, k: spectra[i : i + k])
         assert got.tobytes() == want.tobytes(), chunk
 
 
@@ -486,9 +484,8 @@ def test_chunk_size_does_not_change_bits(monkeypatch):
 
     def run():
         spectra = lambda i, k: np.fft.fft(rows[i : i + k], axis=1)
-        blocks = scattering._block_profiles(bank, 3, 5, spectra)
         return (
-            b"".join(p.tobytes() for _, p in blocks),
+            scattering._block_profiles(bank, 3, 5, spectra).tobytes(),
             _result_bytes(scatter(sig, bank, low, n_max=3)),
             _result_bytes(scatter(sig, bank, low, n_max=3, prune_eps=1e-3)),
             _result_bytes(scatter(noise, tight_bank, tight_low, n_max=3)),

@@ -1,7 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import threading
@@ -367,7 +367,7 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
     for n in (2, 3, 2):
         est = mc_layer_energy(model, bank, n, trials=10, seed=17)
         ref = np.array([
-            next(scattering._block_profiles(bank, n, 1, lambda i, k: spec[None, :]))[1][n][0]
+            scattering._block_profiles(bank, n, 1, lambda i, k: spec[None, :])[n, 0]
             for spec in spectra
         ])
         assert repr(est.estimate) == repr(float(np.mean(ref)))
@@ -385,11 +385,7 @@ def _within(seconds, call):
     return result[0]
 
 
-def _report_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch):
+def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch, report_cpus):
     """Eight CPUs reported, whatever the machine has, and a thread switch every microsecond.
 
     With the cap on shares lifted to eight, so uneven splits show, blocks of
@@ -410,9 +406,9 @@ def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch):
             got.append((repr(est.estimate), repr(est.stderr)))
         return got
 
-    _report_cpus(monkeypatch, 1)
+    report_cpus(1)
     want = estimates()
-    _report_cpus(monkeypatch, 8)
+    report_cpus(8)
     monkeypatch.setattr(scattering, "_MAX_SHARES", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -433,11 +429,11 @@ def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch):
     assert started == [] and threading.active_count() == threads
 
 
-def test_mc_weighs_only_the_layer_it_estimates(monkeypatch):
+def test_mc_weighs_only_the_layer_it_estimates(monkeypatch, report_cpus):
     """At depth 3 only layer 2's rows are weighed, layer 1's are formed but not; the pool dies with the call."""
     bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
     model = make_model("white", 64)
-    _report_cpus(monkeypatch, 4)
+    report_cpus(4)
     monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * 6**2 * 64)  # blocks of 4, 4 and 2 trials
     weighed, child_energies = [], scattering._child_energies
 
@@ -462,14 +458,6 @@ def test_mc_weighs_only_the_layer_it_estimates(monkeypatch):
     monkeypatch.setattr(scattering, "_child_energies", fail_off_the_calling_thread)
     with pytest.raises(FloatingPointError, match="raised in a worker"):
         mc_layer_energy(model, bank, 3, trials=10, seed=0)
-    assert set(threading.enumerate()) == threads
-    # a caller that drops the blocks part way shuts the pool down too
-    spectra = np.fft.fft(np.ones((10, 64)), axis=1)
-    monkeypatch.setattr(scattering, "_child_energies", child_energies)
-    blocks = scattering._block_profiles(bank, 3, 10, lambda i, k: spectra[i : i + k])
-    next(blocks)
-    assert set(threading.enumerate()) > threads
-    blocks.close()
     assert set(threading.enumerate()) == threads
 
 
@@ -698,17 +686,42 @@ def test_simulate_holds_no_more_than_its_refusal_counts(n, trials, monkeypatch):
     assert peak <= _counted(monkeypatch, run)
 
 
+class _SharesInTurn:
+    """A stand-in for ``ThreadPoolExecutor`` that runs each submitted share at once, on the calling thread."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, call, *args):
+        future = concurrent.futures.Future()
+        future.set_result(call(*args))
+        return future
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_mc_memory_grows_by_one_value_per_trial(n):
-    # the README's claim: past one block, each trial adds one 8-byte value
+    """The README's claim: past one block, each trial adds one 8-byte value.
+
+    A block's shares are scored one after another, so the peaks do not move
+    with thread timing: threaded, they depend on whether two shares'
+    layer-1 chunk buffers are alive at once, whatever the trial count.
+    """
     bank = build_bank(morlet_mother(), 0, 64)
     model = make_model("white", 64)
     per_block = scattering._BLOCK_ELEMENTS // (len(bank.filters) ** (n - 1) * 64)
     assert per_block < 2000
-    mc_layer_energy(model, bank, n, trials=10, seed=0)
-    peaks = {}
-    for trials in (2000, 6000):
-        _, (_, peaks[trials]) = _traced(lambda: mc_layer_energy(model, bank, n, trials, seed=0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", _SharesInTurn)
+        mc_layer_energy(model, bank, n, trials=10, seed=0)
+        peaks = {}
+        for trials in (2000, 6000):
+            _, (_, peaks[trials]) = _traced(lambda: mc_layer_energy(model, bank, n, trials, seed=0))
     assert peaks[6000] - peaks[2000] <= 16 * 4000
 
 
@@ -724,9 +737,9 @@ def test_mc_peak_stays_under_its_ceiling(n, ceiling):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
-def test_mc_memory_holds_whatever_the_cpu_count(cpus, monkeypatch):
+def test_mc_memory_holds_whatever_the_cpu_count(cpus, report_cpus):
     """The two tests above, their ceilings as they stand, with 1, 2, 4 or 8 usable CPUs reported."""
-    _report_cpus(monkeypatch, cpus)
+    report_cpus(cpus)
     for n in (2, 3):
         test_mc_memory_grows_by_one_value_per_trial(n)
     for n, ceiling in [(2, 3 << 20), (3, 5 << 19)]:
