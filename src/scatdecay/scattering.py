@@ -31,27 +31,18 @@ block enters as the spectra of its inputs, so layer 1 takes no forward FFT,
 and every row below the root is a real modulus, whose spectrum takes a
 half-spectrum ``np.fft.rfft``.  A block's layer n - 1 has at most 2^18
 values, or one input's if more, and is never held: each chunk of it is
-weighed as it is formed.  A call keeps one buffer per held layer 1..n-2
-and share of a block, reused by every block.  Every FFT pass over a layer
+weighed as it is formed.  A call keeps one buffer per held layer 1..n-2,
+sized for a block and reused by every block.  Every FFT pass over a layer
 runs through ``_chunks``, in chunks whose spectra and filter products stay
 near L2 cache size.
 
-The pass returns one array, one column per input.  A block is scored on up
-to two usable CPUs: one contiguous share of its inputs per CPU, each share
-the serial pass on buffers it owns, its held layers and energies sized for
-its inputs, writing its own columns of the result, on a thread pool that
-lives as long as the call, while the calling thread draws every block, in
-order, and scores the first share.  So no share writes another's rows or
-columns, an input's energies keep their bits, and a call with one input,
-such as ``layer_energy_profile``, starts no thread.  Each share holds its
-own chunk buffers: a full chunk on a layer-1 pass, a share of one on a
-deeper pass.  Two shares is what was measured, and the cap keeps the peak
-from growing with the CPU count.  The Monte Carlo asks for the row of the
-layer it estimates alone, so no held layer is weighed.  With 2,000 trials
-on Morlet N=128, ``stationary.mc_layer_energy`` peaks at 1.6 MiB traced at
-depth 2 on one CPU, and on two or more at 2.36 or 2.60 MiB, as the two
-shares' layer-1 chunk buffers are alive one after the other or at once; at
-depth 3 it peaks at 1.5 and 1.7 MiB.
+The pass returns one array, one column per input.  Each block is drawn,
+scored on the calling thread and written into its own columns, one block
+after another, so an input's energies keep their bits whatever its block.
+The Monte Carlo asks for the row of the layer it estimates alone, so no
+held layer is weighed.  With 2,000 trials on Morlet N=128,
+``stationary.mc_layer_energy`` peaks at 1.61 MiB traced at depth 2 and
+1.39 MiB at depth 3, the same on every call.
 
 The refusal of an energy-only pass, ``_check_profile``, which
 ``stationary._check_mc_request`` calls with 8 bytes per trial, counts its
@@ -67,7 +58,6 @@ chunk buffers dominate, and 7 to 12 times over it at depths 5 and 6, 16 and
 from __future__ import annotations
 
 import collections
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -114,11 +104,6 @@ _CHUNK_ELEMENTS = 1 << 15
 # values in the deepest layer a block of ``_block_profiles`` forms, chunk by chunk; the
 # deepest it holds, one layer up, has B times fewer
 _BLOCK_ELEMENTS = 1 << 18
-
-# most shares, one per usable CPU, a block of ``_block_profiles`` splits into: each share holds
-# a full chunk's buffers on a layer-1 pass, so the Monte Carlo's peak grows with the shares,
-# and its speed and traced peaks were measured on two CPUs only
-_MAX_SHARES = 2
 
 
 def _power(breadth: int, depth: int) -> int:
@@ -391,67 +376,49 @@ def _folded(weight: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _usable_cpus() -> int:
-    # the CPUs this process may run on, where the platform can say; else all of them
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, deepest_only: bool = False) -> np.ndarray:
     """Energies at layers 0..n_max of ``count`` inputs, one column each, drawn and scored in blocks.
 
     ``draw(start, k)`` returns the spectra of inputs start..start+k-1 as
     rows, in FFT bin order, so layer 1 takes no forward FFT.  It is called
-    once per block, in ascending ``start``, on the calling thread, so a draw
-    may read its rows off one shared random stream.  The root's energies are
-    read off its spectrum by Parseval.  Every layer k >= 1 is weighed from
-    its parent's spectrum against sum_j |psi_j|^2: layer 1 from the root's,
-    each deeper one through ``_child_energies`` of the real moduli of layer
-    k - 1, chunk by chunk as ``_layer_moduli`` forms them, so layer k's
-    energies do not depend on n_max.  Layers 1..n_max-2 are held, one buffer
-    each per share of a block, reused by every block; the deepest formed
-    layer, n_max - 1, is weighed a chunk at a time and never held.  A block
-    takes ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if
-    more.  The result has shape (n_max + 1, count); with ``deepest_only``,
+    once per block, in ascending ``start``, so a draw may read its rows off
+    one shared random stream.  The root's energies are read off its spectrum
+    by Parseval.  Every layer k >= 1 is weighed from its parent's spectrum
+    against sum_j |psi_j|^2: layer 1 from the root's, each deeper one
+    through ``_child_energies`` of the real moduli of layer k - 1, chunk by
+    chunk as ``_layer_moduli`` forms them, so layer k's energies do not
+    depend on n_max.  Layers 1..n_max-2 are held, one buffer each, sized for
+    a block and reused by every block; the deepest formed layer, n_max - 1,
+    is weighed a chunk at a time and never held.  A block takes
+    ``_BLOCK_ELEMENTS`` values of layer n_max - 1, or one input's if more,
+    is scored whole before the next draw, and writes its own columns of the
+    result.  The result has shape (n_max + 1, count); with ``deepest_only``,
     as ``stationary.mc_layer_energy`` asks, it is (1, count), layer n_max
     alone, and the held layers 1..n_max-2 are formed but never weighed.
-
-    A block is split into one contiguous share of inputs per usable CPU
-    (``os.sched_getaffinity``), at most ``_MAX_SHARES`` and at most one per
-    input, and each share runs the serial pass on buffers it owns: its held
-    layers and children energies, sized for one share and reused by every
-    block.  Each share writes its own columns of the result, split at the
-    same boundaries as its rows of the block, so no share writes another's.
-    The calling thread scores the first share and a thread pool that lives
-    as long as the call the others, and every share is scored before the
-    next draw.  So a call with one input per block, as
-    ``layer_energy_profile``, starts no thread.  Per share a block holds one
-    pass's chunk buffers: a full chunk of ``_CHUNK_ELEMENTS`` filter
-    products on a layer-1 pass, and on a deeper pass, over held float64
-    rows, its share of one chunk.  Children of a row stay contiguous through
-    ``_layer_moduli``, so an input's energies, one column, do not depend on
-    its block, share or chunk.
+    Children of a row stay contiguous through ``_layer_moduli``, so an
+    input's energies, one column, do not depend on its block or chunk.
     """
     filts, breadth, n = _filter_rows(bank), len(bank.filters), bank.n
     deepest = _power(breadth, max(n_max - 1, 0))  # layer n_max-1 rows per input
     per_block = min(max(1, _BLOCK_ELEMENTS // (deepest * n)), count)
-    cpus = min(_usable_cpus(), _MAX_SHARES, per_block)
-    per_share = -(-per_block // cpus)
     weight = np.sum(filts.real**2 + filts.imag**2, axis=0)
     folded = _folded(weight)
     first = n_max if deepest_only else 0  # the layer of the result's row 0
+    # one buffer per held layer and one of children energies, one per parent row
+    layers = [np.empty((per_block * _power(breadth, depth), n)) for depth in range(1, n_max - 1)]
+    energies = np.empty(per_block * deepest)
+    # the result, made after the buffers it outlives, keeps the heap top in use when they are
+    # freed: made first, it left every depth-3 Monte Carlo call faulting 1.3 MB of pages back in
     profiles = np.empty((n_max + 1 - first, count))
 
-    def score(batch: np.ndarray, out: np.ndarray, layers: list[np.ndarray], energies: np.ndarray) -> None:
+    def score(batch: np.ndarray, out: np.ndarray) -> None:
         if first == 0:
             # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
             out[0] = _row_energies(batch) / n
         if first <= 1 <= n_max:
             out[1 - first] = np.sum((batch.real**2 + batch.imag**2) * weight, axis=1) / n**2
         for depth in range(1, n_max):
-            # a layer-1 pass takes a CPU's full chunk; deeper passes share one between the CPUs
-            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth * cpus)
+            spectra = _chunks(batch, breadth) if depth == 1 else _spectra(batch, breadth)
             weighed = energies[: len(batch) * breadth]
             batch = layers[depth - 1][: len(weighed)] if depth < n_max - 1 else None
             weigh = depth + 1 >= first
@@ -464,25 +431,9 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
             if weigh:
                 out[depth + 1 - first] = weighed.reshape(out.shape[1], -1).sum(axis=1)
 
-    # per share, one buffer per held layer and one of children energies, one per parent row
-    owned = [([np.empty((per_share * _power(breadth, depth), n)) for depth in range(1, n_max - 1)],
-              np.empty(per_share * deepest)) for _ in range(cpus)]
-    pool = contextlib.nullcontext()
-    if cpus > 1:  # imported only where a block splits, so most processes never import it
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(cpus - 1)
-    with pool:
-        for start in range(0, count, per_block):
-            block = draw(start, min(per_block, count - start))
-            shares = np.array_split(block, min(cpus, len(block)))
-            columns = np.array_split(profiles[:, start : start + len(block)], len(shares), axis=1)
-            futures = [pool.submit(score, share, out, *buffers)
-                       for share, out, buffers in zip(shares[1:], columns[1:], owned[1:])]
-            score(shares[0], columns[0], *owned[0])
-            for future in futures:
-                future.result()
-            del block, shares  # before the next block's draw
+    for start in range(0, count, per_block):
+        k = min(per_block, count - start)
+        score(draw(start, k), profiles[:, start : start + k])
     return profiles
 
 

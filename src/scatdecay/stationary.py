@@ -310,13 +310,11 @@ def mc_layer_energy(
 
     Trials are drawn as spectra and scored in the blocks of the energy-only
     pass, whose deepest formed layer is n - 1.  Each block takes its trials'
-    rows from one ``np.random.default_rng(seed)`` in turn, on the calling
-    thread, so trial k is row k of that stream, the trial ``simulate``
-    returns, whatever its block.  A block's trials are scored on up to two
-    usable CPUs, one contiguous share each, with the bits of one CPU, on a
-    thread pool that lives as long as the call.  Only layer n is weighed,
-    since no other layer's energy is read: the pass returns one row, trial
-    k's energy in column k, the 8 bytes per trial the budget counts.
+    rows from one ``np.random.default_rng(seed)`` in turn, so trial k is row
+    k of that stream, the trial ``simulate`` returns, whatever its block.
+    Only layer n is weighed, since no other layer's energy is read: the pass
+    returns one row, trial k's energy in column k, the 8 bytes per trial the
+    budget counts.
     """
     _check_mc_request(model, bank, n, trials, seed)
     rng = np.random.default_rng(seed)

@@ -1,5 +1,4 @@
-"""The NumPy kernel family of this process, for the pins that depend on it,
-and the CPU count the energy-only pass reads.
+"""The NumPy kernel family of this process, for the pins that depend on it.
 
 NumPy picks its float64 ``exp`` and ``log`` kernels by CPU when it is
 imported, and the AVX-512 and AVX2 kernels differ in some last bits.  The
@@ -8,13 +7,8 @@ same host runs the AVX2 ones under
 bits come from those kernels keeps one exact value per family, keyed by
 the family's name; the ``kernel_family`` fixture names the family from a
 canary digest, and fails on a canary no pin set was measured on.
-
-The ``report_cpus`` fixture makes ``os.sched_getaffinity`` name a given
-number of CPUs, whatever the machine has, so ``scattering._usable_cpus``
-splits the Monte Carlo blocks as it would there.
 """
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -44,13 +38,3 @@ def kernel_family() -> str:
             "measure this family's pins and add it to tests/conftest.py"
         )
     return KERNEL_FAMILIES[canary]
-
-
-@pytest.fixture
-def report_cpus(monkeypatch):
-    """``report_cpus(k)``: from then on in the test, ``os.sched_getaffinity`` names k CPUs."""
-
-    def report(cpus: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-    return report

@@ -1,4 +1,4 @@
-"""The package namespace re-exports each library module's public API, once, and one module owns its files."""
+"""The package namespace re-exports each library module's public API, once, one module owns its files, and none starts a thread."""
 import ast
 import collections
 import importlib
@@ -10,6 +10,7 @@ import scatdecay
 
 MODULES = ("decay", "errors", "filterbank", "scattering", "signals", "stationary")
 PACKAGE = Path(scatdecay.__file__).parent
+SOURCES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -36,7 +37,7 @@ def _file_access(node: ast.AST) -> bool:
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("name", SOURCES)
 def test_only_signals_opens_files_or_reads_json(name):
     # signals owns every file format, read and written, and the directory a file is written into,
     # so no other module opens a file, makes a directory or parses JSON; signals itself does all
@@ -44,3 +45,21 @@ def test_only_signals_opens_files_or_reads_json(name):
     path = PACKAGE / f"{name}.py"
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if _file_access(node)]
     assert bool(lines) == (name == "signals"), f"{path.name} opens a file, makes a directory or imports json at {lines}"
+
+
+def _imported(node: ast.AST) -> list[str]:
+    """The top-level names of the modules ``node`` imports, if it is an import."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_no_module_imports_threads(name):
+    # every pass runs on the calling thread, so no two threads write one buffer
+    path = PACKAGE / f"{name}.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if {"threading", "concurrent"} & set(_imported(node))]
+    assert not lines, f"{path.name} imports threading or concurrent at {lines}"

@@ -178,12 +178,8 @@ def test_child_energies_of_real_rows_match_the_full_spectrum(n):
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
-def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch, report_cpus):
-    """Seven inputs in blocks of 3, 3 and 1 keep the bits each has on its own.
-
-    Two CPUs are reported, whatever the machine has, so each block of 3 splits into two shares.
-    """
-    report_cpus(2)
+def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch):
+    """Seven inputs in blocks of 3, 3 and 1 keep the bits each has on its own."""
     bank = build_bank(make(), 0, 64)
     rows = np.random.default_rng(43).standard_normal((7, 64))
     alone = [layer_energy_profile(Signal(row, real=True), bank, n_max) for row in rows]
@@ -201,25 +197,6 @@ def test_blocked_profiles_match_one_input_alone(make, n_max, monkeypatch, report
     assert got.shape == (n_max + 1, 7)
     want = np.array([[profile[depth] for profile in alone] for depth in range(n_max + 1)])
     assert got.tobytes() == want.tobytes()
-
-
-def test_shares_keep_the_bits_of_one_cpu_at_every_layer(report_cpus):
-    """400 inputs at depth 4, every layer weighed, keep on 2 CPUs the bits of one.
-
-    Blocks of 5 inputs split into shares of 3 and 2, each running the serial
-    pass on buffers it owns: shares that wrote one block's buffers at offsets
-    that depend on the depth overwrote each other's rows.
-    """
-    bank = build_bank(morlet_mother(), 0, 128)
-    spectra = np.fft.fft(np.random.default_rng(53).standard_normal((400, 128)), axis=1)
-
-    def profiles(cpus):
-        report_cpus(cpus)
-        return scattering._block_profiles(bank, 4, 400, lambda i, k: spectra[i : i + k])
-
-    want = profiles(1)
-    assert not np.isnan(want).any()
-    assert profiles(2).tobytes() == want.tobytes()
 
 
 def _held_profiles(bank, n_max, spectra):
@@ -244,14 +221,12 @@ def _held_profiles(bank, n_max, spectra):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 @pytest.mark.parametrize("make", [morlet_mother, shannon_mother])
-def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch, report_cpus):
+def test_streamed_last_layer_matches_held_layer(make, n_max, monkeypatch):
     """The deepest formed layer, weighed a chunk at a time, keeps the bits of the held one.
 
     Chunks of 1 value hold one row each; B N values, one parent row's
-    products; 2^22 values, every row of a block at once.  Two CPUs are
-    reported, so each block of 3 splits into two shares.
+    products; 2^22 values, every row of a block at once.
     """
-    report_cpus(2)
     bank = build_bank(make(), 0, 64)
     breadth = len(bank.filters)
     spectra = np.fft.fft(np.random.default_rng(47).standard_normal((7, 64)), axis=1)

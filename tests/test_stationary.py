@@ -1,21 +1,18 @@
-import concurrent.futures
 import hashlib
 import json
 import math
 import re
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from scatdecay import filterbank, scattering, stationary
-from scatdecay.decay import compute_constants, verify_decay
+from scatdecay.decay import compute_constants
 from scatdecay.errors import BudgetExceededError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import gaussian_output_lowpass, layer_energy_profile, scatter
-from scatdecay.signals import Signal, Spectrum, band_limited_signal, dft, energy, frequencies, gaussian_lowpass
+from scatdecay.signals import Signal, Spectrum, dft, energy, frequencies, gaussian_lowpass
 from scatdecay.stationary import (
     expected_filter_energy,
     filter_spectrum,
@@ -374,66 +371,10 @@ def test_consecutive_mc_calls_match_fresh_rows(monkeypatch):
         assert repr(est.stderr) == repr(float(np.std(ref, ddof=1) / math.sqrt(10)))
 
 
-def _within(seconds, call):
-    """``call()``, run on a thread that must finish within ``seconds``."""
-    result = []
-    runner = threading.Thread(target=lambda: result.append(call()), daemon=True)
-    runner.start()
-    runner.join(timeout=seconds)
-    assert not runner.is_alive(), f"no result within {seconds} s"
-    assert result, "the call raised"
-    return result[0]
-
-
-def test_shares_keep_the_bits_of_one_cpu_under_stress(monkeypatch, report_cpus):
-    """Eight CPUs reported, whatever the machine has, and a thread switch every microsecond.
-
-    With the cap on shares lifted to eight, so uneven splits show, blocks of
-    1, 3 and 4 trials split into up to four shares, at depths 1-4
-    on both mothers; each estimate keeps the bits of the one-CPU run.  The
-    one-input calls start no thread, however many CPUs there are.
-    """
-    model = make_model("ar1", 64, sigma=1.0, rho=0.4, mean=0.3)
-    runs = [(make, n, block) for make in (morlet_mother, shannon_mother) for n in (1, 2, 3, 4) for block in (1, 3, 4)]
-    banks = {make: build_bank(make(), 0, 64) for make in (morlet_mother, shannon_mother)}
-
-    def estimates():
-        got = []
-        for make, n, block in runs:
-            bank = banks[make]
-            monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", block * len(bank.filters) ** (n - 1) * 64)
-            est = mc_layer_energy(model, bank, n, trials=11, seed=29)
-            got.append((repr(est.estimate), repr(est.stderr)))
-        return got
-
-    report_cpus(1)
-    want = estimates()
-    report_cpus(8)
-    monkeypatch.setattr(scattering, "_MAX_SHARES", 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert _within(60, estimates) == want
-    finally:
-        sys.setswitchinterval(interval)
-
-    bank = banks[morlet_mother]
-    sig = Signal(np.random.default_rng(31).standard_normal(64), real=True)
-    constants = compute_constants(bank)
-    threads = threading.active_count()
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-    layer_energy_profile(sig, bank, 4)
-    verify_decay(band_limited_signal(64, bank.validated_band, np.random.default_rng(31)), bank, constants, 4)
-    assert started == [] and threading.active_count() == threads
-
-
-def test_mc_weighs_only_the_layer_it_estimates(monkeypatch, report_cpus):
-    """At depth 3 only layer 2's rows are weighed, layer 1's are formed but not; the pool dies with the call."""
+def test_mc_weighs_only_the_layer_it_estimates(monkeypatch):
+    """At depth 3 only layer 2's rows are weighed, layer 1's are formed but not."""
     bank = build_bank(morlet_mother(), 0, 64)  # 6 octaves
     model = make_model("white", 64)
-    report_cpus(4)
     monkeypatch.setattr(scattering, "_BLOCK_ELEMENTS", 4 * 6**2 * 64)  # blocks of 4, 4 and 2 trials
     weighed, child_energies = [], scattering._child_energies
 
@@ -442,23 +383,11 @@ def test_mc_weighs_only_the_layer_it_estimates(monkeypatch, report_cpus):
         return child_energies(rows, *args)
 
     monkeypatch.setattr(scattering, "_child_energies", counted)
-    threads = set(threading.enumerate())
     mc_layer_energy(model, bank, 3, trials=10, seed=0)
     assert sum(weighed) == 10 * 6**2
     weighed.clear()
     layer_energy_profile(Signal(np.ones(64), real=True), bank, 3)
     assert sum(weighed) == 6 + 6**2  # the profile weighs every layer
-    assert set(threading.enumerate()) == threads
-
-    def fail_off_the_calling_thread(rows, *args):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("raised in a worker")
-        return child_energies(rows, *args)
-
-    monkeypatch.setattr(scattering, "_child_energies", fail_off_the_calling_thread)
-    with pytest.raises(FloatingPointError, match="raised in a worker"):
-        mc_layer_energy(model, bank, 3, trials=10, seed=0)
-    assert set(threading.enumerate()) == threads
 
 
 def test_mc_estimate_is_reproducible(shannon_128):
@@ -686,42 +615,17 @@ def test_simulate_holds_no_more_than_its_refusal_counts(n, trials, monkeypatch):
     assert peak <= _counted(monkeypatch, run)
 
 
-class _SharesInTurn:
-    """A stand-in for ``ThreadPoolExecutor`` that runs each submitted share at once, on the calling thread."""
-
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def submit(self, call, *args):
-        future = concurrent.futures.Future()
-        future.set_result(call(*args))
-        return future
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_mc_memory_grows_by_one_value_per_trial(n):
-    """The README's claim: past one block, each trial adds one 8-byte value.
-
-    A block's shares are scored one after another, so the peaks do not move
-    with thread timing: threaded, they depend on whether two shares'
-    layer-1 chunk buffers are alive at once, whatever the trial count.
-    """
+    """The README's claim: past one block, each trial adds one 8-byte value."""
     bank = build_bank(morlet_mother(), 0, 64)
     model = make_model("white", 64)
     per_block = scattering._BLOCK_ELEMENTS // (len(bank.filters) ** (n - 1) * 64)
     assert per_block < 2000
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(concurrent.futures, "ThreadPoolExecutor", _SharesInTurn)
-        mc_layer_energy(model, bank, n, trials=10, seed=0)
-        peaks = {}
-        for trials in (2000, 6000):
-            _, (_, peaks[trials]) = _traced(lambda: mc_layer_energy(model, bank, n, trials, seed=0))
+    mc_layer_energy(model, bank, n, trials=10, seed=0)
+    peaks = {}
+    for trials in (2000, 6000):
+        _, (_, peaks[trials]) = _traced(lambda: mc_layer_energy(model, bank, n, trials, seed=0))
     assert peaks[6000] - peaks[2000] <= 16 * 4000
 
 
@@ -734,16 +638,6 @@ def test_mc_peak_stays_under_its_ceiling(n, ceiling):
     mc_layer_energy(model, bank, n, trials=10, seed=0)  # first-call allocations stay out
     _, (_, peak) = _traced(lambda: mc_layer_energy(model, bank, n, trials=2000, seed=0))
     assert peak <= ceiling
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
-def test_mc_memory_holds_whatever_the_cpu_count(cpus, report_cpus):
-    """The two tests above, their ceilings as they stand, with 1, 2, 4 or 8 usable CPUs reported."""
-    report_cpus(cpus)
-    for n in (2, 3):
-        test_mc_memory_grows_by_one_value_per_trial(n)
-    for n, ceiling in [(2, 3 << 20), (3, 5 << 19)]:
-        test_mc_peak_stays_under_its_ceiling(n, ceiling)
 
 
 def test_mc_budget_counts_one_trial_and_every_value(monkeypatch):
