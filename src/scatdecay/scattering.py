@@ -411,7 +411,10 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
     # freed: made first, it left every depth-3 Monte Carlo call faulting 1.3 MB of pages back in
     profiles = np.empty((n_max + 1 - first, count))
 
-    def score(batch: np.ndarray, out: np.ndarray) -> None:
+    for start in range(0, count, per_block):
+        # the last block's spectra are let go before the next draw, as they are at depth >= 2
+        out, batch = profiles[:, start : start + per_block], None
+        batch = draw(start, out.shape[1])
         if first == 0:
             # sum |spec|^2 / N^2 by Parseval: N is a power of two, so two divisions round as one
             out[0] = _row_energies(batch) / n
@@ -430,10 +433,6 @@ def _block_profiles(bank: FilterBank, n_max: int, count: int, draw: Callable, de
             del moduli, products
             if weigh:
                 out[depth + 1 - first] = weighed.reshape(out.shape[1], -1).sum(axis=1)
-
-    for start in range(0, count, per_block):
-        k = min(per_block, count - start)
-        score(draw(start, k), profiles[:, start : start + k])
     return profiles
 
 

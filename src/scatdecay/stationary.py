@@ -217,7 +217,9 @@ def _coefficient_rows(model: StationaryModel, draws: np.ndarray) -> np.ndarray:
     re, im = draws[:, :pairs], draws[:, pairs : 2 * pairs]
     coeffs[:, 0] = root[0] * draws[:, -2]
     # what root * (re + 1j im) / sqrt(2) rounds to, but for the sign of a zero where the
-    # density is 0, written into the real and imaginary parts without a complex temporary
+    # density is 0, written into the real and imaginary parts without a complex temporary:
+    # that one expression's temporaries make a depth-2 block's rows a third slower to build
+    # (ROADMAP aim 2's ledger)
     positive = coeffs[:, 1:half]
     for part, normals in ((positive.real, re), (positive.imag, im)):
         np.multiply(root[1:half], normals, out=part)

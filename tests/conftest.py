@@ -7,11 +7,17 @@ same host runs the AVX2 ones under
 bits come from those kernels keeps one exact value per family, keyed by
 the family's name; the ``kernel_family`` fixture names the family from a
 canary digest, and fails on a canary no pin set was measured on.
+
+It also holds the module-scoped Shannon and Morlet banks at N=256 and
+their constants, which several test modules share.
 """
 import hashlib
 
 import numpy as np
 import pytest
+
+from scatdecay.decay import compute_constants
+from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 
 # canary digest -> kernel family
 KERNEL_FAMILIES = {
@@ -38,3 +44,23 @@ def kernel_family() -> str:
             "measure this family's pins and add it to tests/conftest.py"
         )
     return KERNEL_FAMILIES[canary]
+
+
+@pytest.fixture(scope="module")
+def shannon_bank():
+    return build_bank(shannon_mother(), 0, 256)
+
+
+@pytest.fixture(scope="module")
+def morlet_bank():
+    return build_bank(morlet_mother(), 0, 256)
+
+
+@pytest.fixture(scope="module")
+def shannon_constants(shannon_bank):
+    return compute_constants(shannon_bank)
+
+
+@pytest.fixture(scope="module")
+def morlet_constants(morlet_bank):
+    return compute_constants(morlet_bank)

@@ -49,26 +49,6 @@ def announce(capsys):
     return _announce
 
 
-@pytest.fixture(scope="module")
-def shannon_bank():
-    return build_bank(shannon_mother(), 0, 256)
-
-
-@pytest.fixture(scope="module")
-def morlet_bank():
-    return build_bank(morlet_mother(), 0, 256)
-
-
-@pytest.fixture(scope="module")
-def shannon_constants(shannon_bank):
-    return compute_constants(shannon_bank)
-
-
-@pytest.fixture(scope="module")
-def morlet_constants(morlet_bank):
-    return compute_constants(morlet_bank)
-
-
 def test_criterion_1_tight_frame_energy_balance(announce):
     bank, low = shannon_tight_pair(0, 256)
     rng = np.random.default_rng(2026)

@@ -44,26 +44,6 @@ from scatdecay.filterbank import (
 from scatdecay.signals import Signal, band_limited_signal, complex_tone, energy
 
 
-@pytest.fixture(scope="module")
-def shannon_bank():
-    return build_bank(shannon_mother(), 0, 256)
-
-
-@pytest.fixture(scope="module")
-def morlet_bank():
-    return build_bank(morlet_mother(), 0, 256)
-
-
-@pytest.fixture(scope="module")
-def shannon_constants(shannon_bank):
-    return compute_constants(shannon_bank)
-
-
-@pytest.fixture(scope="module")
-def morlet_constants(morlet_bank):
-    return compute_constants(morlet_bank)
-
-
 def cosine(n, omega):
     t = np.arange(n) / n
     return Signal(np.cos(2 * np.pi * omega * t), real=True)

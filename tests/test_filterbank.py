@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from scatdecay.filterbank import (
-    ConditionReport,
     MOTHERS,
     X_WINDOW,
     _octave_sums,

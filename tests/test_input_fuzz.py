@@ -5,15 +5,19 @@ recipe for ``bank check``, a model for ``stationary run --trials 4`` or a
 signal of the bank's N, CSV or raw beside its sidecar, for ``scatter run
 --depth 1``.  It runs ``cli.main`` in process with every warning an error and
 checks the exit-code contract: the code is 0-3, no exception escapes, no
-``--out`` is left after exit 2 or 3, and every exit 2 names the faulty file.
-A recipe with an unknown key, at any level, must exit 2.  The draw is
-derandomized, so every run takes the same 150 cases.
+``--out`` is left after exit 2 or 3, every exit 2 names the faulty file,
+and no file written holds an ``inf``, ``-inf`` or ``nan`` token but the
+documented ``inf`` order fields of an indicator mother's
+``check_vanishing_order.json``.  A recipe with an unknown key, at any level,
+must exit 2.  The draw is derandomized, so every run takes the same 150
+cases.
 """
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -45,6 +49,9 @@ _TOKENS = [b"", b" ", b"nan", b"inf", b"-inf", b"1e400", b"1e308", b"-1e308", b"
            b"1" + b"0" * 400, b"true", b"abc", b"1,2", b"1,2,3", b"# c", b"0x10", b"16.0", b"\xff", b"\xff\xfe"]
 _SAMPLES = [float(np.cos(2 * np.pi * 3 * k / _N)) for k in range(_N)]
 _VALID_BANK = _BANKS[0]
+# a non-finite number as the package spells it, or as JSON or Python may
+_NON_FINITE = re.compile(rb"(?<![\w.])-?(?:inf(?:inity)?|nan)(?![\w.])", re.IGNORECASE)
+_INDICATORS = ("shannon", "bandpass")  # the mothers of order inf
 
 
 def _sites(doc, path=()):
@@ -114,6 +121,28 @@ def _raw(draw):
     return {"": data, ".meta": meta + b"\n"}
 
 
+def _non_finite(out, recipe):
+    """(file, token) of each non-finite number in a file under ``out``.
+
+    An indicator mother's ``check_vanishing_order.json`` may hold ``"inf"``
+    as its order, its ``epsilon_hat`` and its margin, as the README says;
+    ``recipe`` is the bank recipe ``bank check`` read.
+    """
+    found = []
+    for top, _, names in os.walk(out):
+        for name in sorted(names):
+            with open(os.path.join(top, name), "rb") as fh:
+                data = fh.read()
+            if name == "check_vanishing_order.json" and json.loads(recipe)["mother"]["name"] in _INDICATORS:
+                doc = json.loads(data)
+                for fields, key in ((doc["details"], "order"), (doc["details"], "epsilon_hat"), (doc, "margin")):
+                    if fields[key] == "inf":
+                        del fields[key]
+                data = json.dumps(doc).encode()
+            found += [(name, token) for token in _NON_FINITE.findall(data)]
+    return found
+
+
 _CASES = st.one_of(
     st.tuples(st.just("bank check --bank {file} --out {out}"), _recipe(_BANKS)),
     st.tuples(st.just("stationary run --bank {bank} --model {file} --out {out} --trials 4"), _recipe(_MODELS)),
@@ -143,3 +172,5 @@ def test_a_faulty_input_file_keeps_the_exit_code_contract(case):
         assert code < 2 or not os.path.exists(out), message
         assert code != 2 or path in message, message
         assert code == 2 or not refused, message
+        found = _non_finite(out, files[""])
+        assert not found, (found, message)

@@ -1,4 +1,4 @@
-"""The package namespace re-exports each library module's public API, once, one module owns its files, and none starts a thread."""
+"""The package namespace re-exports each library module's public API, once, one module owns its files, none starts a thread, and no module of the package or its tests imports a name it never uses."""
 import ast
 import collections
 import importlib
@@ -11,6 +11,7 @@ import scatdecay
 MODULES = ("decay", "errors", "filterbank", "scattering", "signals", "stationary")
 PACKAGE = Path(scatdecay.__file__).parent
 SOURCES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+TESTS = Path(__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,3 +64,26 @@ def test_no_module_imports_threads(name):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if {"threading", "concurrent"} & set(_imported(node))]
     assert not lines, f"{path.name} imports threading or concurrent at {lines}"
+
+
+def _unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each name ``path`` imports and never reads; a name in ``__all__`` is read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names if alias.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_module_imports_a_name_it_never_uses(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

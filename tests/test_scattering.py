@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +23,12 @@ from scatdecay.signals import (
     band_limited_signal,
     complex_tone,
     convolve,
-    dft,
     energy,
     frequencies,
     reflection_index,
     shift,
 )
+from test_stationary import _traced
 
 
 def cosine(n, omega):
@@ -543,12 +542,7 @@ def test_profile_holds_no_more_than_its_refusal_counts(n, n_max, monkeypatch):
     bank = build_bank(morlet_mother(), 0, n)
     sig = band_limited_signal(n, bank.validated_band, np.random.default_rng(n))
     layer_energy_profile(sig, bank, 2)  # first-call allocations stay out of the count
-    tracemalloc.start()
-    try:
-        layer_energy_profile(sig, bank, n_max)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, (_, peak) = _traced(lambda: layer_energy_profile(sig, bank, n_max))
     monkeypatch.setattr(filterbank, "_BUDGET_BYTES", 0)
     with pytest.raises(BudgetExceededError) as info:
         layer_energy_profile(sig, bank, n_max)
@@ -566,12 +560,7 @@ def test_scatter_holds_no_more_than_its_refusal_counts(n, n_max, monkeypatch):
     bank, low = _morlet_gaussian_pair(0, n)
     sig = band_limited_signal(n, bank.validated_band, np.random.default_rng(n))
     scatter(sig, bank, low, 1)  # first-call allocations stay out of the count
-    tracemalloc.start()
-    try:
-        scatter(sig, bank, low, n_max)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, (_, peak) = _traced(lambda: scatter(sig, bank, low, n_max))
     monkeypatch.setattr(filterbank, "_BUDGET_BYTES", 0)
     with pytest.raises(BudgetExceededError) as info:
         scatter(sig, bank, low, n_max)
@@ -587,12 +576,7 @@ def test_profile_peak_stays_under_its_ceiling(n_max, ceiling):
     bank = build_bank(morlet_mother(), 0, 256)
     sig = band_limited_signal(256, bank.validated_band, np.random.default_rng(256))
     layer_energy_profile(sig, bank, 2)  # first-call allocations stay out of the count
-    tracemalloc.start()
-    try:
-        layer_energy_profile(sig, bank, n_max)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, (_, peak) = _traced(lambda: layer_energy_profile(sig, bank, n_max))
     assert peak <= ceiling
 
 

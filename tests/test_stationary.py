@@ -12,7 +12,7 @@ from scatdecay.decay import compute_constants
 from scatdecay.errors import BudgetExceededError
 from scatdecay.filterbank import build_bank, morlet_mother, shannon_mother
 from scatdecay.scattering import gaussian_output_lowpass, layer_energy_profile, scatter
-from scatdecay.signals import Signal, Spectrum, dft, energy, frequencies, gaussian_lowpass
+from scatdecay.signals import Signal, Spectrum, dft, frequencies, gaussian_lowpass
 from scatdecay.stationary import (
     expected_filter_energy,
     filter_spectrum,
